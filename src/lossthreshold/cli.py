@@ -126,10 +126,14 @@ def resolve_cluster(text: str) -> clusters.ClusterSpec:
     return clusters.builtin_cluster(text)
 
 
+def _policy(args) -> str:
+    # --mc-samples 0 or below must reach the sample-count check, not mean "exact"
+    return replica.EXACT if args.mc_samples is None else replica.MONTE_CARLO
+
+
 def _solver_kwargs(args) -> dict:
-    policy = replica.MONTE_CARLO if args.mc_samples else replica.EXACT
     return {
-        "policy": policy,
+        "policy": _policy(args),
         "mc_samples": args.mc_samples,
         "seed": args.seed,
     }
@@ -144,7 +148,7 @@ def cmd_threshold(args) -> int:
     except solver.NoSignChange:
         result = solver.ThresholdResult(
             args.channel, spec.name, args.loss, 0.0, 0.0, (0.0, 0.0), 0,
-            replica.MONTE_CARLO if args.mc_samples else replica.EXACT,
+            _policy(args),
             solver.STATUS_NO_SIGN_CHANGE,
         )
     print(render_records([_record(result, with_reference=False)], args.format))

@@ -108,9 +108,10 @@ def log_dual_partition_batch(
     (single layer), ln A or ln S (two layer), and the disorder signs enter
     only through an overall sign per term. Diluted slots contribute sqrt(2)
     (resp. 2) at even parity and kill odd-parity terms outright, so each
-    configuration reduces to integer parity counts. Those counts come from a
-    handful of matrix products, which is what makes exact enumeration over
-    millions of assignments cheap.
+    configuration reduces to integer parity counts, which come from a handful
+    of matrix products. The cost is per row: this serves sampled and single
+    assignments. Exact averages go through `replica.class_table` instead,
+    which counts the same cells once per cluster.
     """
     tau = np.asarray(tau, dtype=np.float64)
     n = tau.shape[0]

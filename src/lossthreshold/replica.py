@@ -8,10 +8,16 @@ factors. The quantity evaluated here is
 with the expectation over independent per-slot disorder. Its root in p, at
 fixed loss rate q, is the optimal error threshold.
 
-Exact evaluation enumerates every joint disorder assignment (3^S single-layer,
+Exact evaluation covers every joint disorder assignment (3^S single-layer,
 5^S two-layer, including zero-probability states so the term count is
-parameter-independent). Monte Carlo sampling covers clusters whose assignment
-count exceeds the term budget; it uses a counter-based generator so that the
+parameter-independent), but never visits them one by one. What an assignment
+contributes depends only on how many slots sit in each (disorder state,
+parity cell) for every internal-spin configuration, so assignments whose
+per-configuration histograms agree up to a permutation of configurations
+form one class. The class table of a cluster is compiled once and cached;
+an evaluation weighs each class's log-sum-exp by its multiplicity and its
+disorder probability. Monte Carlo sampling covers clusters whose exact work
+exceeds the term budget; it uses a counter-based generator so that the
 uniforms attached to (sample, slot) are reproducible and identical across
 different p, which keeps the estimated gap continuous during root finding.
 """
@@ -22,12 +28,27 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import model
-from .cluster import ClusterSpec, NonFinite, ShapeMismatch, log_partition_batch
-from .duality import NonPositiveDual, log_dual_partition_batch
+from .cluster import (
+    ClusterSpec,
+    NonFinite,
+    ShapeMismatch,
+    SignedLogSum,
+    _iter_parity_blocks,
+    log_partition_batch,
+)
+from .duality import (
+    NonPositiveDual,
+    dual_edge_factor_single,
+    dual_edge_factor_twolayer,
+    edge_factor_single,
+    edge_factor_twolayer,
+    log_dual_partition_batch,
+)
 
 EXACT = "exact"
 MONTE_CARLO = "monte-carlo"
@@ -37,9 +58,10 @@ DEFAULT_TERM_BUDGET = 10**8
 DEFAULT_MC_SAMPLES = 100_000
 MIN_MC_SAMPLES = 1000
 
-# Assignments are processed in fixed-size chunks. The partition depends only on
-# the cluster and the total count, never on the worker count, so parallel runs
-# are bit-identical: per-chunk sums are combined in chunk order with fsum.
+# Monte Carlo samples are processed in fixed-size chunks. The partition
+# depends only on the cluster and the sample count, never on the worker count,
+# so parallel runs are bit-identical: per-chunk sums are combined in chunk
+# order with fsum.
 _CHUNK_TARGET = 1 << 20
 _CHUNK_MAX = 1 << 16
 
@@ -66,6 +88,29 @@ def worker_count(workers: int | None = None) -> int:
     if env:
         return max(1, int(env))
     return os.cpu_count() or 1
+
+
+def support_size(layers: int) -> int:
+    """Disorder states per slot: +1, -1, lost on one layer; four sign pairs and lost on two."""
+    return 3 if layers == 1 else 5
+
+
+def exact_work(cluster: ClusterSpec) -> int:
+    """Assignments times internal configurations, the quantity the term budget bounds.
+
+    It is what a plain enumeration would sum, and it bounds every level of
+    the class-table fold, so a cluster within budget compiles within it.
+    """
+    return support_size(cluster.layers) ** cluster.slot_count * cluster.config_count
+
+
+def resolve_policy(cluster: ClusterSpec, policy: str, term_budget: int) -> str:
+    """The evaluation method a policy selects: "auto" is exact within the term budget."""
+    if policy not in POLICIES:
+        raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
+    if policy == "auto":
+        return EXACT if exact_work(cluster) <= term_budget else MONTE_CARLO
+    return policy
 
 
 def _chunk_bounds(total: int, cluster: ClusterSpec) -> list[tuple[int, int]]:
@@ -98,25 +143,158 @@ def _check_layers(channel: model.ChannelSpec, cluster: ClusterSpec):
         )
 
 
-def _delta_batch(cluster, K, tau, tau_star, weights=None) -> np.ndarray:
-    """Per-assignment ln x_0 - ln x_0* for sign rows.
-
-    Rows whose dual sum is not strictly positive raise NonPositiveDual, except
-    rows of zero probability (possible at q = 0 or p on the support boundary),
-    which never enter the average and yield 0.
-    """
+def _delta_batch(cluster, K, tau, tau_star) -> np.ndarray:
+    """Per-assignment ln x_0 - ln x_0* for sampled sign rows; raises NonPositiveDual."""
     logp = log_partition_batch(cluster, tau, tau_star, K)
     logd, sign = log_dual_partition_batch(cluster, tau, tau_star, K)
     bad = sign <= 0
-    if weights is not None:
-        bad = bad & (weights > 0.0)
     if np.any(bad):
         row = int(np.argmax(bad))
         states = [int(t) for t in tau[row]]
         raise NonPositiveDual(
             f"dual sum of cluster {cluster.name!r} is not positive for signs {states} at K={K}"
         )
-    return logp - np.where(sign > 0, logd, logp)
+    return logp - logd
+
+
+@dataclass(frozen=True)
+class ClassTable:
+    """Disorder classes of a cluster, with the rows they are built from.
+
+    A row is one internal-spin configuration seen through an assignment: the
+    number of slots in each (disorder state, parity cell), flattened as
+    state * cells + cell. Cells are the parities of a slot's edges, (primal)
+    on one layer and (primal, dual) on two, in the component order of
+    `edge_factor_single` / `edge_factor_twolayer`. A class is the sorted
+    vector of the rows of all 2^internal configurations; every assignment in
+    it has the same primal and dual sums and the same probability.
+    """
+
+    histograms: np.ndarray  # (rows, states * cells) slot counts per row
+    classes: np.ndarray  # (classes, 2^internal) row ids, sorted within a class
+    state_counts: np.ndarray  # (classes, states) slots in each disorder state
+    multiplicity: np.ndarray  # (classes,) assignments in each class
+    representative: np.ndarray  # (classes, slots) state indices of one assignment
+
+
+def _parity_cells(cluster: ClusterSpec, dtype) -> np.ndarray:
+    """Cell of every slot in every configuration, shape (2^internal, slots).
+
+    The cell is 1 for an odd primal edge and 0 for an even one; on two
+    layers it is twice that plus 1 for an odd dual edge.
+    """
+    blocks = []
+    for P, D in _iter_parity_blocks(cluster):
+        cell = (P < 0.0).astype(dtype)
+        if D is not None:
+            cell = 2 * cell + (D < 0.0)
+        blocks.append(cell)
+    return np.concatenate(blocks)
+
+
+def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.unique over rows, comparing each row as one block of bytes (much faster than axis=0)."""
+    a = np.ascontiguousarray(a)
+    keys = a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return a[first], first, inverse.reshape(-1)
+
+
+@lru_cache(maxsize=16)
+def class_table(cluster: ClusterSpec) -> ClassTable:
+    """Compile the disorder classes of a cluster by folding in one slot at a time.
+
+    While slots are being assigned, a row also carries the cells of the slots
+    still to come, so that the next slot's state moves each row to a new row
+    without knowing its configuration. After every slot, classes that became
+    equal are merged and their multiplicities added. One assignment of each
+    class is kept as its representative, so errors can name concrete signs.
+    """
+    m = support_size(cluster.layers)
+    cells = 2 * cluster.layers
+    width = m * cells
+    count_type = np.min_scalar_type(cluster.slot_count)
+    pending, _, row_of_config = _unique_rows(_parity_cells(cluster, count_type))
+    hist = np.zeros((len(pending), width), dtype=count_type)
+    classes = np.sort(row_of_config.astype(np.int32)[None, :], axis=1)
+    multiplicity = np.ones(1, dtype=np.int64)
+    representative = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(cluster.slot_count):
+        rows = len(hist)
+        moved = np.repeat(hist[None], m, axis=0)
+        column = np.arange(m)[:, None] * cells + pending[None, :, 0]
+        moved[np.arange(m)[:, None], np.arange(rows)[None, :], column] += 1
+        nxt = np.concatenate(
+            [moved.reshape(m * rows, width), np.tile(pending[:, 1:], (m, 1))], axis=1
+        )
+        uniq, _, step = _unique_rows(nxt)
+        hist, pending = uniq[:, :width], uniq[:, width:]
+        step = step.astype(np.int32).reshape(m, rows)
+
+        n = len(classes)
+        grown = np.sort(step[:, classes], axis=2).reshape(m * n, -1)
+        classes, first, inverse = _unique_rows(grown)
+        merged = np.zeros(len(classes), dtype=np.int64)
+        np.add.at(merged, inverse, np.tile(multiplicity, m))
+        multiplicity = merged
+        representative = np.concatenate(
+            [representative[first % n], (first // n)[:, None]], axis=1
+        )
+    state_counts = hist[classes[:, 0]].reshape(-1, m, cells).sum(axis=2)
+    table = ClassTable(hist, classes, state_counts, multiplicity, representative)
+    for array in (hist, classes, state_counts, multiplicity, representative):
+        array.flags.writeable = False
+    return table
+
+
+def _log_weight_tables(layers: int, support, K: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per (state, cell) log primal weight, log |dual weight| and dual weight sign.
+
+    Built from the edge factors and their Hadamard duals; a zero dual weight
+    has log -inf and sign 0.
+    """
+    if layers == 1:
+        factor, dual = edge_factor_single, dual_edge_factor_single
+    else:
+        factor, dual = edge_factor_twolayer, dual_edge_factor_twolayer
+    primal = np.array([factor(d, K) for d in support], dtype=np.float64)
+    dual_w = np.array([dual(x) for x in primal], dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        log_dual = np.log(np.abs(dual_w))
+    return np.log(primal).ravel(), log_dual.ravel(), np.sign(dual_w).ravel()
+
+
+def _exact_gap(channel: model.ChannelSpec, cluster: ClusterSpec) -> float:
+    """Delta summed class by class: two matvecs per row, one log-sum-exp per class."""
+    table = class_table(cluster)
+    K = model.nishimori_coupling(channel).K
+    dist = model.disorder_distribution(channel)
+    log_primal, log_dual, dual_sign = _log_weight_tables(cluster.layers, dist.support, K)
+    H = table.histograms.astype(np.float64)
+    zero = dual_sign == 0.0
+    row_primal = H @ log_primal
+    row_dual = np.where(H @ zero > 0.0, -np.inf, H @ np.where(zero, 0.0, log_dual))
+    row_sign = 1.0 - 2.0 * np.mod(H @ (dual_sign < 0.0), 2.0)
+
+    n = len(table.classes)
+    primal_sum, dual_sum = SignedLogSum(n), SignedLogSum(n)
+    primal_sum.add(row_primal[table.classes])
+    dual_sum.add(row_dual[table.classes], row_sign[table.classes])
+    logp, _ = primal_sum.result()
+    logd, sign = dual_sum.result()
+
+    weight = np.prod(np.array(dist.probs)[None, :] ** table.state_counts, axis=1)
+    # classes of zero probability (q = 0, or p on the support boundary) never
+    # enter the average, whatever the sign of their dual sum
+    bad = (sign <= 0) & (weight > 0.0)
+    if np.any(bad):
+        states = table.representative[int(np.argmax(bad))]
+        signs = [dist.support[s].sign for s in states]
+        raise NonPositiveDual(
+            f"dual sum of cluster {cluster.name!r} is not positive for signs {signs} at K={K}"
+        )
+    delta = logp - np.where(sign > 0, logd, logp)
+    return math.fsum((table.multiplicity * weight * delta).tolist())
 
 
 def gap(
@@ -131,45 +309,26 @@ def gap(
 ) -> GapEvaluation:
     """Evaluate Delta(p, q) for the channel on the cluster.
 
-    policy "exact" enumerates every assignment and raises TooManyTerms past
-    the budget; "monte-carlo" always samples; "auto" enumerates when the count
-    fits the budget and samples otherwise.
+    policy "exact" sums every assignment through the cluster's class table
+    and raises TooManyTerms, before compiling anything, when `exact_work`
+    exceeds the budget; "monte-carlo" always samples; "auto" is exact within
+    the budget and samples otherwise. `workers` reaches only the sampled path.
     """
-    if policy not in POLICIES:
-        raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
+    policy = resolve_policy(cluster, policy, term_budget)
     _check_layers(channel, cluster)
-    total = (3 if channel.layers == 1 else 5) ** cluster.slot_count
-    if policy == "auto":
-        policy = EXACT if total <= term_budget else MONTE_CARLO
     if policy == MONTE_CARLO:
-        return gap_monte_carlo(
-            channel, cluster, mc_samples or DEFAULT_MC_SAMPLES, seed, workers=workers
-        )
-    if total > term_budget:
+        samples = DEFAULT_MC_SAMPLES if mc_samples is None else mc_samples
+        return gap_monte_carlo(channel, cluster, samples, seed, workers=workers)
+    work = exact_work(cluster)
+    if work > term_budget:
         raise TooManyTerms(
-            f"exact enumeration needs {total} assignments (budget {term_budget}); "
-            "pass the monte-carlo policy or raise the budget"
+            f"exact enumeration needs {work} terms (assignments x internal configurations, "
+            f"budget {term_budget}); pass the monte-carlo policy or raise the budget"
         )
-
-    K = model.nishimori_coupling(channel).K
-    signs, duals, probs = _support_tables(channel)
-    m = len(probs)
-    powers = m ** np.arange(cluster.slot_count - 1, -1, -1, dtype=np.int64)
-
-    def chunk_sum(lo: int, hi: int) -> float:
-        codes = np.arange(lo, hi, dtype=np.int64)
-        idx = (codes[:, None] // powers[None, :]) % m
-        tau = signs[idx]
-        tau_star = None if duals is None else duals[idx]
-        w = probs[idx].prod(axis=1)
-        delta = _delta_batch(cluster, K, tau, tau_star, weights=w)
-        return float(np.dot(w, delta))
-
-    partials = _run_chunks(chunk_sum, _chunk_bounds(total, cluster), worker_count(workers))
-    value = math.fsum(partials)
+    value = _exact_gap(channel, cluster)
     if not math.isfinite(value):
         raise NonFinite(f"gap on cluster {cluster.name!r} is not finite at p={channel.p}, q={channel.q}")
-    return GapEvaluation(value, EXACT, 0.0, total)
+    return GapEvaluation(value, EXACT, 0.0, support_size(cluster.layers) ** cluster.slot_count)
 
 
 def gap_monte_carlo(

@@ -9,6 +9,7 @@ statistical resolution limit instead of chasing noise.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -19,6 +20,10 @@ BRACKET_LO = 1e-6
 BRACKET_MARGIN = 1e-6
 MIN_TOL = 1e-10
 MAX_ITERATIONS = 200
+# |Delta| up to this at a bracket end is rounding, not a sign: a geometry whose
+# primal and dual sums coincide has Delta = 0 at every p, and its computed
+# value scatters around zero in the last bits.
+GAP_FLOOR = 1e-12
 
 STATUS_OK = "ok"
 STATUS_NO_THRESHOLD = "no-threshold"
@@ -51,12 +56,11 @@ def _resolve_cluster(cluster: ClusterSpec | str) -> ClusterSpec:
     return builtin_cluster(cluster) if isinstance(cluster, str) else cluster
 
 
-def _resolve_method(kind: str, cluster: ClusterSpec, policy: str, term_budget: int) -> str:
-    if policy == "auto":
-        layers = 1 if kind == model.UNCORRELATED else 2
-        total = (3 if layers == 1 else 5) ** cluster.slot_count
-        return replica.EXACT if total <= term_budget else replica.MONTE_CARLO
-    return policy
+def _check_tol(tol: float) -> None:
+    if not math.isfinite(tol):
+        raise ValueError(f"tol={tol} must be finite")
+    if tol < MIN_TOL:
+        raise ValueError(f"tol={tol} below the supported minimum {MIN_TOL}")
 
 
 def _upper_bracket(kind: str) -> float:
@@ -79,20 +83,18 @@ def solve_threshold(
 
     Returns a no-threshold result (p_c = 0) for the one-unit clusters when
     q >= 1/2, where the closed form shows the gap is negative for every p.
-    Raises NoSignChange when the gap fails to change sign over the bracket,
-    which signals the q >= 1/2 regime of a larger cluster or a broken
-    geometry.
+    Raises NoSignChange when the gap fails to change sign over the bracket
+    (an end within GAP_FLOOR of zero has no sign), which signals the
+    q >= 1/2 regime of a larger cluster or a broken geometry. Raises
+    ValueError for a tol that is not finite or is below MIN_TOL.
     """
     if channel_kind not in model.CHANNEL_KINDS:
         raise model.DomainError(f"unknown channel kind {channel_kind!r}")
     if not 0.0 <= q <= 1.0:
         raise model.DomainError(f"loss rate q={q} outside [0, 1]")
-    if tol < MIN_TOL:
-        raise ValueError(f"tol={tol} below the supported minimum {MIN_TOL}")
+    _check_tol(tol)
     spec = _resolve_cluster(cluster)
-    if policy not in replica.POLICIES:
-        raise ValueError(f"policy must be one of {replica.POLICIES}, got {policy!r}")
-    method = _resolve_method(channel_kind, spec, policy, term_budget)
+    method = replica.resolve_policy(spec, policy, term_budget)
 
     # One-unit clusters reduce to the closed form, whose root degenerates to
     # p = 0 exactly when q reaches 1/2 (binary entropy target <= 0).
@@ -115,7 +117,7 @@ def solve_threshold(
     a, b = BRACKET_LO, _upper_bracket(channel_kind)
     eval_a, eval_b = evaluate(a), evaluate(b)
     fa, fb = eval_a.delta, eval_b.delta
-    if fa <= 0.0 or fb >= 0.0:
+    if fa <= GAP_FLOOR or fb >= -GAP_FLOOR:
         raise NoSignChange(
             f"gap does not change sign on [{a}, {b}] for {channel_kind}/{spec.name} at q={q}: "
             f"Delta({a})={fa:.6g}, Delta({b})={fb:.6g}"
@@ -215,6 +217,7 @@ def sweep(
         raise ValueError("q values must be strictly ascending")
     if qs and not (0.0 <= qs[0] and qs[-1] < 0.5):
         raise ValueError("q values must lie in [0, 0.5)")
+    _check_tol(tol)
     spec = _resolve_cluster(cluster)
     nworkers = replica.worker_count(workers)
 
@@ -232,7 +235,7 @@ def sweep(
                 workers=1,
             )
         except NoSignChange:
-            method = _resolve_method(channel_kind, spec, policy, term_budget)
+            method = replica.resolve_policy(spec, policy, term_budget)
             return ThresholdResult(
                 channel_kind, spec.name, q, 0.0, 0.0, (0.0, 0.0), 0, method, STATUS_NO_SIGN_CHANGE
             )

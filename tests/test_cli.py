@@ -205,6 +205,34 @@ def test_monte_carlo_sample_floor(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize("command", ["threshold", "sweep"])
+def test_monte_carlo_zero_or_negative_samples_is_usage_error(capsys, command, samples):
+    # 0 once fell through to an exact enumeration
+    where = ["--loss", "0.1"] if command == "threshold" else ["--q-to", "0.1"]
+    code = cli.main(
+        [command, "--channel", "uncorrelated", "--cluster", "single", *where,
+         "--mc-samples", samples]
+    )
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert "samples" in captured.err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["threshold", "sweep"])
+def test_non_finite_tol_is_usage_error(capsys, command, tol):
+    where = ["--loss", "0.1"] if command == "threshold" else ["--q-to", "0.1"]
+    code = cli.main(
+        [command, "--channel", "uncorrelated", "--cluster", "single", *where, "--tol", tol]
+    )
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
 def test_render_table_synthetic():
     records = [
         cli.OutputRecord("uncorrelated", "single", 0.1, 0.0924038, 1.2e-10, "exact", None),

@@ -3,14 +3,32 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import re
 
+import numpy as np
 import pytest
 
-from lossthreshold.cluster import ClusterSpec, ShapeMismatch, Slot, Vertex, builtin_cluster
+from lossthreshold import model, replica
+from lossthreshold.cluster import (
+    ClusterSpec,
+    ShapeMismatch,
+    Slot,
+    Vertex,
+    builtin_cluster,
+    builtin_names,
+    log_partition_batch,
+)
+from lossthreshold.duality import (
+    NonPositiveDual,
+    dual_cluster_partition,
+    log_dual_partition_batch,
+)
 from lossthreshold.model import (
     ChannelSpec,
     DomainError,
+    EdgeDisorder,
     disorder_distribution,
     nishimori_coupling,
 )
@@ -20,11 +38,13 @@ from lossthreshold.replica import (
     MIN_MC_SAMPLES,
     MONTE_CARLO,
     TooManyTerms,
+    class_table,
     gap,
     gap_closed_form_single,
     gap_monte_carlo,
     worker_count,
 )
+from lossthreshold.solver import BRACKET_LO, BRACKET_MARGIN, NoSignChange, solve_threshold
 
 
 def _brute_force_gap(kind: str, name: str, p: float, q: float) -> float:
@@ -209,3 +229,146 @@ def test_worker_count_resolution(monkeypatch):
     assert worker_count() == 2
     monkeypatch.delenv("THRESHOLD_WORKERS")
     assert worker_count() >= 1
+
+
+def _random_cluster(rng: np.random.Generator, layers: int, index: int) -> ClusterSpec:
+    """A small cluster with random edges; a vertex may end up unused or on several slots.
+
+    It has one or two internal spins in all. Near the lower bracket end K is
+    large, and an assignment that puts an unsatisfied edge at each of k
+    independent internal spins has a dual sum of relative size about
+    e^{-2kK}: at k = 3 that is below double precision, for the per-row
+    kernels as much as for the class tables, and the dual sum's sign is
+    rounding noise.
+    """
+    layer_names = ("primal", "dual")[:layers]
+    internal = [Vertex(f"i{k}", "internal", str(rng.choice(layer_names)))
+                for k in range(int(rng.integers(1, 3)))]
+    pools = {}
+    for layer in layer_names:
+        boundary = [Vertex(f"{layer[0]}b{k}", "boundary", layer)
+                    for k in range(int(rng.integers(2, 4)))]
+        pools[layer] = [v for v in internal if v.layer == layer] + boundary
+
+    def edge(layer: str) -> tuple[str, str]:
+        a, b = rng.choice(len(pools[layer]), size=2, replace=False)
+        return (pools[layer][a].id, pools[layer][b].id)
+
+    slot_count = int(rng.integers(3, 7) if layers == 1 else rng.integers(2, 5))
+    slots = tuple(
+        Slot(edge("primal"), edge("dual") if layers == 2 else None) for _ in range(slot_count)
+    )
+    vertices = tuple(dict.fromkeys(v for layer in layer_names for v in pools[layer]))
+    return ClusterSpec(f"random{layers}-{index}", layers, vertices, slots)
+
+
+def _per_row_gaps(spec: ClusterSpec, kind: str, p: float, qs) -> list[float]:
+    """Delta at each q by a direct sum over every assignment, one row per assignment.
+
+    Rows go through log_partition_batch and log_dual_partition_batch, the
+    per-row kernels the Monte Carlo path uses; q only changes the weights.
+    """
+    support = disorder_distribution(ChannelSpec(kind, p, 0.0)).support
+    K = nishimori_coupling(ChannelSpec(kind, p, 0.0)).K
+    m, S = len(support), spec.slot_count
+    signs = np.array([d.sign for d in support], dtype=np.float64)
+    duals = np.array([d.dual_sign or 0 for d in support], dtype=np.float64)
+    deltas, counts = [], []
+    for codes in np.array_split(np.arange(m**S), max(1, m**S // 2**15)):
+        idx = (codes[:, None] // m ** np.arange(S)[None, :]) % m
+        tau_star = duals[idx] if spec.layers == 2 else None
+        logp = log_partition_batch(spec, signs[idx], tau_star, K)
+        logd, sign = log_dual_partition_batch(spec, signs[idx], tau_star, K)
+        assert np.all(sign > 0)
+        deltas.append(logp - logd)
+        counts.append(np.stack([(idx == s).sum(axis=1) for s in range(m)], axis=1))
+    delta, count = np.concatenate(deltas), np.concatenate(counts)
+    out = []
+    for q in qs:
+        probs = np.array(disorder_distribution(ChannelSpec(kind, p, q)).probs)
+        out.append(math.fsum((np.prod(probs ** count, axis=1) * delta).tolist()))
+    return out
+
+
+_RNG = np.random.default_rng(20261018)
+_COMPILED_CASES = [builtin_cluster(name) for name in builtin_names()] + [
+    _random_cluster(_RNG, layers, k) for layers in (1, 2) for k in range(3)
+]
+
+
+@pytest.mark.parametrize("spec", _COMPILED_CASES, ids=lambda s: s.name)
+def test_compiled_gap_matches_per_row_sum(spec):
+    kind = "uncorrelated" if spec.layers == 1 else "depolarizing"
+    table = class_table(spec)
+    m = replica.support_size(spec.layers)
+    assert int(table.multiplicity.sum()) == m**spec.slot_count
+    assert np.all(table.state_counts.sum(axis=1) == spec.slot_count)
+
+    qs = (0.0, 0.2, 0.45)
+    upper = (0.5 if spec.layers == 1 else 0.75) - BRACKET_MARGIN
+    points = [(p, qs) for p in (BRACKET_LO, upper)]
+    for q in qs:
+        try:
+            near = solve_threshold(kind, spec, q, tol=1e-4).p_c
+        except NoSignChange:
+            near = 0.1
+        points.append((near, (q,)))
+    if m**spec.slot_count > 10**5:
+        # B's 3^12 rows take seconds per p through the per-row kernels (q only
+        # reweights them); keep the strongest coupling and p_c at q = 0.2
+        points = [points[0], (points[3][0], qs)]
+    worst = 0.0
+    for p, q_values in points:
+        direct = _per_row_gaps(spec, kind, p, q_values)
+        for q, want in zip(q_values, direct):
+            got = gap(ChannelSpec(kind, p, q), spec)
+            assert got.terms == m**spec.slot_count
+            worst = max(worst, abs(got.delta - want))
+    assert worst <= 1e-12, f"{spec.name}: compiled gap differs from the per-row sum by {worst:.2e}"
+
+
+def test_class_representatives_lie_in_their_class():
+    spec = builtin_cluster("D")
+    table = class_table(spec)
+    m = replica.support_size(spec.layers)
+    for rep, counts in zip(table.representative, table.state_counts):
+        assert np.array_equal(np.bincount(rep, minlength=m), counts)
+
+
+def test_non_positive_dual_names_an_assignment(monkeypatch):
+    # K of about 34.5 cancels the frustrated star's dual sum to zero in
+    # floating point; the error must name signs that really fail
+    monkeypatch.setattr(model, "MIN_ERROR_RATE", 1e-31)
+    star = builtin_cluster("A")
+    with pytest.raises(NonPositiveDual) as info:
+        gap(ChannelSpec("uncorrelated", 1e-30, 0.1), star)
+    signs = json.loads(re.search(r"signs (\[[^]]*\])", str(info.value)).group(1))
+    K = 0.5 * math.log((1.0 - 1e-30) / 1e-30)
+    with pytest.raises(NonPositiveDual):
+        dual_cluster_partition(star, tuple(EdgeDisorder(s) for s in signs), K)
+
+
+def test_too_many_terms_before_compiling(monkeypatch):
+    # 3^6 assignments x 2^18 configurations is past the default budget;
+    # nothing may be compiled or allocated on the way to the error
+    internal = [Vertex(f"i{k}", "internal") for k in range(18)]
+    boundary = [Vertex("b", "boundary")]
+    slots = tuple(Slot((f"i{k}", f"i{k + 1}" if k < 5 else "b")) for k in range(6))
+    spec = ClusterSpec("wide", 1, tuple(internal + boundary), slots)
+    assert replica.exact_work(spec) == 3**6 * 2**18 > DEFAULT_TERM_BUDGET
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("compiled a cluster past the term budget")
+
+    monkeypatch.setattr(replica, "class_table", forbidden)
+    monkeypatch.setattr(replica, "_parity_cells", forbidden)
+    with pytest.raises(TooManyTerms):
+        gap(ChannelSpec("uncorrelated", 0.1, 0.1), spec)
+    assert replica.resolve_policy(spec, "auto", DEFAULT_TERM_BUDGET) == MONTE_CARLO
+
+
+@pytest.mark.parametrize("samples", [0, -1, MIN_MC_SAMPLES - 1])
+def test_monte_carlo_policy_rejects_small_sample_counts(samples):
+    with pytest.raises(ValueError):
+        gap(ChannelSpec("uncorrelated", 0.09, 0.1), builtin_cluster("A"), MONTE_CARLO,
+            mc_samples=samples)

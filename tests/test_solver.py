@@ -45,8 +45,9 @@ def _closed_form_root(kind: str, q: float) -> float:
     return 0.5 * (lo + hi)
 
 
-# two slots sharing internal spins on both layers; its gap stays positive over
-# the whole bracket, exercising the no-sign-change path
+# two slots sharing internal spins on both layers; its primal and dual sums
+# coincide, so its gap is zero up to rounding over the whole bracket,
+# exercising the no-sign-change path
 BROKEN_BOWTIE = ClusterSpec(
     "broken",
     2,
@@ -118,6 +119,23 @@ def test_validation_errors():
         solve_threshold("uncorrelated", "single", 0.0, tol=MIN_TOL / 10)
     with pytest.raises(ValueError):
         solve_threshold("uncorrelated", "single", 0.0, policy="fastest")
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_non_finite_tol_is_rejected(tol):
+    # a NaN tol once stopped the search at once and reported p_c = 0.2222 as ok
+    with pytest.raises(ValueError, match="finite"):
+        solve_threshold("uncorrelated", "single", 0.1, tol=tol)
+    with pytest.raises(ValueError, match="finite"):
+        sweep("uncorrelated", "single", [0.1], tol=tol)
+    with pytest.raises(ValueError, match="finite"):
+        sweep("uncorrelated", "single", [], tol=tol)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_monte_carlo_solve_rejects_sample_counts_below_floor(samples):
+    with pytest.raises(ValueError):
+        solve_threshold("uncorrelated", "single", 0.1, policy="monte-carlo", mc_samples=samples)
 
 
 def test_sweep_validation():
