@@ -17,7 +17,6 @@ from .model import (
     NishimoriCoupling,
     disorder_distribution,
     nishimori_coupling,
-    superedge_error_rate,
 )
 from .cluster import (
     ClusterFactor,

@@ -27,6 +27,7 @@ from .cluster import (
     NonFinite,
     ShapeMismatch,
     SignedLogSum,
+    _coupling,
     _iter_parity_blocks,
     signs_array,
 )
@@ -182,7 +183,7 @@ def dual_cluster_partition(
         raise ShapeMismatch(
             f"cluster {cluster.name!r} has {cluster.slot_count} slots, got {len(disorder)} disorder entries"
         )
-    kval = K.K if isinstance(K, NishimoriCoupling) else float(K)
+    kval = _coupling(K)
     tau, tau_star = signs_array(disorder, cluster.layers)
     logmag, sign = log_dual_partition_batch(
         cluster, tau[None, :], None if tau_star is None else tau_star[None, :], kval

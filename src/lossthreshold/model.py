@@ -156,21 +156,3 @@ def disorder_distribution(channel: ChannelSpec) -> DisorderDistribution:
         )
         probs = ((1.0 - q) * (1.0 - p), third, third, third, q)
     return DisorderDistribution(support, probs)
-
-
-def superedge_error_rate(p: float, n: int) -> float:
-    """Effective error rate of a fused edge spanning n independent flips of rate p.
-
-    The fused edge flips when an odd number of the n constituents flip, so
-    1 - 2*p_eff = (1 - 2p)**n.
-
-    The reconstruction weight around lost qubits is typographically ambiguous in
-    its source; this parity-composition reading is the one consistent with
-    independent flips, and superedges are not used by the baseline threshold
-    pipeline (plain dilution reproduces the published numbers).
-    """
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"superedge multiplicity must be a positive integer, got {n!r}")
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"error rate p={p} outside [0, 1]")
-    return 0.5 * (1.0 - (1.0 - 2.0 * p) ** n)

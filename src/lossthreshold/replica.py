@@ -81,13 +81,19 @@ class GapEvaluation:
 
 
 def worker_count(workers: int | None = None) -> int:
-    """Resolve a worker count: explicit argument, THRESHOLD_WORKERS, or all cores."""
+    """Resolve a worker count: explicit argument, THRESHOLD_WORKERS, or all cores.
+
+    Raises ValueError when THRESHOLD_WORKERS is set but is not an integer of
+    at least 1.
+    """
     if workers is not None:
         return max(1, int(workers))
     env = os.environ.get("THRESHOLD_WORKERS", "").strip()
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(f"THRESHOLD_WORKERS={env!r} must be an integer of at least 1")
+    return int(env)
 
 
 def support_size(layers: int) -> int:

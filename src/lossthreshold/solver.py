@@ -2,9 +2,11 @@
 
 Delta(p, q) is strictly decreasing in p, positive below threshold and negative
 above, so p_c is bracketed on [1e-6, 1/2 - 1e-6] (single layer) or
-[1e-6, 3/4 - 1e-6] (two layers) and refined by bisection with secant
-acceleration. Monte Carlo gaps are refined by plain bisection and stop at the
-statistical resolution limit instead of chasing noise.
+[1e-6, 3/4 - 1e-6] (two layers) and refined by Brent's method (inverse
+quadratic interpolation and secant steps, safeguarded by bisection). Exact
+and Monte Carlo gaps share the loop: a sampled gap is a fixed function of p
+for one seed, because every evaluation reads the same random stream, and its
+refinement stops once the bracket is within twice the standard error of p_c.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ GAP_FLOOR = 1e-12
 STATUS_OK = "ok"
 STATUS_NO_THRESHOLD = "no-threshold"
 STATUS_NO_SIGN_CHANGE = "no-sign-change"
+STATUS_NOT_CONVERGED = "no-convergence"
 
 
 class NoSignChange(RuntimeError):
@@ -36,6 +39,13 @@ class NoSignChange(RuntimeError):
 
 @dataclass(frozen=True)
 class ThresholdResult:
+    """p_c is the best iterate, an end of `bracket`, and residual |Delta(p_c)|.
+
+    std_error is the Monte Carlo standard error of p_c in units of p:
+    sigma_Delta / |dDelta/dp| by the delta method, with the final bracket's
+    secant as the slope. It is 0.0 for exact runs.
+    """
+
     channel: str
     cluster: str
     q: float
@@ -86,7 +96,9 @@ def solve_threshold(
     Raises NoSignChange when the gap fails to change sign over the bracket
     (an end within GAP_FLOOR of zero has no sign), which signals the
     q >= 1/2 regime of a larger cluster or a broken geometry. Raises
-    ValueError for a tol that is not finite or is below MIN_TOL.
+    ValueError for a tol that is not finite or is below MIN_TOL. A search
+    that takes MAX_ITERATIONS steps without closing the bracket keeps its
+    best iterate with status "no-convergence".
     """
     if channel_kind not in model.CHANNEL_KINDS:
         raise model.DomainError(f"unknown channel kind {channel_kind!r}")
@@ -115,82 +127,67 @@ def solve_threshold(
         )
 
     a, b = BRACKET_LO, _upper_bracket(channel_kind)
-    eval_a, eval_b = evaluate(a), evaluate(b)
-    fa, fb = eval_a.delta, eval_b.delta
+    fa, fb = evaluate(a).delta, evaluate(b).delta
     if fa <= GAP_FLOOR or fb >= -GAP_FLOOR:
         raise NoSignChange(
             f"gap does not change sign on [{a}, {b}] for {channel_kind}/{spec.name} at q={q}: "
             f"Delta({a})={fa:.6g}, Delta({b})={fb:.6g}"
         )
-
-    if method == replica.MONTE_CARLO:
-        return _refine_bisect_mc(channel_kind, spec, q, a, b, fa, fb, tol, evaluate)
-    return _refine_secant(channel_kind, spec, q, a, b, fa, fb, tol, evaluate)
+    return _refine(channel_kind, spec.name, q, method, a, b, fa, fb, tol, evaluate)
 
 
-def _refine_secant(kind, spec, q, a, b, fa, fb, tol, evaluate) -> ThresholdResult:
-    """Bracketed false position with Illinois weighting and periodic bisection."""
+def _refine(kind, name, q, method, a, b, fa, fb, tol, evaluate) -> ThresholdResult:
+    """Brent's zeroin on [a, b] with Delta(a) > 0 > Delta(b).
+
+    b is the best iterate, c the end of the bracket with the other sign, a
+    the previous b. Steps are interpolations kept well inside the bracket,
+    else midpoints, and at least half the stopping width long. It stops at
+    |c - b| <= max(tol, 2 sigma_p), with sigma_p the latest interior gap's
+    standard error over the secant slope of [b, c], so a sampled gap is not
+    refined below its own noise.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    sigma = 0.0
     iterations = 0
-    side = 0
-    while b - a > tol and iterations < MAX_ITERATIONS:
-        width = b - a
-        x = (a * fb - b * fa) / (fb - fa)
-        # keep strictly interior; fall back to the midpoint every 4th step so
-        # the bracket provably shrinks
-        if iterations % 4 == 3 or not (a + 0.01 * width <= x <= b - 0.01 * width):
-            x = a + 0.5 * width
-        fx = evaluate(x).delta
-        iterations += 1
-        if fx == 0.0:
-            return ThresholdResult(
-                kind, spec.name, q, x, 0.0, (a, b), iterations, replica.EXACT
-            )
-        if fx > 0.0:
-            if x == a:
-                break
-            a, fa = x, fx
-            if side == 1:
-                fb *= 0.5
-            side = 1
-        else:
-            if x == b:
-                break
-            b, fb = x, fx
-            if side == -1:
-                fa *= 0.5
-            side = -1
-    p_c = (a * fb - b * fa) / (fb - fa)
-    residual = abs(evaluate(p_c).delta)
-    return ThresholdResult(kind, spec.name, q, p_c, residual, (a, b), iterations, replica.EXACT)
-
-
-def _refine_bisect_mc(kind, spec, q, a, b, fa, fb, tol, evaluate) -> ThresholdResult:
-    """Plain bisection on a sampled gap, stopping at the 2-sigma resolution limit."""
-    iterations = 0
-    mid = 0.5 * (a + b)
-    ev = evaluate(mid)
-    while b - a > tol and iterations < MAX_ITERATIONS:
-        mid = 0.5 * (a + b)
-        ev = evaluate(mid)
-        iterations += 1
-        if abs(ev.delta) < 2.0 * ev.std_error:
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        sigma_p = sigma * abs((c - b) / (fc - fb))
+        half = 0.5 * max(tol, 2.0 * sigma_p)
+        mid = 0.5 * (c - b)
+        converged = abs(mid) <= half or fb == 0.0
+        if converged or iterations == MAX_ITERATIONS:
             break
-        if ev.delta > 0.0:
-            a = mid
+        if abs(e) >= half and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                num, den = 2.0 * mid * s, 1.0 - s
+            else:
+                r, t = fa / fc, fb / fc
+                num = s * (2.0 * mid * r * (r - t) - (b - a) * (t - 1.0))
+                den = (r - 1.0) * (t - 1.0) * (s - 1.0)
+            if num > 0.0:
+                den = -den
+            num = abs(num)
+            if 2.0 * num < min(3.0 * mid * den - abs(half * den), abs(e * den)):
+                e, d = d, num / den
+            else:
+                d = e = mid
         else:
-            b = mid
-    return ThresholdResult(
-        kind,
-        spec.name,
-        q,
-        mid,
-        abs(ev.delta),
-        (a, b),
-        iterations,
-        replica.MONTE_CARLO,
-        STATUS_OK,
-        ev.std_error,
-    )
+            d = e = mid
+        a, fa = b, fb
+        b += d if abs(d) > half else math.copysign(half, mid)
+        ev = evaluate(b)
+        fb, sigma = ev.delta, ev.std_error
+        iterations += 1
+    status = STATUS_OK if converged else STATUS_NOT_CONVERGED
+    bracket = (min(b, c), max(b, c))
+    return ThresholdResult(kind, name, q, b, abs(fb), bracket, iterations, method, status, sigma_p)
 
 
 def sweep(

@@ -233,6 +233,15 @@ def test_non_finite_tol_is_usage_error(capsys, command, tol):
     assert "finite" in captured.err
 
 
+def test_bad_worker_environment_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("THRESHOLD_WORKERS", "abc")
+    code = cli.main(["sweep", "--channel", "uncorrelated", "--cluster", "single", "--q-to", "0.1"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert "THRESHOLD_WORKERS" in captured.err
+
+
 def test_render_table_synthetic():
     records = [
         cli.OutputRecord("uncorrelated", "single", 0.1, 0.0924038, 1.2e-10, "exact", None),

@@ -16,7 +16,6 @@ from lossthreshold.model import (
     NishimoriCoupling,
     disorder_distribution,
     nishimori_coupling,
-    superedge_error_rate,
 )
 
 
@@ -146,27 +145,3 @@ def test_distribution_keeps_diluted_state_at_zero_loss():
     dist = disorder_distribution(ChannelSpec(UNCORRELATED, 0.1, 0.0))
     assert dist.support[-1].diluted
     assert dist.probs[-1] == 0.0
-
-
-@pytest.mark.parametrize(
-    "p,n,expected",
-    [
-        (0.1, 1, 0.1),
-        (0.1, 3, 0.5 * (1.0 - 0.8**3)),
-        (0.5, 4, 0.5),
-        (0.0, 7, 0.0),
-    ],
-)
-def test_superedge_error_rate(p, n, expected):
-    assert superedge_error_rate(p, n) == pytest.approx(expected, abs=1e-15)
-
-
-def test_superedge_parity_composition():
-    p, n = 0.07, 5
-    assert 1.0 - 2.0 * superedge_error_rate(p, n) == pytest.approx((1.0 - 2.0 * p) ** n, rel=1e-14)
-
-
-@pytest.mark.parametrize("p,n", [(0.1, 0), (0.1, -2), (0.1, 1.5), (1.2, 3)])
-def test_superedge_domain(p, n):
-    with pytest.raises(DomainError):
-        superedge_error_rate(p, n)

@@ -231,6 +231,14 @@ def test_worker_count_resolution(monkeypatch):
     assert worker_count() >= 1
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2"])
+def test_worker_count_rejects_bad_environment(monkeypatch, value):
+    # "abc" failed with int()'s message only; "0" and "-2" were taken as 1
+    monkeypatch.setenv("THRESHOLD_WORKERS", value)
+    with pytest.raises(ValueError, match="THRESHOLD_WORKERS"):
+        worker_count()
+
+
 def _random_cluster(rng: np.random.Generator, layers: int, index: int) -> ClusterSpec:
     """A small cluster with random edges; a vertex may end up unused or on several slots.
 

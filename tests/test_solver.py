@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import math
+import statistics
 
 import pytest
 
-from lossthreshold.cluster import ClusterSpec, Slot, Vertex
-from lossthreshold.model import DomainError
+from lossthreshold import cli, replica, solver
+from lossthreshold.cluster import ClusterSpec, Slot, Vertex, builtin_cluster
+from lossthreshold.model import ChannelSpec, DomainError
 from lossthreshold.replica import gap_closed_form_single
 from lossthreshold.solver import (
     MIN_TOL,
+    REFERENCE_Q,
+    STATUS_NOT_CONVERGED,
     NoSignChange,
     ThresholdResult,
     reference_p_c0,
@@ -157,6 +161,76 @@ def test_monte_carlo_solve():
     )
     assert again.p_c == result.p_c
     assert again.residual == result.residual
+
+
+@pytest.mark.parametrize("name", ["D", "E"])
+def test_gap_evaluations_per_threshold(monkeypatch, name):
+    # bisection with secant steps spent about 21 evaluations per threshold
+    real_gap = replica.gap
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].p)
+        return real_gap(*args, **kwargs)
+
+    monkeypatch.setattr(replica, "gap", counted)
+    spec = builtin_cluster(name)
+    for q in REFERENCE_Q:
+        calls.clear()
+        result = solve_threshold("depolarizing", spec, q, tol=1e-7)
+        assert result.ok
+        assert len(calls) <= 12, f"{name} at q={q}: {len(calls)} gap evaluations"
+        assert len(calls) == result.iterations + 2
+        assert result.bracket[0] <= result.p_c <= result.bracket[1]
+        assert result.bracket[1] - result.bracket[0] <= 1e-7
+        # the residual is the best iterate's own gap, not a fresh evaluation
+        assert result.p_c in calls
+        assert result.residual == abs(real_gap(ChannelSpec("depolarizing", result.p_c, q), spec).delta)
+
+
+def test_iteration_cap_reports_no_convergence(monkeypatch, capsys):
+    # a capped search once reported ok, e.g. D at q = 0.1 gave p_c = 0.1451 (true 0.1598)
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 2)
+    exact = solve_threshold("depolarizing", "D", 0.1)
+    sampled = solve_threshold(
+        "uncorrelated", "single", 0.0, tol=1e-4, policy="monte-carlo", mc_samples=20_000, seed=4
+    )
+    for result in (exact, sampled):
+        assert result.status == STATUS_NOT_CONVERGED
+        assert not result.ok
+        assert result.iterations == 2
+    code = cli.main(
+        ["threshold", "--channel", "depolarizing", "--cluster", "D", "--loss", "0.1",
+         "--format", "csv"]
+    )
+    assert code == cli.EXIT_NO_THRESHOLD
+    assert ",no-convergence," in capsys.readouterr().out
+    code = cli.main(
+        ["sweep", "--channel", "uncorrelated", "--cluster", "single", "--q-to", "0.1",
+         "--q-step", "0.1", "--mc-samples", "20000", "--seed", "4", "--format", "csv"]
+    )
+    assert code == cli.EXIT_NO_THRESHOLD
+    assert capsys.readouterr().out.count(",no-convergence,") == 2
+
+
+def test_monte_carlo_error_is_in_units_of_p():
+    # std_error was in gap units: 1000 samples on B gave 4e-2 beside a bracket of 0.031
+    few, many = (
+        solve_threshold("uncorrelated", "B", 0.1, policy="monte-carlo", mc_samples=n, seed=2)
+        for n in (1000, 100_000)
+    )
+    for result in (few, many):
+        assert result.ok
+        assert result.bracket[1] - result.bracket[0] <= max(1e-7, 2.0 * result.std_error)
+        assert result.bracket[0] <= result.p_c <= result.bracket[1]
+    assert 0.0 < many.std_error < few.std_error
+    # the delta-method error matches the scatter of p_c over seeds
+    runs = [
+        solve_threshold("uncorrelated", "B", 0.1, policy="monte-carlo", mc_samples=1000, seed=s)
+        for s in range(30)
+    ]
+    ratio = statistics.stdev(r.p_c for r in runs) / statistics.mean(r.std_error for r in runs)
+    assert 0.5 < ratio < 2.0
 
 
 def test_auto_policy_falls_back_to_sampling():
