@@ -132,10 +132,9 @@ class ClusterSpec:
 
 @dataclass(frozen=True)
 class ClusterFactor:
-    """Natural log of a cluster Boltzmann factor, with the sign of the underlying sum."""
+    """Natural log of a cluster Boltzmann factor; the underlying sum is always positive."""
 
     log_value: float
-    sign: int = 1
 
 
 def _coupling(K: NishimoriCoupling | float) -> float:
@@ -283,7 +282,7 @@ def cluster_partition(
     )
     if not np.isfinite(value):
         raise NonFinite(f"cluster partition of {cluster.name!r} is not finite (K={_coupling(K)})")
-    return ClusterFactor(value, 1)
+    return ClusterFactor(value)
 
 
 def gauge_orbit_check(

@@ -10,6 +10,16 @@ The dual cluster factor x_0* is the same internal-spin sum as the primal one,
 on the same graph, but with every slot weight replaced by its dual components.
 Dual components can be negative, so the sum is accumulated in sign-magnitude
 log form and must come out strictly positive to have a logarithm.
+
+Both sums are evaluated from one table: for each (disorder state, parity
+cell) of a slot, the log of its edge factor, the log magnitude of its dual
+component, and whether that component is zero or negative. These four add up
+over the slots of a configuration. The exact class path reads the table
+through its slot-count histograms (`replica`); sampled and single
+assignments go through `log_factor_batch`, which takes rows of disorder
+state indices. Apart from the closed-form oracle
+`replica.gap_closed_form_single`, the dual weights have no other form;
+`cluster.cluster_partition` keeps a direct-energy primal sum as a reference.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ import numpy as np
 
 from .model import EdgeDisorder, NishimoriCoupling
 from .cluster import (
+    CONFIG_BLOCK,
     ClusterFactor,
     ClusterSpec,
     DisorderAssignment,
@@ -33,8 +44,6 @@ from .cluster import (
 )
 
 SQRT2 = math.sqrt(2.0)
-LOG_SQRT2 = 0.5 * math.log(2.0)
-LOG2 = math.log(2.0)
 
 
 class NonPositiveDual(ArithmeticError):
@@ -81,91 +90,86 @@ def edge_factor_twolayer(disorder: EdgeDisorder, K: float) -> tuple[float, float
     return tuple(out)
 
 
-def _dual_constants_single(K: float) -> tuple[float, float]:
-    """(ln(sqrt2 cosh K), ln(sqrt2 sinh K)); the second is -inf at K = 0."""
-    mag0 = math.log(SQRT2 * math.cosh(K))
-    s = math.sinh(K)
-    mag1 = math.log(SQRT2 * s) if s > 0.0 else -math.inf
-    return mag0, mag1
+def _slot_cells(P: np.ndarray, D: np.ndarray | None) -> np.ndarray:
+    """Cell of every slot in a block of parity rows, in edge-factor component order.
 
-
-def _dual_constants_twolayer(K: float) -> tuple[float, float]:
-    """(ln A, ln S) with A = (e^{3K}+3e^{-K})/2, S = (e^{3K}-e^{-K})/2."""
-    a = 0.5 * (math.exp(3.0 * K) + 3.0 * math.exp(-K))
-    s = 0.5 * (math.exp(3.0 * K) - math.exp(-K))
-    return math.log(a), (math.log(s) if s > 0.0 else -math.inf)
-
-
-def log_dual_partition_batch(
-    cluster: ClusterSpec,
-    tau: np.ndarray,
-    tau_star: np.ndarray | None,
-    K: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(log magnitude, sign) of the dual sum for a batch of sign rows.
-
-    The dual weight of a slot depends only on the parity of its edge spins and
-    the slot's disorder: magnitude ln(sqrt2 cosh K) or ln(sqrt2 sinh K)
-    (single layer), ln A or ln S (two layer), and the disorder signs enter
-    only through an overall sign per term. Diluted slots contribute sqrt(2)
-    (resp. 2) at even parity and kill odd-parity terms outright, so each
-    configuration reduces to integer parity counts, which come from a handful
-    of matrix products. The cost is per row: this serves sampled and single
-    assignments. Exact averages go through `replica.class_table` instead,
-    which counts the same cells once per cluster.
+    The cell is 1 for an odd primal edge and 0 for an even one; on two
+    layers it is twice that plus 1 for an odd dual edge.
     """
-    tau = np.asarray(tau, dtype=np.float64)
-    n = tau.shape[0]
-    nondil = (tau != 0.0).astype(np.float64)
-    dil = 1.0 - nondil
-    acc = SignedLogSum(n)
+    cell = (P < 0.0).astype(np.intp)
+    return cell if D is None else 2 * cell + (D < 0.0)
 
-    if cluster.layers == 1:
-        mag0, mag1 = _dual_constants_single(K)
-        neg = (tau < 0.0).astype(np.float64)
-        for P, _ in _iter_parity_blocks(cluster):
-            odd = 0.5 * (1.0 - P)
-            even = 1.0 - odd
-            n_even = nondil @ even.T
-            n_odd = nondil @ odd.T
-            d_even = dil @ even.T
-            d_bad = dil @ odd.T
-            logmag = n_even * mag0 + d_even * LOG_SQRT2
-            if math.isinf(mag1):
-                logmag = np.where(n_odd > 0.5, -np.inf, logmag)
-            else:
-                logmag = logmag + n_odd * mag1
-            logmag = np.where(d_bad > 0.5, -np.inf, logmag)
-            sign = 1.0 - 2.0 * np.mod(neg @ odd.T, 2.0)
-            acc.add(logmag, sign)
-        return acc.result()
 
-    tau_star = np.asarray(tau_star, dtype=np.float64)
-    mag_a, mag_s = _dual_constants_twolayer(K)
-    neg_p = (tau < 0.0).astype(np.float64)
-    neg_d = (tau_star < 0.0).astype(np.float64)
-    neg_c = (tau * tau_star < 0.0).astype(np.float64)
+def _log_weight_tables(layers: int, support, K: float) -> np.ndarray:
+    """Per (disorder state, cell) terms that add up over the slots of a configuration.
+
+    Shape (4, states, cells): log primal weight, log |dual weight|, 1 where
+    the dual weight is zero and 1 where it is negative, built from the edge
+    factors and their Hadamard duals. A configuration's dual term vanishes
+    when any of its slots has a zero dual weight (whose log is stored as 0),
+    and its sign is the parity of its negative ones.
+    """
+    if layers == 1:
+        factor, dual = edge_factor_single, dual_edge_factor_single
+    else:
+        factor, dual = edge_factor_twolayer, dual_edge_factor_twolayer
+    primal = np.array([factor(d, K) for d in support], dtype=np.float64)
+    dual_w = np.array([dual(x) for x in primal], dtype=np.float64)
+    tables = np.empty((4, *primal.shape))
+    tables[0] = np.log(primal)
+    tables[2] = dual_w == 0.0
+    tables[1] = np.log(np.abs(dual_w) + tables[2])
+    tables[3] = dual_w < 0.0
+    return tables
+
+
+def _dual_terms(log_dual: np.ndarray, zeros: np.ndarray, negatives: np.ndarray):
+    """Log magnitude and sign of dual terms from their summed table entries."""
+    return np.where(zeros > 0.0, -np.inf, log_dual), 1.0 - 2.0 * np.mod(negatives, 2.0)
+
+
+def log_factor_batch(
+    cluster: ClusterSpec,
+    support,
+    idx: np.ndarray,
+    K: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ln x_0, ln |x_0*|, sign of x_0*) for rows of per-slot disorder states.
+
+    idx has shape (n, S) and indexes `support`, the disorder states. Rows
+    are one-hot encoded as column s*m + state, so one matrix product per
+    block of configurations against the per-slot table
+    W[s*m + a, (k, c)] = T[k, a, cell of slot s in configuration c]
+    gives all four summed terms of `_log_weight_tables`. The cost is per
+    row: this serves sampled and single assignments, while exact averages
+    count the same cells once per cluster (`replica.class_table`).
+    """
+    tables = _log_weight_tables(cluster.layers, support, K)
+    n, S = idx.shape
+    m = len(support)
+    onehot = np.zeros((n, S * m))
+    onehot[np.arange(n)[:, None], np.arange(S) * m + idx] = 1.0
+    # W holds 4m numbers per (configuration, slot); taking configurations in
+    # steps keeps it within CONFIG_BLOCK * S of them on large clusters
+    step = max(1, CONFIG_BLOCK // (4 * m))
+    primal, dual = SignedLogSum(n), SignedLogSum(n)
     for P, D in _iter_parity_blocks(cluster):
-        pp = 0.5 * (1.0 - P)
-        pd = 0.5 * (1.0 - D)
-        q00 = (1.0 - pp) * (1.0 - pd)
-        q01 = (1.0 - pp) * pd
-        q10 = pp * (1.0 - pd)
-        q11 = pp * pd
-        n00 = nondil @ q00.T
-        n_s = nondil @ (q01 + q10 + q11).T
-        d00 = dil @ q00.T
-        d_bad = dil @ (q01 + q10 + q11).T
-        logmag = n00 * mag_a + d00 * LOG2
-        if math.isinf(mag_s):
-            logmag = np.where(n_s > 0.5, -np.inf, logmag)
-        else:
-            logmag = logmag + n_s * mag_s
-        logmag = np.where(d_bad > 0.5, -np.inf, logmag)
-        flips = neg_d @ q01.T + neg_p @ q10.T + neg_c @ q11.T
-        sign = 1.0 - 2.0 * np.mod(flips, 2.0)
-        acc.add(logmag, sign)
-    return acc.result()
+        cells = _slot_cells(P, D)
+        for lo in range(0, len(cells), step):
+            W = tables[:, :, cells[lo : lo + step]].transpose(3, 1, 0, 2).reshape(S * m, -1)
+            log_p, log_d, zeros, negatives = np.split(onehot @ W, 4, axis=1)
+            primal.add(log_p)
+            dual.add(*_dual_terms(log_d, zeros, negatives))
+    return primal.result()[0], *dual.result()
+
+
+def _require_positive_dual(cluster: ClusterSpec, bad: np.ndarray, states: np.ndarray, support, K: float):
+    """Raise NonPositiveDual naming the signs of the first row of `states` flagged in `bad`."""
+    if np.any(bad):
+        signs = [support[s].sign for s in states[int(np.argmax(bad))]]
+        raise NonPositiveDual(
+            f"dual sum of cluster {cluster.name!r} is not positive for signs {signs} at K={K}"
+        )
 
 
 def dual_cluster_partition(
@@ -175,27 +179,24 @@ def dual_cluster_partition(
 ) -> ClusterFactor:
     """ln x_0* of the cluster: same spin sum as the primal factor, dual slot weights.
 
-    Raises NonPositiveDual when the signed sum is not strictly positive,
-    which happens for some exotic geometries at strong coupling; registered
-    clusters stay positive over the whole supported range.
+    The assignment goes through `log_factor_batch` as one row whose support
+    is the assignment itself. Raises NonPositiveDual when the signed sum is
+    not strictly positive, which happens for some exotic geometries at
+    strong coupling; registered clusters stay positive over the whole
+    supported range.
     """
     if len(disorder) != cluster.slot_count:
         raise ShapeMismatch(
             f"cluster {cluster.name!r} has {cluster.slot_count} slots, got {len(disorder)} disorder entries"
         )
+    signs_array(disorder, cluster.layers)  # raises ShapeMismatch on the wrong layer count
     kval = _coupling(K)
-    tau, tau_star = signs_array(disorder, cluster.layers)
-    logmag, sign = log_dual_partition_batch(
-        cluster, tau[None, :], None if tau_star is None else tau_star[None, :], kval
-    )
-    if int(sign[0]) <= 0:
-        raise NonPositiveDual(
-            f"dual sum of cluster {cluster.name!r} is not positive for {tuple(int(t) for t in tau)} at K={kval}"
-        )
-    value = float(logmag[0])
-    if not np.isfinite(value):
+    if not math.isfinite(kval):
         raise NonFinite(f"dual cluster partition of {cluster.name!r} is not finite (K={kval})")
-    return ClusterFactor(value, 1)
+    states = np.arange(cluster.slot_count)[None, :]
+    _, logmag, sign = log_factor_batch(cluster, disorder, states, kval)
+    _require_positive_dual(cluster, sign <= 0, states, disorder, kval)
+    return ClusterFactor(float(logmag[0]))
 
 
 @lru_cache(maxsize=1)

@@ -20,6 +20,11 @@ disorder probability. Monte Carlo sampling covers clusters whose exact work
 exceeds the term budget; it uses a counter-based generator so that the
 uniforms attached to (sample, slot) are reproducible and identical across
 different p, which keeps the estimated gap continuous during root finding.
+
+Both paths read the same per-(disorder state, parity cell) log-weight
+tables, built in `duality` from the edge factors and their Hadamard duals:
+exact evaluation multiplies them into the class table's histograms, and
+Monte Carlo passes the sampled state indices to `duality.log_factor_batch`.
 """
 
 from __future__ import annotations
@@ -33,21 +38,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import model
-from .cluster import (
-    ClusterSpec,
-    NonFinite,
-    ShapeMismatch,
-    SignedLogSum,
-    _iter_parity_blocks,
-    log_partition_batch,
-)
+from .cluster import ClusterSpec, NonFinite, ShapeMismatch, SignedLogSum, _iter_parity_blocks
 from .duality import (
-    NonPositiveDual,
-    dual_edge_factor_single,
-    dual_edge_factor_twolayer,
-    edge_factor_single,
-    edge_factor_twolayer,
-    log_dual_partition_batch,
+    _dual_terms,
+    _log_weight_tables,
+    _require_positive_dual,
+    _slot_cells,
+    log_factor_batch,
 )
 
 EXACT = "exact"
@@ -83,11 +80,13 @@ class GapEvaluation:
 def worker_count(workers: int | None = None) -> int:
     """Resolve a worker count: explicit argument, THRESHOLD_WORKERS, or all cores.
 
-    Raises ValueError when THRESHOLD_WORKERS is set but is not an integer of
-    at least 1.
+    Raises ValueError when `workers` is below 1, or when THRESHOLD_WORKERS is
+    set but is not an integer of at least 1.
     """
     if workers is not None:
-        return max(1, int(workers))
+        if int(workers) < 1:
+            raise ValueError(f"workers={workers!r} must be at least 1")
+        return int(workers)
     env = os.environ.get("THRESHOLD_WORKERS", "").strip()
     if not env:
         return os.cpu_count() or 1
@@ -131,36 +130,12 @@ def _run_chunks(fn, bounds, workers: int) -> list:
         return list(pool.map(lambda b: fn(*b), bounds))
 
 
-def _support_tables(channel: model.ChannelSpec):
-    dist = model.disorder_distribution(channel)
-    signs = np.array([d.sign for d in dist.support], dtype=np.float64)
-    duals = None
-    if channel.layers == 2:
-        duals = np.array([d.dual_sign for d in dist.support], dtype=np.float64)
-    probs = np.array(dist.probs, dtype=np.float64)
-    return signs, duals, probs
-
-
 def _check_layers(channel: model.ChannelSpec, cluster: ClusterSpec):
     if channel.layers != cluster.layers:
         raise ShapeMismatch(
             f"channel {channel.kind!r} has {channel.layers} layer(s) but cluster "
             f"{cluster.name!r} has {cluster.layers}"
         )
-
-
-def _delta_batch(cluster, K, tau, tau_star) -> np.ndarray:
-    """Per-assignment ln x_0 - ln x_0* for sampled sign rows; raises NonPositiveDual."""
-    logp = log_partition_batch(cluster, tau, tau_star, K)
-    logd, sign = log_dual_partition_batch(cluster, tau, tau_star, K)
-    bad = sign <= 0
-    if np.any(bad):
-        row = int(np.argmax(bad))
-        states = [int(t) for t in tau[row]]
-        raise NonPositiveDual(
-            f"dual sum of cluster {cluster.name!r} is not positive for signs {states} at K={K}"
-        )
-    return logp - logd
 
 
 @dataclass(frozen=True)
@@ -184,18 +159,8 @@ class ClassTable:
 
 
 def _parity_cells(cluster: ClusterSpec, dtype) -> np.ndarray:
-    """Cell of every slot in every configuration, shape (2^internal, slots).
-
-    The cell is 1 for an odd primal edge and 0 for an even one; on two
-    layers it is twice that plus 1 for an odd dual edge.
-    """
-    blocks = []
-    for P, D in _iter_parity_blocks(cluster):
-        cell = (P < 0.0).astype(dtype)
-        if D is not None:
-            cell = 2 * cell + (D < 0.0)
-        blocks.append(cell)
-    return np.concatenate(blocks)
+    """Cell of every slot in every configuration (`_slot_cells`), shape (2^internal, slots)."""
+    return np.concatenate([_slot_cells(P, D).astype(dtype) for P, D in _iter_parity_blocks(cluster)])
 
 
 def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -253,34 +218,15 @@ def class_table(cluster: ClusterSpec) -> ClassTable:
     return table
 
 
-def _log_weight_tables(layers: int, support, K: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per (state, cell) log primal weight, log |dual weight| and dual weight sign.
-
-    Built from the edge factors and their Hadamard duals; a zero dual weight
-    has log -inf and sign 0.
-    """
-    if layers == 1:
-        factor, dual = edge_factor_single, dual_edge_factor_single
-    else:
-        factor, dual = edge_factor_twolayer, dual_edge_factor_twolayer
-    primal = np.array([factor(d, K) for d in support], dtype=np.float64)
-    dual_w = np.array([dual(x) for x in primal], dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        log_dual = np.log(np.abs(dual_w))
-    return np.log(primal).ravel(), log_dual.ravel(), np.sign(dual_w).ravel()
-
-
 def _exact_gap(channel: model.ChannelSpec, cluster: ClusterSpec) -> float:
     """Delta summed class by class: two matvecs per row, one log-sum-exp per class."""
     table = class_table(cluster)
     K = model.nishimori_coupling(channel).K
     dist = model.disorder_distribution(channel)
-    log_primal, log_dual, dual_sign = _log_weight_tables(cluster.layers, dist.support, K)
+    log_primal, log_dual, zero, negative = _log_weight_tables(cluster.layers, dist.support, K).reshape(4, -1)
     H = table.histograms.astype(np.float64)
-    zero = dual_sign == 0.0
     row_primal = H @ log_primal
-    row_dual = np.where(H @ zero > 0.0, -np.inf, H @ np.where(zero, 0.0, log_dual))
-    row_sign = 1.0 - 2.0 * np.mod(H @ (dual_sign < 0.0), 2.0)
+    row_dual, row_sign = _dual_terms(H @ log_dual, H @ zero, H @ negative)
 
     n = len(table.classes)
     primal_sum, dual_sum = SignedLogSum(n), SignedLogSum(n)
@@ -292,13 +238,7 @@ def _exact_gap(channel: model.ChannelSpec, cluster: ClusterSpec) -> float:
     weight = np.prod(np.array(dist.probs)[None, :] ** table.state_counts, axis=1)
     # classes of zero probability (q = 0, or p on the support boundary) never
     # enter the average, whatever the sign of their dual sum
-    bad = (sign <= 0) & (weight > 0.0)
-    if np.any(bad):
-        states = table.representative[int(np.argmax(bad))]
-        signs = [dist.support[s].sign for s in states]
-        raise NonPositiveDual(
-            f"dual sum of cluster {cluster.name!r} is not positive for signs {signs} at K={K}"
-        )
+    _require_positive_dual(cluster, (sign <= 0) & (weight > 0.0), table.representative, dist.support, K)
     delta = logp - np.where(sign > 0, logd, logp)
     return math.fsum((table.multiplicity * weight * delta).tolist())
 
@@ -356,8 +296,8 @@ def gap_monte_carlo(
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
     K = model.nishimori_coupling(channel).K
-    signs, duals, probs = _support_tables(channel)
-    cum = np.cumsum(probs)
+    dist = model.disorder_distribution(channel)
+    cum = np.cumsum(dist.probs)
     cum[-1] = 1.0
     S = cluster.slot_count
 
@@ -366,9 +306,9 @@ def gap_monte_carlo(
         bitgen.advance(lo * S)
         u = np.random.Generator(bitgen).random((hi - lo, S))
         idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
-        tau = signs[idx]
-        tau_star = None if duals is None else duals[idx]
-        delta = _delta_batch(cluster, K, tau, tau_star)
+        logp, logd, sign = log_factor_batch(cluster, dist.support, idx, K)
+        _require_positive_dual(cluster, sign <= 0, idx, dist.support, K)
+        delta = logp - logd
         return float(delta.sum()), float(np.dot(delta, delta))
 
     bounds = _chunk_bounds(samples, cluster)

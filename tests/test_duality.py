@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from lossthreshold.cluster import NonFinite, ShapeMismatch, builtin_cluster, cluster_partition, signs_array
+from lossthreshold.cluster import NonFinite, ShapeMismatch, builtin_cluster, cluster_partition
 from lossthreshold.duality import (
     NonPositiveDual,
     dual_cluster_partition,
@@ -15,10 +15,10 @@ from lossthreshold.duality import (
     dual_edge_factor_twolayer,
     edge_factor_single,
     edge_factor_twolayer,
-    log_dual_partition_batch,
+    log_factor_batch,
     pure_self_dual_point,
 )
-from lossthreshold.model import EdgeDisorder
+from lossthreshold.model import ChannelSpec, EdgeDisorder, disorder_distribution
 
 SQRT2 = math.sqrt(2.0)
 
@@ -74,7 +74,6 @@ def test_single_edge_dual_anchor():
     K = 0.8
     got = dual_cluster_partition(builtin_cluster("single"), (EdgeDisorder(1),), K)
     assert got.log_value == pytest.approx(math.log(SQRT2 * math.cosh(K)), rel=1e-14)
-    assert got.sign == 1
 
 
 def test_star_dual_anchor():
@@ -95,6 +94,8 @@ def test_crossing_dual_anchor():
 def test_dual_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         dual_cluster_partition(builtin_cluster("A"), (EdgeDisorder(1),) * 3, 0.5)
+    with pytest.raises(ShapeMismatch):
+        dual_cluster_partition(builtin_cluster("A"), (EdgeDisorder(1, 1),) * 4, 0.5)
 
 
 def test_self_dual_point_value():
@@ -114,14 +115,14 @@ def test_self_duality_of_clean_edge():
 def test_non_positive_dual_from_cancellation():
     # a frustrated star at extreme coupling cancels to zero in floating point
     frustrated = tuple(EdgeDisorder(s) for s in (-1, 1, 1, 1))
-    assert dual_cluster_partition(builtin_cluster("A"), frustrated, 12.0).sign == 1
+    dual_cluster_partition(builtin_cluster("A"), frustrated, 12.0)
     with pytest.raises(NonPositiveDual):
         dual_cluster_partition(builtin_cluster("A"), frustrated, 30.0)
 
 
 def test_non_positive_dual_two_layer():
     disorder = tuple(EdgeDisorder(s, 1) for s in (1, -1, 1, 1, -1, 1, 1))
-    assert dual_cluster_partition(builtin_cluster("E"), disorder, 0.9).sign == 1
+    dual_cluster_partition(builtin_cluster("E"), disorder, 0.9)
     with pytest.raises(NonPositiveDual):
         dual_cluster_partition(builtin_cluster("E"), disorder, 12.0)
 
@@ -149,12 +150,11 @@ def test_batch_matches_scalar_dual(name, states):
             rows.append(tuple(EdgeDisorder(s) for s in assignment))
         else:
             rows.append(tuple(EdgeDisorder(*pair) for pair in assignment))
-    taus = np.stack([signs_array(r, spec.layers)[0] for r in rows]).astype(np.float64)
-    tau_star = None
-    if spec.layers == 2:
-        tau_star = np.stack([signs_array(r, spec.layers)[1] for r in rows]).astype(np.float64)
-    logmag, sign = log_dual_partition_batch(spec, taus, tau_star, K)
+    kind = "uncorrelated" if spec.layers == 1 else "depolarizing"
+    support = disorder_distribution(ChannelSpec(kind, 0.1, 0.1)).support
+    idx = np.array([[support.index(d) for d in row] for row in rows])
+    _, logmag, sign = log_factor_batch(spec, support, idx, K)
     for i, row in enumerate(rows):
         scalar = dual_cluster_partition(spec, row, K)
-        assert sign[i] == scalar.sign
+        assert sign[i] == 1
         assert logmag[i] == pytest.approx(scalar.log_value, rel=1e-14)

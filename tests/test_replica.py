@@ -20,11 +20,7 @@ from lossthreshold.cluster import (
     builtin_names,
     log_partition_batch,
 )
-from lossthreshold.duality import (
-    NonPositiveDual,
-    dual_cluster_partition,
-    log_dual_partition_batch,
-)
+from lossthreshold.duality import NonPositiveDual, dual_cluster_partition, log_factor_batch
 from lossthreshold.model import (
     ChannelSpec,
     DomainError,
@@ -44,7 +40,54 @@ from lossthreshold.replica import (
     gap_monte_carlo,
     worker_count,
 )
-from lossthreshold.solver import BRACKET_LO, BRACKET_MARGIN, NoSignChange, solve_threshold
+from lossthreshold.solver import BRACKET_LO, BRACKET_MARGIN, NoSignChange, solve_threshold, sweep
+
+
+def _brute_force_row(spec: ClusterSpec, assignment, K: float) -> tuple[float, float]:
+    """(x_0, x_0*) of one assignment by a plain loop over internal spins.
+
+    The dual weights are the hand-reduced closed forms: sqrt2 cosh K and
+    tau sqrt2 sinh K on one layer, A and signed S on two, and sqrt2 (resp. 2)
+    at even parity only for a diluted slot.
+    """
+    index = {v.id: i for i, v in enumerate(spec.vertices)}
+    internal = [index[i] for i in spec.internal_ids]
+    a_const = 0.5 * (math.exp(3.0 * K) + 3.0 * math.exp(-K))
+    s_const = 0.5 * (math.exp(3.0 * K) - math.exp(-K))
+    z = zd = 0.0
+    for bits in itertools.product((1, -1), repeat=len(internal)):
+        spin = [1] * len(spec.vertices)
+        for value, pos in zip(bits, internal):
+            spin[pos] = value
+        energy = 0.0
+        dual_term = 1.0
+        for slot, d in zip(spec.slots, assignment):
+            pp = spin[index[slot.primal_edge[0]]] * spin[index[slot.primal_edge[1]]]
+            if spec.layers == 1:
+                if d.diluted:
+                    dual_term *= math.sqrt(2.0) * (pp > 0)
+                else:
+                    energy += K * d.sign * pp
+                    dual_term *= math.sqrt(2.0) * (
+                        math.cosh(K) if pp > 0 else d.sign * math.sinh(K)
+                    )
+            else:
+                dd = spin[index[slot.dual_edge[0]]] * spin[index[slot.dual_edge[1]]]
+                if d.diluted:
+                    dual_term *= 2.0 * (pp > 0) * (dd > 0)
+                else:
+                    energy += K * (d.sign * pp + d.dual_sign * dd + d.sign * d.dual_sign * pp * dd)
+                    if pp > 0 and dd > 0:
+                        dual_term *= a_const
+                    elif pp > 0:
+                        dual_term *= d.dual_sign * s_const
+                    elif dd > 0:
+                        dual_term *= d.sign * s_const
+                    else:
+                        dual_term *= d.sign * d.dual_sign * s_const
+        z += math.exp(energy)
+        zd += dual_term
+    return z, zd
 
 
 def _brute_force_gap(kind: str, name: str, p: float, q: float) -> float:
@@ -53,49 +96,12 @@ def _brute_force_gap(kind: str, name: str, p: float, q: float) -> float:
     channel = ChannelSpec(kind, p, q)
     dist = disorder_distribution(channel)
     K = nishimori_coupling(channel).K
-    index = {v.id: i for i, v in enumerate(spec.vertices)}
-    internal = [index[i] for i in spec.internal_ids]
-    a_const = 0.5 * (math.exp(3.0 * K) + 3.0 * math.exp(-K))
-    s_const = 0.5 * (math.exp(3.0 * K) - math.exp(-K))
     terms = []
     for states in itertools.product(range(len(dist.support)), repeat=spec.slot_count):
         weight = math.prod(dist.probs[s] for s in states)
         if weight == 0.0:
             continue
-        assignment = [dist.support[s] for s in states]
-        z = zd = 0.0
-        for bits in itertools.product((1, -1), repeat=len(internal)):
-            spin = [1] * len(spec.vertices)
-            for value, pos in zip(bits, internal):
-                spin[pos] = value
-            energy = 0.0
-            dual_term = 1.0
-            for slot, d in zip(spec.slots, assignment):
-                pp = spin[index[slot.primal_edge[0]]] * spin[index[slot.primal_edge[1]]]
-                if spec.layers == 1:
-                    if d.diluted:
-                        dual_term *= math.sqrt(2.0) * (pp > 0)
-                    else:
-                        energy += K * d.sign * pp
-                        dual_term *= math.sqrt(2.0) * (
-                            math.cosh(K) if pp > 0 else d.sign * math.sinh(K)
-                        )
-                else:
-                    dd = spin[index[slot.dual_edge[0]]] * spin[index[slot.dual_edge[1]]]
-                    if d.diluted:
-                        dual_term *= 2.0 * (pp > 0) * (dd > 0)
-                    else:
-                        energy += K * (d.sign * pp + d.dual_sign * dd + d.sign * d.dual_sign * pp * dd)
-                        if pp > 0 and dd > 0:
-                            dual_term *= a_const
-                        elif pp > 0:
-                            dual_term *= d.dual_sign * s_const
-                        elif dd > 0:
-                            dual_term *= d.sign * s_const
-                        else:
-                            dual_term *= d.sign * d.dual_sign * s_const
-            z += math.exp(energy)
-            zd += dual_term
+        z, zd = _brute_force_row(spec, [dist.support[s] for s in states], K)
         terms.append(weight * (math.log(z) - math.log(zd)))
     return math.fsum(terms)
 
@@ -239,6 +245,15 @@ def test_worker_count_rejects_bad_environment(monkeypatch, value):
         worker_count()
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_explicit_worker_count_below_one_is_rejected(workers):
+    # both used to run on one worker
+    with pytest.raises(ValueError, match="workers"):
+        worker_count(workers)
+    with pytest.raises(ValueError, match="workers"):
+        sweep("uncorrelated", "single", [0.1], workers=workers)
+
+
 def _random_cluster(rng: np.random.Generator, layers: int, index: int) -> ClusterSpec:
     """A small cluster with random edges; a vertex may end up unused or on several slots.
 
@@ -273,20 +288,16 @@ def _random_cluster(rng: np.random.Generator, layers: int, index: int) -> Cluste
 def _per_row_gaps(spec: ClusterSpec, kind: str, p: float, qs) -> list[float]:
     """Delta at each q by a direct sum over every assignment, one row per assignment.
 
-    Rows go through log_partition_batch and log_dual_partition_batch, the
-    per-row kernels the Monte Carlo path uses; q only changes the weights.
+    Rows go through log_factor_batch, the row kernel the Monte Carlo path
+    uses; q only changes the weights.
     """
     support = disorder_distribution(ChannelSpec(kind, p, 0.0)).support
     K = nishimori_coupling(ChannelSpec(kind, p, 0.0)).K
     m, S = len(support), spec.slot_count
-    signs = np.array([d.sign for d in support], dtype=np.float64)
-    duals = np.array([d.dual_sign or 0 for d in support], dtype=np.float64)
     deltas, counts = [], []
     for codes in np.array_split(np.arange(m**S), max(1, m**S // 2**15)):
         idx = (codes[:, None] // m ** np.arange(S)[None, :]) % m
-        tau_star = duals[idx] if spec.layers == 2 else None
-        logp = log_partition_batch(spec, signs[idx], tau_star, K)
-        logd, sign = log_dual_partition_batch(spec, signs[idx], tau_star, K)
+        logp, logd, sign = log_factor_batch(spec, support, idx, K)
         assert np.all(sign > 0)
         deltas.append(logp - logd)
         counts.append(np.stack([(idx == s).sum(axis=1) for s in range(m)], axis=1))
@@ -333,6 +344,107 @@ def test_compiled_gap_matches_per_row_sum(spec):
             assert got.terms == m**spec.slot_count
             worst = max(worst, abs(got.delta - want))
     assert worst <= 1e-12, f"{spec.name}: compiled gap differs from the per-row sum by {worst:.2e}"
+
+
+_RANDOM_CASES = [spec for spec in _COMPILED_CASES if spec.name.startswith("random")]
+
+
+def _channel_kind(spec: ClusterSpec) -> str:
+    return "uncorrelated" if spec.layers == 1 else "depolarizing"
+
+
+def _all_rows(m: int, S: int) -> np.ndarray:
+    codes = np.arange(m**S)
+    return (codes[:, None] // m ** np.arange(S)[None, :]) % m
+
+
+@pytest.mark.parametrize(
+    "spec", [builtin_cluster("A"), builtin_cluster("D")] + _RANDOM_CASES, ids=lambda s: s.name
+)
+def test_row_kernel_matches_independent_references(spec):
+    # every assignment: the primal column against the direct-energy sum, the
+    # dual against the plain loop with closed-form dual weights
+    kind = _channel_kind(spec)
+    support = disorder_distribution(ChannelSpec(kind, 0.1, 0.0)).support
+    idx = _all_rows(len(support), spec.slot_count)
+    signs = np.array([d.sign for d in support], dtype=np.float64)
+    duals = np.array([d.dual_sign or 0 for d in support], dtype=np.float64)
+    upper = (0.5 if spec.layers == 1 else 0.75) - BRACKET_MARGIN
+    for p in (0.01, 0.1, upper):
+        K = nishimori_coupling(ChannelSpec(kind, p, 0.0)).K
+        logp, logd, sign = log_factor_batch(spec, support, idx, K)
+        direct = log_partition_batch(spec, signs[idx], duals[idx] if spec.layers == 2 else None, K)
+        assert np.max(np.abs(logp - direct)) <= 1e-11
+        for row, got_log, got_sign in zip(idx, logd, sign):
+            _, zd = _brute_force_row(spec, [support[s] for s in row], K)
+            assert got_sign == np.sign(zd), f"p={p}, row {row.tolist()}"
+            if zd != 0.0:
+                assert abs(got_log - math.log(abs(zd))) <= 1e-11, f"p={p}, row {row.tolist()}"
+
+
+def _relabeled(spec: ClusterSpec, rng: np.random.Generator, what: str):
+    """The same cluster with its slots reordered, or its vertices renamed,
+    reordered and each edge's ends swapped at random; also the slot order."""
+    order = rng.permutation(spec.slot_count) if what == "slots" else np.arange(spec.slot_count)
+    vertices, name = spec.vertices, {v.id: v.id for v in spec.vertices}
+    if what == "vertices":
+        vertices = tuple(Vertex(f"v{k}", v.role, v.layer) for k, v in enumerate(spec.vertices))
+        name = {old.id: new.id for old, new in zip(spec.vertices, vertices)}
+        vertices = tuple(vertices[k] for k in rng.permutation(len(vertices)))
+
+    def edge(e):
+        if e is None:
+            return None
+        ends = (name[e[0]], name[e[1]])
+        return ends[::-1] if what == "vertices" and rng.random() < 0.5 else ends
+
+    slots = tuple(Slot(edge(spec.slots[k].primal_edge), edge(spec.slots[k].dual_edge)) for k in order)
+    return ClusterSpec(f"{spec.name}-{what}", spec.layers, vertices, slots), order
+
+
+@pytest.mark.parametrize("what", ["slots", "vertices"])
+@pytest.mark.parametrize("spec", _RANDOM_CASES, ids=lambda s: s.name)
+def test_relabeling_invariance(spec, what):
+    rng = np.random.default_rng(5)
+    other, order = _relabeled(spec, rng, what)
+    kind = _channel_kind(spec)
+    support = disorder_distribution(ChannelSpec(kind, 0.1, 0.0)).support
+    idx = rng.integers(0, len(support), size=(500, spec.slot_count))
+    for p in (0.01, 0.1):
+        K = nishimori_coupling(ChannelSpec(kind, p, 0.0)).K
+        base = log_factor_batch(spec, support, idx, K)
+        moved = log_factor_batch(other, support, idx[:, order], K)
+        for a, b in zip(base, moved):
+            np.testing.assert_allclose(b, a, rtol=0.0, atol=1e-12)
+        for q in (0.0, 0.2):
+            channel = ChannelSpec(kind, p, q)
+            assert abs(gap(channel, other).delta - gap(channel, spec).delta) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec", [builtin_cluster("A"), builtin_cluster("B")] + [s for s in _RANDOM_CASES if s.layers == 1],
+    ids=lambda s: s.name,
+)
+def test_gauge_flip_invariance_of_primal_rows(spec):
+    """Flipping an internal spin with the signs of its non-diluted edges keeps ln x_0 of every row.
+
+    ln x_0* is not asserted: the dual sum runs over the same internal spins
+    with parity-indexed dual weights, so a flip multiplies each of its terms
+    by -1 per odd non-diluted edge at the spin. On a three-edge star at
+    K = 0.7 the rows (+,+,+) and (-,-,-) give ln x_0* = 1.921 and 1.472.
+    """
+    support = disorder_distribution(ChannelSpec("uncorrelated", 0.1, 0.0)).support
+    flip = np.array([support.index(EdgeDisorder(-d.sign)) for d in support])
+    m, S = len(support), spec.slot_count
+    idx = _all_rows(m, S) if m**S <= 10**4 else np.random.default_rng(6).integers(0, m, (2000, S))
+    for p in (0.01, 0.1, 0.3):
+        K = nishimori_coupling(ChannelSpec("uncorrelated", p, 0.0)).K
+        base, _, _ = log_factor_batch(spec, support, idx, K)
+        for vid in spec.internal_ids:
+            incident = np.array([vid in slot.primal_edge for slot in spec.slots])
+            flipped = np.where(incident, flip[idx], idx)
+            logp, _, _ = log_factor_batch(spec, support, flipped, K)
+            assert np.max(np.abs(logp - base)) <= 1e-12, f"{vid} at p={p}"
 
 
 def test_class_representatives_lie_in_their_class():
