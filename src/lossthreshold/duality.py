@@ -17,9 +17,10 @@ component, and whether that component is zero or negative. These four add up
 over the slots of a configuration. The exact class path reads the table
 through its slot-count histograms (`replica`); sampled and single
 assignments go through `log_factor_batch`, which takes rows of disorder
-state indices. Apart from the closed-form oracle
-`replica.gap_closed_form_single`, the dual weights have no other form;
-`cluster.cluster_partition` keeps a direct-energy primal sum as a reference.
+state indices (for Monte Carlo, the distinct rows of a chunk). Apart from
+the closed-form oracle `replica.gap_closed_form_single`, the dual weights
+have no other form; `cluster.cluster_partition` keeps a direct-energy
+primal sum as a reference.
 """
 
 from __future__ import annotations
@@ -141,8 +142,9 @@ def log_factor_batch(
     block of configurations against the per-slot table
     W[s*m + a, (k, c)] = T[k, a, cell of slot s in configuration c]
     gives all four summed terms of `_log_weight_tables`. The cost is per
-    row: this serves sampled and single assignments, while exact averages
-    count the same cells once per cluster (`replica.class_table`).
+    row, so callers pass each distinct row once: Monte Carlo sends the
+    distinct rows of a chunk with their counts kept aside, and exact
+    averages count the same cells once per cluster (`replica.class_table`).
     """
     tables = _log_weight_tables(cluster.layers, support, K)
     n, S = idx.shape

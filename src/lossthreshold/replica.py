@@ -18,8 +18,11 @@ form one class. The class table of a cluster is compiled once and cached;
 an evaluation weighs each class's log-sum-exp by its multiplicity and its
 disorder probability. Monte Carlo sampling covers clusters whose exact work
 exceeds the term budget; it uses a counter-based generator so that the
-uniforms attached to (sample, slot) are reproducible and identical across
+uniforms of every chunk of samples are reproducible and identical across
 different p, which keeps the estimated gap continuous during root finding.
+Sampled rows repeat often (near the root of B only 2-27 % of them are
+distinct), so each chunk sums its distinct rows once, weighted by their
+counts: the cost is per distinct row of a chunk.
 
 Both paths read the same per-(disorder state, parity cell) log-weight
 tables, built in `duality` from the edge factors and their Hadamard duals:
@@ -58,7 +61,8 @@ MIN_MC_SAMPLES = 1000
 # Monte Carlo samples are processed in fixed-size chunks. The partition
 # depends only on the cluster and the sample count, never on the worker count,
 # so parallel runs are bit-identical: per-chunk sums are combined in chunk
-# order with fsum.
+# order with fsum. The draws themselves depend on the partition (a chunk's
+# stream starts at its first sample times the slot count).
 _CHUNK_TARGET = 1 << 20
 _CHUNK_MAX = 1 << 16
 
@@ -171,6 +175,25 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a[first], first, inverse.reshape(-1)
 
 
+def _distinct_rows(idx: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of base-m state indices and how often each occurs.
+
+    A row's digits are packed into as many int64 words as its length needs,
+    and one stable lexsort over the words brings equal rows together, so the
+    order of the distinct rows depends only on `idx`.
+    """
+    n, S = idx.shape
+    digits = math.floor(63 / math.log2(m))
+    place = m ** np.arange(digits, dtype=np.int64)
+    words = np.stack([idx[:, lo : lo + digits] @ place[: S - lo] for lo in range(0, S, digits)])
+    order = np.lexsort(words)
+    words = words[:, order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = np.any(words[:, 1:] != words[:, :-1], axis=0)
+    starts = np.flatnonzero(first)
+    return idx[order[starts]], np.diff(starts, append=n)
+
+
 @lru_cache(maxsize=16)
 def class_table(cluster: ClusterSpec) -> ClassTable:
     """Compile the disorder classes of a cluster by folding in one slot at a time.
@@ -258,8 +281,11 @@ def gap(
     policy "exact" sums every assignment through the cluster's class table
     and raises TooManyTerms, before compiling anything, when `exact_work`
     exceeds the budget; "monte-carlo" always samples; "auto" is exact within
-    the budget and samples otherwise. `workers` reaches only the sampled path.
+    the budget and samples otherwise. `workers` reaches only the sampled path,
+    but an explicit value below 1 is refused on either (`worker_count`).
     """
+    if workers is not None:
+        worker_count(workers)
     policy = resolve_policy(cluster, policy, term_budget)
     _check_layers(channel, cluster)
     if policy == MONTE_CARLO:
@@ -287,9 +313,16 @@ def gap_monte_carlo(
 ) -> GapEvaluation:
     """Unbiased sampled estimate of Delta(p, q) with its standard error.
 
-    The uniform for (sample i, slot j) comes from position i*S + j of the
-    Philox stream keyed by seed, independent of chunking and of p, so repeated
-    calls during root finding share their random numbers.
+    The samples are split by `_chunk_bounds`, and chunk [lo, hi) draws its
+    (hi - lo, S) uniforms from the Philox stream keyed by seed, advanced by
+    lo*S counter steps. The draws depend on that partition only, never on p
+    or the worker count, so repeated calls during root finding share their
+    random numbers. A row's state is the number of cumulative probabilities
+    at or below its uniform. Each chunk sends only its distinct rows through
+    `log_factor_batch`, so the cost is per distinct row of a chunk; it
+    returns the count-weighted sum of Delta and of its squared deviations
+    about the chunk mean, and the chunks are combined in order. Every
+    distinct row is checked for a positive dual sum, so every sampled one is.
     """
     _check_layers(channel, cluster)
     samples = int(samples)
@@ -305,18 +338,22 @@ def gap_monte_carlo(
         bitgen = np.random.Philox(key=seed)
         bitgen.advance(lo * S)
         u = np.random.Generator(bitgen).random((hi - lo, S))
-        idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
-        logp, logd, sign = log_factor_batch(cluster, dist.support, idx, K)
-        _require_positive_dual(cluster, sign <= 0, idx, dist.support, K)
+        # u < 1 = cum[-1], so the last cumulative probability never counts
+        rows, count = _distinct_rows(sum(u >= c for c in cum[:-1]), len(cum))
+        logp, logd, sign = log_factor_batch(cluster, dist.support, rows, K)
+        _require_positive_dual(cluster, sign <= 0, rows, dist.support, K)
         delta = logp - logd
-        return float(delta.sum()), float(np.dot(delta, delta))
+        total = float((count * delta).sum())
+        return total, float((count * (delta - total / (hi - lo)) ** 2).sum())
 
     bounds = _chunk_bounds(samples, cluster)
     partials = _run_chunks(chunk_stats, bounds, worker_count(workers))
-    total = math.fsum(s for s, _ in partials)
-    total_sq = math.fsum(s2 for _, s2 in partials)
-    mean = total / samples
-    variance = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
+    mean = math.fsum(total for total, _ in partials) / samples
+    # each chunk's squared deviations about its own mean, moved to the overall mean
+    variance = math.fsum(
+        m2 + (hi - lo) * (total / (hi - lo) - mean) ** 2
+        for (lo, hi), (total, m2) in zip(bounds, partials)
+    ) / (samples - 1)
     std_error = math.sqrt(variance / samples)
     if not math.isfinite(mean):
         raise NonFinite(f"sampled gap on cluster {cluster.name!r} is not finite")

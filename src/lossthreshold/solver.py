@@ -96,15 +96,18 @@ def solve_threshold(
     Raises NoSignChange when the gap fails to change sign over the bracket
     (an end within GAP_FLOOR of zero has no sign), which signals the
     q >= 1/2 regime of a larger cluster or a broken geometry. Raises
-    ValueError for a tol that is not finite or is below MIN_TOL. A search
-    that takes MAX_ITERATIONS steps without closing the bracket keeps its
-    best iterate with status "no-convergence".
+    ValueError for a tol that is not finite or is below MIN_TOL, and for an
+    explicit `workers` below 1. A search that takes MAX_ITERATIONS steps
+    without closing the bracket keeps its best iterate with status
+    "no-convergence".
     """
     if channel_kind not in model.CHANNEL_KINDS:
         raise model.DomainError(f"unknown channel kind {channel_kind!r}")
     if not 0.0 <= q <= 1.0:
         raise model.DomainError(f"loss rate q={q} outside [0, 1]")
     _check_tol(tol)
+    if workers is not None:
+        replica.worker_count(workers)
     spec = _resolve_cluster(cluster)
     method = replica.resolve_policy(spec, policy, term_budget)
 

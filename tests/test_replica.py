@@ -205,13 +205,113 @@ def test_monte_carlo_reproducible_and_seed_sensitive():
     assert first.std_error > 0.0
 
 
-def test_monte_carlo_worker_independence():
+def test_monte_carlo_worker_independence(monkeypatch):
+    # small chunks, so that the draw spans 8 of them with a partial last one
+    # and the in-order combine of chunk sums is exercised
+    monkeypatch.setattr(replica, "_CHUNK_MAX", 4096)
     channel = ChannelSpec("depolarizing", 0.17, 0.05)
     spec = builtin_cluster("D")
+    bounds = replica._chunk_bounds(30_000, spec)
+    assert len(bounds) == 8 and bounds[-1][1] - bounds[-1][0] < 4096
     serial = gap_monte_carlo(channel, spec, 30_000, seed=9, workers=1)
     pooled = gap_monte_carlo(channel, spec, 30_000, seed=9, workers=4)
     assert serial.delta == pooled.delta
     assert serial.std_error == pooled.std_error
+
+
+def _per_sample_monte_carlo(channel: ChannelSpec, spec: ClusterSpec, samples: int, seed: int):
+    """Mean and standard error of Delta over every sampled row, one row each.
+
+    Each chunk's uniforms are drawn again from the Philox stream, mapped to
+    states by searchsorted on the cumulative probabilities, and every row,
+    repeated or not, goes through the row kernel. The moments are exact
+    fsum sums over all rows, the variance about the mean of all of them.
+    """
+    K = nishimori_coupling(channel).K
+    dist = disorder_distribution(channel)
+    cum = np.cumsum(dist.probs)
+    cum[-1] = 1.0
+    S = spec.slot_count
+    deltas = []
+    for lo, hi in replica._chunk_bounds(samples, spec):
+        bitgen = np.random.Philox(key=seed)
+        bitgen.advance(lo * S)
+        u = np.random.Generator(bitgen).random((hi - lo, S))
+        idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+        logp, logd, sign = log_factor_batch(spec, dist.support, idx, K)
+        assert np.all(sign > 0)
+        deltas.extend((logp - logd).tolist())
+    assert len(deltas) == samples
+    mean = math.fsum(deltas) / samples
+    variance = math.fsum((d - mean) ** 2 for d in deltas) / (samples - 1)
+    rms = math.sqrt(math.fsum(d * d for d in deltas) / samples)
+    return mean, math.sqrt(variance / samples), rms
+
+
+def _wide_cluster(layers: int, slot_count: int) -> ClusterSpec:
+    """One internal spin per layer on many slots, so that a row of states needs two int64 words."""
+    layer_names = ("primal", "dual")[:layers]
+    vertices = [Vertex(f"{layer[0]}0", "internal", layer) for layer in layer_names]
+    vertices += [Vertex(f"{layer[0]}b{k}", "boundary", layer) for layer in layer_names for k in range(2)]
+    pairs = [("{0}0", "{0}b0"), ("{0}0", "{0}b1"), ("{0}b0", "{0}b1")]
+    slots = tuple(
+        Slot(tuple(v.format("p") for v in pairs[k % 3]),
+             tuple(v.format("d") for v in pairs[(k + 1) % 3]) if layers == 2 else None)
+        for k in range(slot_count)
+    )
+    return ClusterSpec(f"wide{layers}", layers, tuple(vertices), slots)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [builtin_cluster(name) for name in "ABDE"] + [_wide_cluster(1, 41), _wide_cluster(2, 30)],
+    ids=lambda s: s.name,
+)
+def test_monte_carlo_matches_per_sample_sum(monkeypatch, spec):
+    # the sampled gap sums each distinct row of a chunk once, weighted by its
+    # count, and finds states by comparison; three chunks of this draw must
+    # give the per-sample mean and standard error at both bracket ends and
+    # near p_c. Where the mean cancels to near zero (near p_c on a wide
+    # cluster) or the rows differ by little more than their own rounding (at
+    # the upper end), agreement is asked to within what one ulp of rounding
+    # in every row's delta would move the mean and the standard error.
+    monkeypatch.setattr(replica, "_CHUNK_MAX", 8192)
+    kind = "uncorrelated" if spec.layers == 1 else "depolarizing"
+    upper = (0.5 if spec.layers == 1 else 0.75) - BRACKET_MARGIN
+    samples = 20_000
+    assert len(replica._chunk_bounds(samples, spec)) == 3
+    for q in (0.0, 0.2, 0.4):
+        near = solve_threshold(kind, "single" if spec.layers == 1 else "C", q).p_c
+        for p in (BRACKET_LO, near, upper):
+            channel = ChannelSpec(kind, p, q)
+            got = gap_monte_carlo(channel, spec, samples, seed=4)
+            mean, std_error, rms = _per_sample_monte_carlo(channel, spec, samples, seed=4)
+            ulp = np.finfo(float).eps * rms
+            assert got.delta == pytest.approx(mean, rel=1e-12, abs=ulp)
+            assert got.std_error == pytest.approx(std_error, rel=1e-12, abs=ulp / math.sqrt(samples))
+
+
+@pytest.mark.parametrize("m, S", [(3, 5), (3, 39), (3, 80), (5, 27), (5, 30)])
+def test_distinct_rows_counts_every_row(m, S):
+    # 80 slots of three states span three words; rows that agree in every
+    # word but the last must still be told apart
+    rng = np.random.default_rng(S)
+    base = rng.integers(0, m, size=(6, S))
+    idx = base[rng.integers(0, 6, size=3000)]
+    idx[:, -1] = rng.integers(0, 2, size=3000)
+    idx[:, 0] = rng.integers(0, 2, size=3000)
+    rows, count = replica._distinct_rows(idx, m)
+    expected = {}
+    for row in map(tuple, idx):
+        expected[row] = expected.get(row, 0) + 1
+    assert dict(zip(map(tuple, rows), count.tolist())) == expected
+    assert len(rows) == len(expected) and count.sum() == len(idx)
+    shuffled, _ = replica._distinct_rows(idx[rng.permutation(len(idx))], m)
+    assert np.array_equal(shuffled, rows)
+    last_only = np.tile(base[0], (50, 1))
+    last_only[:, -1] = np.arange(50) % m
+    rows, count = replica._distinct_rows(last_only, m)
+    assert len(rows) == m and np.all(count >= 50 // m)
 
 
 def test_monte_carlo_shares_randomness_across_p():
@@ -252,6 +352,21 @@ def test_explicit_worker_count_below_one_is_rejected(workers):
         worker_count(workers)
     with pytest.raises(ValueError, match="workers"):
         sweep("uncorrelated", "single", [0.1], workers=workers)
+    # the exact path never pools, and took any value: gap returned Delta
+    # -0.0447 at workers=0 and solve_threshold p_c 0.09196 at workers=-5
+    with pytest.raises(ValueError, match="workers"):
+        gap(ChannelSpec("uncorrelated", 0.1, 0.1), builtin_cluster("A"), workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        solve_threshold("uncorrelated", "A", 0.1, workers=workers)
+
+
+def test_default_worker_count_still_runs_the_exact_path():
+    channel = ChannelSpec("uncorrelated", 0.1, 0.1)
+    spec = builtin_cluster("A")
+    assert gap(channel, spec, workers=None).delta == gap(channel, spec, workers=1).delta
+    default = solve_threshold("uncorrelated", "A", 0.1, workers=None)
+    assert default.ok
+    assert default == solve_threshold("uncorrelated", "A", 0.1, workers=2)
 
 
 def _random_cluster(rng: np.random.Generator, layers: int, index: int) -> ClusterSpec:
