@@ -55,10 +55,9 @@ from .replica import (
 from .solver import (
     NoSignChange,
     ThresholdResult,
-    reference_p_c0,
-    reference_thresholds,
     solve_threshold,
     sweep,
 )
+from .reference import reference_p_c0, reference_thresholds
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import cluster as clusters
-from . import model, replica, solver
+from . import model, reference, replica, solver
 from .duality import (
     NonPositiveDual,
     dual_edge_factor_single,
@@ -33,21 +33,6 @@ EXIT_VERIFY_FAILED = 4
 
 CSV_HEADER = ("channel", "cluster", "q", "p_c", "residual", "method", "reference_p_c0")
 
-# Published threshold columns on the q grid (0, 0.1, 0.2, 0.3, 0.4, 0.45),
-# used as verification targets, with the per-cluster agreement tolerance.
-# The one-unit and star columns are hard targets; the B/D/E geometries are
-# calibrated refinements checked only while their registry status is verified.
-REFERENCE_COLUMNS = {
-    ("uncorrelated", "single"): (0.11003, 0.09240, 0.07245, 0.04984, 0.02462, 0.01155),
-    ("uncorrelated", "A"): (0.10928, 0.09196, 0.07235, 0.05004, 0.02492, 0.01174),
-    ("uncorrelated", "B"): (0.10918, 0.09189, 0.07233, 0.05009, 0.02500, 0.01179),
-    ("depolarizing", "C"): (0.18929, 0.16025, 0.12690, 0.08844, 0.04454, 0.02121),
-    ("depolarizing", "D"): (0.18886, 0.15985, 0.12656, 0.08819, 0.04440, 0.02114),
-    ("depolarizing", "E"): (0.18852, 0.15960, 0.12641, 0.08815, 0.04443, 0.02117),
-}
-COLUMN_TOLERANCE = {"single": 1e-4, "A": 2e-4, "B": 5e-4, "C": 1e-4, "D": 5e-4, "E": 5e-4}
-
-
 @dataclass(frozen=True)
 class OutputRecord:
     channel: str
@@ -60,7 +45,7 @@ class OutputRecord:
 
 
 def _record(result: solver.ThresholdResult, with_reference: bool) -> OutputRecord:
-    ref = solver.reference_p_c0(result.channel, result.q) if with_reference else None
+    ref = reference.reference_p_c0(result.channel, result.q) if with_reference else None
     # failed rows carry their status in the method column
     method = result.method if result.ok else result.status
     return OutputRecord(
@@ -196,27 +181,6 @@ def cmd_clusters(args) -> int:
     return EXIT_OK
 
 
-def _binary_entropy_root(q: float) -> float:
-    """Independent oracle: solve H2(p) = 1 - 1/(2(1-q)) by bisection.
-
-    H2 is the binary entropy in bits, increasing on (0, 1/2], so the root is
-    unique. Deliberately avoids every package code path.
-    """
-    target = 1.0 - 1.0 / (2.0 * (1.0 - q))
-
-    def f(p: float) -> float:
-        return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p)) - target
-
-    lo, hi = 1e-15, 0.5
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _check_involution(transform, size: int) -> tuple[bool, str]:
     rng = np.random.default_rng(20240817)
     worst = 0.0
@@ -239,14 +203,14 @@ def _check_single_oracle() -> tuple[bool, str]:
     for i in range(10):
         q = 0.05 * i
         got = solver.solve_threshold("uncorrelated", "single", q, 1e-10).p_c
-        worst = max(worst, abs(got - _binary_entropy_root(q)))
+        worst = max(worst, abs(got - reference.binary_entropy_root(q)))
     return worst <= 1e-9, f"max |p_c - entropy-condition root| = {worst:.2e}"
 
 
 def _check_column(kind: str, name: str) -> tuple[bool, str]:
-    targets = REFERENCE_COLUMNS[(kind, name)]
-    tol = COLUMN_TOLERANCE[name]
-    results = solver.sweep(kind, name, solver.REFERENCE_Q)
+    targets = reference.REFERENCE_COLUMNS[(kind, name)]
+    tol = reference.COLUMN_TOLERANCE[name]
+    results = solver.sweep(kind, name, reference.REFERENCE_Q)
     if not all(r.ok for r in results):
         return False, "sweep failed to find a threshold"
     worst = max(abs(r.p_c - t) for r, t in zip(results, targets))

@@ -1,0 +1,80 @@
+"""Published threshold values, embedded as constants and never recomputed.
+
+Holds the paper's threshold columns with their agreement tolerances, the
+minimum-weight-matching comparison values, and the entropy-condition root:
+an oracle that shares no code path with the gap or the root finder.
+"""
+
+from __future__ import annotations
+
+import math
+
+from . import model
+
+REFERENCE_Q = (0.0, 0.1, 0.2, 0.3, 0.4, 0.45)
+REFERENCE_MATCHING = (0.10486, 0.08816, 0.06997, 0.04836, 0.02561, 0.00757)
+REFERENCE_MATCHING_IMPROVED_Q0 = 0.1065
+REFERENCE_DEPOLARIZING_Q0 = 0.164
+
+# Published threshold columns on REFERENCE_Q, used as verification targets,
+# with the per-cluster agreement tolerance. The one-unit and star columns are
+# hard targets; the B/D/E geometries are calibrated refinements checked only
+# while their registry status is verified.
+REFERENCE_COLUMNS = {
+    ("uncorrelated", "single"): (0.11003, 0.09240, 0.07245, 0.04984, 0.02462, 0.01155),
+    ("uncorrelated", "A"): (0.10928, 0.09196, 0.07235, 0.05004, 0.02492, 0.01174),
+    ("uncorrelated", "B"): (0.10918, 0.09189, 0.07233, 0.05009, 0.02500, 0.01179),
+    ("depolarizing", "C"): (0.18929, 0.16025, 0.12690, 0.08844, 0.04454, 0.02121),
+    ("depolarizing", "D"): (0.18886, 0.15985, 0.12656, 0.08819, 0.04440, 0.02114),
+    ("depolarizing", "E"): (0.18852, 0.15960, 0.12641, 0.08815, 0.04443, 0.02117),
+}
+COLUMN_TOLERANCE = {"single": 1e-4, "A": 2e-4, "B": 5e-4, "C": 1e-4, "D": 5e-4, "E": 5e-4}
+
+
+def reference_thresholds() -> dict:
+    """The comparison thresholds.
+
+    "matching_p_c0" is the minimum-weight-matching (ground-state inference)
+    threshold on the q grid, "matching_improved_q0" its refined q=0 value, and
+    "depolarizing_q0" the recovery-procedure threshold for the depolarizing
+    channel at q=0.
+    """
+    return {
+        "q": REFERENCE_Q,
+        "matching_p_c0": REFERENCE_MATCHING,
+        "matching_improved_q0": REFERENCE_MATCHING_IMPROVED_Q0,
+        "depolarizing_q0": REFERENCE_DEPOLARIZING_Q0,
+    }
+
+
+def reference_p_c0(channel_kind: str, q: float) -> float | None:
+    """Comparison threshold for one (channel, q), or None where none is tabulated."""
+    if channel_kind == model.UNCORRELATED:
+        for qq, value in zip(REFERENCE_Q, REFERENCE_MATCHING):
+            if abs(q - qq) <= 1e-9:
+                return value
+        return None
+    if abs(q) <= 1e-9:
+        return REFERENCE_DEPOLARIZING_Q0
+    return None
+
+
+def binary_entropy_root(q: float) -> float:
+    """Independent oracle: solve H2(p) = 1 - 1/(2(1-q)) by bisection.
+
+    H2 is the binary entropy in bits, increasing on (0, 1/2], so the root is
+    unique. Deliberately avoids every package code path.
+    """
+    target = 1.0 - 1.0 / (2.0 * (1.0 - q))
+
+    def f(p: float) -> float:
+        return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p)) - target
+
+    lo, hi = 1e-15, 0.5
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -1,25 +1,35 @@
 """Root finding for the threshold p_c(q) and sweeps over the loss rate.
 
 Delta(p, q) is strictly decreasing in p, positive below threshold and negative
-above, so p_c is bracketed on [1e-6, 1/2 - 1e-6] (single layer) or
-[1e-6, 3/4 - 1e-6] (two layers) and refined by Brent's method (inverse
-quadratic interpolation and secant steps, safeguarded by bisection). Exact
-and Monte Carlo gaps share the loop: a sampled gap is a fixed function of p
-for one seed, because every evaluation reads the same random stream, and its
-refinement stops once the bracket is within twice the standard error of p_c.
+above. The search starts from the one-unit closed form: the root r of
+replica.gap_closed_form_single for the same channel and q (the entropy
+condition H2(p) = 1 - 1/(2(1-q)) on one layer) lies within about 1e-3 of
+every registered cluster's p_c. So the real gap is first bracketed on
+[r - SEED_HALF_WIDTH, r + SEED_HALF_WIDTH]. If its ends do not have opposite
+signs, the search falls back to the full bracket [1e-6, 1/2 - 1e-6] (single
+layer) or [1e-6, 3/4 - 1e-6] (two layers), which alone decides that there is
+no sign change. Either bracket is refined by Brent's method (inverse
+quadratic interpolation and secant steps, safeguarded by bisection), and the
+same loop finds r. Exact and Monte Carlo gaps share the loop: a sampled gap
+is a fixed function of p for one seed, because every evaluation reads the
+same random stream, and its refinement stops once the bracket is within
+twice the standard error of p_c.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import model, replica
 from .cluster import ClusterSpec, builtin_cluster
 
 BRACKET_LO = 1e-6
 BRACKET_MARGIN = 1e-6
+# half-width of the bracket around the closed-form root; every registered
+# cluster's p_c lies within 8.5e-4 of that root
+SEED_HALF_WIDTH = 4e-3
 MIN_TOL = 1e-10
 MAX_ITERATIONS = 200
 # |Delta| up to this at a bracket end is rounding, not a sign: a geometry whose
@@ -43,7 +53,9 @@ class ThresholdResult:
 
     std_error is the Monte Carlo standard error of p_c in units of p:
     sigma_Delta / |dDelta/dp| by the delta method, with the final bracket's
-    secant as the slope. It is 0.0 for exact runs.
+    secant as the slope. It is 0.0 for exact runs. evaluations counts the
+    gap evaluations the search spent, every bracket end included; it is 0
+    where no search ran.
     """
 
     channel: str
@@ -56,6 +68,7 @@ class ThresholdResult:
     method: str
     status: str = STATUS_OK
     std_error: float = 0.0
+    evaluations: int = 0
 
     @property
     def ok(self) -> bool:
@@ -91,10 +104,16 @@ def solve_threshold(
 ) -> ThresholdResult:
     """Find p_c for one (channel, cluster, q) combination.
 
+    The gap is first bracketed on SEED_HALF_WIDTH either side of the root of
+    the one-unit closed form for (channel_kind, q), clipped to the full
+    bracket. When that bracket has no sign change (or the closed form has no
+    root), the search starts again on the full bracket; its two ends count
+    in `evaluations` too.
+
     Returns a no-threshold result (p_c = 0) for the one-unit clusters when
     q >= 1/2, where the closed form shows the gap is negative for every p.
-    Raises NoSignChange when the gap fails to change sign over the bracket
-    (an end within GAP_FLOOR of zero has no sign), which signals the
+    Raises NoSignChange when the gap fails to change sign over the full
+    bracket (an end within GAP_FLOOR of zero has no sign), which signals the
     q >= 1/2 regime of a larger cluster or a broken geometry. Raises
     ValueError for a tol that is not finite or is below MIN_TOL, and for an
     explicit `workers` below 1. A search that takes MAX_ITERATIONS steps
@@ -118,7 +137,11 @@ def solve_threshold(
             channel_kind, spec.name, q, 0.0, 0.0, (0.0, 0.0), 0, method, STATUS_NO_THRESHOLD
         )
 
+    evaluations = 0
+
     def evaluate(p: float) -> replica.GapEvaluation:
+        nonlocal evaluations
+        evaluations += 1
         return replica.gap(
             model.ChannelSpec(channel_kind, p, q),
             spec,
@@ -129,14 +152,44 @@ def solve_threshold(
             workers=workers,
         )
 
-    a, b = BRACKET_LO, _upper_bracket(channel_kind)
-    fa, fb = evaluate(a).delta, evaluate(b).delta
-    if fa <= GAP_FLOOR or fb >= -GAP_FLOOR:
-        raise NoSignChange(
-            f"gap does not change sign on [{a}, {b}] for {channel_kind}/{spec.name} at q={q}: "
-            f"Delta({a})={fa:.6g}, Delta({b})={fb:.6g}"
+    upper = _upper_bracket(channel_kind)
+    brackets = [(BRACKET_LO, upper)]
+    root = _closed_form_root(channel_kind, q)
+    if root is not None:
+        seeded = (max(BRACKET_LO, root - SEED_HALF_WIDTH), min(upper, root + SEED_HALF_WIDTH))
+        brackets.insert(0, seeded)
+    for a, b in brackets:
+        fa, fb = evaluate(a).delta, evaluate(b).delta
+        if fa > GAP_FLOOR and fb < -GAP_FLOOR:
+            result = _refine(channel_kind, spec.name, q, method, a, b, fa, fb, tol, evaluate)
+            return replace(result, evaluations=evaluations)
+    raise NoSignChange(
+        f"gap does not change sign on [{a}, {b}] for {channel_kind}/{spec.name} at q={q}: "
+        f"Delta({a})={fa:.6g}, Delta({b})={fb:.6g}"
+    )
+
+
+def _closed_form_root(kind: str, q: float) -> float | None:
+    """Root in p of the one-unit closed form on the full bracket, or None.
+
+    Found by the same Brent loop as the threshold itself, to MIN_TOL whatever
+    the caller's tol, so the root depends on (kind, q) alone. The closed form
+    has no root once q >= 1/2; the caller then searches the full bracket.
+    """
+
+    def evaluate(p: float) -> replica.GapEvaluation:
+        return replica.GapEvaluation(
+            replica.gap_closed_form_single(kind, p, q), replica.EXACT, 0.0, 1
         )
-    return _refine(channel_kind, spec.name, q, method, a, b, fa, fb, tol, evaluate)
+
+    upper = _upper_bracket(kind)
+    fa, fb = evaluate(BRACKET_LO).delta, evaluate(upper).delta
+    if not fa > 0.0 > fb:
+        return None
+    result = _refine(
+        kind, "closed-form", q, replica.EXACT, BRACKET_LO, upper, fa, fb, MIN_TOL, evaluate
+    )
+    return result.p_c
 
 
 def _refine(kind, name, q, method, a, b, fa, fb, tol, evaluate) -> ThresholdResult:
@@ -245,36 +298,3 @@ def sweep(
     with ThreadPoolExecutor(max_workers=min(nworkers, len(qs))) as pool:
         return list(pool.map(run, qs))
 
-
-REFERENCE_Q = (0.0, 0.1, 0.2, 0.3, 0.4, 0.45)
-REFERENCE_MATCHING = (0.10486, 0.08816, 0.06997, 0.04836, 0.02561, 0.00757)
-REFERENCE_MATCHING_IMPROVED_Q0 = 0.1065
-REFERENCE_DEPOLARIZING_Q0 = 0.164
-
-
-def reference_thresholds() -> dict:
-    """Published comparison thresholds, embedded as constants and never recomputed.
-
-    "matching_p_c0" is the minimum-weight-matching (ground-state inference)
-    threshold on the q grid, "matching_improved_q0" its refined q=0 value, and
-    "depolarizing_q0" the recovery-procedure threshold for the depolarizing
-    channel at q=0.
-    """
-    return {
-        "q": REFERENCE_Q,
-        "matching_p_c0": REFERENCE_MATCHING,
-        "matching_improved_q0": REFERENCE_MATCHING_IMPROVED_Q0,
-        "depolarizing_q0": REFERENCE_DEPOLARIZING_Q0,
-    }
-
-
-def reference_p_c0(channel_kind: str, q: float) -> float | None:
-    """Comparison threshold for one (channel, q), or None where none is tabulated."""
-    if channel_kind == model.UNCORRELATED:
-        for qq, value in zip(REFERENCE_Q, REFERENCE_MATCHING):
-            if abs(q - qq) <= 1e-9:
-                return value
-        return None
-    if abs(q) <= 1e-9:
-        return REFERENCE_DEPOLARIZING_Q0
-    return None

@@ -1,7 +1,7 @@
 """Acceptance gate: the eight cross-checks the build must answer for.
 
 Each test prints one PASS/FAIL line (run with -s to see them as they go).
-The published threshold columns and comparison values live in cli/solver as
+The published threshold columns and comparison values live in `reference` as
 static data; everything here recomputes thresholds from scratch and compares.
 """
 
@@ -26,7 +26,12 @@ from lossthreshold.duality import (
     pure_self_dual_point,
 )
 from lossthreshold.model import ChannelSpec, disorder_distribution
-from lossthreshold.solver import REFERENCE_MATCHING, REFERENCE_Q
+from lossthreshold.reference import (
+    COLUMN_TOLERANCE,
+    REFERENCE_COLUMNS,
+    REFERENCE_MATCHING,
+    REFERENCE_Q,
+)
 
 Q_GRID = REFERENCE_Q
 
@@ -44,7 +49,7 @@ def _column(kind: str, name: str) -> tuple[float, ...]:
 
 
 def _timed_column_deviation(kind: str, name: str) -> tuple[float, float]:
-    targets = cli.REFERENCE_COLUMNS[(kind, name)]
+    targets = REFERENCE_COLUMNS[(kind, name)]
     start = time.perf_counter()
     results = solver.sweep(kind, name, Q_GRID)
     elapsed = time.perf_counter() - start
@@ -113,7 +118,7 @@ def test_criterion_5_calibrated_geometries():
     for kind, name in (("uncorrelated", "B"), ("depolarizing", "D"), ("depolarizing", "E")):
         status = calibration_status(name)
         if status == "verified":
-            targets = cli.REFERENCE_COLUMNS[(kind, name)]
+            targets = REFERENCE_COLUMNS[(kind, name)]
             dev = max(abs(p - t) for p, t in zip(_column(kind, name), targets))
             ok = ok and dev <= 5e-4
             details.append(f"{name} verified, max deviation {dev:.2e}")
@@ -200,7 +205,7 @@ def test_criterion_6_dominance_over_reference():
     computed = [max(cols) for cols in zip(*(_column("uncorrelated", n) for n in names))]
     published = [
         max(zip(cols, names))
-        for cols in zip(*(cli.REFERENCE_COLUMNS[("uncorrelated", n)] for n in names))
+        for cols in zip(*(REFERENCE_COLUMNS[("uncorrelated", n)] for n in names))
     ]
     exempt_qs = [q for q, (pub, _), ref in zip(Q_GRID, published, REFERENCE_MATCHING) if pub < ref]
     failures = []
@@ -213,7 +218,7 @@ def test_criterion_6_dominance_over_reference():
                 f"q={q}: best computed {best:.6f}, published best {pub:.6f}, "
                 f"entropy root {_entropy_root(q):.6f}, matching {ref:.6f}"
             )
-            tol = cli.COLUMN_TOLERANCE[pub_name]
+            tol = COLUMN_TOLERANCE[pub_name]
             if best < pub - tol:
                 failures.append(
                     f"q={q}: best computed {best:.6f} < published best {pub:.6f} - {tol:.0e} "

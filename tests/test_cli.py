@@ -164,6 +164,31 @@ def test_sweep_failure_rows_in_method_column(capsys, tmp_path):
         assert line.split(",")[5] == "no-sign-change"
 
 
+def _csv_rows(capsys, argv) -> dict[str, str]:
+    cli.main(argv + ["--format", "csv"])
+    return {line.split(",")[2]: line for line in capsys.readouterr().out.splitlines()[1:]}
+
+
+@pytest.mark.parametrize(
+    "channel,cluster,q_to,q_step,qs,extra",
+    [
+        ("uncorrelated", "A", "0.45", "0.05", ("0.0", "0.2", "0.45"), []),
+        ("depolarizing", "D", "0.45", "0.05", ("0.0", "0.2", "0.45"), []),
+        ("uncorrelated", "B", "0.1", "0.1", ("0.1",), ["--mc-samples", "20000", "--seed", "3"]),
+    ],
+    ids=["A", "D", "B-monte-carlo"],
+)
+def test_threshold_row_matches_sweep_row(capsys, channel, cluster, q_to, q_step, qs, extra):
+    # the search for one q must not depend on the other q values of a sweep
+    common = ["--channel", channel, "--cluster", cluster, *extra]
+    swept = _csv_rows(capsys, ["sweep", *common, "--q-to", q_to, "--q-step", q_step])
+    for q in qs:
+        single = _csv_rows(capsys, ["threshold", *common, "--loss", q])
+        assert list(single) == [q]
+        assert single[q] == swept[q]
+        assert single[q].split(",")[5] in ("exact", "monte-carlo")
+
+
 def test_sweep_bad_step(capsys):
     code = cli.main(
         ["sweep", "--channel", "uncorrelated", "--cluster", "single", "--q-step", "-0.1"]

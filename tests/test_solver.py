@@ -10,15 +10,13 @@ import pytest
 from lossthreshold import cli, replica, solver
 from lossthreshold.cluster import ClusterSpec, Slot, Vertex, builtin_cluster
 from lossthreshold.model import ChannelSpec, DomainError
+from lossthreshold.reference import REFERENCE_Q, reference_p_c0, reference_thresholds
 from lossthreshold.replica import gap_closed_form_single
 from lossthreshold.solver import (
     MIN_TOL,
-    REFERENCE_Q,
     STATUS_NOT_CONVERGED,
     NoSignChange,
     ThresholdResult,
-    reference_p_c0,
-    reference_thresholds,
     solve_threshold,
     sweep,
 )
@@ -163,9 +161,7 @@ def test_monte_carlo_solve():
     assert again.residual == result.residual
 
 
-@pytest.mark.parametrize("name", ["D", "E"])
-def test_gap_evaluations_per_threshold(monkeypatch, name):
-    # bisection with secant steps spent about 21 evaluations per threshold
+def _count_gap_calls(monkeypatch) -> list[float]:
     real_gap = replica.gap
     calls = []
 
@@ -174,23 +170,76 @@ def test_gap_evaluations_per_threshold(monkeypatch, name):
         return real_gap(*args, **kwargs)
 
     monkeypatch.setattr(replica, "gap", counted)
-    spec = builtin_cluster(name)
+    return calls
+
+
+CHANNEL_OF = {
+    "single": "uncorrelated",
+    "A": "uncorrelated",
+    "B": "uncorrelated",
+    "C": "depolarizing",
+    "D": "depolarizing",
+    "E": "depolarizing",
+}
+
+
+@pytest.mark.parametrize("name", list(CHANNEL_OF))
+def test_gap_evaluations_per_threshold(monkeypatch, name):
+    # bisection with secant steps spent about 21 evaluations per threshold,
+    # Brent on the full bracket 8.3-8.7
+    calls = _count_gap_calls(monkeypatch)
+    kind, spec = CHANNEL_OF[name], builtin_cluster(name)
     for q in REFERENCE_Q:
         calls.clear()
-        result = solve_threshold("depolarizing", spec, q, tol=1e-7)
+        result = solve_threshold(kind, spec, q, tol=1e-7)
         assert result.ok
-        assert len(calls) <= 12, f"{name} at q={q}: {len(calls)} gap evaluations"
-        assert len(calls) == result.iterations + 2
+        assert len(calls) <= 7, f"{name} at q={q}: {len(calls)} gap evaluations"
+        assert result.evaluations == len(calls) == result.iterations + 2
         assert result.bracket[0] <= result.p_c <= result.bracket[1]
         assert result.bracket[1] - result.bracket[0] <= 1e-7
         # the residual is the best iterate's own gap, not a fresh evaluation
         assert result.p_c in calls
-        assert result.residual == abs(real_gap(ChannelSpec("depolarizing", result.p_c, q), spec).delta)
+        assert result.residual == abs(replica.gap(ChannelSpec(kind, result.p_c, q), spec).delta)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_monte_carlo_gap_evaluations_per_threshold(monkeypatch, seed):
+    calls = _count_gap_calls(monkeypatch)
+    for q in (0.0, 0.2, 0.4):
+        calls.clear()
+        result = solve_threshold(
+            "uncorrelated", "B", q, policy="monte-carlo", mc_samples=100_000, seed=seed
+        )
+        assert result.ok
+        assert len(calls) <= 6, f"seed {seed} at q={q}: {len(calls)} gap evaluations"
+        assert result.evaluations == len(calls) == result.iterations + 2
+
+
+@pytest.mark.parametrize("name", ["A", "D"])
+def test_misplaced_seed_falls_back_to_full_bracket(monkeypatch, name):
+    kind, spec = CHANNEL_OF[name], builtin_cluster(name)
+    unpatched = [solve_threshold(kind, spec, q) for q in REFERENCE_Q]
+    real = replica.gap_closed_form_single
+
+    def shifted(kind, p, q):
+        # the closed-form root moves up by 0.05, so the seeded bracket misses p_c
+        return real(kind, max(p - 0.05, 1e-9), q)
+
+    monkeypatch.setattr(replica, "gap_closed_form_single", shifted)
+    calls = _count_gap_calls(monkeypatch)
+    for q, expected in zip(REFERENCE_Q, unpatched):
+        calls.clear()
+        result = solve_threshold(kind, spec, q)
+        assert result.ok
+        assert abs(result.p_c - expected.p_c) <= 1e-7
+        assert result.evaluations == len(calls) == result.iterations + 4
 
 
 def test_iteration_cap_reports_no_convergence(monkeypatch, capsys):
-    # a capped search once reported ok, e.g. D at q = 0.1 gave p_c = 0.1451 (true 0.1598)
-    monkeypatch.setattr(solver, "MAX_ITERATIONS", 2)
+    # a capped search once reported ok, e.g. D at q = 0.1 gave p_c = 0.1451 (true 0.1598);
+    # the sampled search below closes its seeded bracket in one iteration, so
+    # only a cap of 0 holds it whatever bracket it starts from
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 0)
     exact = solve_threshold("depolarizing", "D", 0.1)
     sampled = solve_threshold(
         "uncorrelated", "single", 0.0, tol=1e-4, policy="monte-carlo", mc_samples=20_000, seed=4
@@ -198,7 +247,7 @@ def test_iteration_cap_reports_no_convergence(monkeypatch, capsys):
     for result in (exact, sampled):
         assert result.status == STATUS_NOT_CONVERGED
         assert not result.ok
-        assert result.iterations == 2
+        assert result.iterations == 0
     code = cli.main(
         ["threshold", "--channel", "depolarizing", "--cluster", "D", "--loss", "0.1",
          "--format", "csv"]
