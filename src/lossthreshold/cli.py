@@ -140,13 +140,26 @@ def cmd_threshold(args) -> int:
     return EXIT_OK if result.ok else EXIT_NO_THRESHOLD
 
 
+# grid values are rounded to this many decimals, so a step must be at least 10**-Q_DIGITS
+Q_DIGITS = 10
+
+
 def _q_grid(q_from: float, q_to: float, q_step: float) -> list[float]:
-    if q_step <= 0.0:
-        raise ValueError(f"q-step must be positive, got {q_step}")
+    """q_from, q_from + q_step, ... up to q_to, each rounded to Q_DIGITS decimals.
+
+    Raises ValueError naming the flag for a value that is not finite, a step
+    below the rounding grain (whose rounded values would repeat), or q_to
+    below q_from.
+    """
+    for flag, value in (("--q-from", q_from), ("--q-to", q_to), ("--q-step", q_step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
+    if q_step < 10.0**-Q_DIGITS:
+        raise ValueError(f"--q-step must be at least {10.0**-Q_DIGITS:g}, got {q_step}")
     if q_to < q_from:
-        raise ValueError("q-to must not be below q-from")
+        raise ValueError("--q-to must not be below --q-from")
     count = int(math.floor((q_to - q_from) / q_step + 1e-9)) + 1
-    return [round(q_from + i * q_step, 10) for i in range(count)]
+    return [round(q_from + i * q_step, Q_DIGITS) for i in range(count)]
 
 
 def cmd_sweep(args) -> int:
@@ -236,12 +249,20 @@ def _check_parallel_determinism() -> tuple[bool, str]:
         replica.gap_monte_carlo(channel, star, 100_000, seed=7, workers=w).delta
         for w in (1, 2)
     ]
-    ok = (
-        spread <= 1e-12
-        and len(set(outputs)) == 1
-        and mc[0] == mc[1]
-    )
-    return ok, f"sweep spread {spread:.1e}, formatted outputs identical: {len(set(outputs)) == 1}"
+    # A and E run their rounds on the calling thread; B's sampled rounds
+    # are spread over the workers
+    identical = len(set(outputs)) == 1
+    for kind, name, options in (
+        ("depolarizing", "E", {}),
+        ("uncorrelated", "B", {"policy": replica.MONTE_CARLO, "mc_samples": 20_000}),
+    ):
+        runs = {
+            render_csv([_record(r, False) for r in rows])
+            for rows in (solver.sweep(kind, name, qs, workers=w, **options) for w in (1, 2))
+        }
+        identical = identical and len(runs) == 1
+    ok = spread <= 1e-12 and identical and mc[0] == mc[1]
+    return ok, f"sweep spread {spread:.1e}, formatted outputs identical: {identical}"
 
 
 def cmd_verify(args) -> int:

@@ -73,22 +73,35 @@ def dual_edge_factor_twolayer(x) -> tuple[float, float, float, float]:
     )
 
 
-def edge_factor_single(disorder: EdgeDisorder, K: float) -> tuple[float, float]:
-    """Primal components (weight at parallel pair, weight at antiparallel pair)."""
-    if disorder.diluted:
-        return (1.0, 1.0)
-    return (math.exp(K * disorder.sign), math.exp(-K * disorder.sign))
+def _exp(x):
+    """math.exp of one number, np.exp element by element of an array of them.
+
+    A single coupling (Monte Carlo rows, single assignments) goes through
+    math.exp: it is faster on one number, and np.exp may differ from it in
+    the last bit. Only the batched exact path passes arrays.
+    """
+    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
 
 
-def edge_factor_twolayer(disorder: EdgeDisorder, K: float) -> tuple[float, float, float, float]:
-    """Primal components of a two-layer slot, indexed by (primal, dual) parity."""
-    if disorder.diluted:
-        return (1.0, 1.0, 1.0, 1.0)
+def edge_factor_single(disorder: EdgeDisorder, K):
+    """Primal components (weight at parallel pair, weight at antiparallel pair).
+
+    K is one coupling or an array of them; each component has its shape. A
+    diluted edge has sign 0 and so weight exp(0) = 1 at either parity.
+    """
+    return (_exp(K * disorder.sign), _exp(-K * disorder.sign))
+
+
+def edge_factor_twolayer(disorder: EdgeDisorder, K):
+    """Primal components of a two-layer slot, indexed by (primal, dual) parity.
+
+    K is one coupling or an array of them, as in `edge_factor_single`.
+    """
     t, ts = disorder.sign, disorder.dual_sign
-    out = []
-    for eta, eta_star in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        out.append(math.exp(K * (t * eta + ts * eta_star + t * ts * eta * eta_star)))
-    return tuple(out)
+    return tuple(
+        _exp(K * (t * eta + ts * eta_star + t * ts * eta * eta_star))
+        for eta, eta_star in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    )
 
 
 def _slot_cells(P: np.ndarray, D: np.ndarray | None) -> np.ndarray:
@@ -101,21 +114,22 @@ def _slot_cells(P: np.ndarray, D: np.ndarray | None) -> np.ndarray:
     return cell if D is None else 2 * cell + (D < 0.0)
 
 
-def _log_weight_tables(layers: int, support, K: float) -> np.ndarray:
+def _log_weight_tables(layers: int, support, K) -> np.ndarray:
     """Per (disorder state, cell) terms that add up over the slots of a configuration.
 
-    Shape (4, states, cells): log primal weight, log |dual weight|, 1 where
-    the dual weight is zero and 1 where it is negative, built from the edge
-    factors and their Hadamard duals. A configuration's dual term vanishes
-    when any of its slots has a zero dual weight (whose log is stored as 0),
-    and its sign is the parity of its negative ones.
+    Shape (4, states, cells, *K.shape): log primal weight, log |dual weight|,
+    1 where the dual weight is zero and 1 where it is negative, built from
+    the edge factors and their Hadamard duals, for one coupling K or an
+    array of them. A configuration's dual term vanishes when any of its
+    slots has a zero dual weight (whose log is stored as 0), and its sign is
+    the parity of its negative ones.
     """
     if layers == 1:
         factor, dual = edge_factor_single, dual_edge_factor_single
     else:
         factor, dual = edge_factor_twolayer, dual_edge_factor_twolayer
     primal = np.array([factor(d, K) for d in support], dtype=np.float64)
-    dual_w = np.array([dual(x) for x in primal], dtype=np.float64)
+    dual_w = np.stack(dual(primal.swapaxes(0, 1)), axis=1)
     tables = np.empty((4, *primal.shape))
     tables[0] = np.log(primal)
     tables[2] = dual_w == 0.0

@@ -28,6 +28,11 @@ Both paths read the same per-(disorder state, parity cell) log-weight
 tables, built in `duality` from the edge factors and their Hadamard duals:
 exact evaluation multiplies them into the class table's histograms, and
 Monte Carlo passes the sampled state indices to `duality.log_factor_batch`.
+
+`gap_batch` evaluates many (p, q) points on one cluster in one call, as a
+root finder's round does; `gap` and `gap_monte_carlo` are its one-point
+case. Exact points share array operations in slices, sampled points share a
+pool of chunks, and no point's value depends on its neighbours in the call.
 """
 
 from __future__ import annotations
@@ -41,7 +46,14 @@ from functools import lru_cache
 import numpy as np
 
 from . import model
-from .cluster import ClusterSpec, NonFinite, ShapeMismatch, SignedLogSum, _iter_parity_blocks
+from .cluster import (
+    CONFIG_BLOCK,
+    ClusterSpec,
+    NonFinite,
+    ShapeMismatch,
+    SignedLogSum,
+    _iter_parity_blocks,
+)
 from .duality import (
     _dual_terms,
     _log_weight_tables,
@@ -127,11 +139,16 @@ def _chunk_bounds(total: int, cluster: ClusterSpec) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
-def _run_chunks(fn, bounds, workers: int) -> list:
-    if workers <= 1 or len(bounds) <= 1:
-        return [fn(lo, hi) for lo, hi in bounds]
-    with ThreadPoolExecutor(max_workers=min(workers, len(bounds))) as pool:
-        return list(pool.map(lambda b: fn(*b), bounds))
+def _run_chunks(fn, items, workers: int | None) -> list:
+    """[fn(*item) for item in items], over up to `worker_count(workers)` threads.
+
+    The worker count is resolved only when there is more than one item.
+    """
+    nworkers = worker_count(workers) if len(items) > 1 else 1
+    if nworkers <= 1:
+        return [fn(*item) for item in items]
+    with ThreadPoolExecutor(max_workers=min(nworkers, len(items))) as pool:
+        return list(pool.map(lambda item: fn(*item), items))
 
 
 def _check_layers(channel: model.ChannelSpec, cluster: ClusterSpec):
@@ -241,93 +258,74 @@ def class_table(cluster: ClusterSpec) -> ClassTable:
     return table
 
 
-def _exact_gap(channel: model.ChannelSpec, cluster: ClusterSpec) -> float:
-    """Delta summed class by class: two matvecs per row, one log-sum-exp per class."""
-    table = class_table(cluster)
-    K = model.nishimori_coupling(channel).K
-    dist = model.disorder_distribution(channel)
-    log_primal, log_dual, zero, negative = _log_weight_tables(cluster.layers, dist.support, K).reshape(4, -1)
-    H = table.histograms.astype(np.float64)
-    row_primal = H @ log_primal
-    row_dual, row_sign = _dual_terms(H @ log_dual, H @ zero, H @ negative)
+def _exact_gaps(
+    channels: list[model.ChannelSpec], cluster: ClusterSpec, table: ClassTable
+) -> list[float]:
+    """Delta at each point of a slice, summed class by class.
 
-    n = len(table.classes)
-    primal_sum, dual_sum = SignedLogSum(n), SignedLogSum(n)
-    primal_sum.add(row_primal[table.classes])
-    dual_sum.add(row_dual[table.classes], row_sign[table.classes])
+    The log-weight tables of all points are built at once, and each point's
+    rows come from its own product with the histograms, so a point's bits do
+    not depend on which other points share its slice. The class log-sum-exp
+    and weighting run over the slice as arrays laid out configuration-major
+    (or state-major), so that their reductions over a class's few
+    configurations (or states) are element-wise passes over whole arrays.
+    """
+    n = len(channels)
+    K = np.array([model.nishimori_coupling(channel).K for channel in channels])
+    dists = [model.disorder_distribution(channel) for channel in channels]
+    support = dists[0].support
+    # (points, states * cells, 4): a point's four terms per (state, cell), one column each
+    tables = np.ascontiguousarray(_log_weight_tables(cluster.layers, support, K).reshape(4, -1, n).T)
+    H = table.histograms.astype(np.float64)
+    log_p, log_d, zeros, negatives = np.stack([(H @ t).T for t in tables], axis=1)
+    log_d, sign_d = _dual_terms(log_d, zeros, negatives)
+
+    configs = np.ascontiguousarray(table.classes.T)
+    primal_sum, dual_sum = SignedLogSum((n, configs.shape[1])), SignedLogSum((n, configs.shape[1]))
+    primal_sum.add(log_p[:, configs].transpose(0, 2, 1))
+    dual_sum.add(log_d[:, configs].transpose(0, 2, 1), sign_d[:, configs].transpose(0, 2, 1))
     logp, _ = primal_sum.result()
     logd, sign = dual_sum.result()
 
-    weight = np.prod(np.array(dist.probs)[None, :] ** table.state_counts, axis=1)
+    # p**k for every state and slot count k, so each class weight is a
+    # product of table entries rather than of fresh powers
+    powers = np.array([d.probs for d in dists])[:, :, None] ** np.arange(cluster.slot_count + 1)
+    states = np.arange(len(support))[:, None]
+    weight = np.prod(powers[:, states, table.state_counts.T], axis=1)
     # classes of zero probability (q = 0, or p on the support boundary) never
     # enter the average, whatever the sign of their dual sum
-    _require_positive_dual(cluster, (sign <= 0) & (weight > 0.0), table.representative, dist.support, K)
+    bad = (sign <= 0) & (weight > 0.0)
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=1)))
+        _require_positive_dual(cluster, bad[i], table.representative, support, K[i])
     delta = logp - np.where(sign > 0, logd, logp)
-    return math.fsum((table.multiplicity * weight * delta).tolist())
+    values = [math.fsum(v.tolist()) for v in table.multiplicity * weight * delta]
+    for channel, value in zip(channels, values):
+        if not math.isfinite(value):
+            raise NonFinite(
+                f"gap on cluster {cluster.name!r} is not finite at p={channel.p}, q={channel.q}"
+            )
+    return values
 
 
-def gap(
-    channel: model.ChannelSpec,
-    cluster: ClusterSpec,
-    policy: str = EXACT,
-    *,
-    mc_samples: int | None = None,
-    seed: int = 0,
-    term_budget: int = DEFAULT_TERM_BUDGET,
-    workers: int | None = None,
-) -> GapEvaluation:
-    """Evaluate Delta(p, q) for the channel on the cluster.
+def check_seed(seed: int) -> None:
+    """Refuse a Monte Carlo seed that cannot key the Philox stream."""
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed={seed} must lie in [0, 2**128)")
 
-    policy "exact" sums every assignment through the cluster's class table
-    and raises TooManyTerms, before compiling anything, when `exact_work`
-    exceeds the budget; "monte-carlo" always samples; "auto" is exact within
-    the budget and samples otherwise. `workers` reaches only the sampled path,
-    but an explicit value below 1 is refused on either (`worker_count`).
+
+def _sampled_chunks(channel: model.ChannelSpec, cluster: ClusterSpec, seed: int):
+    """The function that sums one chunk [lo, hi) of a sampled gap at `channel`.
+
+    Chunk [lo, hi) draws its (hi - lo, S) uniforms from the Philox stream
+    keyed by seed, advanced by lo*S counter steps, so the draws depend on the
+    chunk partition only, never on p or the worker count. A row's state is
+    the number of cumulative probabilities at or below its uniform. Only the
+    chunk's distinct rows go through `log_factor_batch`, and every one is
+    checked for a positive dual sum, so every sampled one is. It returns the
+    count-weighted sum of Delta and of its squared deviations about the
+    chunk mean.
     """
-    if workers is not None:
-        worker_count(workers)
-    policy = resolve_policy(cluster, policy, term_budget)
-    _check_layers(channel, cluster)
-    if policy == MONTE_CARLO:
-        samples = DEFAULT_MC_SAMPLES if mc_samples is None else mc_samples
-        return gap_monte_carlo(channel, cluster, samples, seed, workers=workers)
-    work = exact_work(cluster)
-    if work > term_budget:
-        raise TooManyTerms(
-            f"exact enumeration needs {work} terms (assignments x internal configurations, "
-            f"budget {term_budget}); pass the monte-carlo policy or raise the budget"
-        )
-    value = _exact_gap(channel, cluster)
-    if not math.isfinite(value):
-        raise NonFinite(f"gap on cluster {cluster.name!r} is not finite at p={channel.p}, q={channel.q}")
-    return GapEvaluation(value, EXACT, 0.0, support_size(cluster.layers) ** cluster.slot_count)
-
-
-def gap_monte_carlo(
-    channel: model.ChannelSpec,
-    cluster: ClusterSpec,
-    samples: int,
-    seed: int = 0,
-    *,
-    workers: int | None = None,
-) -> GapEvaluation:
-    """Unbiased sampled estimate of Delta(p, q) with its standard error.
-
-    The samples are split by `_chunk_bounds`, and chunk [lo, hi) draws its
-    (hi - lo, S) uniforms from the Philox stream keyed by seed, advanced by
-    lo*S counter steps. The draws depend on that partition only, never on p
-    or the worker count, so repeated calls during root finding share their
-    random numbers. A row's state is the number of cumulative probabilities
-    at or below its uniform. Each chunk sends only its distinct rows through
-    `log_factor_batch`, so the cost is per distinct row of a chunk; it
-    returns the count-weighted sum of Delta and of its squared deviations
-    about the chunk mean, and the chunks are combined in order. Every
-    distinct row is checked for a positive dual sum, so every sampled one is.
-    """
-    _check_layers(channel, cluster)
-    samples = int(samples)
-    if samples < MIN_MC_SAMPLES:
-        raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
     K = model.nishimori_coupling(channel).K
     dist = model.disorder_distribution(channel)
     cum = np.cumsum(dist.probs)
@@ -346,8 +344,11 @@ def gap_monte_carlo(
         total = float((count * delta).sum())
         return total, float((count * (delta - total / (hi - lo)) ** 2).sum())
 
-    bounds = _chunk_bounds(samples, cluster)
-    partials = _run_chunks(chunk_stats, bounds, worker_count(workers))
+    return chunk_stats
+
+
+def _combine_chunks(cluster: ClusterSpec, bounds, partials, samples: int) -> GapEvaluation:
+    """Mean and standard error of a sampled gap from its chunk sums, combined in chunk order."""
     mean = math.fsum(total for total, _ in partials) / samples
     # each chunk's squared deviations about its own mean, moved to the overall mean
     variance = math.fsum(
@@ -358,6 +359,110 @@ def gap_monte_carlo(
     if not math.isfinite(mean):
         raise NonFinite(f"sampled gap on cluster {cluster.name!r} is not finite")
     return GapEvaluation(mean, MONTE_CARLO, std_error, samples)
+
+
+def gap_batch(
+    channels,
+    cluster: ClusterSpec,
+    policy: str = EXACT,
+    *,
+    mc_samples: int | None = None,
+    seed: int = 0,
+    term_budget: int = DEFAULT_TERM_BUDGET,
+    workers: int | None = None,
+) -> list[GapEvaluation]:
+    """Evaluate Delta(p, q) at every channel on the cluster, in order.
+
+    policy "exact" sums every assignment through the cluster's class table
+    and raises TooManyTerms, before compiling anything, when `exact_work`
+    exceeds the budget; "monte-carlo" always samples; "auto" is exact within
+    the budget and samples otherwise. Exact points are cut into slices of at
+    most CONFIG_BLOCK (points x classes x configurations) elements, one
+    point at least, and sampled points into their `_chunk_bounds` chunks.
+    Sampled chunks, and exact slices of one point past CONFIG_BLOCK, run
+    over `worker_count(workers)` threads; smaller exact slices run on the
+    calling thread. An explicit `workers` below 1 is refused on either
+    path. Each point's value is bit-identical to evaluating it alone, with
+    any worker count; sampled chunks are combined per point in chunk order.
+    """
+    if workers is not None:
+        worker_count(workers)
+    policy = resolve_policy(cluster, policy, term_budget)
+    channels = list(channels)
+    for channel in channels:
+        _check_layers(channel, cluster)
+    if policy == MONTE_CARLO:
+        samples = int(DEFAULT_MC_SAMPLES if mc_samples is None else mc_samples)
+        if samples < MIN_MC_SAMPLES:
+            raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
+        check_seed(seed)
+        bounds = _chunk_bounds(samples, cluster)
+        stats = [_sampled_chunks(channel, cluster, seed) for channel in channels]
+        items = [(fn, lo, hi) for fn in stats for lo, hi in bounds]
+        partials = _run_chunks(lambda fn, lo, hi: fn(lo, hi), items, workers)
+        k = len(bounds)
+        return [
+            _combine_chunks(cluster, bounds, partials[i * k : (i + 1) * k], samples)
+            for i in range(len(channels))
+        ]
+    work = exact_work(cluster)
+    if work > term_budget:
+        raise TooManyTerms(
+            f"exact enumeration needs {work} terms (assignments x internal configurations, "
+            f"budget {term_budget}); pass the monte-carlo policy or raise the budget"
+        )
+    table = class_table(cluster)
+    size = table.classes.size
+    step = max(1, CONFIG_BLOCK // size)
+    slices = [(lo, lo + step) for lo in range(0, len(channels), step)]
+    # Only a point past one block (B) spends most of its time in array
+    # kernels; threads sharing smaller slices (E) would mostly wait for the
+    # interpreter lock, so those run on the calling thread.
+    pooled = workers if size > CONFIG_BLOCK else 1
+    values = _run_chunks(lambda lo, hi: _exact_gaps(channels[lo:hi], cluster, table), slices, pooled)
+    terms = support_size(cluster.layers) ** cluster.slot_count
+    return [GapEvaluation(value, EXACT, 0.0, terms) for part in values for value in part]
+
+
+def gap(
+    channel: model.ChannelSpec,
+    cluster: ClusterSpec,
+    policy: str = EXACT,
+    *,
+    mc_samples: int | None = None,
+    seed: int = 0,
+    term_budget: int = DEFAULT_TERM_BUDGET,
+    workers: int | None = None,
+) -> GapEvaluation:
+    """Evaluate Delta(p, q) for the channel on the cluster: `gap_batch` at one point."""
+    return gap_batch(
+        [channel],
+        cluster,
+        policy,
+        mc_samples=mc_samples,
+        seed=seed,
+        term_budget=term_budget,
+        workers=workers,
+    )[0]
+
+
+def gap_monte_carlo(
+    channel: model.ChannelSpec,
+    cluster: ClusterSpec,
+    samples: int,
+    seed: int = 0,
+    *,
+    workers: int | None = None,
+) -> GapEvaluation:
+    """Unbiased sampled estimate of Delta(p, q) with its standard error.
+
+    `gap_batch` at one point with the monte-carlo policy; see
+    `_sampled_chunks` for the draws. Raises ValueError for fewer than
+    MIN_MC_SAMPLES samples or a seed outside [0, 2**128).
+    """
+    return gap_batch(
+        [channel], cluster, MONTE_CARLO, mc_samples=samples, seed=seed, workers=workers
+    )[0]
 
 
 def gap_closed_form_single(kind: str, p: float, q: float) -> float:

@@ -14,12 +14,19 @@ same loop finds r. Exact and Monte Carlo gaps share the loop: a sampled gap
 is a fixed function of p for one seed, because every evaluation reads the
 same random stream, and its refinement stops once the bracket is within
 twice the standard error of p_c.
+
+Each search is a generator that asks for the gap at the points it needs
+next. A sweep advances the searches of all its q values in lockstep: round 1
+holds every q's two bracket ends, later rounds each unfinished search's
+next request, and every round is one `replica.gap_batch` call. A point's
+gap does not depend on the points that share its round, so each q's
+search, and its row, is the same as alone; `solve_threshold` is the sweep
+of one q.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from . import model, replica
@@ -102,7 +109,7 @@ def solve_threshold(
     term_budget: int = replica.DEFAULT_TERM_BUDGET,
     workers: int | None = None,
 ) -> ThresholdResult:
-    """Find p_c for one (channel, cluster, q) combination.
+    """Find p_c for one (channel, cluster, q) combination: a sweep of one q.
 
     The gap is first bracketed on SEED_HALF_WIDTH either side of the root of
     the one-unit closed form for (channel_kind, q), clipped to the full
@@ -115,89 +122,147 @@ def solve_threshold(
     Raises NoSignChange when the gap fails to change sign over the full
     bracket (an end within GAP_FLOOR of zero has no sign), which signals the
     q >= 1/2 regime of a larger cluster or a broken geometry. Raises
-    ValueError for a tol that is not finite or is below MIN_TOL, and for an
-    explicit `workers` below 1. A search that takes MAX_ITERATIONS steps
-    without closing the bracket keeps its best iterate with status
-    "no-convergence".
+    ValueError for a tol that is not finite or is below MIN_TOL, for a
+    `workers` below 1, and for a Monte Carlo seed outside [0, 2**128). A
+    search that takes MAX_ITERATIONS steps without closing the bracket keeps
+    its best iterate with status "no-convergence".
     """
-    if channel_kind not in model.CHANNEL_KINDS:
-        raise model.DomainError(f"unknown channel kind {channel_kind!r}")
     if not 0.0 <= q <= 1.0:
         raise model.DomainError(f"loss rate q={q} outside [0, 1]")
-    _check_tol(tol)
-    if workers is not None:
-        replica.worker_count(workers)
     spec = _resolve_cluster(cluster)
+    (outcome,) = _thresholds(
+        channel_kind, spec, [q], tol, policy, mc_samples, seed, term_budget, workers
+    )
+    if isinstance(outcome, NoSignChange):
+        raise outcome
+    return outcome
+
+
+def _thresholds(kind, spec, qs, tol, policy, mc_samples, seed, term_budget, workers) -> list:
+    """A ThresholdResult or a NoSignChange for every q, all searched in lockstep.
+
+    Every search's rounds go to one `replica.gap_batch` call each (see
+    `_lockstep`), whose values do not depend on which points share the call
+    or on the worker count; so each outcome depends on its own q alone.
+    """
+    if kind not in model.CHANNEL_KINDS:
+        raise model.DomainError(f"unknown channel kind {kind!r}")
+    _check_tol(tol)
+    nworkers = replica.worker_count(workers)
     method = replica.resolve_policy(spec, policy, term_budget)
+    if method == replica.MONTE_CARLO:
+        replica.check_seed(seed)
 
-    # One-unit clusters reduce to the closed form, whose root degenerates to
-    # p = 0 exactly when q reaches 1/2 (binary entropy target <= 0).
-    if spec.slot_count == 1 and not spec.internal_ids and q >= 0.5:
-        return ThresholdResult(
-            channel_kind, spec.name, q, 0.0, 0.0, (0.0, 0.0), 0, method, STATUS_NO_THRESHOLD
-        )
-
-    evaluations = 0
-
-    def evaluate(p: float) -> replica.GapEvaluation:
-        nonlocal evaluations
-        evaluations += 1
-        return replica.gap(
-            model.ChannelSpec(channel_kind, p, q),
+    def evaluate(points) -> list[replica.GapEvaluation]:
+        return replica.gap_batch(
+            [model.ChannelSpec(kind, p, q) for q, p in points],
             spec,
             method,
             mc_samples=mc_samples,
             seed=seed,
             term_budget=term_budget,
-            workers=workers,
+            workers=nworkers,
         )
 
-    upper = _upper_bracket(channel_kind)
+    outcomes = {}
+    searches = {}
+    for i, (q, root) in enumerate(zip(qs, _closed_form_roots(kind, qs))):
+        # One-unit clusters reduce to the closed form, whose root degenerates
+        # to p = 0 exactly when q reaches 1/2 (binary entropy target <= 0).
+        if spec.slot_count == 1 and not spec.internal_ids and q >= 0.5:
+            outcomes[i] = ThresholdResult(
+                kind, spec.name, q, 0.0, 0.0, (0.0, 0.0), 0, method, STATUS_NO_THRESHOLD
+            )
+        else:
+            searches[i] = _search(kind, spec.name, q, method, tol, root)
+    outcomes.update(_lockstep(searches, qs, evaluate))
+    return [outcomes[i] for i in range(len(qs))]
+
+
+def _lockstep(searches: dict, qs, evaluate) -> dict:
+    """Run generator searches in rounds until each returns or raises NoSignChange.
+
+    A search yields the tuple of p values it needs next and is sent back
+    their GapEvaluations in a list. Each round gathers the requests of every
+    unfinished search, as (q, p) pairs in search order, into one `evaluate`
+    call. Returns each search's result, or its NoSignChange, by key.
+    """
+    outcomes, replies = {}, dict.fromkeys(searches)
+    while True:
+        requests = {}
+        for i, reply in replies.items():
+            try:
+                requests[i] = searches[i].send(reply)
+            except StopIteration as stop:
+                outcomes[i] = stop.value
+            except NoSignChange as exc:
+                outcomes[i] = exc
+        if not requests:
+            return outcomes
+        values = iter(evaluate([(qs[i], p) for i, ps in requests.items() for p in ps]))
+        replies = {i: [next(values) for _ in ps] for i, ps in requests.items()}
+
+
+def _search(kind, name, q, method, tol, root):
+    """The threshold search at one q, as a generator driven by `_lockstep`.
+
+    It asks first for the ends of the seeded bracket (of the full bracket
+    when the closed form has no root), then for the full bracket's ends if
+    those do not straddle zero, then for Brent's iterates. Returns the
+    ThresholdResult with every requested point counted in `evaluations`;
+    raises NoSignChange when the full bracket's ends do not straddle zero.
+    """
+    upper = _upper_bracket(kind)
     brackets = [(BRACKET_LO, upper)]
-    root = _closed_form_root(channel_kind, q)
     if root is not None:
         seeded = (max(BRACKET_LO, root - SEED_HALF_WIDTH), min(upper, root + SEED_HALF_WIDTH))
         brackets.insert(0, seeded)
-    for a, b in brackets:
-        fa, fb = evaluate(a).delta, evaluate(b).delta
+    for tried, (a, b) in enumerate(brackets, 1):
+        ends = yield (a, b)
+        fa, fb = ends[0].delta, ends[1].delta
         if fa > GAP_FLOOR and fb < -GAP_FLOOR:
-            result = _refine(channel_kind, spec.name, q, method, a, b, fa, fb, tol, evaluate)
-            return replace(result, evaluations=evaluations)
+            result = yield from _refine(kind, name, q, method, a, b, fa, fb, tol)
+            return replace(result, evaluations=2 * tried + result.iterations)
     raise NoSignChange(
-        f"gap does not change sign on [{a}, {b}] for {channel_kind}/{spec.name} at q={q}: "
+        f"gap does not change sign on [{a}, {b}] for {kind}/{name} at q={q}: "
         f"Delta({a})={fa:.6g}, Delta({b})={fb:.6g}"
     )
 
 
-def _closed_form_root(kind: str, q: float) -> float | None:
-    """Root in p of the one-unit closed form on the full bracket, or None.
+def _closed_form_roots(kind: str, qs) -> list[float | None]:
+    """Root in p of the one-unit closed form on the full bracket at each q, or None.
 
     Found by the same Brent loop as the threshold itself, to MIN_TOL whatever
-    the caller's tol, so the root depends on (kind, q) alone. The closed form
-    has no root once q >= 1/2; the caller then searches the full bracket.
+    the caller's tol, so a root depends on (kind, q) alone. The closed form
+    has no root once q >= 1/2; the search then starts on the full bracket.
     """
 
-    def evaluate(p: float) -> replica.GapEvaluation:
-        return replica.GapEvaluation(
-            replica.gap_closed_form_single(kind, p, q), replica.EXACT, 0.0, 1
-        )
+    def evaluate(points) -> list[replica.GapEvaluation]:
+        return [
+            replica.GapEvaluation(replica.gap_closed_form_single(kind, p, q), replica.EXACT, 0.0, 1)
+            for q, p in points
+        ]
 
     upper = _upper_bracket(kind)
-    fa, fb = evaluate(BRACKET_LO).delta, evaluate(upper).delta
-    if not fa > 0.0 > fb:
-        return None
-    result = _refine(
-        kind, "closed-form", q, replica.EXACT, BRACKET_LO, upper, fa, fb, MIN_TOL, evaluate
-    )
-    return result.p_c
+    searches = {}
+    for i, q in enumerate(qs):
+        fa, fb = (ev.delta for ev in evaluate([(q, BRACKET_LO), (q, upper)]))
+        if fa > 0.0 > fb:
+            searches[i] = _refine(
+                kind, "closed-form", q, replica.EXACT, BRACKET_LO, upper, fa, fb, MIN_TOL
+            )
+    roots = _lockstep(searches, qs, evaluate)
+    return [roots[i].p_c if i in roots else None for i in range(len(qs))]
 
 
-def _refine(kind, name, q, method, a, b, fa, fb, tol, evaluate) -> ThresholdResult:
-    """Brent's zeroin on [a, b] with Delta(a) > 0 > Delta(b).
+def _refine(kind, name, q, method, a, b, fa, fb, tol):
+    """Brent's zeroin on [a, b] with Delta(a) > 0 > Delta(b), as a generator.
 
-    b is the best iterate, c the end of the bracket with the other sign, a
-    the previous b. Steps are interpolations kept well inside the bracket,
-    else midpoints, and at least half the stopping width long. It stops at
+    It yields each iterate p as a one-point request, (p,), and is sent back
+    [GapEvaluation at p]; it returns the ThresholdResult. b is the best
+    iterate, c the end of the bracket with the other sign, a the previous b.
+    Steps are interpolations kept well inside the bracket, else midpoints,
+    and at least half the stopping width long. It stops at
     |c - b| <= max(tol, 2 sigma_p), with sigma_p the latest interior gap's
     standard error over the secant slope of [b, c], so a sampled gap is not
     refined below its own noise.
@@ -238,7 +303,7 @@ def _refine(kind, name, q, method, a, b, fa, fb, tol, evaluate) -> ThresholdResu
             d = e = mid
         a, fa = b, fb
         b += d if abs(d) > half else math.copysign(half, mid)
-        ev = evaluate(b)
+        (ev,) = yield (b,)
         fb, sigma = ev.delta, ev.std_error
         iterations += 1
     status = STATUS_OK if converged else STATUS_NOT_CONVERGED
@@ -258,43 +323,30 @@ def sweep(
     term_budget: int = replica.DEFAULT_TERM_BUDGET,
     workers: int | None = None,
 ) -> list[ThresholdResult]:
-    """Thresholds for an ascending list of loss rates, one result per q.
+    """Thresholds for an ascending list of loss rates in [0, 1/2), one result per q.
 
-    Per-q failures (no sign change) become rows with status and p_c = 0
-    instead of aborting the sweep. Runs q values in parallel when more than
-    one worker is available; output order and values are independent of the
-    worker count.
+    The searches of all q values advance in lockstep, one round of gap
+    evaluations at a time, and each round is one `replica.gap_batch` call,
+    which spreads Monte Carlo chunks and large exact points over the
+    workers. Every row equals `solve_threshold` at its q, bit for bit,
+    whatever the worker count. Per-q failures (no sign change) become rows
+    with status and p_c = 0 instead of aborting the sweep.
     """
     qs = [float(x) for x in q_values]
     if any(hi <= lo for lo, hi in zip(qs, qs[1:])):
         raise ValueError("q values must be strictly ascending")
     if qs and not (0.0 <= qs[0] and qs[-1] < 0.5):
         raise ValueError("q values must lie in [0, 0.5)")
-    _check_tol(tol)
     spec = _resolve_cluster(cluster)
-    nworkers = replica.worker_count(workers)
-
-    def run(q: float) -> ThresholdResult:
-        try:
-            return solve_threshold(
-                channel_kind,
-                spec,
-                q,
-                tol,
-                policy=policy,
-                mc_samples=mc_samples,
-                seed=seed,
-                term_budget=term_budget,
-                workers=1,
-            )
-        except NoSignChange:
-            method = replica.resolve_policy(spec, policy, term_budget)
-            return ThresholdResult(
-                channel_kind, spec.name, q, 0.0, 0.0, (0.0, 0.0), 0, method, STATUS_NO_SIGN_CHANGE
-            )
-
-    if nworkers <= 1 or len(qs) <= 1:
-        return [run(q) for q in qs]
-    with ThreadPoolExecutor(max_workers=min(nworkers, len(qs))) as pool:
-        return list(pool.map(run, qs))
-
+    outcomes = _thresholds(
+        channel_kind, spec, qs, tol, policy, mc_samples, seed, term_budget, workers
+    )
+    method = replica.resolve_policy(spec, policy, term_budget)
+    return [
+        outcome
+        if isinstance(outcome, ThresholdResult)
+        else ThresholdResult(
+            channel_kind, spec.name, q, 0.0, 0.0, (0.0, 0.0), 0, method, STATUS_NO_SIGN_CHANGE
+        )
+        for q, outcome in zip(qs, outcomes)
+    ]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -175,8 +176,9 @@ def _csv_rows(capsys, argv) -> dict[str, str]:
         ("uncorrelated", "A", "0.45", "0.05", ("0.0", "0.2", "0.45"), []),
         ("depolarizing", "D", "0.45", "0.05", ("0.0", "0.2", "0.45"), []),
         ("uncorrelated", "B", "0.1", "0.1", ("0.1",), ["--mc-samples", "20000", "--seed", "3"]),
+        ("depolarizing", "E", "0.45", "0.45", ("0.0", "0.45"), []),
     ],
-    ids=["A", "D", "B-monte-carlo"],
+    ids=["A", "D", "B-monte-carlo", "E"],
 )
 def test_threshold_row_matches_sweep_row(capsys, channel, cluster, q_to, q_step, qs, extra):
     # the search for one q must not depend on the other q values of a sweep
@@ -205,6 +207,55 @@ def test_q_grid():
         cli._q_grid(0.0, 0.4, 0.0)
     with pytest.raises(ValueError):
         cli._q_grid(0.3, 0.2, 0.1)
+
+
+@pytest.mark.parametrize(
+    "args,flag",
+    [
+        ((math.nan, 0.4, 0.1), "--q-from"),
+        ((0.0, math.nan, 0.1), "--q-to"),
+        ((0.0, math.inf, 0.1), "--q-to"),
+        ((-math.inf, 0.4, 0.1), "--q-from"),
+        ((0.0, 0.4, math.nan), "--q-step"),
+        ((0.0, 0.4, math.inf), "--q-step"),
+        ((0.0, 0.4, 1e-11), "--q-step"),
+    ],
+)
+def test_q_grid_rejects_non_finite_flags_and_steps_below_the_grain(args, flag):
+    # nan once failed with "cannot convert float NaN to integer", and a step
+    # of 1e-11 gave a grid whose rounded values repeat
+    with pytest.raises(ValueError, match=flag):
+        cli._q_grid(*args)
+
+
+@pytest.mark.parametrize("flags", [["--q-step", "nan"], ["--q-from", "nan"], ["--q-step", "1e-11"]])
+def test_bad_q_grid_flag_is_usage_error(capsys, flags):
+    code = cli.main(["sweep", "--channel", "uncorrelated", "--cluster", "single", *flags])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert flags[0] in captured.err
+
+
+def test_seed_outside_philox_range_is_usage_error(capsys):
+    code = cli.main(
+        ["threshold", "--channel", "uncorrelated", "--cluster", "B", "--loss", "0.1",
+         "--mc-samples", "2000", "--seed", "-1"]
+    )
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert "seed" in captured.err
+
+
+def test_threshold_above_half_loss_is_no_threshold(capsys):
+    # sweep refuses q >= 1/2, but a single threshold reports the closed form's verdict
+    code = cli.main(
+        ["threshold", "--channel", "uncorrelated", "--cluster", "single", "--loss", "0.6",
+         "--format", "csv"]
+    )
+    assert code == cli.EXIT_NO_THRESHOLD
+    assert ",no-threshold," in capsys.readouterr().out
 
 
 def test_threshold_monte_carlo_flag(capsys):

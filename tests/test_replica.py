@@ -12,6 +12,7 @@ import pytest
 
 from lossthreshold import model, replica
 from lossthreshold.cluster import (
+    CONFIG_BLOCK,
     ClusterSpec,
     ShapeMismatch,
     Slot,
@@ -36,11 +37,21 @@ from lossthreshold.replica import (
     TooManyTerms,
     class_table,
     gap,
+    gap_batch,
     gap_closed_form_single,
     gap_monte_carlo,
     worker_count,
 )
 from lossthreshold.solver import BRACKET_LO, BRACKET_MARGIN, NoSignChange, solve_threshold, sweep
+
+CHANNEL_OF = {
+    "single": "uncorrelated",
+    "A": "uncorrelated",
+    "B": "uncorrelated",
+    "C": "depolarizing",
+    "D": "depolarizing",
+    "E": "depolarizing",
+}
 
 
 def _brute_force_row(spec: ClusterSpec, assignment, K: float) -> tuple[float, float]:
@@ -607,3 +618,50 @@ def test_monte_carlo_policy_rejects_small_sample_counts(samples):
     with pytest.raises(ValueError):
         gap(ChannelSpec("uncorrelated", 0.09, 0.1), builtin_cluster("A"), MONTE_CARLO,
             mc_samples=samples)
+
+
+def _mixed_points(kind: str, count: int, seed: int) -> list[ChannelSpec]:
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.02, 0.3, size=count)
+    q = np.where(np.arange(count) % 3 == 0, 0.0, rng.uniform(0.0, 0.49, size=count))
+    return [ChannelSpec(kind, float(a), float(b)) for a, b in zip(p, q)]
+
+
+@pytest.mark.parametrize("name", list(CHANNEL_OF))
+def test_batched_points_equal_points_alone(name):
+    # a point's bits must not depend on the points that share its call or
+    # its slice; the last batch crosses the CONFIG_BLOCK slice budget
+    spec = builtin_cluster(name)
+    step = max(1, CONFIG_BLOCK // class_table(spec).classes.size)
+    for size in (1, 2, 7, step + 2):
+        points = _mixed_points(CHANNEL_OF[name], size, seed=size)
+        batched = gap_batch(points, spec, workers=2)
+        assert all(b.method == EXACT and b.terms == batched[0].terms for b in batched)
+        # thousands of points cross the budget on single and C: check both
+        # sides of the slice boundary and every 50th point
+        checked = set(range(0, size, 50)) | {step - 1, step, size - 1}
+        for k in sorted(k for k in checked if k < size):
+            assert batched[k].delta == gap(points[k], spec).delta, f"point {k} of {size}"
+
+
+def test_monte_carlo_batch_matches_points_alone():
+    spec = builtin_cluster("D")
+    points = _mixed_points("depolarizing", 3, seed=5)
+    batched = gap_batch(points, spec, MONTE_CARLO, mc_samples=20_000, seed=2, workers=2)
+    alone = [gap_monte_carlo(point, spec, 20_000, seed=2, workers=1) for point in points]
+    assert [(b.delta, b.std_error) for b in batched] == [(a.delta, a.std_error) for a in alone]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_seed_outside_philox_range_is_rejected(seed):
+    # -1 once got through the closed-form search and failed in the first chunk
+    # with numpy's message about the Philox key
+    channel = ChannelSpec("uncorrelated", 0.1, 0.1)
+    spec = builtin_cluster("B")
+    with pytest.raises(ValueError, match="seed"):
+        gap_monte_carlo(channel, spec, 2000, seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        solve_threshold("uncorrelated", spec, 0.1, policy=MONTE_CARLO, mc_samples=2000, seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        sweep("uncorrelated", spec, [0.0, 0.1], policy=MONTE_CARLO, mc_samples=2000, seed=seed)
+    assert gap_monte_carlo(channel, spec, 2000, seed=2**128 - 1).method == MONTE_CARLO

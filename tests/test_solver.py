@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from dataclasses import replace
 
 import pytest
 
@@ -162,14 +163,15 @@ def test_monte_carlo_solve():
 
 
 def _count_gap_calls(monkeypatch) -> list[float]:
-    real_gap = replica.gap
+    """p of every point the solver evaluates; its rounds all go through gap_batch."""
+    real_batch = replica.gap_batch
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].p)
-        return real_gap(*args, **kwargs)
+    def counted(channels, *args, **kwargs):
+        calls.extend(channel.p for channel in channels)
+        return real_batch(channels, *args, **kwargs)
 
-    monkeypatch.setattr(replica, "gap", counted)
+    monkeypatch.setattr(replica, "gap_batch", counted)
     return calls
 
 
@@ -298,6 +300,73 @@ def test_sweep_worker_count_invariance():
     assert [r.q for r in serial] == list(qs)
     assert [r.p_c for r in serial] == [r.p_c for r in pooled]
     assert [r.residual for r in serial] == [r.residual for r in pooled]
+
+
+@pytest.mark.parametrize(
+    "kind,name,options,splits",
+    [
+        ("depolarizing", "E", {}, False),
+        ("uncorrelated", "B", {}, True),
+        ("uncorrelated", "B", {"policy": "monte-carlo", "mc_samples": 20_000, "seed": 3}, True),
+    ],
+    ids=["E", "B", "B-monte-carlo"],
+)
+def test_sweep_rounds_split_over_workers_without_changing_rows(
+    monkeypatch, kind, name, options, splits
+):
+    # B's exact points (each past one CONFIG_BLOCK) and sampled chunks go to
+    # the pool; E's smaller points stay on the calling thread
+    real_run = replica._run_chunks
+    pooled_items = []
+
+    def recorded(fn, items, workers):
+        if workers > 1:
+            pooled_items.append(len(items))
+        return real_run(fn, items, workers)
+
+    monkeypatch.setattr(replica, "_run_chunks", recorded)
+    qs = (0.0, 0.2, 0.4)
+    serial = sweep(kind, name, qs, workers=1, **options)
+    assert pooled_items == []
+    pooled = sweep(kind, name, qs, workers=2, **options)
+    assert (max(pooled_items, default=0) > 1) == splits
+    assert serial == pooled
+    assert all(r.ok for r in serial)
+
+
+def test_lockstep_fallback_for_one_q_leaves_the_others(monkeypatch):
+    real = replica.gap_closed_form_single
+
+    def shifted(kind, p, q):
+        # at q = 0.2 the closed-form root moves up by 0.05, so the seeded
+        # bracket misses p_c there and only there
+        return real(kind, max(p - 0.05, 1e-9), q) if q == 0.2 else real(kind, p, q)
+
+    monkeypatch.setattr(replica, "gap_closed_form_single", shifted)
+    rows = sweep("uncorrelated", "A", REFERENCE_Q)
+    for row in rows:
+        assert row == solve_threshold("uncorrelated", "A", row.q)
+        assert row.ok
+        assert row.evaluations == row.iterations + (4 if row.q == 0.2 else 2)
+
+
+def test_lockstep_no_sign_change_at_one_q_leaves_the_others(monkeypatch):
+    expected = sweep("depolarizing", "D", REFERENCE_Q)
+    real_batch = replica.gap_batch
+
+    def positive_at_03(channels, *args, **kwargs):
+        values = real_batch(channels, *args, **kwargs)
+        return [replace(v, delta=1.0) if c.q == 0.3 else v for c, v in zip(channels, values)]
+
+    monkeypatch.setattr(replica, "gap_batch", positive_at_03)
+    rows = sweep("depolarizing", "D", REFERENCE_Q)
+    with pytest.raises(NoSignChange):
+        solve_threshold("depolarizing", "D", 0.3)
+    for row, before in zip(rows, expected):
+        if row.q == 0.3:
+            assert row.status == "no-sign-change" and row.p_c == 0.0
+        else:
+            assert row == before
 
 
 def test_reference_threshold_lookup():
