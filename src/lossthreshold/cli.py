@@ -142,14 +142,16 @@ def cmd_threshold(args) -> int:
 
 # grid values are rounded to this many decimals, so a step must be at least 10**-Q_DIGITS
 Q_DIGITS = 10
+MAX_Q_VALUES = 100_000
 
 
 def _q_grid(q_from: float, q_to: float, q_step: float) -> list[float]:
     """q_from, q_from + q_step, ... up to q_to, each rounded to Q_DIGITS decimals.
 
     Raises ValueError naming the flag for a value that is not finite, a step
-    below the rounding grain (whose rounded values would repeat), or q_to
-    below q_from.
+    below the rounding grain (whose rounded values would repeat), q_to below
+    q_from, or a grid of more than MAX_Q_VALUES values, which is refused
+    before any of them is built.
     """
     for flag, value in (("--q-from", q_from), ("--q-to", q_to), ("--q-step", q_step)):
         if not math.isfinite(value):
@@ -159,6 +161,11 @@ def _q_grid(q_from: float, q_to: float, q_step: float) -> list[float]:
     if q_to < q_from:
         raise ValueError("--q-to must not be below --q-from")
     count = int(math.floor((q_to - q_from) / q_step + 1e-9)) + 1
+    if count > MAX_Q_VALUES:
+        raise ValueError(
+            f"--q-step {q_step} gives {count} values from {q_from} to {q_to}, "
+            f"more than {MAX_Q_VALUES}"
+        )
     return [round(q_from + i * q_step, Q_DIGITS) for i in range(count)]
 
 
@@ -249,8 +256,8 @@ def _check_parallel_determinism() -> tuple[bool, str]:
         replica.gap_monte_carlo(channel, star, 100_000, seed=7, workers=w).delta
         for w in (1, 2)
     ]
-    # A and E run their rounds on the calling thread; B's sampled rounds
-    # are spread over the workers
+    # exact rounds (A, E) run on the calling thread; only B's sampled
+    # chunks are spread over the workers
     identical = len(set(outputs)) == 1
     for kind, name, options in (
         ("depolarizing", "E", {}),

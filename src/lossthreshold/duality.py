@@ -73,23 +73,13 @@ def dual_edge_factor_twolayer(x) -> tuple[float, float, float, float]:
     )
 
 
-def _exp(x):
-    """math.exp of one number, np.exp element by element of an array of them.
-
-    A single coupling (Monte Carlo rows, single assignments) goes through
-    math.exp: it is faster on one number, and np.exp may differ from it in
-    the last bit. Only the batched exact path passes arrays.
-    """
-    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
-
-
 def edge_factor_single(disorder: EdgeDisorder, K):
     """Primal components (weight at parallel pair, weight at antiparallel pair).
 
     K is one coupling or an array of them; each component has its shape. A
     diluted edge has sign 0 and so weight exp(0) = 1 at either parity.
     """
-    return (_exp(K * disorder.sign), _exp(-K * disorder.sign))
+    return (np.exp(K * disorder.sign), np.exp(-K * disorder.sign))
 
 
 def edge_factor_twolayer(disorder: EdgeDisorder, K):
@@ -99,7 +89,7 @@ def edge_factor_twolayer(disorder: EdgeDisorder, K):
     """
     t, ts = disorder.sign, disorder.dual_sign
     return tuple(
-        _exp(K * (t * eta + ts * eta_star + t * ts * eta * eta_star))
+        np.exp(K * (t * eta + ts * eta_star + t * ts * eta * eta_star))
         for eta, eta_star in ((1, 1), (1, -1), (-1, 1), (-1, -1))
     )
 

@@ -17,7 +17,7 @@ per-configuration histograms agree up to a permutation of configurations
 form one class. The class table of a cluster is compiled once and cached;
 an evaluation weighs each class's log-sum-exp by its multiplicity and its
 disorder probability. Monte Carlo sampling covers clusters whose exact work
-exceeds the term budget; it uses a counter-based generator so that the
+exceeds TERM_BUDGET; it uses a counter-based generator so that the
 uniforms of every chunk of samples are reproducible and identical across
 different p, which keeps the estimated gap continuous during root finding.
 Sampled rows repeat often (near the root of B only 2-27 % of them are
@@ -31,8 +31,9 @@ Monte Carlo passes the sampled state indices to `duality.log_factor_batch`.
 
 `gap_batch` evaluates many (p, q) points on one cluster in one call, as a
 root finder's round does; `gap` and `gap_monte_carlo` are its one-point
-case. Exact points share array operations in slices, sampled points share a
-pool of chunks, and no point's value depends on its neighbours in the call.
+case. Exact points share array operations in slices on the calling thread,
+sampled points share a pool of chunks, and no point's value depends on its
+neighbours in the call.
 """
 
 from __future__ import annotations
@@ -64,9 +65,10 @@ from .duality import (
 
 EXACT = "exact"
 MONTE_CARLO = "monte-carlo"
-POLICIES = (EXACT, "auto", MONTE_CARLO)
+POLICIES = (EXACT, MONTE_CARLO)
 
-DEFAULT_TERM_BUDGET = 10**8
+# bound on exact_work, checked before anything is compiled
+TERM_BUDGET = 10**8
 DEFAULT_MC_SAMPLES = 100_000
 MIN_MC_SAMPLES = 1000
 
@@ -125,13 +127,10 @@ def exact_work(cluster: ClusterSpec) -> int:
     return support_size(cluster.layers) ** cluster.slot_count * cluster.config_count
 
 
-def resolve_policy(cluster: ClusterSpec, policy: str, term_budget: int) -> str:
-    """The evaluation method a policy selects: "auto" is exact within the term budget."""
+def check_policy(policy: str) -> None:
+    """Refuse a policy other than "exact" and "monte-carlo"."""
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
-    if policy == "auto":
-        return EXACT if exact_work(cluster) <= term_budget else MONTE_CARLO
-    return policy
 
 
 def _chunk_bounds(total: int, cluster: ClusterSpec) -> list[tuple[int, int]]:
@@ -142,7 +141,8 @@ def _chunk_bounds(total: int, cluster: ClusterSpec) -> list[tuple[int, int]]:
 def _run_chunks(fn, items, workers: int | None) -> list:
     """[fn(*item) for item in items], over up to `worker_count(workers)` threads.
 
-    The worker count is resolved only when there is more than one item.
+    It runs Monte Carlo chunks. The worker count is resolved only when there
+    is more than one item.
     """
     nworkers = worker_count(workers) if len(items) > 1 else 1
     if nworkers <= 1:
@@ -368,26 +368,24 @@ def gap_batch(
     *,
     mc_samples: int | None = None,
     seed: int = 0,
-    term_budget: int = DEFAULT_TERM_BUDGET,
     workers: int | None = None,
 ) -> list[GapEvaluation]:
     """Evaluate Delta(p, q) at every channel on the cluster, in order.
 
     policy "exact" sums every assignment through the cluster's class table
     and raises TooManyTerms, before compiling anything, when `exact_work`
-    exceeds the budget; "monte-carlo" always samples; "auto" is exact within
-    the budget and samples otherwise. Exact points are cut into slices of at
-    most CONFIG_BLOCK (points x classes x configurations) elements, one
-    point at least, and sampled points into their `_chunk_bounds` chunks.
-    Sampled chunks, and exact slices of one point past CONFIG_BLOCK, run
-    over `worker_count(workers)` threads; smaller exact slices run on the
-    calling thread. An explicit `workers` below 1 is refused on either
-    path. Each point's value is bit-identical to evaluating it alone, with
-    any worker count; sampled chunks are combined per point in chunk order.
+    exceeds TERM_BUDGET; "monte-carlo" samples. Exact points are cut into
+    slices of at most CONFIG_BLOCK (points x classes x configurations)
+    elements, one point at least, which run one after another on the
+    calling thread. Sampled points are cut into their `_chunk_bounds`
+    chunks, which run over `worker_count(workers)` threads. An explicit
+    `workers` below 1 is refused on either path. Each point's value is
+    bit-identical to evaluating it alone, with any worker count; sampled
+    chunks are combined per point in chunk order.
     """
     if workers is not None:
         worker_count(workers)
-    policy = resolve_policy(cluster, policy, term_budget)
+    check_policy(policy)
     channels = list(channels)
     for channel in channels:
         _check_layers(channel, cluster)
@@ -406,22 +404,20 @@ def gap_batch(
             for i in range(len(channels))
         ]
     work = exact_work(cluster)
-    if work > term_budget:
+    if work > TERM_BUDGET:
         raise TooManyTerms(
-            f"exact enumeration needs {work} terms (assignments x internal configurations, "
-            f"budget {term_budget}); pass the monte-carlo policy or raise the budget"
+            f"exact enumeration needs {work} terms (assignments x internal configurations), "
+            f"past the budget of {TERM_BUDGET}; sample the gap instead: the monte-carlo "
+            f"policy, or --mc-samples on the command line"
         )
     table = class_table(cluster)
-    size = table.classes.size
-    step = max(1, CONFIG_BLOCK // size)
-    slices = [(lo, lo + step) for lo in range(0, len(channels), step)]
-    # Only a point past one block (B) spends most of its time in array
-    # kernels; threads sharing smaller slices (E) would mostly wait for the
-    # interpreter lock, so those run on the calling thread.
-    pooled = workers if size > CONFIG_BLOCK else 1
-    values = _run_chunks(lambda lo, hi: _exact_gaps(channels[lo:hi], cluster, table), slices, pooled)
+    step = max(1, CONFIG_BLOCK // table.classes.size)
     terms = support_size(cluster.layers) ** cluster.slot_count
-    return [GapEvaluation(value, EXACT, 0.0, terms) for part in values for value in part]
+    return [
+        GapEvaluation(value, EXACT, 0.0, terms)
+        for lo in range(0, len(channels), step)
+        for value in _exact_gaps(channels[lo : lo + step], cluster, table)
+    ]
 
 
 def gap(
@@ -431,18 +427,11 @@ def gap(
     *,
     mc_samples: int | None = None,
     seed: int = 0,
-    term_budget: int = DEFAULT_TERM_BUDGET,
     workers: int | None = None,
 ) -> GapEvaluation:
     """Evaluate Delta(p, q) for the channel on the cluster: `gap_batch` at one point."""
     return gap_batch(
-        [channel],
-        cluster,
-        policy,
-        mc_samples=mc_samples,
-        seed=seed,
-        term_budget=term_budget,
-        workers=workers,
+        [channel], cluster, policy, mc_samples=mc_samples, seed=seed, workers=workers
     )[0]
 
 

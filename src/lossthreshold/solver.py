@@ -106,7 +106,6 @@ def solve_threshold(
     policy: str = replica.EXACT,
     mc_samples: int | None = None,
     seed: int = 0,
-    term_budget: int = replica.DEFAULT_TERM_BUDGET,
     workers: int | None = None,
 ) -> ThresholdResult:
     """Find p_c for one (channel, cluster, q) combination: a sweep of one q.
@@ -130,15 +129,13 @@ def solve_threshold(
     if not 0.0 <= q <= 1.0:
         raise model.DomainError(f"loss rate q={q} outside [0, 1]")
     spec = _resolve_cluster(cluster)
-    (outcome,) = _thresholds(
-        channel_kind, spec, [q], tol, policy, mc_samples, seed, term_budget, workers
-    )
+    (outcome,) = _thresholds(channel_kind, spec, [q], tol, policy, mc_samples, seed, workers)
     if isinstance(outcome, NoSignChange):
         raise outcome
     return outcome
 
 
-def _thresholds(kind, spec, qs, tol, policy, mc_samples, seed, term_budget, workers) -> list:
+def _thresholds(kind, spec, qs, tol, policy, mc_samples, seed, workers) -> list:
     """A ThresholdResult or a NoSignChange for every q, all searched in lockstep.
 
     Every search's rounds go to one `replica.gap_batch` call each (see
@@ -149,18 +146,17 @@ def _thresholds(kind, spec, qs, tol, policy, mc_samples, seed, term_budget, work
         raise model.DomainError(f"unknown channel kind {kind!r}")
     _check_tol(tol)
     nworkers = replica.worker_count(workers)
-    method = replica.resolve_policy(spec, policy, term_budget)
-    if method == replica.MONTE_CARLO:
+    replica.check_policy(policy)
+    if policy == replica.MONTE_CARLO:
         replica.check_seed(seed)
 
     def evaluate(points) -> list[replica.GapEvaluation]:
         return replica.gap_batch(
             [model.ChannelSpec(kind, p, q) for q, p in points],
             spec,
-            method,
+            policy,
             mc_samples=mc_samples,
             seed=seed,
-            term_budget=term_budget,
             workers=nworkers,
         )
 
@@ -171,10 +167,10 @@ def _thresholds(kind, spec, qs, tol, policy, mc_samples, seed, term_budget, work
         # to p = 0 exactly when q reaches 1/2 (binary entropy target <= 0).
         if spec.slot_count == 1 and not spec.internal_ids and q >= 0.5:
             outcomes[i] = ThresholdResult(
-                kind, spec.name, q, 0.0, 0.0, (0.0, 0.0), 0, method, STATUS_NO_THRESHOLD
+                kind, spec.name, q, 0.0, 0.0, (0.0, 0.0), 0, policy, STATUS_NO_THRESHOLD
             )
         else:
-            searches[i] = _search(kind, spec.name, q, method, tol, root)
+            searches[i] = _search(kind, spec.name, q, policy, tol, root)
     outcomes.update(_lockstep(searches, qs, evaluate))
     return [outcomes[i] for i in range(len(qs))]
 
@@ -232,9 +228,10 @@ def _search(kind, name, q, method, tol, root):
 def _closed_form_roots(kind: str, qs) -> list[float | None]:
     """Root in p of the one-unit closed form on the full bracket at each q, or None.
 
-    Found by the same Brent loop as the threshold itself, to MIN_TOL whatever
+    Found by the same search as the threshold itself, to MIN_TOL whatever
     the caller's tol, so a root depends on (kind, q) alone. The closed form
-    has no root once q >= 1/2; the search then starts on the full bracket.
+    has no root once q >= 1/2 (its search raises NoSignChange); the
+    threshold search then starts on the full bracket.
     """
 
     def evaluate(points) -> list[replica.GapEvaluation]:
@@ -243,16 +240,13 @@ def _closed_form_roots(kind: str, qs) -> list[float | None]:
             for q, p in points
         ]
 
-    upper = _upper_bracket(kind)
-    searches = {}
-    for i, q in enumerate(qs):
-        fa, fb = (ev.delta for ev in evaluate([(q, BRACKET_LO), (q, upper)]))
-        if fa > 0.0 > fb:
-            searches[i] = _refine(
-                kind, "closed-form", q, replica.EXACT, BRACKET_LO, upper, fa, fb, MIN_TOL
-            )
+    searches = {
+        i: _search(kind, "closed-form", q, replica.EXACT, MIN_TOL, None) for i, q in enumerate(qs)
+    }
     roots = _lockstep(searches, qs, evaluate)
-    return [roots[i].p_c if i in roots else None for i in range(len(qs))]
+    return [
+        roots[i].p_c if isinstance(roots[i], ThresholdResult) else None for i in range(len(qs))
+    ]
 
 
 def _refine(kind, name, q, method, a, b, fa, fb, tol):
@@ -320,17 +314,16 @@ def sweep(
     policy: str = replica.EXACT,
     mc_samples: int | None = None,
     seed: int = 0,
-    term_budget: int = replica.DEFAULT_TERM_BUDGET,
     workers: int | None = None,
 ) -> list[ThresholdResult]:
     """Thresholds for an ascending list of loss rates in [0, 1/2), one result per q.
 
     The searches of all q values advance in lockstep, one round of gap
     evaluations at a time, and each round is one `replica.gap_batch` call,
-    which spreads Monte Carlo chunks and large exact points over the
-    workers. Every row equals `solve_threshold` at its q, bit for bit,
-    whatever the worker count. Per-q failures (no sign change) become rows
-    with status and p_c = 0 instead of aborting the sweep.
+    which spreads Monte Carlo chunks over the workers; exact rounds run on
+    the calling thread. Every row equals `solve_threshold` at its q, bit for
+    bit, whatever the worker count. Per-q failures (no sign change) become
+    rows with status and p_c = 0 instead of aborting the sweep.
     """
     qs = [float(x) for x in q_values]
     if any(hi <= lo for lo, hi in zip(qs, qs[1:])):
@@ -338,15 +331,12 @@ def sweep(
     if qs and not (0.0 <= qs[0] and qs[-1] < 0.5):
         raise ValueError("q values must lie in [0, 0.5)")
     spec = _resolve_cluster(cluster)
-    outcomes = _thresholds(
-        channel_kind, spec, qs, tol, policy, mc_samples, seed, term_budget, workers
-    )
-    method = replica.resolve_policy(spec, policy, term_budget)
+    outcomes = _thresholds(channel_kind, spec, qs, tol, policy, mc_samples, seed, workers)
     return [
         outcome
         if isinstance(outcome, ThresholdResult)
         else ThresholdResult(
-            channel_kind, spec.name, q, 0.0, 0.0, (0.0, 0.0), 0, method, STATUS_NO_SIGN_CHANGE
+            channel_kind, spec.name, q, 0.0, 0.0, (0.0, 0.0), 0, policy, STATUS_NO_SIGN_CHANGE
         )
         for q, outcome in zip(qs, outcomes)
     ]

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from lossthreshold import cli, model
+from lossthreshold import cli, model, replica
 from lossthreshold.cluster import ClusterSpec, Slot, Vertex, builtin_cluster, cluster_to_dict
 from lossthreshold.solver import solve_threshold
 
@@ -62,6 +62,27 @@ def test_threshold_no_sign_change_row(capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == cli.EXIT_NO_THRESHOLD
     assert "no-sign-change" in out
+
+
+def test_exact_work_past_the_budget_names_sampling(capsys, tmp_path, monkeypatch):
+    # 18 internal spins and 6 slots: 3^6 x 2^18 terms, past the budget
+    internal = [Vertex(f"i{k}", "internal") for k in range(18)]
+    slots = tuple(Slot((f"i{k}", f"i{k + 1}" if k < 5 else "b")) for k in range(6))
+    spec = ClusterSpec("wide", 1, (*internal, Vertex("b", "boundary")), slots)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(cluster_to_dict(spec)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("compiled a cluster past the term budget")
+
+    monkeypatch.setattr(replica, "class_table", forbidden)
+    code = cli.main(
+        ["threshold", "--channel", "uncorrelated", "--cluster", f"file:{path}", "--loss", "0.1"]
+    )
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert "--mc-samples" in captured.err
 
 
 def test_unknown_cluster(capsys):
@@ -226,6 +247,16 @@ def test_q_grid_rejects_non_finite_flags_and_steps_below_the_grain(args, flag):
     # of 1e-11 gave a grid whose rounded values repeat
     with pytest.raises(ValueError, match=flag):
         cli._q_grid(*args)
+
+
+def test_q_grid_refuses_too_many_values_before_building_them():
+    # the cheap cases come first, so a broken guard fails here instead of
+    # building the 4.5e9 values of the last one
+    assert len(cli._q_grid(0.0, 0.99999, 1e-5)) == cli.MAX_Q_VALUES == 100_000
+    with pytest.raises(ValueError, match="--q-step"):
+        cli._q_grid(0.0, 1.0, 1e-5)
+    with pytest.raises(ValueError, match="--q-step"):
+        cli._q_grid(0.0, 0.45, 1e-10)
 
 
 @pytest.mark.parametrize("flags", [["--q-step", "nan"], ["--q-from", "nan"], ["--q-step", "1e-11"]])

@@ -30,10 +30,10 @@ from lossthreshold.model import (
     nishimori_coupling,
 )
 from lossthreshold.replica import (
-    DEFAULT_TERM_BUDGET,
     EXACT,
     MIN_MC_SAMPLES,
     MONTE_CARLO,
+    TERM_BUDGET,
     TooManyTerms,
     class_table,
     gap,
@@ -184,17 +184,19 @@ def test_gap_policy_validation():
         gap(ChannelSpec("uncorrelated", 0.1, 0.0), builtin_cluster("single"), "guess")
 
 
-def test_term_budget():
+def test_term_budget_bounds_exact_work_only(monkeypatch):
     channel = ChannelSpec("uncorrelated", 0.1, 0.1)
     spec = builtin_cluster("B")
-    with pytest.raises(TooManyTerms):
-        gap(channel, spec, term_budget=1000)
-    sampled = gap(channel, spec, "auto", mc_samples=2000, term_budget=1000, seed=3)
-    assert sampled.method == MONTE_CARLO
-    assert sampled.terms == 2000
-    exact = gap(channel, spec, "auto", term_budget=DEFAULT_TERM_BUDGET)
+    exact = gap(channel, spec)
     assert exact.method == EXACT
     assert exact.terms == 3**12
+    monkeypatch.setattr(replica, "TERM_BUDGET", 1000)
+    with pytest.raises(TooManyTerms):
+        gap(channel, spec)
+    # the budget bounds exact work; sampling ignores it
+    sampled = gap(channel, spec, MONTE_CARLO, mc_samples=2000, seed=3)
+    assert sampled.method == MONTE_CARLO
+    assert sampled.terms == 2000
 
 
 def test_monte_carlo_minimum_samples():
@@ -601,7 +603,7 @@ def test_too_many_terms_before_compiling(monkeypatch):
     boundary = [Vertex("b", "boundary")]
     slots = tuple(Slot((f"i{k}", f"i{k + 1}" if k < 5 else "b")) for k in range(6))
     spec = ClusterSpec("wide", 1, tuple(internal + boundary), slots)
-    assert replica.exact_work(spec) == 3**6 * 2**18 > DEFAULT_TERM_BUDGET
+    assert replica.exact_work(spec) == 3**6 * 2**18 > TERM_BUDGET
 
     def forbidden(*args, **kwargs):
         raise AssertionError("compiled a cluster past the term budget")
@@ -610,7 +612,6 @@ def test_too_many_terms_before_compiling(monkeypatch):
     monkeypatch.setattr(replica, "_parity_cells", forbidden)
     with pytest.raises(TooManyTerms):
         gap(ChannelSpec("uncorrelated", 0.1, 0.1), spec)
-    assert replica.resolve_policy(spec, "auto", DEFAULT_TERM_BUDGET) == MONTE_CARLO
 
 
 @pytest.mark.parametrize("samples", [0, -1, MIN_MC_SAMPLES - 1])

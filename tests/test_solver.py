@@ -11,7 +11,12 @@ import pytest
 from lossthreshold import cli, replica, solver
 from lossthreshold.cluster import ClusterSpec, Slot, Vertex, builtin_cluster
 from lossthreshold.model import ChannelSpec, DomainError
-from lossthreshold.reference import REFERENCE_Q, reference_p_c0, reference_thresholds
+from lossthreshold.reference import (
+    REFERENCE_Q,
+    binary_entropy_root,
+    reference_p_c0,
+    reference_thresholds,
+)
 from lossthreshold.replica import gap_closed_form_single
 from lossthreshold.solver import (
     MIN_TOL,
@@ -284,13 +289,19 @@ def test_monte_carlo_error_is_in_units_of_p():
     assert 0.5 < ratio < 2.0
 
 
-def test_auto_policy_falls_back_to_sampling():
-    result = solve_threshold(
-        "uncorrelated", "A", 0.1, tol=1e-3, policy="auto", term_budget=10, mc_samples=5000, seed=1
-    )
-    assert result.method == "monte-carlo"
-    exact = solve_threshold("uncorrelated", "A", 0.1, policy="auto")
-    assert exact.method == "exact"
+def test_auto_policy_is_refused():
+    # only "exact" and "monte-carlo" exist; the q = 0.6 threshold of the one
+    # edge evaluates no gap, so the solver must check the policy itself
+    channel = ChannelSpec("uncorrelated", 0.1, 0.1)
+    calls = [
+        lambda: replica.gap(channel, builtin_cluster("A"), "auto"),
+        lambda: solve_threshold("uncorrelated", "A", 0.1, policy="auto"),
+        lambda: solve_threshold("uncorrelated", "single", 0.6, policy="auto"),
+        lambda: sweep("uncorrelated", "A", [0.0, 0.1], policy="auto"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="policy"):
+            call()
 
 
 def test_sweep_worker_count_invariance():
@@ -306,7 +317,7 @@ def test_sweep_worker_count_invariance():
     "kind,name,options,splits",
     [
         ("depolarizing", "E", {}, False),
-        ("uncorrelated", "B", {}, True),
+        ("uncorrelated", "B", {}, False),
         ("uncorrelated", "B", {"policy": "monte-carlo", "mc_samples": 20_000, "seed": 3}, True),
     ],
     ids=["E", "B", "B-monte-carlo"],
@@ -314,8 +325,8 @@ def test_sweep_worker_count_invariance():
 def test_sweep_rounds_split_over_workers_without_changing_rows(
     monkeypatch, kind, name, options, splits
 ):
-    # B's exact points (each past one CONFIG_BLOCK) and sampled chunks go to
-    # the pool; E's smaller points stay on the calling thread
+    # sampled chunks go to the pool; exact points, even B's past one
+    # CONFIG_BLOCK, stay on the calling thread
     real_run = replica._run_chunks
     pooled_items = []
 
@@ -332,6 +343,24 @@ def test_sweep_rounds_split_over_workers_without_changing_rows(
     assert (max(pooled_items, default=0) > 1) == splits
     assert serial == pooled
     assert all(r.ok for r in serial)
+
+
+def test_exact_sweep_never_builds_a_pool(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an exact sweep built a thread pool")
+
+    monkeypatch.setattr(replica, "ThreadPoolExecutor", forbidden)
+    rows = sweep("uncorrelated", "B", REFERENCE_Q, workers=2)
+    assert all(r.ok and r.method == "exact" for r in rows)
+
+
+def test_closed_form_roots_are_the_entropy_roots():
+    roots = solver._closed_form_roots("uncorrelated", REFERENCE_Q)
+    for q, root in zip(REFERENCE_Q, roots):
+        assert abs(root - binary_entropy_root(q)) <= 1e-9
+    # past q = 1/2 the closed form is negative on the whole bracket
+    for kind in ("uncorrelated", "depolarizing"):
+        assert solver._closed_form_roots(kind, [0.5, 0.6]) == [None, None]
 
 
 def test_lockstep_fallback_for_one_q_leaves_the_others(monkeypatch):
