@@ -129,8 +129,13 @@ def _log_weight_tables(layers: int, support, K) -> np.ndarray:
 
 
 def _dual_terms(log_dual: np.ndarray, zeros: np.ndarray, negatives: np.ndarray):
-    """Log magnitude and sign of dual terms from their summed table entries."""
-    return np.where(zeros > 0.0, -np.inf, log_dual), 1.0 - 2.0 * np.mod(negatives, 2.0)
+    """Log magnitude and sign of dual terms from their summed table entries.
+
+    The summed counts are whole numbers, so the sign is read from the parity
+    of their int32 cast, which holds any count of slots.
+    """
+    parity = negatives.astype(np.int32) & 1
+    return np.where(zeros > 0.0, -np.inf, log_dual), (1 - 2 * parity).astype(np.float64)
 
 
 def log_factor_batch(

@@ -20,6 +20,8 @@ disorder probability. Monte Carlo sampling covers clusters whose exact work
 exceeds TERM_BUDGET; it uses a counter-based generator so that the
 uniforms of every chunk of samples are reproducible and identical across
 different p, which keeps the estimated gap continuous during root finding.
+Since they do not depend on the point, one call draws each chunk once, in
+groups of `worker_count` chunks, and all its points read that draw.
 Sampled rows repeat often (near the root of B only 2-27 % of them are
 distinct), so each chunk sums its distinct rows once, weighted by their
 counts: the cost is per distinct row of a chunk.
@@ -32,8 +34,8 @@ Monte Carlo passes the sampled state indices to `duality.log_factor_batch`.
 `gap_batch` evaluates many (p, q) points on one cluster in one call, as a
 root finder's round does; `gap` and `gap_monte_carlo` are its one-point
 case. Exact points share array operations in slices on the calling thread,
-sampled points share a pool of chunks, and no point's value depends on its
-neighbours in the call.
+sampled points share the draws of each chunk and a pool of chunk sums, and
+no point's value depends on its neighbours in the call.
 """
 
 from __future__ import annotations
@@ -138,16 +140,14 @@ def _chunk_bounds(total: int, cluster: ClusterSpec) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
-def _run_chunks(fn, items, workers: int | None) -> list:
-    """[fn(*item) for item in items], over up to `worker_count(workers)` threads.
+def _run_chunks(fn, items, workers: int) -> list:
+    """[fn(*item) for item in items], over up to `workers` threads.
 
-    It runs Monte Carlo chunks. The worker count is resolved only when there
-    is more than one item.
+    It draws and sums Monte Carlo chunks.
     """
-    nworkers = worker_count(workers) if len(items) > 1 else 1
-    if nworkers <= 1:
+    if workers <= 1 or len(items) <= 1:
         return [fn(*item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(nworkers, len(items))) as pool:
+    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(lambda item: fn(*item), items))
 
 
@@ -196,17 +196,24 @@ def _distinct_rows(idx: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of base-m state indices and how often each occurs.
 
     A row's digits are packed into as many int64 words as its length needs,
-    and one stable lexsort over the words brings equal rows together, so the
-    order of the distinct rows depends only on `idx`.
+    the last word the most significant, and the words are folded into one
+    int64 key per row: key = rank(key) * n + rank(word), last word first,
+    with dense ranks below n, so that ascending keys order the rows as a
+    lexsort of their words would. One argsort of the keys brings equal rows
+    together, so the order of the distinct rows depends only on `idx`.
     """
     n, S = idx.shape
     digits = math.floor(63 / math.log2(m))
     place = m ** np.arange(digits, dtype=np.int64)
-    words = np.stack([idx[:, lo : lo + digits] @ place[: S - lo] for lo in range(0, S, digits)])
-    order = np.lexsort(words)
-    words = words[:, order]
+    words = [idx[:, lo : lo + digits] @ place[: S - lo] for lo in range(0, S, digits)]
+    key = words[-1]
+    for word in reversed(words[:-1]):
+        key_rank, word_rank = (np.unique(a, return_inverse=True)[1] for a in (key, word))
+        key = key_rank * n + word_rank
+    order = np.argsort(key)
+    key = key[order]
     first = np.ones(n, dtype=bool)
-    first[1:] = np.any(words[:, 1:] != words[:, :-1], axis=0)
+    first[1:] = key[1:] != key[:-1]
     starts = np.flatnonzero(first)
     return idx[order[starts]], np.diff(starts, append=n)
 
@@ -314,35 +321,43 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed={seed} must lie in [0, 2**128)")
 
 
-def _sampled_chunks(channel: model.ChannelSpec, cluster: ClusterSpec, seed: int):
-    """The function that sums one chunk [lo, hi) of a sampled gap at `channel`.
+def _chunk_uniforms(seed: int, cluster: ClusterSpec, lo: int, hi: int) -> np.ndarray:
+    """The (hi - lo, S) uniforms of chunk [lo, hi) of a sampled gap.
 
-    Chunk [lo, hi) draws its (hi - lo, S) uniforms from the Philox stream
-    keyed by seed, advanced by lo*S counter steps, so the draws depend on the
-    chunk partition only, never on p or the worker count. A row's state is
-    the number of cumulative probabilities at or below its uniform. Only the
-    chunk's distinct rows go through `log_factor_batch`, and every one is
-    checked for a positive dual sum, so every sampled one is. It returns the
-    count-weighted sum of Delta and of its squared deviations about the
+    They come from the Philox stream keyed by seed, advanced by lo*S counter
+    steps, so they depend on the chunk partition only, never on p, q or the
+    worker count.
+    """
+    S = cluster.slot_count
+    bitgen = np.random.Philox(key=seed)
+    bitgen.advance(lo * S)
+    return np.random.Generator(bitgen).random((hi - lo, S))
+
+
+def _sampled_chunks(channel: model.ChannelSpec, cluster: ClusterSpec):
+    """The function that sums one chunk of a sampled gap at `channel` from its uniforms.
+
+    The uniforms are those of `_chunk_uniforms`, drawn once per chunk and
+    call of `gap_batch` and shared by all the call's points. A row's state
+    is the number of cumulative probabilities at or below its uniform. Only
+    the chunk's distinct rows go through `log_factor_batch`, and every one
+    is checked for a positive dual sum, so every sampled one is. It returns
+    the count-weighted sum of Delta and of its squared deviations about the
     chunk mean.
     """
     K = model.nishimori_coupling(channel).K
     dist = model.disorder_distribution(channel)
     cum = np.cumsum(dist.probs)
     cum[-1] = 1.0
-    S = cluster.slot_count
 
-    def chunk_stats(lo: int, hi: int) -> tuple[float, float]:
-        bitgen = np.random.Philox(key=seed)
-        bitgen.advance(lo * S)
-        u = np.random.Generator(bitgen).random((hi - lo, S))
+    def chunk_stats(u: np.ndarray) -> tuple[float, float]:
         # u < 1 = cum[-1], so the last cumulative probability never counts
         rows, count = _distinct_rows(sum(u >= c for c in cum[:-1]), len(cum))
         logp, logd, sign = log_factor_batch(cluster, dist.support, rows, K)
         _require_positive_dual(cluster, sign <= 0, rows, dist.support, K)
         delta = logp - logd
         total = float((count * delta).sum())
-        return total, float((count * (delta - total / (hi - lo)) ** 2).sum())
+        return total, float((count * (delta - total / len(u)) ** 2).sum())
 
     return chunk_stats
 
@@ -377,8 +392,12 @@ def gap_batch(
     exceeds TERM_BUDGET; "monte-carlo" samples. Exact points are cut into
     slices of at most CONFIG_BLOCK (points x classes x configurations)
     elements, one point at least, which run one after another on the
-    calling thread. Sampled points are cut into their `_chunk_bounds`
-    chunks, which run over `worker_count(workers)` threads. An explicit
+    calling thread. Sampled points share their `_chunk_bounds` chunks: the
+    chunks are taken in groups of `worker_count(workers)`, each group's
+    uniforms are drawn once over that many threads, and then every (point,
+    chunk) item of the group is summed over them, reading the shared draws.
+    So a call draws each chunk once, whatever its number of points, and
+    holds at most `worker_count(workers)` draws at a time. An explicit
     `workers` below 1 is refused on either path. Each point's value is
     bit-identical to evaluating it alone, with any worker count; sampled
     chunks are combined per point in chunk order.
@@ -394,15 +413,21 @@ def gap_batch(
         if samples < MIN_MC_SAMPLES:
             raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
         check_seed(seed)
+        if not channels:
+            return []
         bounds = _chunk_bounds(samples, cluster)
-        stats = [_sampled_chunks(channel, cluster, seed) for channel in channels]
-        items = [(fn, lo, hi) for fn in stats for lo, hi in bounds]
-        partials = _run_chunks(lambda fn, lo, hi: fn(lo, hi), items, workers)
-        k = len(bounds)
-        return [
-            _combine_chunks(cluster, bounds, partials[i * k : (i + 1) * k], samples)
-            for i in range(len(channels))
-        ]
+        stats = [_sampled_chunks(channel, cluster) for channel in channels]
+        nworkers = worker_count(workers)
+        partials = [[] for _ in channels]
+        for start in range(0, len(bounds), nworkers):
+            group = bounds[start : start + nworkers]
+            draws = _run_chunks(_chunk_uniforms, [(seed, cluster, lo, hi) for lo, hi in group], nworkers)
+            sums = _run_chunks(lambda fn, u: fn(u), [(fn, u) for fn in stats for u in draws], nworkers)
+            # freed before the next group is drawn: at most nworkers draws at a time
+            del draws
+            for i, point in enumerate(partials):
+                point.extend(sums[i * len(group) : (i + 1) * len(group)])
+        return [_combine_chunks(cluster, bounds, point, samples) for point in partials]
     work = exact_work(cluster)
     if work > TERM_BUDGET:
         raise TooManyTerms(

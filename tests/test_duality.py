@@ -10,6 +10,7 @@ import pytest
 from lossthreshold.cluster import NonFinite, ShapeMismatch, builtin_cluster, cluster_partition
 from lossthreshold.duality import (
     NonPositiveDual,
+    _dual_terms,
     dual_cluster_partition,
     dual_edge_factor_single,
     dual_edge_factor_twolayer,
@@ -158,3 +159,16 @@ def test_batch_matches_scalar_dual(name, states):
         scalar = dual_cluster_partition(spec, row, K)
         assert sign[i] == 1
         assert logmag[i] == pytest.approx(scalar.log_value, rel=1e-14)
+
+
+def test_dual_term_sign_is_the_parity_of_negative_slots():
+    # a cast that saturates, or one through a narrower float, gets some of
+    # these counts wrong; only the parity of the count may decide the sign
+    negatives = np.array([0, 1, 127, 128, 255, 256, 257, 2**20 + 1], dtype=np.float64)
+    zeros = np.zeros_like(negatives)
+    zeros[3] = 2.0
+    log_dual = np.linspace(-1.0, 1.0, len(negatives))
+    logmag, sign = _dual_terms(log_dual, zeros, negatives)
+    assert sign.tolist() == [1.0, -1.0, -1.0, 1.0, -1.0, 1.0, -1.0, -1.0]
+    assert logmag[3] == -np.inf
+    assert np.array_equal(np.delete(logmag, 3), np.delete(log_dual, 3))

@@ -6,6 +6,8 @@ import itertools
 import json
 import math
 import re
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -325,6 +327,100 @@ def test_distinct_rows_counts_every_row(m, S):
     last_only[:, -1] = np.arange(50) % m
     rows, count = replica._distinct_rows(last_only, m)
     assert len(rows) == m and np.all(count >= 50 // m)
+
+
+def _lexsort_distinct(idx: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows in the order a stable lexsort of their packed int64 words gives, last word primary."""
+    n, S = idx.shape
+    digits = math.floor(63 / math.log2(m))
+    place = m ** np.arange(digits, dtype=np.int64)
+    words = np.stack([idx[:, lo : lo + digits] @ place[: S - lo] for lo in range(0, S, digits)])
+    order = np.lexsort(words)
+    words = words[:, order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = np.any(words[:, 1:] != words[:, :-1], axis=0)
+    starts = np.flatnonzero(first)
+    return idx[order[starts]], np.diff(starts, append=n)
+
+
+@pytest.mark.parametrize("m, S, words", [(3, 12, 1), (3, 60, 2), (3, 80, 3), (5, 30, 2)])
+def test_distinct_rows_come_in_lexsort_order(m, S, words):
+    # the Monte Carlo chunk sums add distinct rows in this order, so their
+    # bits rest on it. Rows are drawn from a few bases with a few digits
+    # changed, so that many repeat and many agree in every word but one.
+    assert -(-S // math.floor(63 / math.log2(m))) == words
+    rng = np.random.default_rng(100 * m + S)
+    base = rng.integers(0, m, size=(4, S))
+    idx = base[rng.integers(0, 4, size=5000)]
+    for _ in range(2):
+        idx[np.arange(5000), rng.integers(0, S, size=5000)] = rng.integers(0, m, size=5000)
+    idx = idx[rng.integers(0, 5000, size=20_000)]
+    rows, count = replica._distinct_rows(idx, m)
+    expected_rows, expected_count = _lexsort_distinct(idx, m)
+    assert len(expected_rows) > 100
+    assert np.array_equal(rows, expected_rows)
+    assert np.array_equal(count, expected_count)
+
+
+def _count_draws(monkeypatch):
+    """Wrap `replica._chunk_uniforms`; return a dict of its calls and of the draws alive, now and at most.
+
+    A draw is alive from its return until its array is freed.
+    """
+    real = replica._chunk_uniforms
+    lock = threading.Lock()
+    seen = {"draws": 0, "alive": 0, "most_alive": 0}
+
+    def released():
+        with lock:
+            seen["alive"] -= 1
+
+    def counted(*args):
+        u = real(*args)
+        with lock:
+            seen["draws"] += 1
+            seen["alive"] += 1
+            seen["most_alive"] = max(seen["most_alive"], seen["alive"])
+        weakref.finalize(u, released)
+        return u
+
+    monkeypatch.setattr(replica, "_chunk_uniforms", counted)
+    return seen
+
+
+def _eight_chunk_case(monkeypatch):
+    monkeypatch.setattr(replica, "_CHUNK_MAX", 4096)
+    spec = builtin_cluster("D")
+    assert len(replica._chunk_bounds(30_000, spec)) == 8
+    points = [ChannelSpec("depolarizing", p, q) for p, q in ((0.12, 0.0), (0.17, 0.05), (0.3, 0.3))]
+    return spec, points
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_one_draw_per_chunk_per_call(monkeypatch, workers):
+    # the uniforms of a chunk do not depend on the point, so a call draws
+    # each of its 8 chunks once for all 3 points; at 3 workers the last
+    # group of chunks is partial
+    spec, points = _eight_chunk_case(monkeypatch)
+    alone = [gap_monte_carlo(point, spec, 30_000, seed=9, workers=1) for point in points]
+    seen = _count_draws(monkeypatch)
+    batched = gap_batch(points, spec, MONTE_CARLO, mc_samples=30_000, seed=9, workers=workers)
+    assert seen["draws"] == 8
+    assert [(b.delta, b.std_error) for b in batched] == [(a.delta, a.std_error) for a in alone]
+    assert gap_batch([], spec, MONTE_CARLO, mc_samples=30_000, seed=9, workers=workers) == []
+    assert seen["draws"] == 8
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_shared_draws_stay_within_the_worker_count(monkeypatch, workers):
+    # shared draws are taken in groups of `workers` chunks, and a group's
+    # are freed before the next group is drawn
+    spec, points = _eight_chunk_case(monkeypatch)
+    seen = _count_draws(monkeypatch)
+    gap_batch(points, spec, MONTE_CARLO, mc_samples=30_000, seed=9, workers=workers)
+    assert seen["draws"] == 8
+    assert 1 <= seen["most_alive"] <= workers
+    assert seen["alive"] == 0
 
 
 def test_monte_carlo_shares_randomness_across_p():
