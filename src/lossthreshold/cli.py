@@ -273,7 +273,7 @@ def _check_parallel_determinism() -> tuple[bool, str]:
 
 
 def cmd_verify(args) -> int:
-    checks: list[tuple[str, object]] = [
+    checks = [
         ("hadamard-involution-single", lambda: _check_involution(dual_edge_factor_single, 2)),
         ("hadamard-involution-twolayer", lambda: _check_involution(dual_edge_factor_twolayer, 4)),
         ("pure-self-dual-point", _check_self_dual),
@@ -282,21 +282,17 @@ def cmd_verify(args) -> int:
         ("column-depolarizing-C", lambda: _check_column("depolarizing", "C")),
     ]
     if args.suite == "full":
-        checks.append(("column-uncorrelated-A", lambda: _check_column("uncorrelated", "A")))
-        for kind, name in (("uncorrelated", "B"), ("depolarizing", "D"), ("depolarizing", "E")):
-            if clusters.calibration_status(name) == "verified":
-                checks.append(
-                    (f"column-{kind}-{name}", lambda k=kind, n=name: _check_column(k, n))
-                )
-            else:
-                checks.append((f"column-{kind}-{name}", None))
+        for kind, name in (
+            ("uncorrelated", "A"),
+            ("uncorrelated", "B"),
+            ("depolarizing", "D"),
+            ("depolarizing", "E"),
+        ):
+            checks.append((f"column-{kind}-{name}", lambda k=kind, n=name: _check_column(k, n)))
         checks.append(("parallel-determinism", _check_parallel_determinism))
 
     failed = 0
     for name, fn in checks:
-        if fn is None:
-            print(f"SKIP {name}: geometry is unverified, no calibration to check")
-            continue
         try:
             ok, detail = fn()
         except Exception as exc:

@@ -23,6 +23,8 @@ CHANNEL_KINDS = (UNCORRELATED, DEPOLARIZING)
 
 # K diverges logarithmically as p -> 0; clamp so all log-domain math stays finite.
 MIN_ERROR_RATE = 1e-9
+# the error rate of each kind at which K reaches 0; above it K would be negative
+MAX_ERROR_RATE = {UNCORRELATED: 0.5, DEPOLARIZING: 0.75}
 
 
 class DomainError(ValueError):
@@ -38,8 +40,7 @@ class ChannelSpec:
     q: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in CHANNEL_KINDS:
-            raise DomainError(f"unknown channel kind {self.kind!r}; expected one of {CHANNEL_KINDS}")
+        check_kind(self.kind)
         if not 0.0 <= self.p <= 1.0:
             raise DomainError(f"error rate p={self.p} outside [0, 1]")
         if not 0.0 <= self.q <= 1.0:
@@ -48,7 +49,18 @@ class ChannelSpec:
     @property
     def layers(self) -> int:
         """Number of coupled Ising layers in the statistical-mechanics image."""
-        return 1 if self.kind == UNCORRELATED else 2
+        return channel_layers(self.kind)
+
+
+def check_kind(kind: str) -> None:
+    """Raise DomainError for a channel kind other than CHANNEL_KINDS."""
+    if kind not in CHANNEL_KINDS:
+        raise DomainError(f"unknown channel kind {kind!r}; expected one of {CHANNEL_KINDS}")
+
+
+def channel_layers(kind: str) -> int:
+    """Coupled Ising layers of a channel kind: 1 uncorrelated, 2 depolarizing."""
+    return 1 if kind == UNCORRELATED else 2
 
 
 @dataclass(frozen=True)
@@ -115,6 +127,17 @@ class DisorderDistribution:
         return self.support[0].layers
 
 
+def coupling(kind: str, p: float) -> float:
+    """K on the Nishimori line for an error rate p already checked to be in range.
+
+    The one scalar expression behind `nishimori_coupling` and the array
+    rounds of `replica.gap_batch`, so both give the same bits.
+    """
+    if kind == UNCORRELATED:
+        return 0.5 * math.log((1.0 - p) / p)
+    return 0.25 * math.log(3.0 * (1.0 - p) / p)
+
+
 def nishimori_coupling(channel: ChannelSpec) -> NishimoriCoupling:
     """Coupling strength on the optimal-inference (Nishimori) line.
 
@@ -123,14 +146,35 @@ def nishimori_coupling(channel: ChannelSpec) -> NishimoriCoupling:
     or [MIN_ERROR_RATE, 3/4] (depolarizing), where K would diverge or go
     negative.
     """
-    p = channel.p
-    if channel.kind == UNCORRELATED:
-        if not MIN_ERROR_RATE <= p <= 0.5:
-            raise DomainError(f"uncorrelated channel needs {MIN_ERROR_RATE} <= p <= 0.5, got {p}")
-        return NishimoriCoupling(0.5 * math.log((1.0 - p) / p))
-    if not MIN_ERROR_RATE <= p <= 0.75:
-        raise DomainError(f"depolarizing channel needs {MIN_ERROR_RATE} <= p <= 0.75, got {p}")
-    return NishimoriCoupling(0.25 * math.log(3.0 * (1.0 - p) / p))
+    p, top = channel.p, MAX_ERROR_RATE[channel.kind]
+    if not MIN_ERROR_RATE <= p <= top:
+        raise DomainError(f"{channel.kind} channel needs {MIN_ERROR_RATE} <= p <= {top}, got {p}")
+    return NishimoriCoupling(coupling(channel.kind, p))
+
+
+# the disorder states of one edge under each kind, in `disorder_probs` order
+SUPPORT = {
+    UNCORRELATED: (EdgeDisorder(1), EdgeDisorder(-1), EdgeDisorder(0)),
+    DEPOLARIZING: (
+        EdgeDisorder(1, 1),
+        EdgeDisorder(1, -1),
+        EdgeDisorder(-1, 1),
+        EdgeDisorder(-1, -1),
+        EdgeDisorder(0, 0),
+    ),
+}
+
+
+def disorder_probs(kind: str, p, q) -> tuple:
+    """Probability of each state of `SUPPORT[kind]`, for floats or arrays.
+
+    Element-wise products of p and q, so an array entry has the bits of the
+    same expression on floats.
+    """
+    if kind == UNCORRELATED:
+        return ((1.0 - q) * (1.0 - p), (1.0 - q) * p, q)
+    third = (1.0 - q) * p / 3.0
+    return ((1.0 - q) * (1.0 - p), third, third, third, q)
 
 
 def disorder_distribution(channel: ChannelSpec) -> DisorderDistribution:
@@ -141,18 +185,6 @@ def disorder_distribution(channel: ChannelSpec) -> DisorderDistribution:
     (1-q)p/3, and the doubly diluted pair with q. The diluted entry is present
     with weight zero when q = 0, so the support shape is channel-fixed.
     """
-    p, q = channel.p, channel.q
-    if channel.kind == UNCORRELATED:
-        support = (EdgeDisorder(1), EdgeDisorder(-1), EdgeDisorder(0))
-        probs = ((1.0 - q) * (1.0 - p), (1.0 - q) * p, q)
-    else:
-        third = (1.0 - q) * p / 3.0
-        support = (
-            EdgeDisorder(1, 1),
-            EdgeDisorder(1, -1),
-            EdgeDisorder(-1, 1),
-            EdgeDisorder(-1, -1),
-            EdgeDisorder(0, 0),
-        )
-        probs = ((1.0 - q) * (1.0 - p), third, third, third, q)
-    return DisorderDistribution(support, probs)
+    return DisorderDistribution(
+        SUPPORT[channel.kind], disorder_probs(channel.kind, channel.p, channel.q)
+    )

@@ -32,10 +32,17 @@ exact evaluation multiplies them into the class table's histograms, and
 Monte Carlo passes the sampled state indices to `duality.log_factor_batch`.
 
 `gap_batch` evaluates many (p, q) points on one cluster in one call, as a
-root finder's round does; `gap` and `gap_monte_carlo` are its one-point
-case. Exact points share array operations in slices on the calling thread,
-sampled points share the draws of each chunk and a pool of chunk sums, and
-no point's value depends on its neighbours in the call.
+root finder's round does: it takes the channel kind and sequences of p and
+q, and returns arrays of Delta and of its standard error. It checks the
+round's points once, with the error texts of `model.ChannelSpec` and
+`model.nishimori_coupling`, and builds the points' couplings and disorder
+probabilities as arrays, without a model object per point: each K from the
+scalar `model.coupling`, the probabilities element-wise from
+`model.disorder_probs`, so both have the bits of the per-point model API.
+`gap` and `gap_monte_carlo` are its one-point case, from a `ChannelSpec` to a
+`GapEvaluation`. Exact points share array operations in slices on the
+calling thread, sampled points share the draws of each chunk and a pool of
+chunk sums, and no point's value depends on its neighbours in the call.
 """
 
 from __future__ import annotations
@@ -151,12 +158,40 @@ def _run_chunks(fn, items, workers: int) -> list:
         return list(pool.map(lambda item: fn(*item), items))
 
 
-def _check_layers(channel: model.ChannelSpec, cluster: ClusterSpec):
-    if channel.layers != cluster.layers:
+def _check_layers(kind: str, cluster: ClusterSpec):
+    layers = model.channel_layers(kind)
+    if layers != cluster.layers:
         raise ShapeMismatch(
-            f"channel {channel.kind!r} has {channel.layers} layer(s) but cluster "
+            f"channel {kind!r} has {layers} layer(s) but cluster "
             f"{cluster.name!r} has {cluster.layers}"
         )
+
+
+def _round_points(kind: str, p, q) -> tuple[np.ndarray, np.ndarray]:
+    """K (points,) and disorder probabilities (points, states) of a round, checked at once.
+
+    The first point out of range raises the DomainError that
+    `model.ChannelSpec` raises for it; if every point passes those checks,
+    the first one outside the coupling's domain raises that of
+    `model.nishimori_coupling`. K comes point by point from the scalar
+    `model.coupling` (numpy's log does not round as `math.log` does), and
+    the probabilities from `model.disorder_probs` element-wise, so every
+    entry has the bits of `nishimori_coupling` and `disorder_distribution`
+    at its point.
+    """
+    model.check_kind(kind)
+    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    if p.ndim != 1 or p.shape != q.shape:
+        raise ValueError(f"p and q must be sequences of one length, got {p.shape} and {q.shape}")
+    in_spec = (p >= 0.0) & (p <= 1.0) & (q >= 0.0) & (q <= 1.0)
+    in_domain = (p >= model.MIN_ERROR_RATE) & (p <= model.MAX_ERROR_RATE[kind])
+    for ok in (in_spec, in_domain):
+        if not ok.all():
+            i = int(np.argmin(ok))
+            model.nishimori_coupling(model.ChannelSpec(kind, float(p[i]), float(q[i])))
+    coupling = model.coupling
+    K = np.array([coupling(kind, x) for x in p.tolist()], dtype=np.float64)
+    return K, np.stack(model.disorder_probs(kind, p, q), axis=1)
 
 
 @dataclass(frozen=True)
@@ -266,9 +301,9 @@ def class_table(cluster: ClusterSpec) -> ClassTable:
 
 
 def _exact_gaps(
-    channels: list[model.ChannelSpec], cluster: ClusterSpec, table: ClassTable
+    K: np.ndarray, probs: np.ndarray, support, cluster: ClusterSpec, table: ClassTable
 ) -> list[float]:
-    """Delta at each point of a slice, summed class by class.
+    """Delta at each point of a slice, from its couplings and (points, states) probabilities.
 
     The log-weight tables of all points are built at once, and each point's
     rows come from its own product with the histograms, so a point's bits do
@@ -277,10 +312,7 @@ def _exact_gaps(
     (or state-major), so that their reductions over a class's few
     configurations (or states) are element-wise passes over whole arrays.
     """
-    n = len(channels)
-    K = np.array([model.nishimori_coupling(channel).K for channel in channels])
-    dists = [model.disorder_distribution(channel) for channel in channels]
-    support = dists[0].support
+    n = len(K)
     # (points, states * cells, 4): a point's four terms per (state, cell), one column each
     tables = np.ascontiguousarray(_log_weight_tables(cluster.layers, support, K).reshape(4, -1, n).T)
     H = table.histograms.astype(np.float64)
@@ -296,7 +328,7 @@ def _exact_gaps(
 
     # p**k for every state and slot count k, so each class weight is a
     # product of table entries rather than of fresh powers
-    powers = np.array([d.probs for d in dists])[:, :, None] ** np.arange(cluster.slot_count + 1)
+    powers = probs[:, :, None] ** np.arange(cluster.slot_count + 1)
     states = np.arange(len(support))[:, None]
     weight = np.prod(powers[:, states, table.state_counts.T], axis=1)
     # classes of zero probability (q = 0, or p on the support boundary) never
@@ -306,13 +338,7 @@ def _exact_gaps(
         i = int(np.argmax(bad.any(axis=1)))
         _require_positive_dual(cluster, bad[i], table.representative, support, K[i])
     delta = logp - np.where(sign > 0, logd, logp)
-    values = [math.fsum(v.tolist()) for v in table.multiplicity * weight * delta]
-    for channel, value in zip(channels, values):
-        if not math.isfinite(value):
-            raise NonFinite(
-                f"gap on cluster {cluster.name!r} is not finite at p={channel.p}, q={channel.q}"
-            )
-    return values
+    return [math.fsum(v.tolist()) for v in table.multiplicity * weight * delta]
 
 
 def check_seed(seed: int) -> None:
@@ -334,8 +360,8 @@ def _chunk_uniforms(seed: int, cluster: ClusterSpec, lo: int, hi: int) -> np.nda
     return np.random.Generator(bitgen).random((hi - lo, S))
 
 
-def _sampled_chunks(channel: model.ChannelSpec, cluster: ClusterSpec):
-    """The function that sums one chunk of a sampled gap at `channel` from its uniforms.
+def _sampled_chunks(K: float, probs: np.ndarray, support, cluster: ClusterSpec):
+    """The function that sums one chunk of a sampled gap at one point from its uniforms.
 
     The uniforms are those of `_chunk_uniforms`, drawn once per chunk and
     call of `gap_batch` and shared by all the call's points. A row's state
@@ -345,16 +371,14 @@ def _sampled_chunks(channel: model.ChannelSpec, cluster: ClusterSpec):
     the count-weighted sum of Delta and of its squared deviations about the
     chunk mean.
     """
-    K = model.nishimori_coupling(channel).K
-    dist = model.disorder_distribution(channel)
-    cum = np.cumsum(dist.probs)
+    cum = np.cumsum(probs)
     cum[-1] = 1.0
 
     def chunk_stats(u: np.ndarray) -> tuple[float, float]:
         # u < 1 = cum[-1], so the last cumulative probability never counts
         rows, count = _distinct_rows(sum(u >= c for c in cum[:-1]), len(cum))
-        logp, logd, sign = log_factor_batch(cluster, dist.support, rows, K)
-        _require_positive_dual(cluster, sign <= 0, rows, dist.support, K)
+        logp, logd, sign = log_factor_batch(cluster, support, rows, K)
+        _require_positive_dual(cluster, sign <= 0, rows, support, K)
         delta = logp - logd
         total = float((count * delta).sum())
         return total, float((count * (delta - total / len(u)) ** 2).sum())
@@ -362,7 +386,7 @@ def _sampled_chunks(channel: model.ChannelSpec, cluster: ClusterSpec):
     return chunk_stats
 
 
-def _combine_chunks(cluster: ClusterSpec, bounds, partials, samples: int) -> GapEvaluation:
+def _combine_chunks(cluster: ClusterSpec, bounds, partials, samples: int) -> tuple[float, float]:
     """Mean and standard error of a sampled gap from its chunk sums, combined in chunk order."""
     mean = math.fsum(total for total, _ in partials) / samples
     # each chunk's squared deviations about its own mean, moved to the overall mean
@@ -373,19 +397,30 @@ def _combine_chunks(cluster: ClusterSpec, bounds, partials, samples: int) -> Gap
     std_error = math.sqrt(variance / samples)
     if not math.isfinite(mean):
         raise NonFinite(f"sampled gap on cluster {cluster.name!r} is not finite")
-    return GapEvaluation(mean, MONTE_CARLO, std_error, samples)
+    return mean, std_error
+
+
+def _sample_count(mc_samples: int | None) -> int:
+    return int(DEFAULT_MC_SAMPLES if mc_samples is None else mc_samples)
 
 
 def gap_batch(
-    channels,
+    kind: str,
+    p,
+    q,
     cluster: ClusterSpec,
     policy: str = EXACT,
     *,
     mc_samples: int | None = None,
     seed: int = 0,
     workers: int | None = None,
-) -> list[GapEvaluation]:
-    """Evaluate Delta(p, q) at every channel on the cluster, in order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Delta(p, q) and its standard error at every point (p[i], q[i]) of a channel kind.
+
+    Returns two float arrays in the order of the points; the standard
+    error is 0.0 on exact points. The points are checked once, with the
+    DomainError texts of `model.ChannelSpec` and `model.nishimori_coupling`
+    (see `_round_points`), and no per-point model object is built.
 
     policy "exact" sums every assignment through the cluster's class table
     and raises TooManyTerms, before compiling anything, when `exact_work`
@@ -405,20 +440,20 @@ def gap_batch(
     if workers is not None:
         worker_count(workers)
     check_policy(policy)
-    channels = list(channels)
-    for channel in channels:
-        _check_layers(channel, cluster)
+    K, probs = _round_points(kind, p, q)
+    _check_layers(kind, cluster)
+    support = model.SUPPORT[kind]
     if policy == MONTE_CARLO:
-        samples = int(DEFAULT_MC_SAMPLES if mc_samples is None else mc_samples)
+        samples = _sample_count(mc_samples)
         if samples < MIN_MC_SAMPLES:
             raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
         check_seed(seed)
-        if not channels:
-            return []
+        if not len(K):
+            return np.zeros(0), np.zeros(0)
         bounds = _chunk_bounds(samples, cluster)
-        stats = [_sampled_chunks(channel, cluster) for channel in channels]
+        stats = [_sampled_chunks(k, row, support, cluster) for k, row in zip(K.tolist(), probs)]
         nworkers = worker_count(workers)
-        partials = [[] for _ in channels]
+        partials = [[] for _ in stats]
         for start in range(0, len(bounds), nworkers):
             group = bounds[start : start + nworkers]
             draws = _run_chunks(_chunk_uniforms, [(seed, cluster, lo, hi) for lo, hi in group], nworkers)
@@ -427,7 +462,10 @@ def gap_batch(
             del draws
             for i, point in enumerate(partials):
                 point.extend(sums[i * len(group) : (i + 1) * len(group)])
-        return [_combine_chunks(cluster, bounds, point, samples) for point in partials]
+        delta, std_error = np.array(
+            [_combine_chunks(cluster, bounds, point, samples) for point in partials]
+        ).T
+        return delta, std_error
     work = exact_work(cluster)
     if work > TERM_BUDGET:
         raise TooManyTerms(
@@ -437,12 +475,15 @@ def gap_batch(
         )
     table = class_table(cluster)
     step = max(1, CONFIG_BLOCK // table.classes.size)
-    terms = support_size(cluster.layers) ** cluster.slot_count
-    return [
-        GapEvaluation(value, EXACT, 0.0, terms)
-        for lo in range(0, len(channels), step)
-        for value in _exact_gaps(channels[lo : lo + step], cluster, table)
-    ]
+    values = []
+    for lo in range(0, len(K), step):
+        values += _exact_gaps(K[lo : lo + step], probs[lo : lo + step], support, cluster, table)
+    delta = np.array(values, dtype=np.float64)
+    finite = np.isfinite(delta)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NonFinite(f"gap on cluster {cluster.name!r} is not finite at p={p[i]}, q={q[i]}")
+    return delta, np.zeros_like(delta)
 
 
 def gap(
@@ -454,10 +495,20 @@ def gap(
     seed: int = 0,
     workers: int | None = None,
 ) -> GapEvaluation:
-    """Evaluate Delta(p, q) for the channel on the cluster: `gap_batch` at one point."""
-    return gap_batch(
-        [channel], cluster, policy, mc_samples=mc_samples, seed=seed, workers=workers
-    )[0]
+    """Evaluate Delta(p, q) for the channel on the cluster: `gap_batch` at one point.
+
+    `terms` is the sample count of a sampled gap, and the number of joint
+    disorder assignments (3^S or 5^S) of an exact one.
+    """
+    delta, std_error = gap_batch(
+        channel.kind, [channel.p], [channel.q], cluster, policy,
+        mc_samples=mc_samples, seed=seed, workers=workers,
+    )
+    if policy == MONTE_CARLO:
+        terms = _sample_count(mc_samples)
+    else:
+        terms = support_size(cluster.layers) ** cluster.slot_count
+    return GapEvaluation(float(delta[0]), policy, float(std_error[0]), terms)
 
 
 def gap_monte_carlo(
@@ -474,9 +525,7 @@ def gap_monte_carlo(
     `_sampled_chunks` for the draws. Raises ValueError for fewer than
     MIN_MC_SAMPLES samples or a seed outside [0, 2**128).
     """
-    return gap_batch(
-        [channel], cluster, MONTE_CARLO, mc_samples=samples, seed=seed, workers=workers
-    )[0]
+    return gap(channel, cluster, MONTE_CARLO, mc_samples=samples, seed=seed, workers=workers)
 
 
 def gap_closed_form_single(kind: str, p: float, q: float) -> float:

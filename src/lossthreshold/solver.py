@@ -18,16 +18,20 @@ twice the standard error of p_c.
 Each search is a generator that asks for the gap at the points it needs
 next. A sweep advances the searches of all its q values in lockstep: round 1
 holds every q's two bracket ends, later rounds each unfinished search's
-next request, and every round is one `replica.gap_batch` call. A point's
-gap does not depend on the points that share its round, so each q's
-search, and its row, is the same as alone; `solve_threshold` is the sweep
-of one q.
+next request, and every round is one `replica.gap_batch` call on the
+round's p and q lists. Searches are sent back plain (Delta, standard error)
+floats, and the closed-form seed rounds send the same pairs, so no
+per-point channel or result object passes between solver and replica. A
+point's gap does not depend on the points that share its round, so each
+q's search, and its row, is the same as alone; `solve_threshold` is the
+sweep of one q.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import repeat
 
 from . import model, replica
 from .cluster import ClusterSpec, builtin_cluster
@@ -94,7 +98,7 @@ def _check_tol(tol: float) -> None:
 
 
 def _upper_bracket(kind: str) -> float:
-    return (0.5 if kind == model.UNCORRELATED else 0.75) - BRACKET_MARGIN
+    return model.MAX_ERROR_RATE[kind] - BRACKET_MARGIN
 
 
 def solve_threshold(
@@ -150,15 +154,11 @@ def _thresholds(kind, spec, qs, tol, policy, mc_samples, seed, workers) -> list:
     if policy == replica.MONTE_CARLO:
         replica.check_seed(seed)
 
-    def evaluate(points) -> list[replica.GapEvaluation]:
-        return replica.gap_batch(
-            [model.ChannelSpec(kind, p, q) for q, p in points],
-            spec,
-            policy,
-            mc_samples=mc_samples,
-            seed=seed,
-            workers=nworkers,
+    def evaluate(ps, round_qs):
+        delta, std_error = replica.gap_batch(
+            kind, ps, round_qs, spec, policy, mc_samples=mc_samples, seed=seed, workers=nworkers
         )
+        return delta.tolist(), std_error.tolist()
 
     outcomes = {}
     searches = {}
@@ -178,10 +178,12 @@ def _thresholds(kind, spec, qs, tol, policy, mc_samples, seed, workers) -> list:
 def _lockstep(searches: dict, qs, evaluate) -> dict:
     """Run generator searches in rounds until each returns or raises NoSignChange.
 
-    A search yields the tuple of p values it needs next and is sent back
-    their GapEvaluations in a list. Each round gathers the requests of every
-    unfinished search, as (q, p) pairs in search order, into one `evaluate`
-    call. Returns each search's result, or its NoSignChange, by key.
+    A search yields the tuple of p values it needs next and is sent back a
+    list of their (delta, std_error) pairs. Each round gathers the requests
+    of every unfinished search, in search order, into one `evaluate(ps, qs)`
+    call, which returns the round's deltas and standard errors as two
+    sequences of floats. Returns each search's result, or its NoSignChange,
+    by key.
     """
     outcomes, replies = {}, dict.fromkeys(searches)
     while True:
@@ -195,8 +197,10 @@ def _lockstep(searches: dict, qs, evaluate) -> dict:
                 outcomes[i] = exc
         if not requests:
             return outcomes
-        values = iter(evaluate([(qs[i], p) for i, ps in requests.items() for p in ps]))
-        replies = {i: [next(values) for _ in ps] for i, ps in requests.items()}
+        ps = [p for request in requests.values() for p in request]
+        round_qs = [qs[i] for i, request in requests.items() for _ in request]
+        values = zip(*evaluate(ps, round_qs))
+        replies = {i: [next(values) for _ in request] for i, request in requests.items()}
 
 
 def _search(kind, name, q, method, tol, root):
@@ -214,11 +218,9 @@ def _search(kind, name, q, method, tol, root):
         seeded = (max(BRACKET_LO, root - SEED_HALF_WIDTH), min(upper, root + SEED_HALF_WIDTH))
         brackets.insert(0, seeded)
     for tried, (a, b) in enumerate(brackets, 1):
-        ends = yield (a, b)
-        fa, fb = ends[0].delta, ends[1].delta
+        (fa, _), (fb, _) = yield (a, b)
         if fa > GAP_FLOOR and fb < -GAP_FLOOR:
-            result = yield from _refine(kind, name, q, method, a, b, fa, fb, tol)
-            return replace(result, evaluations=2 * tried + result.iterations)
+            return (yield from _refine(kind, name, q, method, a, b, fa, fb, tol, 2 * tried))
     raise NoSignChange(
         f"gap does not change sign on [{a}, {b}] for {kind}/{name} at q={q}: "
         f"Delta({a})={fa:.6g}, Delta({b})={fb:.6g}"
@@ -234,11 +236,9 @@ def _closed_form_roots(kind: str, qs) -> list[float | None]:
     threshold search then starts on the full bracket.
     """
 
-    def evaluate(points) -> list[replica.GapEvaluation]:
-        return [
-            replica.GapEvaluation(replica.gap_closed_form_single(kind, p, q), replica.EXACT, 0.0, 1)
-            for q, p in points
-        ]
+    def evaluate(ps, round_qs):
+        closed_form = replica.gap_closed_form_single
+        return [closed_form(kind, p, q) for p, q in zip(ps, round_qs)], repeat(0.0)
 
     searches = {
         i: _search(kind, "closed-form", q, replica.EXACT, MIN_TOL, None) for i, q in enumerate(qs)
@@ -249,12 +249,14 @@ def _closed_form_roots(kind: str, qs) -> list[float | None]:
     ]
 
 
-def _refine(kind, name, q, method, a, b, fa, fb, tol):
+def _refine(kind, name, q, method, a, b, fa, fb, tol, spent):
     """Brent's zeroin on [a, b] with Delta(a) > 0 > Delta(b), as a generator.
 
     It yields each iterate p as a one-point request, (p,), and is sent back
-    [GapEvaluation at p]; it returns the ThresholdResult. b is the best
-    iterate, c the end of the bracket with the other sign, a the previous b.
+    [(Delta(p), its standard error)]; it returns the ThresholdResult, whose
+    `evaluations` adds its iterations to the `spent` bracket ends. b is the
+    best iterate, c the end of the bracket with the other sign, a the
+    previous b.
     Steps are interpolations kept well inside the bracket, else midpoints,
     and at least half the stopping width long. It stops at
     |c - b| <= max(tol, 2 sigma_p), with sigma_p the latest interior gap's
@@ -297,12 +299,13 @@ def _refine(kind, name, q, method, a, b, fa, fb, tol):
             d = e = mid
         a, fa = b, fb
         b += d if abs(d) > half else math.copysign(half, mid)
-        (ev,) = yield (b,)
-        fb, sigma = ev.delta, ev.std_error
+        ((fb, sigma),) = yield (b,)
         iterations += 1
     status = STATUS_OK if converged else STATUS_NOT_CONVERGED
     bracket = (min(b, c), max(b, c))
-    return ThresholdResult(kind, name, q, b, abs(fb), bracket, iterations, method, status, sigma_p)
+    return ThresholdResult(
+        kind, name, q, b, abs(fb), bracket, iterations, method, status, sigma_p, spent + iterations
+    )
 
 
 def sweep(
@@ -323,13 +326,17 @@ def sweep(
     which spreads Monte Carlo chunks over the workers; exact rounds run on
     the calling thread. Every row equals `solve_threshold` at its q, bit for
     bit, whatever the worker count. Per-q failures (no sign change) become
-    rows with status and p_c = 0 instead of aborting the sweep.
+    rows with status and p_c = 0 instead of aborting the sweep. Raises
+    ValueError, before any search, for a q that is not finite or not in
+    [0, 1/2), and for q values that are not strictly ascending.
     """
     qs = [float(x) for x in q_values]
+    # every q, before any search: a NaN passes the order checks below
+    for q in qs:
+        if not 0.0 <= q < 0.5:
+            raise ValueError(f"q values must lie in [0, 0.5), got {q}")
     if any(hi <= lo for lo, hi in zip(qs, qs[1:])):
         raise ValueError("q values must be strictly ascending")
-    if qs and not (0.0 <= qs[0] and qs[-1] < 0.5):
-        raise ValueError("q values must lie in [0, 0.5)")
     spec = _resolve_cluster(cluster)
     outcomes = _thresholds(channel_kind, spec, qs, tol, policy, mc_samples, seed, workers)
     return [

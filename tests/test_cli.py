@@ -396,13 +396,23 @@ def test_verify_basic_passes(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
+def test_verify_full_passes(capsys):
+    # every registered column is calibrated, so the full suite runs all of them
+    assert cli.main(["verify", "--suite", "full"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 11
+    assert all(line.startswith("PASS") for line in lines)
+
+
 def test_verify_catches_tampering(capsys, monkeypatch):
-    original = model.nishimori_coupling
+    # model.coupling is the one expression for K, behind nishimori_coupling
+    # and the solver's array rounds alike
+    original = model.coupling
 
-    def skewed(channel):
-        return model.NishimoriCoupling(original(channel).K * 1.001)
+    def skewed(kind, p):
+        return original(kind, p) * 1.001
 
-    monkeypatch.setattr(model, "nishimori_coupling", skewed)
+    monkeypatch.setattr(model, "coupling", skewed)
     assert cli.main(["verify"]) == cli.EXIT_VERIFY_FAILED
     out = capsys.readouterr().out
     assert "FAIL" in out

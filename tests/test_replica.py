@@ -388,6 +388,14 @@ def _count_draws(monkeypatch):
     return seen
 
 
+def _batch(kind: str, points: list[ChannelSpec], spec, *args, **kwargs) -> list[tuple]:
+    """gap_batch at the p and q of `points`: each point's (delta, std_error)."""
+    delta, std_error = gap_batch(
+        kind, [c.p for c in points], [c.q for c in points], spec, *args, **kwargs
+    )
+    return list(zip(delta.tolist(), std_error.tolist()))
+
+
 def _eight_chunk_case(monkeypatch):
     monkeypatch.setattr(replica, "_CHUNK_MAX", 4096)
     spec = builtin_cluster("D")
@@ -404,10 +412,11 @@ def test_one_draw_per_chunk_per_call(monkeypatch, workers):
     spec, points = _eight_chunk_case(monkeypatch)
     alone = [gap_monte_carlo(point, spec, 30_000, seed=9, workers=1) for point in points]
     seen = _count_draws(monkeypatch)
-    batched = gap_batch(points, spec, MONTE_CARLO, mc_samples=30_000, seed=9, workers=workers)
+    options = {"mc_samples": 30_000, "seed": 9, "workers": workers}
+    batched = _batch("depolarizing", points, spec, MONTE_CARLO, **options)
     assert seen["draws"] == 8
-    assert [(b.delta, b.std_error) for b in batched] == [(a.delta, a.std_error) for a in alone]
-    assert gap_batch([], spec, MONTE_CARLO, mc_samples=30_000, seed=9, workers=workers) == []
+    assert batched == [(a.delta, a.std_error) for a in alone]
+    assert _batch("depolarizing", [], spec, MONTE_CARLO, **options) == []
     assert seen["draws"] == 8
 
 
@@ -417,7 +426,7 @@ def test_shared_draws_stay_within_the_worker_count(monkeypatch, workers):
     # are freed before the next group is drawn
     spec, points = _eight_chunk_case(monkeypatch)
     seen = _count_draws(monkeypatch)
-    gap_batch(points, spec, MONTE_CARLO, mc_samples=30_000, seed=9, workers=workers)
+    _batch("depolarizing", points, spec, MONTE_CARLO, mc_samples=30_000, seed=9, workers=workers)
     assert seen["draws"] == 8
     assert 1 <= seen["most_alive"] <= workers
     assert seen["alive"] == 0
@@ -732,21 +741,22 @@ def test_batched_points_equal_points_alone(name):
     step = max(1, CONFIG_BLOCK // class_table(spec).classes.size)
     for size in (1, 2, 7, step + 2):
         points = _mixed_points(CHANNEL_OF[name], size, seed=size)
-        batched = gap_batch(points, spec, workers=2)
-        assert all(b.method == EXACT and b.terms == batched[0].terms for b in batched)
+        batched = _batch(CHANNEL_OF[name], points, spec, workers=2)
+        assert all(std_error == 0.0 for _, std_error in batched)
         # thousands of points cross the budget on single and C: check both
         # sides of the slice boundary and every 50th point
         checked = set(range(0, size, 50)) | {step - 1, step, size - 1}
         for k in sorted(k for k in checked if k < size):
-            assert batched[k].delta == gap(points[k], spec).delta, f"point {k} of {size}"
+            assert batched[k][0] == gap(points[k], spec).delta, f"point {k} of {size}"
 
 
 def test_monte_carlo_batch_matches_points_alone():
     spec = builtin_cluster("D")
     points = _mixed_points("depolarizing", 3, seed=5)
-    batched = gap_batch(points, spec, MONTE_CARLO, mc_samples=20_000, seed=2, workers=2)
+    batched = _batch("depolarizing", points, spec, MONTE_CARLO, mc_samples=20_000, seed=2,
+                     workers=2)
     alone = [gap_monte_carlo(point, spec, 20_000, seed=2, workers=1) for point in points]
-    assert [(b.delta, b.std_error) for b in batched] == [(a.delta, a.std_error) for a in alone]
+    assert batched == [(a.delta, a.std_error) for a in alone]
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128])
@@ -762,3 +772,57 @@ def test_seed_outside_philox_range_is_rejected(seed):
     with pytest.raises(ValueError, match="seed"):
         sweep("uncorrelated", spec, [0.0, 0.1], policy=MONTE_CARLO, mc_samples=2000, seed=seed)
     assert gap_monte_carlo(channel, spec, 2000, seed=2**128 - 1).method == MONTE_CARLO
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("kind", list(model.CHANNEL_KINDS))
+def test_round_arrays_are_the_model_values_bit_for_bit(kind):
+    # a round's K and probability rows replace nishimori_coupling and
+    # disorder_distribution per point, and must not move a single bit
+    top = model.MAX_ERROR_RATE[kind]
+    grid = [model.MIN_ERROR_RATE, BRACKET_LO, 0.01, 0.1, 0.1712, 0.3, top - BRACKET_MARGIN, top]
+    rng = np.random.default_rng(7)
+    points = [(p, q) for p in grid for q in (0.0, 0.45, 1.0)]
+    # numpy's log differs from math.log in the last bit on a few arguments in
+    # 10 000, so thousands of random points show a K taken from np.log
+    random_p, random_q = rng.uniform(1e-9, top, 20_000), rng.uniform(0.0, 1.0, 20_000)
+    points += list(zip(random_p.tolist(), random_q.tolist()))
+    p, q = zip(*points)
+    K, probs = replica._round_points(kind, p, q)
+    channels = [ChannelSpec(kind, a, b) for a, b in points]
+    assert _bits(K) == _bits([nishimori_coupling(c).K for c in channels])
+    assert _bits(probs) == _bits([disorder_distribution(c).probs for c in channels])
+
+
+@pytest.mark.parametrize(
+    "kind, p, q",
+    [
+        ("uncorrelated", math.nan, 0.1),
+        ("uncorrelated", 0.1, math.nan),
+        ("uncorrelated", -0.1, 0.1),
+        ("uncorrelated", 0.1, -0.1),
+        ("depolarizing", 1.1, 0.1),
+        ("depolarizing", 0.1, 1.1),
+        ("uncorrelated", 0.6, 0.1),
+        ("depolarizing", 0.8, 0.1),
+        ("uncorrelated", model.MIN_ERROR_RATE / 2, 0.1),
+        ("depolarizing", 0.0, 0.1),
+    ],
+)
+def test_round_rejects_a_point_with_the_model_text(kind, p, q):
+    with pytest.raises(DomainError) as expected:
+        nishimori_coupling(ChannelSpec(kind, p, q))
+    spec = builtin_cluster("single" if kind == "uncorrelated" else "C")
+    for policy in (EXACT, MONTE_CARLO):
+        with pytest.raises(DomainError) as got:
+            gap_batch(kind, [0.1, p, 0.2], [0.1, q, 0.2], spec, policy, mc_samples=1000)
+        assert str(got.value) == str(expected.value)
+
+
+def test_round_reports_range_errors_before_coupling_errors():
+    # as when every point's ChannelSpec was built before any coupling
+    with pytest.raises(DomainError, match=r"loss rate q=1.5 outside \[0, 1\]"):
+        gap_batch("uncorrelated", [0.7, 0.1], [0.1, 1.5], builtin_cluster("single"))

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from lossthreshold import cli, replica, solver
@@ -153,6 +153,21 @@ def test_sweep_validation():
         sweep("uncorrelated", "single", [0.0, 0.5])
 
 
+@pytest.mark.parametrize(
+    "qs", [[0.1, math.nan, 0.3], [math.nan], [0.1, 0.2, math.inf], [-math.inf, 0.1], [0.1, 0.5]]
+)
+def test_sweep_checks_every_q_before_any_search(monkeypatch, qs):
+    # a NaN inside the list passed the ascending and end checks, and was
+    # refused only by the first gap round
+    def fail(*args, **kwargs):
+        raise AssertionError("a gap was evaluated")
+
+    monkeypatch.setattr(replica, "gap_batch", fail)
+    monkeypatch.setattr(replica, "gap_closed_form_single", fail)
+    with pytest.raises(ValueError, match=r"\[0, 0.5\)"):
+        sweep("uncorrelated", "A", qs)
+
+
 def test_monte_carlo_solve():
     result = solve_threshold(
         "uncorrelated", "single", 0.0, tol=1e-4, policy="monte-carlo", mc_samples=20_000, seed=4
@@ -172,9 +187,9 @@ def _count_gap_calls(monkeypatch) -> list[float]:
     real_batch = replica.gap_batch
     calls = []
 
-    def counted(channels, *args, **kwargs):
-        calls.extend(channel.p for channel in channels)
-        return real_batch(channels, *args, **kwargs)
+    def counted(kind, p, *args, **kwargs):
+        calls.extend(p)
+        return real_batch(kind, p, *args, **kwargs)
 
     monkeypatch.setattr(replica, "gap_batch", counted)
     return calls
@@ -383,9 +398,9 @@ def test_lockstep_no_sign_change_at_one_q_leaves_the_others(monkeypatch):
     expected = sweep("depolarizing", "D", REFERENCE_Q)
     real_batch = replica.gap_batch
 
-    def positive_at_03(channels, *args, **kwargs):
-        values = real_batch(channels, *args, **kwargs)
-        return [replace(v, delta=1.0) if c.q == 0.3 else v for c, v in zip(channels, values)]
+    def positive_at_03(kind, p, q, *args, **kwargs):
+        delta, std_error = real_batch(kind, p, q, *args, **kwargs)
+        return np.where(np.asarray(q) == 0.3, 1.0, delta), std_error
 
     monkeypatch.setattr(replica, "gap_batch", positive_at_03)
     rows = sweep("depolarizing", "D", REFERENCE_Q)
