@@ -9,12 +9,15 @@ that with overall normalization 1/2 on two layers.
 The dual cluster factor x_0* is the same internal-spin sum as the primal one,
 on the same graph, but with every slot weight replaced by its dual components.
 Dual components can be negative, so the sum is accumulated in sign-magnitude
-log form and must come out strictly positive to have a logarithm.
+log form and must come out strictly positive to have a logarithm. It must
+also be larger than its rounding: where the terms cancel below double
+precision, rounding decides the sign, and the sum is refused.
 
 Both sums are evaluated from one table: for each (disorder state, parity
 cell) of a slot, the log of its edge factor, the log magnitude of its dual
-component, and whether that component is zero or negative. These four add up
-over the slots of a configuration. The exact class path reads the table
+component, and one flag column that counts a negative component as 1 and a
+zero one as a power of two above the slot count. These three add up over
+the slots of a configuration. The exact class path reads the table
 through its slot-count histograms (`replica`); sampled and single
 assignments go through `log_factor_batch`, which takes rows of disorder
 state indices (for Monte Carlo, the distinct rows of a chunk). Apart from
@@ -45,10 +48,24 @@ from .cluster import (
 )
 
 SQRT2 = math.sqrt(2.0)
+EPS = float(np.finfo(np.float64).eps)
+# a dual sum whose rounding bound (see log_factor_batch) exceeds this
+# fraction of its value is refused rather than logged
+ROUNDING_LIMIT = 1e-2
+# The row kernel's matrix product adds a row's slot terms in slot order
+# where its column lies in a whole block of 8 columns. OpenBLAS computes a
+# tail of fewer columns with other kernels, whose order differs (measured:
+# OpenBLAS 0.3.31 on AVX-512), so that a row's bits would depend on how many
+# rows share its batch. Rows are padded to blocks of 16 columns.
+ROW_GRAIN = 16
 
 
 class NonPositiveDual(ArithmeticError):
     """The dual cluster sum came out <= 0, so its log does not exist."""
+
+
+class UnsignedDual(NonPositiveDual):
+    """The dual cluster sum cancels below double precision, so rounding decides its sign."""
 
 
 def dual_edge_factor_single(x) -> tuple[float, float]:
@@ -104,38 +121,49 @@ def _slot_cells(P: np.ndarray, D: np.ndarray | None) -> np.ndarray:
     return cell if D is None else 2 * cell + (D < 0.0)
 
 
-def _log_weight_tables(layers: int, support, K) -> np.ndarray:
+def _flag_base(slots: int) -> int:
+    """The power of two above `slots` that scales the zero count in a flag column."""
+    return 1 << slots.bit_length()
+
+
+def _log_weight_tables(cluster: ClusterSpec, support, K) -> np.ndarray:
     """Per (disorder state, cell) terms that add up over the slots of a configuration.
 
-    Shape (4, states, cells, *K.shape): log primal weight, log |dual weight|,
-    1 where the dual weight is zero and 1 where it is negative, built from
-    the edge factors and their Hadamard duals, for one coupling K or an
-    array of them. A configuration's dual term vanishes when any of its
-    slots has a zero dual weight (whose log is stored as 0), and its sign is
-    the parity of its negative ones.
+    Shape (3, states, cells, *K.shape): log primal weight, log |dual weight|
+    and a flag, built from the edge factors and their Hadamard duals, for
+    one coupling K or an array of them. The flag is 1 where the dual weight
+    is negative and `_flag_base(slot count)` where it is zero, so that a
+    configuration's summed flag holds both its count of negative slots
+    (below the base) and whether any slot is zero (see `_dual_signs`). The
+    log of a zero dual weight is stored as 0.
     """
-    if layers == 1:
+    if cluster.layers == 1:
         factor, dual = edge_factor_single, dual_edge_factor_single
     else:
         factor, dual = edge_factor_twolayer, dual_edge_factor_twolayer
     primal = np.array([factor(d, K) for d in support], dtype=np.float64)
     dual_w = np.stack(dual(primal.swapaxes(0, 1)), axis=1)
-    tables = np.empty((4, *primal.shape))
+    zero = dual_w == 0.0
+    tables = np.empty((3, *primal.shape))
     tables[0] = np.log(primal)
-    tables[2] = dual_w == 0.0
-    tables[1] = np.log(np.abs(dual_w) + tables[2])
-    tables[3] = dual_w < 0.0
+    tables[1] = np.log(np.abs(dual_w) + zero)
+    tables[2] = (dual_w < 0.0) + _flag_base(cluster.slot_count) * zero
     return tables
 
 
-def _dual_terms(log_dual: np.ndarray, zeros: np.ndarray, negatives: np.ndarray):
-    """Log magnitude and sign of dual terms from their summed table entries.
+def _dual_signs(flag: np.ndarray, base: int) -> np.ndarray:
+    """The sign of each dual term, 0 where it has a zero weight, from its summed flag.
 
-    The summed counts are whole numbers, so the sign is read from the parity
-    of their int32 cast, which holds any count of slots.
+    A summed flag is (negative slots) + base * (zero slots), with base a
+    power of two above the slot count, so the term is zero when the flag
+    reaches base; otherwise its sign is the parity of the flag. The flags
+    are whole numbers, so one table lookup on their cast gives every sign.
     """
-    parity = negatives.astype(np.int32) & 1
-    return np.where(zeros > 0.0, -np.inf, log_dual), (1 - 2 * parity).astype(np.float64)
+    lookup = 1.0 - 2.0 * (np.arange(base + 1) & 1)
+    lookup[base] = 0.0
+    entry = flag.astype(np.intp)
+    np.minimum(entry, base, out=entry)
+    return lookup.take(entry)
 
 
 def log_factor_batch(
@@ -143,41 +171,75 @@ def log_factor_batch(
     support,
     idx: np.ndarray,
     K: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ln x_0, ln |x_0*|, sign of x_0*) for rows of per-slot disorder states.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(ln x_0, ln |x_0*|, sign of x_0*, rounding bound of x_0*) for rows of per-slot disorder states.
 
-    idx has shape (n, S) and indexes `support`, the disorder states. Rows
-    are one-hot encoded as column s*m + state, so one matrix product per
-    block of configurations against the per-slot table
-    W[s*m + a, (k, c)] = T[k, a, cell of slot s in configuration c]
-    gives all four summed terms of `_log_weight_tables`. The cost is per
-    row, so callers pass each distinct row once: Monte Carlo sends the
-    distinct rows of a chunk with their counts kept aside, and exact
-    averages count the same cells once per cluster (`replica.class_table`).
+    idx has shape (n, S) and indexes `support`, the disorder states; an
+    index outside [0, len(support)) raises ValueError. Rows are one-hot
+    encoded, configuration-major: column i of the (S*m, n) encoding has a 1
+    in row s*m + state for each slot s of row i, and empty columns pad it
+    to a multiple of ROW_GRAIN, so that a row has the same bits in a batch
+    of any size. One matrix product per
+    block of configurations with the per-slot table
+    W[(k, c), s*m + a] = T[k, a, cell of slot s in configuration c]
+    gives all three summed terms of `_log_weight_tables`, as (configurations,
+    n) blocks, so both log-sum-exps reduce over axis 0 of contiguous arrays
+    and sum each row's configurations in configuration order. A dual
+    term's sign, and 0 for a zero term, is applied by a multiply
+    (`_dual_signs`); configuration 0, where every slot's dual weight is at
+    its largest and never zero, sets the scale. The rounding bound is
+    configurations * eps * sum |terms| / |sum terms|, a bound on the
+    relative error of x_0*; where it nears 1, rounding decides the sign.
+    The cost is per row, so callers pass each distinct row once: Monte Carlo
+    sends the distinct rows of a chunk with their counts kept aside, and
+    exact averages count the same cells once per cluster
+    (`replica.class_table`).
     """
-    tables = _log_weight_tables(cluster.layers, support, K)
     n, S = idx.shape
     m = len(support)
-    onehot = np.zeros((n, S * m))
-    onehot[np.arange(n)[:, None], np.arange(S) * m + idx] = 1.0
-    # W holds 4m numbers per (configuration, slot); taking configurations in
+    if idx.size and not 0 <= idx.min() <= idx.max() < m:
+        raise ValueError(f"disorder state indices must lie in [0, {m}), got {idx.min()} to {idx.max()}")
+    tables = _log_weight_tables(cluster, support, K)
+    # empty columns pad the rows to a multiple of ROW_GRAIN, so that no row is in a tail
+    width = n + (-n % ROW_GRAIN)
+    onehot = np.zeros((S, m, width))
+    np.equal(np.ascontiguousarray(idx.T)[:, None, :], np.arange(m).astype(idx.dtype)[:, None], out=onehot[:, :, :n])
+    onehot = onehot.reshape(S * m, width)
+    base = _flag_base(S)
+    # W holds 3m numbers per (configuration, slot); taking configurations in
     # steps keeps it within CONFIG_BLOCK * S of them on large clusters
-    step = max(1, CONFIG_BLOCK // (4 * m))
-    primal, dual = SignedLogSum(n), SignedLogSum(n)
+    step = max(1, CONFIG_BLOCK // (3 * m))
+    primal, dual = SignedLogSum(width, axis=0), SignedLogSum(width, axis=0)
     for P, D in _iter_parity_blocks(cluster):
         cells = _slot_cells(P, D)
         for lo in range(0, len(cells), step):
-            W = tables[:, :, cells[lo : lo + step]].transpose(3, 1, 0, 2).reshape(S * m, -1)
-            log_p, log_d, zeros, negatives = np.split(onehot @ W, 4, axis=1)
+            W = tables[:, :, cells[lo : lo + step]].transpose(0, 2, 3, 1).reshape(-1, S * m)
+            log_p, log_d, flag = (W @ onehot).reshape(3, -1, width)
             primal.add(log_p)
-            dual.add(*_dual_terms(log_d, zeros, negatives))
-    return primal.result()[0], *dual.result()
+            dual.add(log_d, _dual_signs(flag, base))
+    logd, sign = dual.result()
+    rounding = cluster.config_count * EPS * dual.condition()
+    return primal.result()[0][:n], logd[:n], sign[:n], rounding[:n]
 
 
-def _require_positive_dual(cluster: ClusterSpec, bad: np.ndarray, states: np.ndarray, support, K: float):
-    """Raise NonPositiveDual naming the signs of the first row of `states` flagged in `bad`."""
-    if np.any(bad):
-        signs = [support[s].sign for s in states[int(np.argmax(bad))]]
+def _require_positive_dual(
+    cluster: ClusterSpec, bad: np.ndarray, states: np.ndarray, support, K: float, rounding=None
+):
+    """Raise NonPositiveDual naming the signs of the first row of `states` flagged in `bad`.
+
+    With `rounding` (the bounds of `log_factor_batch`), a row whose bound
+    exceeds ROUNDING_LIMIT is flagged too, and raises UnsignedDual.
+    """
+    unsigned = np.zeros_like(bad) if rounding is None else rounding > ROUNDING_LIMIT
+    flagged = bad | unsigned
+    if np.any(flagged):
+        i = int(np.argmax(flagged))
+        signs = [support[s].sign for s in states[i]]
+        if unsigned[i]:
+            raise UnsignedDual(
+                f"dual sum of cluster {cluster.name!r} cancels below double precision for "
+                f"signs {signs} at K={K}: its rounding bound is {rounding[i]:.3g} of its value"
+            )
         raise NonPositiveDual(
             f"dual sum of cluster {cluster.name!r} is not positive for signs {signs} at K={K}"
         )
@@ -193,7 +255,9 @@ def dual_cluster_partition(
     The assignment goes through `log_factor_batch` as one row whose support
     is the assignment itself. Raises NonPositiveDual when the signed sum is
     not strictly positive, which happens for some exotic geometries at
-    strong coupling; registered clusters stay positive over the whole
+    strong coupling, and its subclass UnsignedDual when the sum cancels so
+    far that rounding decides its sign (the bound of `log_factor_batch`
+    over ROUNDING_LIMIT); registered clusters stay positive over the whole
     supported range.
     """
     if len(disorder) != cluster.slot_count:
@@ -205,8 +269,8 @@ def dual_cluster_partition(
     if not math.isfinite(kval):
         raise NonFinite(f"dual cluster partition of {cluster.name!r} is not finite (K={kval})")
     states = np.arange(cluster.slot_count)[None, :]
-    _, logmag, sign = log_factor_batch(cluster, disorder, states, kval)
-    _require_positive_dual(cluster, sign <= 0, states, disorder, kval)
+    _, logmag, sign, rounding = log_factor_batch(cluster, disorder, states, kval)
+    _require_positive_dual(cluster, sign <= 0, states, disorder, kval, rounding)
     return ClusterFactor(float(logmag[0]))
 
 

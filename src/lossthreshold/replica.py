@@ -29,7 +29,9 @@ counts: the cost is per distinct row of a chunk.
 Both paths read the same per-(disorder state, parity cell) log-weight
 tables, built in `duality` from the edge factors and their Hadamard duals:
 exact evaluation multiplies them into the class table's histograms, and
-Monte Carlo passes the sampled state indices to `duality.log_factor_batch`.
+Monte Carlo passes the sampled state indices, as int8, to
+`duality.log_factor_batch`, which sums every row's configurations in
+configuration order and gives each row the same bits in any batch.
 
 `gap_batch` evaluates many (p, q) points on one cluster in one call, as a
 root finder's round does: it takes the channel kind and sequences of p and
@@ -65,7 +67,8 @@ from .cluster import (
     _iter_parity_blocks,
 )
 from .duality import (
-    _dual_terms,
+    _dual_signs,
+    _flag_base,
     _log_weight_tables,
     _require_positive_dual,
     _slot_cells,
@@ -230,9 +233,10 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _distinct_rows(idx: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of base-m state indices and how often each occurs.
 
-    A row's digits are packed into as many int64 words as its length needs,
-    the last word the most significant, and the words are folded into one
-    int64 key per row: key = rank(key) * n + rank(word), last word first,
+    A row's digits (of any integer dtype; Monte Carlo states are int8) are
+    cast and packed into as many int64 words as its length needs, the last
+    word the most significant, and the words are folded into one int64 key
+    per row: key = rank(key) * n + rank(word), last word first,
     with dense ranks below n, so that ascending keys order the rows as a
     lexsort of their words would. One argsort of the keys brings equal rows
     together, so the order of the distinct rows depends only on `idx`.
@@ -240,7 +244,7 @@ def _distinct_rows(idx: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     n, S = idx.shape
     digits = math.floor(63 / math.log2(m))
     place = m ** np.arange(digits, dtype=np.int64)
-    words = [idx[:, lo : lo + digits] @ place[: S - lo] for lo in range(0, S, digits)]
+    words = [idx[:, lo : lo + digits].astype(np.int64) @ place[: S - lo] for lo in range(0, S, digits)]
     key = words[-1]
     for word in reversed(words[:-1]):
         key_rank, word_rank = (np.unique(a, return_inverse=True)[1] for a in (key, word))
@@ -313,11 +317,11 @@ def _exact_gaps(
     configurations (or states) are element-wise passes over whole arrays.
     """
     n = len(K)
-    # (points, states * cells, 4): a point's four terms per (state, cell), one column each
-    tables = np.ascontiguousarray(_log_weight_tables(cluster.layers, support, K).reshape(4, -1, n).T)
+    # (points, states * cells, 3): a point's three terms per (state, cell), one column each
+    tables = np.ascontiguousarray(_log_weight_tables(cluster, support, K).reshape(3, -1, n).T)
     H = table.histograms.astype(np.float64)
-    log_p, log_d, zeros, negatives = np.stack([(H @ t).T for t in tables], axis=1)
-    log_d, sign_d = _dual_terms(log_d, zeros, negatives)
+    log_p, log_d, flag = np.stack([(H @ t).T for t in tables], axis=1)
+    sign_d = _dual_signs(flag, _flag_base(cluster.slot_count))
 
     configs = np.ascontiguousarray(table.classes.T)
     primal_sum, dual_sum = SignedLogSum((n, configs.shape[1])), SignedLogSum((n, configs.shape[1]))
@@ -365,9 +369,11 @@ def _sampled_chunks(K: float, probs: np.ndarray, support, cluster: ClusterSpec):
 
     The uniforms are those of `_chunk_uniforms`, drawn once per chunk and
     call of `gap_batch` and shared by all the call's points. A row's state
-    is the number of cumulative probabilities at or below its uniform. Only
-    the chunk's distinct rows go through `log_factor_batch`, and every one
-    is checked for a positive dual sum, so every sampled one is. It returns
+    is the number of cumulative probabilities at or below its uniform,
+    summed as int8 from the comparisons' bytes. Only the chunk's distinct
+    rows go through `log_factor_batch`, and every one is checked for a
+    positive dual sum larger than its rounding (NonPositiveDual and
+    UnsignedDual), so every sampled one is. It returns
     the count-weighted sum of Delta and of its squared deviations about the
     chunk mean.
     """
@@ -376,9 +382,12 @@ def _sampled_chunks(K: float, probs: np.ndarray, support, cluster: ClusterSpec):
 
     def chunk_stats(u: np.ndarray) -> tuple[float, float]:
         # u < 1 = cum[-1], so the last cumulative probability never counts
-        rows, count = _distinct_rows(sum(u >= c for c in cum[:-1]), len(cum))
-        logp, logd, sign = log_factor_batch(cluster, support, rows, K)
-        _require_positive_dual(cluster, sign <= 0, rows, support, K)
+        states = (u >= cum[0]).view(np.int8)
+        for c in cum[1:-1]:
+            states += (u >= c).view(np.int8)
+        rows, count = _distinct_rows(states, len(cum))
+        logp, logd, sign, rounding = log_factor_batch(cluster, support, rows, K)
+        _require_positive_dual(cluster, sign <= 0, rows, support, K, rounding)
         delta = logp - logd
         total = float((count * delta).sum())
         return total, float((count * (delta - total / len(u)) ** 2).sum())

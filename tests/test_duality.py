@@ -7,10 +7,21 @@ import math
 import numpy as np
 import pytest
 
-from lossthreshold.cluster import NonFinite, ShapeMismatch, builtin_cluster, cluster_partition
+from lossthreshold import model, replica
+from lossthreshold.cluster import (
+    ClusterSpec,
+    NonFinite,
+    ShapeMismatch,
+    Slot,
+    Vertex,
+    builtin_cluster,
+    cluster_partition,
+)
 from lossthreshold.duality import (
+    ROUNDING_LIMIT,
     NonPositiveDual,
-    _dual_terms,
+    UnsignedDual,
+    _dual_signs,
     dual_cluster_partition,
     dual_edge_factor_single,
     dual_edge_factor_twolayer,
@@ -19,7 +30,7 @@ from lossthreshold.duality import (
     log_factor_batch,
     pure_self_dual_point,
 )
-from lossthreshold.model import ChannelSpec, EdgeDisorder, disorder_distribution
+from lossthreshold.model import ChannelSpec, EdgeDisorder, disorder_distribution, nishimori_coupling
 
 SQRT2 = math.sqrt(2.0)
 
@@ -154,7 +165,7 @@ def test_batch_matches_scalar_dual(name, states):
     kind = "uncorrelated" if spec.layers == 1 else "depolarizing"
     support = disorder_distribution(ChannelSpec(kind, 0.1, 0.1)).support
     idx = np.array([[support.index(d) for d in row] for row in rows])
-    _, logmag, sign = log_factor_batch(spec, support, idx, K)
+    _, logmag, sign, _ = log_factor_batch(spec, support, idx, K)
     for i, row in enumerate(rows):
         scalar = dual_cluster_partition(spec, row, K)
         assert sign[i] == 1
@@ -163,12 +174,73 @@ def test_batch_matches_scalar_dual(name, states):
 
 def test_dual_term_sign_is_the_parity_of_negative_slots():
     # a cast that saturates, or one through a narrower float, gets some of
-    # these counts wrong; only the parity of the count may decide the sign
+    # these counts wrong; only the parity of the count may decide the sign,
+    # and a flag at or past the base (a zero slot) gives 0 whatever its parity
+    base = 1 << 21
     negatives = np.array([0, 1, 127, 128, 255, 256, 257, 2**20 + 1], dtype=np.float64)
     zeros = np.zeros_like(negatives)
     zeros[3] = 2.0
-    log_dual = np.linspace(-1.0, 1.0, len(negatives))
-    logmag, sign = _dual_terms(log_dual, zeros, negatives)
-    assert sign.tolist() == [1.0, -1.0, -1.0, 1.0, -1.0, 1.0, -1.0, -1.0]
-    assert logmag[3] == -np.inf
-    assert np.array_equal(np.delete(logmag, 3), np.delete(log_dual, 3))
+    zeros[6] = 1.0
+    sign = _dual_signs(negatives + base * zeros, base)
+    assert sign.tolist() == [1.0, -1.0, -1.0, 0.0, -1.0, 1.0, 0.0, -1.0]
+
+
+def _cancelling_cluster() -> ClusterSpec:
+    """Three internal spins on six slots whose all -1 row cancels below double precision at p = 1e-6."""
+    vertices = tuple(Vertex(f"pi{k}", "internal") for k in range(3)) + tuple(
+        Vertex(f"pb{k}", "boundary") for k in range(3)
+    )
+    edges = ("pb0-pi1", "pb1-pb0", "pb1-pi2", "pb0-pb2", "pi2-pi0", "pb1-pb2")
+    return ClusterSpec("cancelling", 1, vertices, tuple(Slot(tuple(e.split("-"))) for e in edges))
+
+
+def test_dual_sum_that_rounding_cannot_sign_is_refused():
+    # every term is about e^39 and the true ln x_0* is 3 ln(1 + e^(-2K)) =
+    # 3.0e-6; the signed sum keeps no digit of it (the kernel logs 7.5), and
+    # its rounding bound says so
+    spec = _cancelling_cluster()
+    K = nishimori_coupling(ChannelSpec("uncorrelated", 1e-6, 0.0)).K
+    disorder = (EdgeDisorder(-1),) * 6
+    _, logmag, sign, rounding = log_factor_batch(spec, disorder, np.arange(6)[None, :], K)
+    assert abs(logmag[0] - 3.0 * math.log1p(math.exp(-2.0 * K))) > 1.0
+    assert 0.5 < rounding[0] < 2.0
+    with pytest.raises(UnsignedDual, match=r"cancels below double precision for signs \[-1, -1, -1, -1, -1, -1\]"):
+        dual_cluster_partition(spec, disorder, K)
+    assert issubclass(UnsignedDual, NonPositiveDual)
+
+
+def test_rounding_bound_accepts_a_frustrated_star_at_strong_coupling():
+    # the frustrated star of test_non_positive_dual_from_cancellation keeps
+    # about 11 digits at K = 12, far inside the limit
+    frustrated = tuple(EdgeDisorder(s) for s in (-1, 1, 1, 1))
+    *_, rounding = log_factor_batch(builtin_cluster("A"), frustrated, np.arange(4)[None, :], 12.0)
+    assert 1e-6 < rounding[0] < 1e-5 < ROUNDING_LIMIT
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_state_indices_outside_the_support_are_refused(dtype, bad):
+    # an index one past either end at an inner slot would read a
+    # neighbouring slot's column of a flat one-hot, or drop out of it
+    support = disorder_distribution(ChannelSpec("uncorrelated", 0.1, 0.1)).support
+    idx = np.zeros((4, 4), dtype=dtype)
+    idx[2, 2] = bad
+    with pytest.raises(ValueError, match=r"\[0, 3\)"):
+        log_factor_batch(builtin_cluster("A"), support, idx, 0.7)
+    idx[2, 2] = 2
+    log_factor_batch(builtin_cluster("A"), support, idx, 0.7)
+
+
+def test_sampled_rows_that_rounding_cannot_sign_are_refused():
+    # a Monte Carlo chunk checks every distinct row's bound, so a sampled gap
+    # refuses the cancelling row instead of averaging its noise
+    spec = _cancelling_cluster()
+    K, probs = replica._round_points("uncorrelated", [1e-6], [0.0])
+    chunk = replica._sampled_chunks(float(K[0]), probs[0], model.SUPPORT["uncorrelated"], spec)
+    # between the first two cumulative probabilities: state 1, sign -1, on every slot
+    u = np.full((64, 6), 1.0 - 0.5e-6)
+    with pytest.raises(UnsignedDual):
+        chunk(u)
+    u[:] = 0.5
+    total, _ = chunk(u)
+    assert math.isfinite(total)

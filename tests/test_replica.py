@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from lossthreshold import model, replica
+from lossthreshold import duality, model, replica
 from lossthreshold.cluster import (
     CONFIG_BLOCK,
     ClusterSpec,
@@ -253,7 +253,7 @@ def _per_sample_monte_carlo(channel: ChannelSpec, spec: ClusterSpec, samples: in
         bitgen.advance(lo * S)
         u = np.random.Generator(bitgen).random((hi - lo, S))
         idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
-        logp, logd, sign = log_factor_batch(spec, dist.support, idx, K)
+        logp, logd, sign, _ = log_factor_batch(spec, dist.support, idx, K)
         assert np.all(sign > 0)
         deltas.extend((logp - logd).tolist())
     assert len(deltas) == samples
@@ -360,6 +360,22 @@ def test_distinct_rows_come_in_lexsort_order(m, S, words):
     assert len(expected_rows) > 100
     assert np.array_equal(rows, expected_rows)
     assert np.array_equal(count, expected_count)
+
+
+@pytest.mark.parametrize("m, S, words", [(3, 12, 1), (3, 60, 2), (3, 80, 3), (5, 30, 2)])
+def test_int8_states_give_the_int64_distinct_rows(m, S, words):
+    # Monte Carlo states are int8; their distinct rows, counts and order must
+    # be those of the same states as int64
+    assert -(-S // math.floor(63 / math.log2(m))) == words
+    rng = np.random.default_rng(7 * m + S)
+    base = rng.integers(0, m, size=(5, S))
+    idx = base[rng.integers(0, 5, size=4000)]
+    idx[np.arange(4000), rng.integers(0, S, size=4000)] = rng.integers(0, m, size=4000)
+    rows, count = replica._distinct_rows(idx, m)
+    narrow_rows, narrow_count = replica._distinct_rows(idx.astype(np.int8), m)
+    assert narrow_rows.dtype == np.int8
+    assert np.array_equal(narrow_rows, rows)
+    assert np.array_equal(narrow_count, count)
 
 
 def _count_draws(monkeypatch):
@@ -530,7 +546,7 @@ def _per_row_gaps(spec: ClusterSpec, kind: str, p: float, qs) -> list[float]:
     deltas, counts = [], []
     for codes in np.array_split(np.arange(m**S), max(1, m**S // 2**15)):
         idx = (codes[:, None] // m ** np.arange(S)[None, :]) % m
-        logp, logd, sign = log_factor_batch(spec, support, idx, K)
+        logp, logd, sign, _ = log_factor_batch(spec, support, idx, K)
         assert np.all(sign > 0)
         deltas.append(logp - logd)
         counts.append(np.stack([(idx == s).sum(axis=1) for s in range(m)], axis=1))
@@ -605,7 +621,7 @@ def test_row_kernel_matches_independent_references(spec):
     upper = (0.5 if spec.layers == 1 else 0.75) - BRACKET_MARGIN
     for p in (0.01, 0.1, upper):
         K = nishimori_coupling(ChannelSpec(kind, p, 0.0)).K
-        logp, logd, sign = log_factor_batch(spec, support, idx, K)
+        logp, logd, sign, _ = log_factor_batch(spec, support, idx, K)
         direct = log_partition_batch(spec, signs[idx], duals[idx] if spec.layers == 2 else None, K)
         assert np.max(np.abs(logp - direct)) <= 1e-11
         for row, got_log, got_sign in zip(idx, logd, sign):
@@ -613,6 +629,60 @@ def test_row_kernel_matches_independent_references(spec):
             assert got_sign == np.sign(zd), f"p={p}, row {row.tolist()}"
             if zd != 0.0:
                 assert abs(got_log - math.log(abs(zd))) <= 1e-11, f"p={p}, row {row.tolist()}"
+
+
+@pytest.mark.parametrize("step", [1, 3])
+@pytest.mark.parametrize("name", ["B", "D", "E"])
+def test_row_kernel_across_configuration_blocks(monkeypatch, name, step):
+    # CONFIG_BLOCK = 3m * step gives blocks of `step` configurations (B has
+    # 16, D 8 and E 4), so every sum streams through the rescale; the blocked
+    # kernel must meet the direct-energy primal and the plain-loop dual, and
+    # the one-block kernel
+    spec = builtin_cluster(name)
+    kind = _channel_kind(spec)
+    support = disorder_distribution(ChannelSpec(kind, 0.1, 0.0)).support
+    m = len(support)
+    idx = np.random.default_rng(12).integers(0, m, size=(300, spec.slot_count))
+    signs = np.array([d.sign for d in support], dtype=np.float64)
+    duals = np.array([d.dual_sign or 0 for d in support], dtype=np.float64)
+    upper = (0.5 if spec.layers == 1 else 0.75) - BRACKET_MARGIN
+    for p in (0.01, 0.1, upper):
+        K = nishimori_coupling(ChannelSpec(kind, p, 0.0)).K
+        one = log_factor_batch(spec, support, idx, K)
+        with monkeypatch.context() as patch:
+            patch.setattr(duality, "CONFIG_BLOCK", 3 * m * step)
+            logp, logd, sign, rounding = log_factor_batch(spec, support, idx, K)
+        assert np.max(np.abs(logp - one[0])) <= 1e-12
+        assert np.max(np.abs(logd - one[1])) <= 1e-12
+        assert np.array_equal(sign, one[2])
+        np.testing.assert_allclose(rounding, one[3], rtol=1e-6, atol=0.0)
+        direct = log_partition_batch(spec, signs[idx], duals[idx] if spec.layers == 2 else None, K)
+        assert np.max(np.abs(logp - direct)) <= 1e-11
+        for row, got_log, got_sign in zip(idx, logd, sign):
+            _, zd = _brute_force_row(spec, [support[s] for s in row], K)
+            assert got_sign == np.sign(zd), f"p={p}, row {row.tolist()}"
+            assert abs(got_log - math.log(abs(zd))) <= 1e-11, f"p={p}, row {row.tolist()}"
+
+
+@pytest.mark.parametrize("name", ["B", "E"])
+def test_row_bits_depend_on_neither_dtype_nor_batch(name):
+    # Monte Carlo sends int8 distinct rows, the per-sample reference int64
+    # rows in other batches; a row's four outputs must have the same bits
+    # either way, in a batch of one, in a tail shorter than ROW_GRAIN or in a
+    # batch of hundreds
+    spec = builtin_cluster(name)
+    kind = _channel_kind(spec)
+    support = disorder_distribution(ChannelSpec(kind, 0.1, 0.0)).support
+    idx = np.random.default_rng(13).integers(0, len(support), size=(300, spec.slot_count))
+    K = nishimori_coupling(ChannelSpec(kind, 0.02, 0.0)).K
+    whole = log_factor_batch(spec, support, idx, K)
+    narrow = log_factor_batch(spec, support, idx.astype(np.int8), K)
+    for a, b in zip(whole, narrow):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    for lo, size in ((0, 1), (5, 2), (9, 7), (20, 15), (40, 16), (60, 17), (100, 123)):
+        part = log_factor_batch(spec, support, idx[lo : lo + size].astype(np.int8), K)
+        for a, b in zip(whole, part):
+            assert np.array_equal(a[lo : lo + size], b), f"rows {lo}..{lo + size}"
 
 
 def _relabeled(spec: ClusterSpec, rng: np.random.Generator, what: str):
@@ -672,11 +742,11 @@ def test_gauge_flip_invariance_of_primal_rows(spec):
     idx = _all_rows(m, S) if m**S <= 10**4 else np.random.default_rng(6).integers(0, m, (2000, S))
     for p in (0.01, 0.1, 0.3):
         K = nishimori_coupling(ChannelSpec("uncorrelated", p, 0.0)).K
-        base, _, _ = log_factor_batch(spec, support, idx, K)
+        base, _, _, _ = log_factor_batch(spec, support, idx, K)
         for vid in spec.internal_ids:
             incident = np.array([vid in slot.primal_edge for slot in spec.slots])
             flipped = np.where(incident, flip[idx], idx)
-            logp, _, _ = log_factor_batch(spec, support, flipped, K)
+            logp, _, _, _ = log_factor_batch(spec, support, flipped, K)
             assert np.max(np.abs(logp - base)) <= 1e-12, f"{vid} at p={p}"
 
 
