@@ -11,15 +11,10 @@ from .model import (
     DEPOLARIZING,
     UNCORRELATED,
     ChannelSpec,
-    DisorderDistribution,
     DomainError,
     EdgeDisorder,
-    NishimoriCoupling,
-    disorder_distribution,
-    nishimori_coupling,
 )
 from .cluster import (
-    ClusterFactor,
     ClusterFileError,
     ClusterSpec,
     NonFinite,
@@ -50,7 +45,6 @@ from .replica import (
     TooManyTerms,
     gap,
     gap_closed_form_single,
-    gap_monte_carlo,
 )
 from .solver import (
     NoSignChange,

@@ -253,7 +253,7 @@ def _check_parallel_determinism() -> tuple[bool, str]:
     channel = model.ChannelSpec("uncorrelated", 0.09, 0.1)
     star = clusters.builtin_cluster("A")
     mc = [
-        replica.gap_monte_carlo(channel, star, 100_000, seed=7, workers=w).delta
+        replica.gap(channel, star, replica.MONTE_CARLO, mc_samples=100_000, seed=7, workers=w)
         for w in (1, 2)
     ]
     # exact rounds (A, E) run on the calling thread; only B's sampled
@@ -268,7 +268,7 @@ def _check_parallel_determinism() -> tuple[bool, str]:
             for rows in (solver.sweep(kind, name, qs, workers=w, **options) for w in (1, 2))
         }
         identical = identical and len(runs) == 1
-    ok = spread <= 1e-12 and identical and mc[0] == mc[1]
+    ok = spread <= 1e-12 and identical and mc[0].delta == mc[1].delta
     return ok, f"sweep spread {spread:.1e}, formatted outputs identical: {identical}"
 
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import EdgeDisorder, NishimoriCoupling
+from .model import EdgeDisorder
 
 ROLES = ("internal", "boundary")
 LAYERS = ("primal", "dual")
@@ -128,17 +128,6 @@ class ClusterSpec:
     @property
     def config_count(self) -> int:
         return 1 << len(self.internal_ids)
-
-
-@dataclass(frozen=True)
-class ClusterFactor:
-    """Natural log of a cluster Boltzmann factor; the underlying sum is always positive."""
-
-    log_value: float
-
-
-def _coupling(K: NishimoriCoupling | float) -> float:
-    return K.K if isinstance(K, NishimoriCoupling) else float(K)
 
 
 @lru_cache(maxsize=64)
@@ -278,11 +267,7 @@ def log_partition_batch(
     return logmag
 
 
-def cluster_partition(
-    cluster: ClusterSpec,
-    disorder: DisorderAssignment,
-    K: NishimoriCoupling | float,
-) -> ClusterFactor:
+def cluster_partition(cluster: ClusterSpec, disorder: DisorderAssignment, K: float) -> float:
     """Principal Boltzmann factor ln x_0 of the cluster under one disorder assignment.
 
     Raises ShapeMismatch when the assignment does not fit the cluster and
@@ -295,22 +280,16 @@ def cluster_partition(
     tau, tau_star = signs_array(disorder, cluster.layers)
     value = float(
         log_partition_batch(
-            cluster,
-            tau[None, :],
-            None if tau_star is None else tau_star[None, :],
-            _coupling(K),
+            cluster, tau[None, :], None if tau_star is None else tau_star[None, :], K
         )[0]
     )
     if not np.isfinite(value):
-        raise NonFinite(f"cluster partition of {cluster.name!r} is not finite (K={_coupling(K)})")
-    return ClusterFactor(value)
+        raise NonFinite(f"cluster partition of {cluster.name!r} is not finite (K={K})")
+    return value
 
 
 def gauge_orbit_check(
-    cluster: ClusterSpec,
-    disorder: DisorderAssignment,
-    K: NishimoriCoupling | float,
-    tol: float = 1e-12,
+    cluster: ClusterSpec, disorder: DisorderAssignment, K: float, tol: float = 1e-12
 ) -> bool:
     """True iff ln x_0 is invariant under gauge flips at every internal vertex.
 
@@ -321,7 +300,7 @@ def gauge_orbit_check(
     """
     if cluster.layers != 1:
         raise ShapeMismatch("gauge check applies to single-layer clusters")
-    base = cluster_partition(cluster, disorder, K).log_value
+    base = cluster_partition(cluster, disorder, K)
     for vid in cluster.internal_ids:
         flipped = []
         for slot, d in zip(cluster.slots, disorder):
@@ -329,8 +308,7 @@ def gauge_orbit_check(
                 flipped.append(EdgeDisorder(-d.sign))
             else:
                 flipped.append(d)
-        other = cluster_partition(cluster, tuple(flipped), K).log_value
-        if abs(other - base) > tol:
+        if abs(cluster_partition(cluster, tuple(flipped), K) - base) > tol:
             return False
     return True
 
@@ -458,6 +436,13 @@ def cluster_to_dict(cluster: ClusterSpec) -> dict:
     }
 
 
+def _edge(value) -> tuple[str, ...]:
+    """An edge of a cluster description: a JSON list of vertex ids, never a string."""
+    if not isinstance(value, list):
+        raise ClusterFileError(f"edge {value!r} must be a list of two vertex ids")
+    return tuple(str(x) for x in value)
+
+
 def cluster_from_dict(data: dict) -> ClusterSpec:
     """Build a ClusterSpec from its schema dict, validating everything."""
     if not isinstance(data, dict):
@@ -472,10 +457,12 @@ def cluster_from_dict(data: dict) -> ClusterSpec:
         )
         slots = []
         for s in data["slots"]:
-            pe = tuple(str(x) for x in s["primal_edge"])
             de = s.get("dual_edge")
-            slots.append(Slot(pe, None if de is None else tuple(str(x) for x in de)))
-        return ClusterSpec(str(data["name"]), int(data["layers"]), vertices, tuple(slots))
+            slots.append(Slot(_edge(s["primal_edge"]), None if de is None else _edge(de)))
+        layers = data["layers"]
+        if not isinstance(layers, int) or isinstance(layers, bool):
+            raise ClusterFileError(f"layers must be an integer, got {layers!r}")
+        return ClusterSpec(str(data["name"]), layers, vertices, tuple(slots))
     except ClusterFileError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

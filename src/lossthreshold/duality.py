@@ -29,20 +29,17 @@ primal sum as a reference.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
-from .model import EdgeDisorder, NishimoriCoupling
+from .model import EdgeDisorder
 from .cluster import (
     CONFIG_BLOCK,
-    ClusterFactor,
     ClusterSpec,
     DisorderAssignment,
     NonFinite,
     ShapeMismatch,
     SignedLogSum,
-    _coupling,
     _iter_parity_blocks,
     signs_array,
 )
@@ -245,11 +242,7 @@ def _require_positive_dual(
         )
 
 
-def dual_cluster_partition(
-    cluster: ClusterSpec,
-    disorder: DisorderAssignment,
-    K: NishimoriCoupling | float,
-) -> ClusterFactor:
+def dual_cluster_partition(cluster: ClusterSpec, disorder: DisorderAssignment, K: float) -> float:
     """ln x_0* of the cluster: same spin sum as the primal factor, dual slot weights.
 
     The assignment goes through `log_factor_batch` as one row whose support
@@ -265,29 +258,19 @@ def dual_cluster_partition(
             f"cluster {cluster.name!r} has {cluster.slot_count} slots, got {len(disorder)} disorder entries"
         )
     signs_array(disorder, cluster.layers)  # raises ShapeMismatch on the wrong layer count
-    kval = _coupling(K)
-    if not math.isfinite(kval):
-        raise NonFinite(f"dual cluster partition of {cluster.name!r} is not finite (K={kval})")
+    if not math.isfinite(K):
+        raise NonFinite(f"dual cluster partition of {cluster.name!r} is not finite (K={K})")
     states = np.arange(cluster.slot_count)[None, :]
-    _, logmag, sign, rounding = log_factor_batch(cluster, disorder, states, kval)
-    _require_positive_dual(cluster, sign <= 0, states, disorder, kval, rounding)
-    return ClusterFactor(float(logmag[0]))
+    _, logmag, sign, rounding = log_factor_batch(cluster, disorder, states, K)
+    _require_positive_dual(cluster, sign <= 0, states, disorder, K, rounding)
+    return float(logmag[0])
 
 
-@lru_cache(maxsize=1)
 def pure_self_dual_point() -> float:
-    """Coupling K_c with exp(-2 K_c) = tanh K_c, by bisection to 1e-12.
+    """Coupling K_c with exp(-2 K_c) = tanh K_c: the clean-system self-dual point.
 
-    This is the clean-system self-dual point, K_c = ln(1 + sqrt2)/2; it anchors
-    the numerics because the threshold condition must degenerate to it when
-    disorder is switched off.
+    Its closed form is K_c = ln(1 + sqrt2)/2; it anchors the numerics
+    because the threshold condition must degenerate to it when disorder is
+    switched off.
     """
-    f = lambda k: math.exp(-2.0 * k) - math.tanh(k)
-    lo, hi = 0.1, 1.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * math.log1p(SQRT2)

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 UNCORRELATED = "uncorrelated"
 DEPOLARIZING = "depolarizing"
 CHANNEL_KINDS = (UNCORRELATED, DEPOLARIZING)
@@ -41,10 +43,8 @@ class ChannelSpec:
 
     def __post_init__(self):
         check_kind(self.kind)
-        if not 0.0 <= self.p <= 1.0:
-            raise DomainError(f"error rate p={self.p} outside [0, 1]")
-        if not 0.0 <= self.q <= 1.0:
-            raise DomainError(f"loss rate q={self.q} outside [0, 1]")
+        check_rate("error rate p", self.p)
+        check_rate("loss rate q", self.q)
 
     @property
     def layers(self) -> int:
@@ -58,20 +58,36 @@ def check_kind(kind: str) -> None:
         raise DomainError(f"unknown channel kind {kind!r}; expected one of {CHANNEL_KINDS}")
 
 
+def check_rate(name: str, value: float) -> None:
+    """Raise DomainError for a rate outside [0, 1]; `name` is "error rate p" or "loss rate q"."""
+    if not 0.0 <= value <= 1.0:
+        raise DomainError(f"{name}={value} outside [0, 1]")
+
+
+def check_points(kind: str, p: np.ndarray, q: np.ndarray) -> None:
+    """Raise DomainError for the first point (p[i], q[i]) that a gap cannot take.
+
+    Ranges come first: if any point has a rate outside [0, 1], the first
+    such point raises the error `ChannelSpec` raises for it. Only then is p
+    checked against the coupling's domain [MIN_ERROR_RATE,
+    MAX_ERROR_RATE[kind]], where K is finite and nonnegative.
+    """
+    check_kind(kind)
+    in_range = (p >= 0.0) & (p <= 1.0) & (q >= 0.0) & (q <= 1.0)
+    if not in_range.all():
+        i = int(np.argmin(in_range))
+        check_rate("error rate p", float(p[i]))
+        check_rate("loss rate q", float(q[i]))
+    top = MAX_ERROR_RATE[kind]
+    in_domain = (p >= MIN_ERROR_RATE) & (p <= top)
+    if not in_domain.all():
+        bad = float(p[np.argmin(in_domain)])
+        raise DomainError(f"{kind} channel needs {MIN_ERROR_RATE} <= p <= {top}, got {bad}")
+
+
 def channel_layers(kind: str) -> int:
     """Coupled Ising layers of a channel kind: 1 uncorrelated, 2 depolarizing."""
     return 1 if kind == UNCORRELATED else 2
-
-
-@dataclass(frozen=True)
-class NishimoriCoupling:
-    """Dimensionless coupling K tied to the error rate by the optimal-inference condition."""
-
-    K: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.K) or self.K < 0.0:
-            raise DomainError(f"coupling K={self.K} must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -105,51 +121,16 @@ class EdgeDisorder:
         return self.sign == 0
 
 
-@dataclass(frozen=True)
-class DisorderDistribution:
-    """Discrete distribution over EdgeDisorder states for one edge."""
-
-    support: tuple[EdgeDisorder, ...]
-    probs: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.support) != len(self.probs):
-            raise DomainError("support and probs must have the same length")
-        if len(set(self.support)) != len(self.support):
-            raise DomainError("support entries must be distinct")
-        if any(w < 0.0 for w in self.probs):
-            raise DomainError("probabilities must be nonnegative")
-        if abs(math.fsum(self.probs) - 1.0) > 1e-15:
-            raise DomainError(f"probabilities sum to {math.fsum(self.probs)!r}, not 1")
-
-    @property
-    def layers(self) -> int:
-        return self.support[0].layers
-
-
 def coupling(kind: str, p: float) -> float:
-    """K on the Nishimori line for an error rate p already checked to be in range.
+    """K on the Nishimori line for an error rate p that `check_points` accepts.
 
-    The one scalar expression behind `nishimori_coupling` and the array
-    rounds of `replica.gap_batch`, so both give the same bits.
+    Uncorrelated: K = ln((1-p)/p) / 2; depolarizing: K = ln(3(1-p)/p) / 4.
+    `replica.gap_batch` takes each point's K from this one scalar
+    expression, so a round's couplings have the bits of single calls.
     """
     if kind == UNCORRELATED:
         return 0.5 * math.log((1.0 - p) / p)
     return 0.25 * math.log(3.0 * (1.0 - p) / p)
-
-
-def nishimori_coupling(channel: ChannelSpec) -> NishimoriCoupling:
-    """Coupling strength on the optimal-inference (Nishimori) line.
-
-    Uncorrelated: K = ln((1-p)/p) / 2; depolarizing: K = ln(3(1-p)/p) / 4.
-    Raises DomainError when p is outside [MIN_ERROR_RATE, 1/2] (uncorrelated)
-    or [MIN_ERROR_RATE, 3/4] (depolarizing), where K would diverge or go
-    negative.
-    """
-    p, top = channel.p, MAX_ERROR_RATE[channel.kind]
-    if not MIN_ERROR_RATE <= p <= top:
-        raise DomainError(f"{channel.kind} channel needs {MIN_ERROR_RATE} <= p <= {top}, got {p}")
-    return NishimoriCoupling(coupling(channel.kind, p))
 
 
 # the disorder states of one edge under each kind, in `disorder_probs` order
@@ -168,23 +149,14 @@ SUPPORT = {
 def disorder_probs(kind: str, p, q) -> tuple:
     """Probability of each state of `SUPPORT[kind]`, for floats or arrays.
 
-    Element-wise products of p and q, so an array entry has the bits of the
-    same expression on floats.
+    Uncorrelated: +1 with (1-q)(1-p), -1 with (1-q)p, diluted with q.
+    Depolarizing: (+1,+1) with (1-q)(1-p), each of the three flipped pairs
+    with (1-q)p/3, and the doubly diluted pair with q. The diluted entry is
+    there with weight zero when q = 0, so the support shape is
+    channel-fixed. Element-wise products of p and q, so an array entry has
+    the bits of the same expression on floats.
     """
     if kind == UNCORRELATED:
         return ((1.0 - q) * (1.0 - p), (1.0 - q) * p, q)
     third = (1.0 - q) * p / 3.0
     return ((1.0 - q) * (1.0 - p), third, third, third, q)
-
-
-def disorder_distribution(channel: ChannelSpec) -> DisorderDistribution:
-    """Per-edge coupling distribution, including the loss-induced diluted state.
-
-    Uncorrelated: +1 with (1-q)(1-p), -1 with (1-q)p, diluted with q.
-    Depolarizing: (+1,+1) with (1-q)(1-p), each of the three flipped pairs with
-    (1-q)p/3, and the doubly diluted pair with q. The diluted entry is present
-    with weight zero when q = 0, so the support shape is channel-fixed.
-    """
-    return DisorderDistribution(
-        SUPPORT[channel.kind], disorder_probs(channel.kind, channel.p, channel.q)
-    )

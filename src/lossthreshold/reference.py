@@ -18,8 +18,8 @@ REFERENCE_DEPOLARIZING_Q0 = 0.164
 
 # Published threshold columns on REFERENCE_Q, used as verification targets,
 # with the per-cluster agreement tolerance. The one-unit and star columns are
-# hard targets; the B/D/E geometries are calibrated refinements checked only
-# while their registry status is verified.
+# hard targets; the B/D/E geometries are calibrated refinements. `verify
+# --suite full` checks every column.
 REFERENCE_COLUMNS = {
     ("uncorrelated", "single"): (0.11003, 0.09240, 0.07245, 0.04984, 0.02462, 0.01155),
     ("uncorrelated", "A"): (0.10928, 0.09196, 0.07235, 0.05004, 0.02492, 0.01174),

@@ -36,13 +36,12 @@ configuration order and gives each row the same bits in any batch.
 `gap_batch` evaluates many (p, q) points on one cluster in one call, as a
 root finder's round does: it takes the channel kind and sequences of p and
 q, and returns arrays of Delta and of its standard error. It checks the
-round's points once, with the error texts of `model.ChannelSpec` and
-`model.nishimori_coupling`, and builds the points' couplings and disorder
-probabilities as arrays, without a model object per point: each K from the
-scalar `model.coupling`, the probabilities element-wise from
-`model.disorder_probs`, so both have the bits of the per-point model API.
-`gap` and `gap_monte_carlo` are its one-point case, from a `ChannelSpec` to a
-`GapEvaluation`. Exact points share array operations in slices on the
+round's points once (`model.check_points`) and builds their couplings and
+disorder probabilities as arrays, with no object per point: each K from
+the scalar `model.coupling`, the probabilities element-wise from
+`model.disorder_probs`, so a point has the same bits in any round. `gap`
+is its one-point case, from a `ChannelSpec` to a `GapEvaluation`, for
+either policy. Exact points share array operations in slices on the
 calling thread, sampled points share the draws of each chunk and a pool of
 chunk sums, and no point's value depends on its neighbours in the call.
 """
@@ -173,25 +172,16 @@ def _check_layers(kind: str, cluster: ClusterSpec):
 def _round_points(kind: str, p, q) -> tuple[np.ndarray, np.ndarray]:
     """K (points,) and disorder probabilities (points, states) of a round, checked at once.
 
-    The first point out of range raises the DomainError that
-    `model.ChannelSpec` raises for it; if every point passes those checks,
-    the first one outside the coupling's domain raises that of
-    `model.nishimori_coupling`. K comes point by point from the scalar
-    `model.coupling` (numpy's log does not round as `math.log` does), and
-    the probabilities from `model.disorder_probs` element-wise, so every
-    entry has the bits of `nishimori_coupling` and `disorder_distribution`
-    at its point.
+    `model.check_points` raises the DomainError of the first point a gap
+    cannot take. K comes point by point from the scalar `model.coupling`
+    (numpy's log does not round as `math.log` does), and the probabilities
+    from `model.disorder_probs` element-wise, so every entry has the bits
+    of those functions at its point alone.
     """
-    model.check_kind(kind)
     p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
     if p.ndim != 1 or p.shape != q.shape:
         raise ValueError(f"p and q must be sequences of one length, got {p.shape} and {q.shape}")
-    in_spec = (p >= 0.0) & (p <= 1.0) & (q >= 0.0) & (q <= 1.0)
-    in_domain = (p >= model.MIN_ERROR_RATE) & (p <= model.MAX_ERROR_RATE[kind])
-    for ok in (in_spec, in_domain):
-        if not ok.all():
-            i = int(np.argmin(ok))
-            model.nishimori_coupling(model.ChannelSpec(kind, float(p[i]), float(q[i])))
+    model.check_points(kind, p, q)
     coupling = model.coupling
     K = np.array([coupling(kind, x) for x in p.tolist()], dtype=np.float64)
     return K, np.stack(model.disorder_probs(kind, p, q), axis=1)
@@ -427,9 +417,9 @@ def gap_batch(
     """Delta(p, q) and its standard error at every point (p[i], q[i]) of a channel kind.
 
     Returns two float arrays in the order of the points; the standard
-    error is 0.0 on exact points. The points are checked once, with the
-    DomainError texts of `model.ChannelSpec` and `model.nishimori_coupling`
-    (see `_round_points`), and no per-point model object is built.
+    error is 0.0 on exact points. The points are checked once, by
+    `model.check_points` (see `_round_points`), and no object is built per
+    point.
 
     policy "exact" sums every assignment through the cluster's class table
     and raises TooManyTerms, before compiling anything, when `exact_work`
@@ -507,7 +497,9 @@ def gap(
     """Evaluate Delta(p, q) for the channel on the cluster: `gap_batch` at one point.
 
     `terms` is the sample count of a sampled gap, and the number of joint
-    disorder assignments (3^S or 5^S) of an exact one.
+    disorder assignments (3^S or 5^S) of an exact one. A sampled gap needs
+    at least MIN_MC_SAMPLES samples and a seed in [0, 2**128); see
+    `_sampled_chunks` for its draws.
     """
     delta, std_error = gap_batch(
         channel.kind, [channel.p], [channel.q], cluster, policy,
@@ -520,23 +512,6 @@ def gap(
     return GapEvaluation(float(delta[0]), policy, float(std_error[0]), terms)
 
 
-def gap_monte_carlo(
-    channel: model.ChannelSpec,
-    cluster: ClusterSpec,
-    samples: int,
-    seed: int = 0,
-    *,
-    workers: int | None = None,
-) -> GapEvaluation:
-    """Unbiased sampled estimate of Delta(p, q) with its standard error.
-
-    `gap_batch` at one point with the monte-carlo policy; see
-    `_sampled_chunks` for the draws. Raises ValueError for fewer than
-    MIN_MC_SAMPLES samples or a seed outside [0, 2**128).
-    """
-    return gap(channel, cluster, MONTE_CARLO, mc_samples=samples, seed=seed, workers=workers)
-
-
 def gap_closed_form_single(kind: str, p: float, q: float) -> float:
     """Hand-reduced Delta for the one-unit clusters; an independent oracle.
 
@@ -546,6 +521,7 @@ def gap_closed_form_single(kind: str, p: float, q: float) -> float:
     single two-layer crossing,
     Delta = (1-q)(3-4p)K - q ln 2 - (1-q) ln((e^{3K} + 3 e^{-K})/2).
     """
+    model.check_kind(kind)
     if kind == model.UNCORRELATED:
         K = 0.5 * math.log((1.0 - p) / p)
         return (
@@ -553,11 +529,9 @@ def gap_closed_form_single(kind: str, p: float, q: float) -> float:
             - 0.5 * math.log(2.0)
             - (1.0 - q) * math.log(math.cosh(K))
         )
-    if kind == model.DEPOLARIZING:
-        K = 0.25 * math.log(3.0 * (1.0 - p) / p)
-        return (
-            (1.0 - q) * (3.0 - 4.0 * p) * K
-            - q * math.log(2.0)
-            - (1.0 - q) * math.log(0.5 * (math.exp(3.0 * K) + 3.0 * math.exp(-K)))
-        )
-    raise model.DomainError(f"unknown channel kind {kind!r}")
+    K = 0.25 * math.log(3.0 * (1.0 - p) / p)
+    return (
+        (1.0 - q) * (3.0 - 4.0 * p) * K
+        - q * math.log(2.0)
+        - (1.0 - q) * math.log(0.5 * (math.exp(3.0 * K) + 3.0 * math.exp(-K)))
+    )

@@ -130,8 +130,7 @@ def solve_threshold(
     search that takes MAX_ITERATIONS steps without closing the bracket keeps
     its best iterate with status "no-convergence".
     """
-    if not 0.0 <= q <= 1.0:
-        raise model.DomainError(f"loss rate q={q} outside [0, 1]")
+    model.check_rate("loss rate q", q)
     spec = _resolve_cluster(cluster)
     (outcome,) = _thresholds(channel_kind, spec, [q], tol, policy, mc_samples, seed, workers)
     if isinstance(outcome, NoSignChange):
@@ -146,8 +145,7 @@ def _thresholds(kind, spec, qs, tol, policy, mc_samples, seed, workers) -> list:
     `_lockstep`), whose values do not depend on which points share the call
     or on the worker count; so each outcome depends on its own q alone.
     """
-    if kind not in model.CHANNEL_KINDS:
-        raise model.DomainError(f"unknown channel kind {kind!r}")
+    model.check_kind(kind)
     _check_tol(tol)
     nworkers = replica.worker_count(workers)
     replica.check_policy(policy)

@@ -25,7 +25,7 @@ from lossthreshold.duality import (
     dual_edge_factor_twolayer,
     pure_self_dual_point,
 )
-from lossthreshold.model import ChannelSpec, disorder_distribution
+from lossthreshold.model import SUPPORT, ChannelSpec, disorder_probs
 from lossthreshold.reference import (
     COLUMN_TOLERANCE,
     REFERENCE_COLUMNS,
@@ -143,7 +143,7 @@ def test_criterion_6_gauge_invariance():
     ok = True
     for name in ("A", "B"):
         spec = builtin_cluster(name)
-        support = disorder_distribution(ChannelSpec("uncorrelated", 0.1, 0.1)).support
+        support = SUPPORT["uncorrelated"]
         for _ in range(12):
             disorder = tuple(support[i] for i in rng.integers(0, 3, size=spec.slot_count))
             ok = ok and gauge_orbit_check(spec, disorder, 0.7, tol=1e-12)
@@ -155,7 +155,7 @@ def test_criterion_6_normalization():
     for kind in ("uncorrelated", "depolarizing"):
         for p in (0.0, 0.1, 0.5):
             for q in (0.0, 0.3, 1.0):
-                probs = disorder_distribution(ChannelSpec(kind, p, q)).probs
+                probs = disorder_probs(kind, p, q)
                 worst = max(worst, abs(math.fsum(probs) - 1.0))
     _report("6 (normalization)", worst <= 1e-15, f"max |sum - 1| = {worst:.2e}")
 
@@ -243,8 +243,8 @@ def test_criterion_7_monte_carlo_consistency():
     channel = ChannelSpec("uncorrelated", 0.09, 0.1)
     star = builtin_cluster("A")
     exact = replica.gap(channel, star).delta
-    sampled = replica.gap_monte_carlo(channel, star, 100_000, seed=11)
-    again = replica.gap_monte_carlo(channel, star, 100_000, seed=11)
+    sampled = replica.gap(channel, star, replica.MONTE_CARLO, mc_samples=100_000, seed=11)
+    again = replica.gap(channel, star, replica.MONTE_CARLO, mc_samples=100_000, seed=11)
     pull = abs(sampled.delta - exact) / sampled.std_error
     ok = pull <= 3.0 and sampled.delta == again.delta and sampled.std_error == again.std_error
     _report(

@@ -405,8 +405,8 @@ def test_verify_full_passes(capsys):
 
 
 def test_verify_catches_tampering(capsys, monkeypatch):
-    # model.coupling is the one expression for K, behind nishimori_coupling
-    # and the solver's array rounds alike
+    # model.coupling is the one expression for K, behind every gap the
+    # solver's rounds evaluate
     original = model.coupling
 
     def skewed(kind, p):

@@ -129,9 +129,9 @@ def test_validation_internal_spin_cap():
 def test_single_edge_partition_is_coupling():
     spec = builtin_cluster("single")
     K = 0.73
-    assert cluster_partition(spec, (EdgeDisorder(1),), K).log_value == pytest.approx(K, rel=1e-15)
-    assert cluster_partition(spec, (EdgeDisorder(-1),), K).log_value == pytest.approx(-K, rel=1e-15)
-    assert cluster_partition(spec, (EdgeDisorder(0),), K).log_value == 0.0
+    assert cluster_partition(spec, (EdgeDisorder(1),), K) == pytest.approx(K, rel=1e-15)
+    assert cluster_partition(spec, (EdgeDisorder(-1),), K) == pytest.approx(-K, rel=1e-15)
+    assert cluster_partition(spec, (EdgeDisorder(0),), K) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -146,16 +146,16 @@ def test_single_edge_partition_is_coupling():
 def test_star_partition_anchors(signs, expected):
     spec = builtin_cluster("A")
     K = 0.44
-    got = cluster_partition(spec, tuple(EdgeDisorder(s) for s in signs), K).log_value
+    got = cluster_partition(spec, tuple(EdgeDisorder(s) for s in signs), K)
     assert got == pytest.approx(expected(K), rel=1e-14)
 
 
 def test_crossing_partition_anchors():
     spec = builtin_cluster("C")
     K = 0.61
-    assert cluster_partition(spec, (EdgeDisorder(1, 1),), K).log_value == pytest.approx(3.0 * K, rel=1e-14)
-    assert cluster_partition(spec, (EdgeDisorder(1, -1),), K).log_value == pytest.approx(-K, rel=1e-14)
-    assert cluster_partition(spec, (EdgeDisorder(0, 0),), K).log_value == 0.0
+    assert cluster_partition(spec, (EdgeDisorder(1, 1),), K) == pytest.approx(3.0 * K, rel=1e-14)
+    assert cluster_partition(spec, (EdgeDisorder(1, -1),), K) == pytest.approx(-K, rel=1e-14)
+    assert cluster_partition(spec, (EdgeDisorder(0, 0),), K) == 0.0
 
 
 def test_partition_shape_mismatch():
@@ -244,6 +244,33 @@ def test_load_cluster_file_rejects_malformed(tmp_path, payload):
     path.write_text(payload, encoding="utf-8")
     with pytest.raises(ClusterFileError):
         load_cluster_file(str(path))
+
+
+def _edge_payload(primal_edge, dual_edge=None) -> dict:
+    """A one-slot cluster whose vertex ids are single letters, so a string edge splits into two."""
+    vertices = [{"id": "c", "role": "internal"}, {"id": "n", "role": "boundary"}]
+    slot = {"primal_edge": primal_edge}
+    if dual_edge is not None:
+        vertices += [{"id": v, "role": "boundary", "layer": "dual"} for v in "de"]
+        slot["dual_edge"] = dual_edge
+    return {"name": "x", "layers": 1 if dual_edge is None else 2, "vertices": vertices,
+            "slots": [slot]}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        # a string edge is not a list of vertex ids, even when its characters name vertices
+        _edge_payload("cn"),
+        _edge_payload(["c", "n"], "de"),
+        {**cluster_to_dict(builtin_cluster("A")), "layers": 1.9},
+        {**cluster_to_dict(builtin_cluster("A")), "layers": True},
+        {**cluster_to_dict(builtin_cluster("A")), "layers": "1"},
+    ],
+)
+def test_cluster_from_dict_rejects_string_edges_and_non_integer_layers(data):
+    with pytest.raises(ClusterFileError):
+        cluster_from_dict(data)
 
 
 def test_load_cluster_file_missing_path(tmp_path):

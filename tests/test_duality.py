@@ -30,7 +30,7 @@ from lossthreshold.duality import (
     log_factor_batch,
     pure_self_dual_point,
 )
-from lossthreshold.model import ChannelSpec, EdgeDisorder, disorder_distribution, nishimori_coupling
+from lossthreshold.model import EdgeDisorder
 
 SQRT2 = math.sqrt(2.0)
 
@@ -85,7 +85,7 @@ def test_two_layer_dual_components():
 def test_single_edge_dual_anchor():
     K = 0.8
     got = dual_cluster_partition(builtin_cluster("single"), (EdgeDisorder(1),), K)
-    assert got.log_value == pytest.approx(math.log(SQRT2 * math.cosh(K)), rel=1e-14)
+    assert got == pytest.approx(math.log(SQRT2 * math.cosh(K)), rel=1e-14)
 
 
 def test_star_dual_anchor():
@@ -93,14 +93,14 @@ def test_star_dual_anchor():
     K = 0.67
     got = dual_cluster_partition(builtin_cluster("A"), (EdgeDisorder(1),) * 4, K)
     expected = math.log(4.0 * (math.cosh(K) ** 4 + math.sinh(K) ** 4))
-    assert got.log_value == pytest.approx(expected, rel=1e-14)
+    assert got == pytest.approx(expected, rel=1e-14)
 
 
 def test_crossing_dual_anchor():
     K = 0.59
     got = dual_cluster_partition(builtin_cluster("C"), (EdgeDisorder(1, 1),), K)
     expected = math.log(0.5 * (math.exp(3.0 * K) + 3.0 * math.exp(-K)))
-    assert got.log_value == pytest.approx(expected, rel=1e-14)
+    assert got == pytest.approx(expected, rel=1e-14)
 
 
 def test_dual_shape_mismatch():
@@ -119,8 +119,8 @@ def test_self_dual_point_value():
 def test_self_duality_of_clean_edge():
     # at K_c the primal and dual factors of a clean edge coincide
     kc = pure_self_dual_point()
-    primal = cluster_partition(builtin_cluster("single"), (EdgeDisorder(1),), kc).log_value
-    dual = dual_cluster_partition(builtin_cluster("single"), (EdgeDisorder(1),), kc).log_value
+    primal = cluster_partition(builtin_cluster("single"), (EdgeDisorder(1),), kc)
+    dual = dual_cluster_partition(builtin_cluster("single"), (EdgeDisorder(1),), kc)
     assert primal == pytest.approx(dual, abs=1e-11)
 
 
@@ -162,14 +162,13 @@ def test_batch_matches_scalar_dual(name, states):
             rows.append(tuple(EdgeDisorder(s) for s in assignment))
         else:
             rows.append(tuple(EdgeDisorder(*pair) for pair in assignment))
-    kind = "uncorrelated" if spec.layers == 1 else "depolarizing"
-    support = disorder_distribution(ChannelSpec(kind, 0.1, 0.1)).support
+    support = model.SUPPORT["uncorrelated" if spec.layers == 1 else "depolarizing"]
     idx = np.array([[support.index(d) for d in row] for row in rows])
     _, logmag, sign, _ = log_factor_batch(spec, support, idx, K)
     for i, row in enumerate(rows):
         scalar = dual_cluster_partition(spec, row, K)
         assert sign[i] == 1
-        assert logmag[i] == pytest.approx(scalar.log_value, rel=1e-14)
+        assert logmag[i] == pytest.approx(scalar, rel=1e-14)
 
 
 def test_dual_term_sign_is_the_parity_of_negative_slots():
@@ -199,7 +198,7 @@ def test_dual_sum_that_rounding_cannot_sign_is_refused():
     # 3.0e-6; the signed sum keeps no digit of it (the kernel logs 7.5), and
     # its rounding bound says so
     spec = _cancelling_cluster()
-    K = nishimori_coupling(ChannelSpec("uncorrelated", 1e-6, 0.0)).K
+    K = model.coupling("uncorrelated", 1e-6)
     disorder = (EdgeDisorder(-1),) * 6
     _, logmag, sign, rounding = log_factor_batch(spec, disorder, np.arange(6)[None, :], K)
     assert abs(logmag[0] - 3.0 * math.log1p(math.exp(-2.0 * K))) > 1.0
@@ -222,7 +221,7 @@ def test_rounding_bound_accepts_a_frustrated_star_at_strong_coupling():
 def test_state_indices_outside_the_support_are_refused(dtype, bad):
     # an index one past either end at an inner slot would read a
     # neighbouring slot's column of a flat one-hot, or drop out of it
-    support = disorder_distribution(ChannelSpec("uncorrelated", 0.1, 0.1)).support
+    support = model.SUPPORT["uncorrelated"]
     idx = np.zeros((4, 4), dtype=dtype)
     idx[2, 2] = bad
     with pytest.raises(ValueError, match=r"\[0, 3\)"):

@@ -6,16 +6,18 @@ import math
 
 import pytest
 
+import numpy as np
+
 from lossthreshold.model import (
     DEPOLARIZING,
+    SUPPORT,
     UNCORRELATED,
     ChannelSpec,
-    DisorderDistribution,
     DomainError,
     EdgeDisorder,
-    NishimoriCoupling,
-    disorder_distribution,
-    nishimori_coupling,
+    check_points,
+    coupling,
+    disorder_probs,
 )
 
 
@@ -49,13 +51,13 @@ def test_channel_validation(kind, p, q):
     ],
 )
 def test_nishimori_coupling_values(kind, p, expected):
-    K = nishimori_coupling(ChannelSpec(kind, p)).K
+    K = coupling(kind, p)
     assert K == pytest.approx(expected, rel=1e-15, abs=1e-15)
 
 
 @pytest.mark.parametrize("kind,p", [(UNCORRELATED, 0.11), (DEPOLARIZING, 0.2)])
 def test_nishimori_coupling_defining_relation(kind, p):
-    K = nishimori_coupling(ChannelSpec(kind, p)).K
+    K = coupling(kind, p)
     if kind == UNCORRELATED:
         assert math.exp(2.0 * K) == pytest.approx((1.0 - p) / p, rel=1e-14)
     else:
@@ -74,14 +76,7 @@ def test_nishimori_coupling_defining_relation(kind, p):
 )
 def test_nishimori_coupling_domain(kind, p):
     with pytest.raises(DomainError):
-        nishimori_coupling(ChannelSpec(kind, p))
-
-
-def test_coupling_must_be_finite():
-    with pytest.raises(DomainError):
-        NishimoriCoupling(math.inf)
-    with pytest.raises(DomainError):
-        NishimoriCoupling(-0.1)
+        check_points(kind, np.array([p]), np.array([0.0]))
 
 
 @pytest.mark.parametrize("sign", [1, -1, 0])
@@ -104,44 +99,30 @@ def test_disorder_rejects_inadmissible_states(args):
         EdgeDisorder(*args)
 
 
-def test_distribution_validation():
-    support = (EdgeDisorder(1), EdgeDisorder(-1))
-    with pytest.raises(DomainError):
-        DisorderDistribution(support, (0.5,))
-    with pytest.raises(DomainError):
-        DisorderDistribution((EdgeDisorder(1), EdgeDisorder(1)), (0.5, 0.5))
-    with pytest.raises(DomainError):
-        DisorderDistribution(support, (1.2, -0.2))
-    with pytest.raises(DomainError):
-        DisorderDistribution(support, (0.6, 0.5))
-
-
 @pytest.mark.parametrize("kind", [UNCORRELATED, DEPOLARIZING])
 @pytest.mark.parametrize("p", [0.01, 0.11, 0.3])
 @pytest.mark.parametrize("q", [0.0, 0.1, 0.45])
 def test_distribution_normalization(kind, p, q):
-    dist = disorder_distribution(ChannelSpec(kind, p, q))
-    assert abs(math.fsum(dist.probs) - 1.0) <= 1e-15
+    probs = disorder_probs(kind, p, q)
+    assert len(probs) == len(SUPPORT[kind])
+    assert abs(math.fsum(probs) - 1.0) <= 1e-15
 
 
 def test_uncorrelated_distribution_weights():
-    dist = disorder_distribution(ChannelSpec(UNCORRELATED, 0.1, 0.2))
-    assert [d.sign for d in dist.support] == [1, -1, 0]
-    assert dist.probs == (0.8 * 0.9, 0.8 * 0.1, 0.2)
-    assert dist.layers == 1
+    assert [d.sign for d in SUPPORT[UNCORRELATED]] == [1, -1, 0]
+    assert disorder_probs(UNCORRELATED, 0.1, 0.2) == (0.8 * 0.9, 0.8 * 0.1, 0.2)
+    assert all(d.layers == 1 for d in SUPPORT[UNCORRELATED])
 
 
 def test_depolarizing_distribution_weights():
-    dist = disorder_distribution(ChannelSpec(DEPOLARIZING, 0.3, 0.1))
-    pairs = [(d.sign, d.dual_sign) for d in dist.support]
+    pairs = [(d.sign, d.dual_sign) for d in SUPPORT[DEPOLARIZING]]
     assert pairs == [(1, 1), (1, -1), (-1, 1), (-1, -1), (0, 0)]
     third = 0.9 * 0.3 / 3.0
-    assert dist.probs == (0.9 * 0.7, third, third, third, 0.1)
-    assert dist.layers == 2
+    assert disorder_probs(DEPOLARIZING, 0.3, 0.1) == (0.9 * 0.7, third, third, third, 0.1)
+    assert all(d.layers == 2 for d in SUPPORT[DEPOLARIZING])
 
 
 def test_distribution_keeps_diluted_state_at_zero_loss():
     # support shape is channel-fixed so enumeration never branches on q
-    dist = disorder_distribution(ChannelSpec(UNCORRELATED, 0.1, 0.0))
-    assert dist.support[-1].diluted
-    assert dist.probs[-1] == 0.0
+    assert SUPPORT[UNCORRELATED][-1].diluted
+    assert disorder_probs(UNCORRELATED, 0.1, 0.0)[-1] == 0.0
