@@ -436,11 +436,18 @@ def cluster_to_dict(cluster: ClusterSpec) -> dict:
     }
 
 
+def _name(value, what: str) -> str:
+    """A vertex id or cluster name of a cluster description: a JSON string, never converted."""
+    if not isinstance(value, str):
+        raise ClusterFileError(f"{what} {value!r} must be a string")
+    return value
+
+
 def _edge(value) -> tuple[str, ...]:
     """An edge of a cluster description: a JSON list of vertex ids, never a string."""
     if not isinstance(value, list):
         raise ClusterFileError(f"edge {value!r} must be a list of two vertex ids")
-    return tuple(str(x) for x in value)
+    return tuple(_name(x, "edge end") for x in value)
 
 
 def cluster_from_dict(data: dict) -> ClusterSpec:
@@ -452,7 +459,7 @@ def cluster_from_dict(data: dict) -> ClusterSpec:
         raise ClusterFileError(f"cluster description missing fields: {sorted(missing)}")
     try:
         vertices = tuple(
-            Vertex(str(v["id"]), str(v["role"]), str(v.get("layer", "primal")))
+            Vertex(_name(v["id"], "vertex id"), str(v["role"]), str(v.get("layer", "primal")))
             for v in data["vertices"]
         )
         slots = []
@@ -462,7 +469,7 @@ def cluster_from_dict(data: dict) -> ClusterSpec:
         layers = data["layers"]
         if not isinstance(layers, int) or isinstance(layers, bool):
             raise ClusterFileError(f"layers must be an integer, got {layers!r}")
-        return ClusterSpec(str(data["name"]), layers, vertices, tuple(slots))
+        return ClusterSpec(_name(data["name"], "cluster name"), layers, vertices, tuple(slots))
     except ClusterFileError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

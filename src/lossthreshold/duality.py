@@ -17,13 +17,14 @@ Both sums are evaluated from one table: for each (disorder state, parity
 cell) of a slot, the log of its edge factor, the log magnitude of its dual
 component, and one flag column that counts a negative component as 1 and a
 zero one as a power of two above the slot count. These three add up over
-the slots of a configuration. The exact class path reads the table
-through its slot-count histograms (`replica`); sampled and single
-assignments go through `log_factor_batch`, which takes rows of disorder
-state indices (for Monte Carlo, the distinct rows of a chunk). Apart from
-the closed-form oracle `replica.gap_closed_form_single`, the dual weights
-have no other form; `cluster.cluster_partition` keeps a direct-energy
-primal sum as a reference.
+the slots of a configuration. `log_factor_batch` is the one function that
+forms x_0 and x_0* from them: it takes rows of disorder state indices and
+a 1-D array of couplings, and serves the exact average (one row per
+disorder class, `replica.class_table`), the distinct rows of a Monte Carlo
+chunk and `dual_cluster_partition`. Apart from the closed-form oracle
+`replica.gap_closed_form_single`, the dual weights have no other form;
+`cluster.cluster_partition` keeps a direct-energy primal sum as a
+reference.
 """
 
 from __future__ import annotations
@@ -167,56 +168,64 @@ def log_factor_batch(
     cluster: ClusterSpec,
     support,
     idx: np.ndarray,
-    K: float,
+    K,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(ln x_0, ln |x_0*|, sign of x_0*, rounding bound of x_0*) for rows of per-slot disorder states.
 
     idx has shape (n, S) and indexes `support`, the disorder states; an
-    index outside [0, len(support)) raises ValueError. Rows are one-hot
-    encoded, configuration-major: column i of the (S*m, n) encoding has a 1
-    in row s*m + state for each slot s of row i, and empty columns pad it
-    to a multiple of ROW_GRAIN, so that a row has the same bits in a batch
-    of any size. One matrix product per
-    block of configurations with the per-slot table
-    W[(k, c), s*m + a] = T[k, a, cell of slot s in configuration c]
-    gives all three summed terms of `_log_weight_tables`, as (configurations,
-    n) blocks, so both log-sum-exps reduce over axis 0 of contiguous arrays
-    and sum each row's configurations in configuration order. A dual
-    term's sign, and 0 for a zero term, is applied by a multiply
-    (`_dual_signs`); configuration 0, where every slot's dual weight is at
-    its largest and never zero, sets the scale. The rounding bound is
-    configurations * eps * sum |terms| / |sum terms|, a bound on the
-    relative error of x_0*; where it nears 1, rounding decides the sign.
-    The cost is per row, so callers pass each distinct row once: Monte Carlo
-    sends the distinct rows of a chunk with their counts kept aside, and
-    exact averages count the same cells once per cluster
-    (`replica.class_table`).
+    index outside [0, len(support)) raises ValueError. K is a 1-D array of
+    couplings, one per point (any other shape raises ValueError), and each
+    output has shape (points, n). The rows are the class representatives of
+    `replica.class_table`, the distinct rows of a Monte Carlo chunk or one
+    assignment (`dual_cluster_partition`).
+
+    Rows are one-hot encoded, configuration-major: column i of the (S*m, n)
+    encoding has a 1 in row s*m + state for each slot s of row i, and empty
+    columns pad it to a multiple of ROW_GRAIN, so that a row has the same
+    bits in a batch of any size. One batched matrix product per block of
+    configurations of the per-point table
+    W[point, (k, c), s*m + a] = T[k, a, cell of slot s in configuration c, point]
+    with that encoding gives all three summed terms of `_log_weight_tables`,
+    as (points, configurations, n) blocks, so both log-sum-exps sum each
+    row's configurations in configuration order, and a point has the same
+    bits whatever points share its call. A dual term's sign, and 0 for a
+    zero term, is applied by a multiply (`_dual_signs`); configuration 0,
+    where every slot's dual weight is at its largest and never zero, sets
+    the scale. The rounding bound is configurations * eps * sum |terms| /
+    |sum terms|, a bound on the relative error of x_0*; where it nears 1,
+    rounding decides the sign.
     """
     n, S = idx.shape
     m = len(support)
     if idx.size and not 0 <= idx.min() <= idx.max() < m:
         raise ValueError(f"disorder state indices must lie in [0, {m}), got {idx.min()} to {idx.max()}")
-    tables = _log_weight_tables(cluster, support, K)
+    K = np.asarray(K, dtype=np.float64)
+    if K.ndim != 1:
+        raise ValueError(f"K must be a 1-D array of couplings, got shape {K.shape}")
+    # (points, 3, states, cells): each point's three terms per (state, cell)
+    tables = np.moveaxis(_log_weight_tables(cluster, support, K), -1, 0)
     # empty columns pad the rows to a multiple of ROW_GRAIN, so that no row is in a tail
     width = n + (-n % ROW_GRAIN)
     onehot = np.zeros((S, m, width))
     np.equal(np.ascontiguousarray(idx.T)[:, None, :], np.arange(m).astype(idx.dtype)[:, None], out=onehot[:, :, :n])
     onehot = onehot.reshape(S * m, width)
     base = _flag_base(S)
-    # W holds 3m numbers per (configuration, slot); taking configurations in
-    # steps keeps it within CONFIG_BLOCK * S of them on large clusters
+    # W holds 3m numbers per (point, configuration, slot); taking
+    # configurations in steps keeps it within CONFIG_BLOCK * S of them per
+    # point on large clusters
     step = max(1, CONFIG_BLOCK // (3 * m))
-    primal, dual = SignedLogSum(width, axis=0), SignedLogSum(width, axis=0)
+    shape = (len(K), width)
+    primal, dual = SignedLogSum(shape, axis=1), SignedLogSum(shape, axis=1)
     for P, D in _iter_parity_blocks(cluster):
         cells = _slot_cells(P, D)
         for lo in range(0, len(cells), step):
-            W = tables[:, :, cells[lo : lo + step]].transpose(0, 2, 3, 1).reshape(-1, S * m)
-            log_p, log_d, flag = (W @ onehot).reshape(3, -1, width)
+            W = tables[..., cells[lo : lo + step]].transpose(0, 1, 3, 4, 2).reshape(len(K), -1, S * m)
+            log_p, log_d, flag = (W @ onehot).reshape(len(K), 3, -1, width).swapaxes(0, 1)
             primal.add(log_p)
             dual.add(log_d, _dual_signs(flag, base))
     logd, sign = dual.result()
     rounding = cluster.config_count * EPS * dual.condition()
-    return primal.result()[0][:n], logd[:n], sign[:n], rounding[:n]
+    return primal.result()[0][:, :n], logd[:, :n], sign[:, :n], rounding[:, :n]
 
 
 def _require_positive_dual(
@@ -261,9 +270,9 @@ def dual_cluster_partition(cluster: ClusterSpec, disorder: DisorderAssignment, K
     if not math.isfinite(K):
         raise NonFinite(f"dual cluster partition of {cluster.name!r} is not finite (K={K})")
     states = np.arange(cluster.slot_count)[None, :]
-    _, logmag, sign, rounding = log_factor_batch(cluster, disorder, states, K)
-    _require_positive_dual(cluster, sign <= 0, states, disorder, K, rounding)
-    return float(logmag[0])
+    _, logmag, sign, rounding = log_factor_batch(cluster, disorder, states, [K])
+    _require_positive_dual(cluster, sign[0] <= 0, states, disorder, K, rounding[0])
+    return float(logmag[0, 0])
 
 
 def pure_self_dual_point() -> float:

@@ -14,10 +14,12 @@ parameter-independent), but never visits them one by one. What an assignment
 contributes depends only on how many slots sit in each (disorder state,
 parity cell) for every internal-spin configuration, so assignments whose
 per-configuration histograms agree up to a permutation of configurations
-form one class. The class table of a cluster is compiled once and cached;
-an evaluation weighs each class's log-sum-exp by its multiplicity and its
-disorder probability. Monte Carlo sampling covers clusters whose exact work
-exceeds TERM_BUDGET; it uses a counter-based generator so that the
+form one class, and every assignment of a class has the same primal and
+dual sums. The class table of a cluster is compiled once and cached; an
+evaluation sums one representative assignment per class and weighs it by
+the class's multiplicity and disorder probability. Monte Carlo sampling
+covers clusters whose exact work exceeds TERM_BUDGET; it uses a
+counter-based generator so that the
 uniforms of every chunk of samples are reproducible and identical across
 different p, which keeps the estimated gap continuous during root finding.
 Since they do not depend on the point, one call draws each chunk once, in
@@ -26,12 +28,11 @@ Sampled rows repeat often (near the root of B only 2-27 % of them are
 distinct), so each chunk sums its distinct rows once, weighted by their
 counts: the cost is per distinct row of a chunk.
 
-Both paths read the same per-(disorder state, parity cell) log-weight
-tables, built in `duality` from the edge factors and their Hadamard duals:
-exact evaluation multiplies them into the class table's histograms, and
-Monte Carlo passes the sampled state indices, as int8, to
-`duality.log_factor_batch`, which sums every row's configurations in
-configuration order and gives each row the same bits in any batch.
+Both paths send rows of disorder state indices, as int8, through one
+kernel, `duality.log_factor_batch`: exact evaluation the class
+representatives, Monte Carlo the distinct rows of a chunk. It sums every
+row's configurations in configuration order and gives each row the same
+bits in any batch. This module only weighs and adds its outputs.
 
 `gap_batch` evaluates many (p, q) points on one cluster in one call, as a
 root finder's round does: it takes the channel kind and sequences of p and
@@ -57,22 +58,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import model
-from .cluster import (
-    CONFIG_BLOCK,
-    ClusterSpec,
-    NonFinite,
-    ShapeMismatch,
-    SignedLogSum,
-    _iter_parity_blocks,
-)
-from .duality import (
-    _dual_signs,
-    _flag_base,
-    _log_weight_tables,
-    _require_positive_dual,
-    _slot_cells,
-    log_factor_batch,
-)
+from .cluster import CONFIG_BLOCK, ClusterSpec, NonFinite, ShapeMismatch, _iter_parity_blocks
+from .duality import _require_positive_dual, _slot_cells, log_factor_batch
 
 EXACT = "exact"
 MONTE_CARLO = "monte-carlo"
@@ -189,22 +176,21 @@ def _round_points(kind: str, p, q) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ClassTable:
-    """Disorder classes of a cluster, with the rows they are built from.
+    """Disorder classes of a cluster: assignments with the same primal and dual sums.
 
-    A row is one internal-spin configuration seen through an assignment: the
-    number of slots in each (disorder state, parity cell), flattened as
-    state * cells + cell. Cells are the parities of a slot's edges, (primal)
-    on one layer and (primal, dual) on two, in the component order of
-    `edge_factor_single` / `edge_factor_twolayer`. A class is the sorted
-    vector of the rows of all 2^internal configurations; every assignment in
-    it has the same primal and dual sums and the same probability.
+    Two assignments are in one class when, over all 2^internal
+    configurations, they give the same multiset of per-configuration
+    histograms, the number of slots in each (disorder state, parity cell).
+    Cells are the parities of a slot's edges, (primal) on one layer and
+    (primal, dual) on two, in the component order of `edge_factor_single` /
+    `edge_factor_twolayer`. Every assignment in a class has the same primal
+    and dual sums and the same probability, so one representative per
+    class stands for all of them.
     """
 
-    histograms: np.ndarray  # (rows, states * cells) slot counts per row
-    classes: np.ndarray  # (classes, 2^internal) row ids, sorted within a class
     state_counts: np.ndarray  # (classes, states) slots in each disorder state
     multiplicity: np.ndarray  # (classes,) assignments in each class
-    representative: np.ndarray  # (classes, slots) state indices of one assignment
+    representative: np.ndarray  # (classes, slots) int8 state indices of one assignment
 
 
 def _parity_cells(cluster: ClusterSpec, dtype) -> np.ndarray:
@@ -255,7 +241,8 @@ def class_table(cluster: ClusterSpec) -> ClassTable:
     still to come, so that the next slot's state moves each row to a new row
     without knowing its configuration. After every slot, classes that became
     equal are merged and their multiplicities added. One assignment of each
-    class is kept as its representative, so errors can name concrete signs.
+    class is kept as its representative: evaluation sums it for the whole
+    class, and errors name its signs.
     """
     m = support_size(cluster.layers)
     cells = 2 * cluster.layers
@@ -265,7 +252,7 @@ def class_table(cluster: ClusterSpec) -> ClassTable:
     hist = np.zeros((len(pending), width), dtype=count_type)
     classes = np.sort(row_of_config.astype(np.int32)[None, :], axis=1)
     multiplicity = np.ones(1, dtype=np.int64)
-    representative = np.zeros((1, 0), dtype=np.int64)
+    representative = np.zeros((1, 0), dtype=np.int8)
     for _ in range(cluster.slot_count):
         rows = len(hist)
         moved = np.repeat(hist[None], m, axis=0)
@@ -285,11 +272,11 @@ def class_table(cluster: ClusterSpec) -> ClassTable:
         np.add.at(merged, inverse, np.tile(multiplicity, m))
         multiplicity = merged
         representative = np.concatenate(
-            [representative[first % n], (first // n)[:, None]], axis=1
+            [representative[first % n], (first // n).astype(np.int8)[:, None]], axis=1
         )
     state_counts = hist[classes[:, 0]].reshape(-1, m, cells).sum(axis=2)
-    table = ClassTable(hist, classes, state_counts, multiplicity, representative)
-    for array in (hist, classes, state_counts, multiplicity, representative):
+    table = ClassTable(state_counts, multiplicity, representative)
+    for array in (state_counts, multiplicity, representative):
         array.flags.writeable = False
     return table
 
@@ -299,27 +286,12 @@ def _exact_gaps(
 ) -> list[float]:
     """Delta at each point of a slice, from its couplings and (points, states) probabilities.
 
-    The log-weight tables of all points are built at once, and each point's
-    rows come from its own product with the histograms, so a point's bits do
-    not depend on which other points share its slice. The class log-sum-exp
-    and weighting run over the slice as arrays laid out configuration-major
-    (or state-major), so that their reductions over a class's few
-    configurations (or states) are element-wise passes over whole arrays.
+    Every assignment of a class has the class's primal and dual sums, so
+    the class representatives go through `log_factor_batch` as its rows,
+    and each class counts multiplicity * probability times. A point's bits
+    do not depend on which other points share its slice.
     """
-    n = len(K)
-    # (points, states * cells, 3): a point's three terms per (state, cell), one column each
-    tables = np.ascontiguousarray(_log_weight_tables(cluster, support, K).reshape(3, -1, n).T)
-    H = table.histograms.astype(np.float64)
-    log_p, log_d, flag = np.stack([(H @ t).T for t in tables], axis=1)
-    sign_d = _dual_signs(flag, _flag_base(cluster.slot_count))
-
-    configs = np.ascontiguousarray(table.classes.T)
-    primal_sum, dual_sum = SignedLogSum((n, configs.shape[1])), SignedLogSum((n, configs.shape[1]))
-    primal_sum.add(log_p[:, configs].transpose(0, 2, 1))
-    dual_sum.add(log_d[:, configs].transpose(0, 2, 1), sign_d[:, configs].transpose(0, 2, 1))
-    logp, _ = primal_sum.result()
-    logd, sign = dual_sum.result()
-
+    logp, logd, sign, _ = log_factor_batch(cluster, support, table.representative, K)
     # p**k for every state and slot count k, so each class weight is a
     # product of table entries rather than of fresh powers
     powers = probs[:, :, None] ** np.arange(cluster.slot_count + 1)
@@ -376,9 +348,9 @@ def _sampled_chunks(K: float, probs: np.ndarray, support, cluster: ClusterSpec):
         for c in cum[1:-1]:
             states += (u >= c).view(np.int8)
         rows, count = _distinct_rows(states, len(cum))
-        logp, logd, sign, rounding = log_factor_batch(cluster, support, rows, K)
-        _require_positive_dual(cluster, sign <= 0, rows, support, K, rounding)
-        delta = logp - logd
+        logp, logd, sign, rounding = log_factor_batch(cluster, support, rows, [K])
+        _require_positive_dual(cluster, sign[0] <= 0, rows, support, K, rounding[0])
+        delta = logp[0] - logd[0]
         total = float((count * delta).sum())
         return total, float((count * (delta - total / len(u)) ** 2).sum())
 
@@ -473,7 +445,7 @@ def gap_batch(
             f"policy, or --mc-samples on the command line"
         )
     table = class_table(cluster)
-    step = max(1, CONFIG_BLOCK // table.classes.size)
+    step = max(1, CONFIG_BLOCK // (len(table.multiplicity) * cluster.config_count))
     values = []
     for lo in range(0, len(K), step):
         values += _exact_gaps(K[lo : lo + step], probs[lo : lo + step], support, cluster, table)

@@ -110,6 +110,21 @@ def test_malformed_cluster_file(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_cluster_file_with_a_null_vertex_id_is_refused(capsys, tmp_path):
+    # read through str(), the centre of star A would be the vertex "None"
+    data = cluster_to_dict(builtin_cluster("A"))
+    data["vertices"] = [{**v, "id": None} if v["id"] == "c" else v for v in data["vertices"]]
+    for slot in data["slots"]:
+        slot["primal_edge"] = ["None" if end == "c" else end for end in slot["primal_edge"]]
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps(data))
+    code = cli.main(
+        ["threshold", "--channel", "uncorrelated", "--cluster", f"file:{path}", "--loss", "0.1"]
+    )
+    assert code == cli.EXIT_BAD_CLUSTER
+    assert "vertex id None must be a string" in capsys.readouterr().err
+
+
 def test_file_cluster_matches_builtin(capsys, tmp_path):
     path = tmp_path / "star.json"
     path.write_text(json.dumps(cluster_to_dict(builtin_cluster("A"))))

@@ -273,6 +273,36 @@ def test_cluster_from_dict_rejects_string_edges_and_non_integer_layers(data):
         cluster_from_dict(data)
 
 
+def _renamed_centre(vertex_id, edge_end) -> dict:
+    """Star A with its centre "c" given as `vertex_id` in the vertex list and `edge_end` in every edge."""
+    data = cluster_to_dict(builtin_cluster("A"))
+    for vertex in data["vertices"]:
+        if vertex["id"] == "c":
+            vertex["id"] = vertex_id
+    for slot in data["slots"]:
+        slot["primal_edge"] = [edge_end if end == "c" else end for end in slot["primal_edge"]]
+    return data
+
+
+@pytest.mark.parametrize(
+    "data,what",
+    [
+        # each would otherwise be read through str(): the vertex "None" or
+        # "7", with edges that name it, or the cluster "None" or "3"
+        (_renamed_centre(None, "None"), "vertex id"),
+        (_renamed_centre(7, "7"), "vertex id"),
+        (_renamed_centre("None", None), "edge end"),
+        (_renamed_centre("7", 7), "edge end"),
+        ({**cluster_to_dict(builtin_cluster("A")), "name": None}, "cluster name"),
+        ({**cluster_to_dict(builtin_cluster("A")), "name": 3}, "cluster name"),
+    ],
+    ids=["null-id", "number-id", "null-end", "number-end", "null-name", "number-name"],
+)
+def test_cluster_from_dict_rejects_names_that_are_not_strings(data, what):
+    with pytest.raises(ClusterFileError, match=f"{what} .* must be a string"):
+        cluster_from_dict(data)
+
+
 def test_load_cluster_file_missing_path(tmp_path):
     with pytest.raises(ClusterFileError):
         load_cluster_file(str(tmp_path / "absent.json"))

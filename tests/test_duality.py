@@ -164,7 +164,7 @@ def test_batch_matches_scalar_dual(name, states):
             rows.append(tuple(EdgeDisorder(*pair) for pair in assignment))
     support = model.SUPPORT["uncorrelated" if spec.layers == 1 else "depolarizing"]
     idx = np.array([[support.index(d) for d in row] for row in rows])
-    _, logmag, sign, _ = log_factor_batch(spec, support, idx, K)
+    _, (logmag,), (sign,), _ = log_factor_batch(spec, support, idx, [K])
     for i, row in enumerate(rows):
         scalar = dual_cluster_partition(spec, row, K)
         assert sign[i] == 1
@@ -200,9 +200,9 @@ def test_dual_sum_that_rounding_cannot_sign_is_refused():
     spec = _cancelling_cluster()
     K = model.coupling("uncorrelated", 1e-6)
     disorder = (EdgeDisorder(-1),) * 6
-    _, logmag, sign, rounding = log_factor_batch(spec, disorder, np.arange(6)[None, :], K)
-    assert abs(logmag[0] - 3.0 * math.log1p(math.exp(-2.0 * K))) > 1.0
-    assert 0.5 < rounding[0] < 2.0
+    _, logmag, sign, rounding = log_factor_batch(spec, disorder, np.arange(6)[None, :], [K])
+    assert abs(logmag[0, 0] - 3.0 * math.log1p(math.exp(-2.0 * K))) > 1.0
+    assert 0.5 < rounding[0, 0] < 2.0
     with pytest.raises(UnsignedDual, match=r"cancels below double precision for signs \[-1, -1, -1, -1, -1, -1\]"):
         dual_cluster_partition(spec, disorder, K)
     assert issubclass(UnsignedDual, NonPositiveDual)
@@ -212,8 +212,8 @@ def test_rounding_bound_accepts_a_frustrated_star_at_strong_coupling():
     # the frustrated star of test_non_positive_dual_from_cancellation keeps
     # about 11 digits at K = 12, far inside the limit
     frustrated = tuple(EdgeDisorder(s) for s in (-1, 1, 1, 1))
-    *_, rounding = log_factor_batch(builtin_cluster("A"), frustrated, np.arange(4)[None, :], 12.0)
-    assert 1e-6 < rounding[0] < 1e-5 < ROUNDING_LIMIT
+    *_, rounding = log_factor_batch(builtin_cluster("A"), frustrated, np.arange(4)[None, :], [12.0])
+    assert 1e-6 < rounding[0, 0] < 1e-5 < ROUNDING_LIMIT
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int64])
@@ -225,9 +225,9 @@ def test_state_indices_outside_the_support_are_refused(dtype, bad):
     idx = np.zeros((4, 4), dtype=dtype)
     idx[2, 2] = bad
     with pytest.raises(ValueError, match=r"\[0, 3\)"):
-        log_factor_batch(builtin_cluster("A"), support, idx, 0.7)
+        log_factor_batch(builtin_cluster("A"), support, idx, [0.7])
     idx[2, 2] = 2
-    log_factor_batch(builtin_cluster("A"), support, idx, 0.7)
+    log_factor_batch(builtin_cluster("A"), support, idx, [0.7])
 
 
 def test_sampled_rows_that_rounding_cannot_sign_are_refused():

@@ -49,6 +49,11 @@ CHANNEL_OF = {
 }
 
 
+def _one_point(spec: ClusterSpec, support, idx: np.ndarray, K: float) -> tuple[np.ndarray, ...]:
+    """The row kernel's four (rows,) outputs at one coupling K."""
+    return tuple(a[0] for a in log_factor_batch(spec, support, idx, [K]))
+
+
 def _brute_force_row(spec: ClusterSpec, assignment, K: float) -> tuple[float, float]:
     """(x_0, x_0*) of one assignment by a plain loop over internal spins.
 
@@ -245,7 +250,7 @@ def _per_sample_monte_carlo(channel: ChannelSpec, spec: ClusterSpec, samples: in
         bitgen.advance(lo * S)
         u = np.random.Generator(bitgen).random((hi - lo, S))
         idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
-        logp, logd, sign, _ = log_factor_batch(spec, support, idx, K)
+        logp, logd, sign, _ = _one_point(spec, support, idx, K)
         assert np.all(sign > 0)
         deltas.extend((logp - logd).tolist())
     assert len(deltas) == samples
@@ -539,7 +544,7 @@ def _per_row_gaps(spec: ClusterSpec, kind: str, p: float, qs) -> list[float]:
     deltas, counts = [], []
     for codes in np.array_split(np.arange(m**S), max(1, m**S // 2**15)):
         idx = (codes[:, None] // m ** np.arange(S)[None, :]) % m
-        logp, logd, sign, _ = log_factor_batch(spec, support, idx, K)
+        logp, logd, sign, _ = _one_point(spec, support, idx, K)
         assert np.all(sign > 0)
         deltas.append(logp - logd)
         counts.append(np.stack([(idx == s).sum(axis=1) for s in range(m)], axis=1))
@@ -614,7 +619,7 @@ def test_row_kernel_matches_independent_references(spec):
     upper = (0.5 if spec.layers == 1 else 0.75) - BRACKET_MARGIN
     for p in (0.01, 0.1, upper):
         K = model.coupling(kind, p)
-        logp, logd, sign, _ = log_factor_batch(spec, support, idx, K)
+        logp, logd, sign, _ = _one_point(spec, support, idx, K)
         direct = log_partition_batch(spec, signs[idx], duals[idx] if spec.layers == 2 else None, K)
         assert np.max(np.abs(logp - direct)) <= 1e-11
         for row, got_log, got_sign in zip(idx, logd, sign):
@@ -641,10 +646,10 @@ def test_row_kernel_across_configuration_blocks(monkeypatch, name, step):
     upper = (0.5 if spec.layers == 1 else 0.75) - BRACKET_MARGIN
     for p in (0.01, 0.1, upper):
         K = model.coupling(kind, p)
-        one = log_factor_batch(spec, support, idx, K)
+        one = _one_point(spec, support, idx, K)
         with monkeypatch.context() as patch:
             patch.setattr(duality, "CONFIG_BLOCK", 3 * m * step)
-            logp, logd, sign, rounding = log_factor_batch(spec, support, idx, K)
+            logp, logd, sign, rounding = _one_point(spec, support, idx, K)
         assert np.max(np.abs(logp - one[0])) <= 1e-12
         assert np.max(np.abs(logd - one[1])) <= 1e-12
         assert np.array_equal(sign, one[2])
@@ -668,14 +673,31 @@ def test_row_bits_depend_on_neither_dtype_nor_batch(name):
     support = model.SUPPORT[kind]
     idx = np.random.default_rng(13).integers(0, len(support), size=(300, spec.slot_count))
     K = model.coupling(kind, 0.02)
-    whole = log_factor_batch(spec, support, idx, K)
-    narrow = log_factor_batch(spec, support, idx.astype(np.int8), K)
+    whole = _one_point(spec, support, idx, K)
+    narrow = _one_point(spec, support, idx.astype(np.int8), K)
     for a, b in zip(whole, narrow):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     for lo, size in ((0, 1), (5, 2), (9, 7), (20, 15), (40, 16), (60, 17), (100, 123)):
-        part = log_factor_batch(spec, support, idx[lo : lo + size].astype(np.int8), K)
+        part = _one_point(spec, support, idx[lo : lo + size].astype(np.int8), K)
         for a, b in zip(whole, part):
             assert np.array_equal(a[lo : lo + size], b), f"rows {lo}..{lo + size}"
+
+
+@pytest.mark.parametrize("name", ["B", "E"])
+def test_points_of_one_call_have_the_bits_of_points_alone(name):
+    # exact slices send several couplings through one call; each point's
+    # four outputs must have the bits of a call with its coupling alone
+    spec = builtin_cluster(name)
+    kind = _channel_kind(spec)
+    support = model.SUPPORT[kind]
+    idx = np.random.default_rng(14).integers(0, len(support), size=(150, spec.slot_count))
+    K = [model.coupling(kind, p) for p in (BRACKET_LO, 0.02, 0.1, 0.3)]
+    together = log_factor_batch(spec, support, idx, K)
+    for i, k in enumerate(K):
+        for a, b in zip(together, _one_point(spec, support, idx, k)):
+            assert np.array_equal(a[i], b), f"point {i}"
+    with pytest.raises(ValueError, match="1-D"):
+        log_factor_batch(spec, support, idx, K[0])
 
 
 def _relabeled(spec: ClusterSpec, rng: np.random.Generator, what: str):
@@ -708,8 +730,8 @@ def test_relabeling_invariance(spec, what):
     idx = rng.integers(0, len(support), size=(500, spec.slot_count))
     for p in (0.01, 0.1):
         K = model.coupling(kind, p)
-        base = log_factor_batch(spec, support, idx, K)
-        moved = log_factor_batch(other, support, idx[:, order], K)
+        base = _one_point(spec, support, idx, K)
+        moved = _one_point(other, support, idx[:, order], K)
         for a, b in zip(base, moved):
             np.testing.assert_allclose(b, a, rtol=0.0, atol=1e-12)
         for q in (0.0, 0.2):
@@ -735,20 +757,84 @@ def test_gauge_flip_invariance_of_primal_rows(spec):
     idx = _all_rows(m, S) if m**S <= 10**4 else np.random.default_rng(6).integers(0, m, (2000, S))
     for p in (0.01, 0.1, 0.3):
         K = model.coupling("uncorrelated", p)
-        base, _, _, _ = log_factor_batch(spec, support, idx, K)
+        base, _, _, _ = _one_point(spec, support, idx, K)
         for vid in spec.internal_ids:
             incident = np.array([vid in slot.primal_edge for slot in spec.slots])
             flipped = np.where(incident, flip[idx], idx)
-            logp, _, _, _ = log_factor_batch(spec, support, flipped, K)
+            logp, _, _, _ = _one_point(spec, support, flipped, K)
             assert np.max(np.abs(logp - base)) <= 1e-12, f"{vid} at p={p}"
 
 
-def test_class_representatives_lie_in_their_class():
-    spec = builtin_cluster("D")
+def _configuration_cells(spec: ClusterSpec) -> np.ndarray:
+    """(configurations, slots) parity cell of every slot, from the cluster's edges.
+
+    Boundary spins are +1. The cell is 1 for an antiparallel primal edge and
+    0 for a parallel one; on two layers it is twice that plus 1 for an
+    antiparallel dual edge.
+    """
+    rows = []
+    for bits in itertools.product((1, -1), repeat=len(spec.internal_ids)):
+        spin = {v.id: 1 for v in spec.vertices} | dict(zip(spec.internal_ids, bits))
+        row = []
+        for slot in spec.slots:
+            a, b = slot.primal_edge
+            cell = int(spin[a] * spin[b] < 0)
+            if spec.layers == 2:
+                c, d = slot.dual_edge
+                cell = 2 * cell + int(spin[c] * spin[d] < 0)
+            row.append(cell)
+        rows.append(row)
+    return np.array(rows)
+
+
+_SMALL_CASES = [builtin_cluster("A"), builtin_cluster("D")] + [
+    spec for spec in _RANDOM_CASES if replica.support_size(spec.layers) ** spec.slot_count <= 10**4
+]
+
+
+@pytest.mark.parametrize("spec", _SMALL_CASES, ids=lambda s: s.name)
+def test_class_table_matches_brute_force_grouping(spec):
+    # every assignment, keyed by the sorted tuple of its per-configuration
+    # (state, cell) histograms: the groups must be the table's classes, with
+    # its multiplicities and state counts, one representative in each
+    m, S = replica.support_size(spec.layers), spec.slot_count
+    cells = _configuration_cells(spec)
+    width = m * 2 * spec.layers
+    configs = np.arange(len(cells))[:, None]
+
+    def key(assignment) -> tuple:
+        hist = np.zeros((len(cells), width), dtype=np.int64)
+        np.add.at(hist, (configs, np.asarray(assignment) * 2 * spec.layers + cells), 1)
+        return tuple(sorted(map(tuple, hist.tolist())))
+
+    groups = {}
+    for assignment in itertools.product(range(m), repeat=S):
+        groups.setdefault(key(assignment), []).append(assignment)
     table = class_table(spec)
-    m = replica.support_size(spec.layers)
-    for rep, counts in zip(table.representative, table.state_counts):
-        assert np.array_equal(np.bincount(rep, minlength=m), counts)
+    assert len(table.multiplicity) == len(groups)
+    seen = set()
+    for rep, multiplicity, counts in zip(table.representative, table.multiplicity, table.state_counts):
+        group = key(rep)
+        assert group not in seen, f"two classes share the group of {rep.tolist()}"
+        seen.add(group)
+        assert multiplicity == len(groups[group])
+        for member in groups[group]:
+            assert np.array_equal(np.bincount(member, minlength=m), counts)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_registered_class_sums_have_rounding_headroom(name):
+    # every class of a registered cluster has a positive dual sum well above
+    # its rounding at the strongest coupling, at p = 1e-3 and at the weakest
+    spec = builtin_cluster(name)
+    kind = _channel_kind(spec)
+    upper = (0.5 if spec.layers == 1 else 0.75) - BRACKET_MARGIN
+    K = [model.coupling(kind, p) for p in (BRACKET_LO, 1e-3, upper)]
+    _, _, sign, rounding = log_factor_batch(
+        spec, model.SUPPORT[kind], class_table(spec).representative, K
+    )
+    assert np.all(sign == 1)
+    assert rounding.max() < duality.ROUNDING_LIMIT
 
 
 def test_non_positive_dual_names_an_assignment(monkeypatch):
@@ -801,7 +887,7 @@ def test_batched_points_equal_points_alone(name):
     # a point's bits must not depend on the points that share its call or
     # its slice; the last batch crosses the CONFIG_BLOCK slice budget
     spec = builtin_cluster(name)
-    step = max(1, CONFIG_BLOCK // class_table(spec).classes.size)
+    step = max(1, CONFIG_BLOCK // (len(class_table(spec).multiplicity) * spec.config_count))
     for size in (1, 2, 7, step + 2):
         points = _mixed_points(CHANNEL_OF[name], size, seed=size)
         batched = _batch(CHANNEL_OF[name], points, spec, workers=2)
