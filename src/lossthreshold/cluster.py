@@ -117,6 +117,19 @@ class ClusterSpec:
         if n_int > MAX_INTERNAL_SPINS:
             raise ClusterFileError(f"{n_int} internal spins exceed the cap of {MAX_INTERNAL_SPINS}")
 
+    def __hash__(self) -> int:
+        # the lru_caches keyed by a cluster hash it on every lookup; its
+        # vertices and slots are hashed once
+        value = self.__dict__.get("_hash")
+        if value is None:
+            value = hash((self.name, self.layers, self.vertices, self.slots))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __getstate__(self) -> dict:
+        # str hashes differ between processes, so a pickle never carries one
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     @property
     def internal_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.vertices if v.role == "internal")

@@ -18,10 +18,13 @@ cell) of a slot, the log of its edge factor, the log magnitude of its dual
 component, and one flag column that counts a negative component as 1 and a
 zero one as a power of two above the slot count. These three add up over
 the slots of a configuration. `log_factor_batch` is the one function that
-forms x_0 and x_0* from them: it takes rows of disorder state indices and
-a 1-D array of couplings, and serves the exact average (one row per
-disorder class, `replica.class_table`), the distinct rows of a Monte Carlo
-chunk and `dual_cluster_partition`. Apart from the closed-form oracle
+forms x_0 and x_0* from them: it takes a one-hot encoding of rows of
+disorder state indices, made by `encode_rows`, and a 1-D array of
+couplings. It serves the exact average (one row per disorder class, whose
+encoding `replica.class_table` compiles once with the table), the
+distinct rows of a Monte Carlo chunk and `dual_cluster_partition`. Per
+call it builds only what depends on the couplings: the tables above, from
+one exp. Apart from the closed-form oracle
 `replica.gap_closed_form_single`, the dual weights have no other form;
 `cluster.cluster_partition` keeps a direct-energy primal sum as a
 reference.
@@ -88,13 +91,29 @@ def dual_edge_factor_twolayer(x) -> tuple[float, float, float, float]:
     )
 
 
+def _cell_energies(disorder: EdgeDisorder, layers: int) -> tuple[int, ...]:
+    """Exponent over K of each primal component of a slot, in component order.
+
+    On one layer: t at a parallel pair, -t at an antiparallel one. On two:
+    t*eta + t*'eta* + t*t*'eta*eta* for (eta, eta*) = (+,+), (+,-), (-,+), (-,-).
+    """
+    t = disorder.sign
+    if layers == 1:
+        return (t, -t)
+    ts = disorder.dual_sign
+    return tuple(
+        t * eta + ts * eta_star + t * ts * eta * eta_star
+        for eta, eta_star in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    )
+
+
 def edge_factor_single(disorder: EdgeDisorder, K):
     """Primal components (weight at parallel pair, weight at antiparallel pair).
 
     K is one coupling or an array of them; each component has its shape. A
     diluted edge has sign 0 and so weight exp(0) = 1 at either parity.
     """
-    return (np.exp(K * disorder.sign), np.exp(-K * disorder.sign))
+    return tuple(np.exp(K * e) for e in _cell_energies(disorder, 1))
 
 
 def edge_factor_twolayer(disorder: EdgeDisorder, K):
@@ -102,11 +121,7 @@ def edge_factor_twolayer(disorder: EdgeDisorder, K):
 
     K is one coupling or an array of them, as in `edge_factor_single`.
     """
-    t, ts = disorder.sign, disorder.dual_sign
-    return tuple(
-        np.exp(K * (t * eta + ts * eta_star + t * ts * eta * eta_star))
-        for eta, eta_star in ((1, 1), (1, -1), (-1, 1), (-1, -1))
-    )
+    return tuple(np.exp(K * e) for e in _cell_energies(disorder, 2))
 
 
 def _slot_cells(P: np.ndarray, D: np.ndarray | None) -> np.ndarray:
@@ -124,22 +139,22 @@ def _flag_base(slots: int) -> int:
     return 1 << slots.bit_length()
 
 
-def _log_weight_tables(cluster: ClusterSpec, support, K) -> np.ndarray:
+def _log_weight_tables(cluster: ClusterSpec, support, K: np.ndarray) -> np.ndarray:
     """Per (disorder state, cell) terms that add up over the slots of a configuration.
 
-    Shape (3, states, cells, *K.shape): log primal weight, log |dual weight|
-    and a flag, built from the edge factors and their Hadamard duals, for
-    one coupling K or an array of them. The flag is 1 where the dual weight
+    Shape (3, states, cells, points) for a 1-D array K of couplings: log
+    primal weight, log |dual weight| and a flag. The primal weights are one
+    exp over the (states, cells, points) array of `_cell_energies` times K,
+    with the bits of `edge_factor_single` / `edge_factor_twolayer`, and the
+    dual weights their Hadamard duals. The flag is 1 where the dual weight
     is negative and `_flag_base(slot count)` where it is zero, so that a
     configuration's summed flag holds both its count of negative slots
     (below the base) and whether any slot is zero (see `_dual_signs`). The
     log of a zero dual weight is stored as 0.
     """
-    if cluster.layers == 1:
-        factor, dual = edge_factor_single, dual_edge_factor_single
-    else:
-        factor, dual = edge_factor_twolayer, dual_edge_factor_twolayer
-    primal = np.array([factor(d, K) for d in support], dtype=np.float64)
+    dual = dual_edge_factor_single if cluster.layers == 1 else dual_edge_factor_twolayer
+    energies = np.array([_cell_energies(d, cluster.layers) for d in support], dtype=np.float64)
+    primal = np.exp(energies[:, :, None] * K)
     dual_w = np.stack(dual(primal.swapaxes(0, 1)), axis=1)
     zero = dual_w == 0.0
     tables = np.empty((3, *primal.shape))
@@ -164,29 +179,48 @@ def _dual_signs(flag: np.ndarray, base: int) -> np.ndarray:
     return lookup.take(entry)
 
 
+def encode_rows(idx: np.ndarray, m: int) -> np.ndarray:
+    """The one-hot encoding of rows of disorder state indices that `log_factor_batch` takes.
+
+    idx has shape (n, S) and entries in [0, m), the states of a support of
+    m; any other entry raises ValueError. Column i of the (S*m, width)
+    float64 result has a 1 in row s*m + state for each slot s of row i,
+    and width is n rounded up to a multiple of ROW_GRAIN with empty
+    columns, so that a row has the same bits in a batch of any size.
+    """
+    n, S = idx.shape
+    if idx.size and not 0 <= idx.min() <= idx.max() < m:
+        raise ValueError(f"disorder state indices must lie in [0, {m}), got {idx.min()} to {idx.max()}")
+    # empty columns pad the rows to a multiple of ROW_GRAIN, so that no row is in a tail
+    width = n + (-n % ROW_GRAIN)
+    onehot = np.zeros((S, m, width))
+    states = np.arange(m).astype(idx.dtype)[:, None]
+    np.equal(np.ascontiguousarray(idx.T)[:, None, :], states, out=onehot[:, :, :n])
+    return onehot.reshape(S * m, width)
+
+
 def log_factor_batch(
     cluster: ClusterSpec,
     support,
-    idx: np.ndarray,
+    encoding: np.ndarray,
     K,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(ln x_0, ln |x_0*|, sign of x_0*, rounding bound of x_0*) for rows of per-slot disorder states.
+    """(ln x_0, ln |x_0*|, sign of x_0*, rounding bound of x_0*) for encoded rows of disorder states.
 
-    idx has shape (n, S) and indexes `support`, the disorder states; an
-    index outside [0, len(support)) raises ValueError. K is a 1-D array of
+    `encoding` is `encode_rows` of rows that index `support`, the disorder
+    states; its shape must be (S*len(support), width). K is a 1-D array of
     couplings, one per point (any other shape raises ValueError), and each
-    output has shape (points, n). The rows are the class representatives of
-    `replica.class_table`, the distinct rows of a Monte Carlo chunk or one
-    assignment (`dual_cluster_partition`).
+    output has shape (points, width): one column per encoded row, then the
+    padding columns, whose values callers drop. The rows are the class
+    representatives of `replica.class_table`, encoded once with the table,
+    the distinct rows of a Monte Carlo chunk or one assignment
+    (`dual_cluster_partition`).
 
-    Rows are one-hot encoded, configuration-major: column i of the (S*m, n)
-    encoding has a 1 in row s*m + state for each slot s of row i, and empty
-    columns pad it to a multiple of ROW_GRAIN, so that a row has the same
-    bits in a batch of any size. One batched matrix product per block of
-    configurations of the per-point table
+    One batched matrix product per block of configurations of the
+    per-point table
     W[point, (k, c), s*m + a] = T[k, a, cell of slot s in configuration c, point]
-    with that encoding gives all three summed terms of `_log_weight_tables`,
-    as (points, configurations, n) blocks, so both log-sum-exps sum each
+    with the encoding gives all three summed terms of `_log_weight_tables`,
+    as (points, configurations, width) blocks, so both log-sum-exps sum each
     row's configurations in configuration order, and a point has the same
     bits whatever points share its call. A dual term's sign, and 0 for a
     zero term, is applied by a multiply (`_dual_signs`); configuration 0,
@@ -195,20 +229,15 @@ def log_factor_batch(
     |sum terms|, a bound on the relative error of x_0*; where it nears 1,
     rounding decides the sign.
     """
-    n, S = idx.shape
-    m = len(support)
-    if idx.size and not 0 <= idx.min() <= idx.max() < m:
-        raise ValueError(f"disorder state indices must lie in [0, {m}), got {idx.min()} to {idx.max()}")
+    S, m = cluster.slot_count, len(support)
+    if encoding.ndim != 2 or encoding.shape[0] != S * m:
+        raise ValueError(f"encoding must have {S * m} rows (slots x states), got shape {encoding.shape}")
     K = np.asarray(K, dtype=np.float64)
     if K.ndim != 1:
         raise ValueError(f"K must be a 1-D array of couplings, got shape {K.shape}")
     # (points, 3, states, cells): each point's three terms per (state, cell)
     tables = np.moveaxis(_log_weight_tables(cluster, support, K), -1, 0)
-    # empty columns pad the rows to a multiple of ROW_GRAIN, so that no row is in a tail
-    width = n + (-n % ROW_GRAIN)
-    onehot = np.zeros((S, m, width))
-    np.equal(np.ascontiguousarray(idx.T)[:, None, :], np.arange(m).astype(idx.dtype)[:, None], out=onehot[:, :, :n])
-    onehot = onehot.reshape(S * m, width)
+    width = encoding.shape[1]
     base = _flag_base(S)
     # W holds 3m numbers per (point, configuration, slot); taking
     # configurations in steps keeps it within CONFIG_BLOCK * S of them per
@@ -220,12 +249,12 @@ def log_factor_batch(
         cells = _slot_cells(P, D)
         for lo in range(0, len(cells), step):
             W = tables[..., cells[lo : lo + step]].transpose(0, 1, 3, 4, 2).reshape(len(K), -1, S * m)
-            log_p, log_d, flag = (W @ onehot).reshape(len(K), 3, -1, width).swapaxes(0, 1)
+            log_p, log_d, flag = (W @ encoding).reshape(len(K), 3, -1, width).swapaxes(0, 1)
             primal.add(log_p)
             dual.add(log_d, _dual_signs(flag, base))
     logd, sign = dual.result()
     rounding = cluster.config_count * EPS * dual.condition()
-    return primal.result()[0][:, :n], logd[:, :n], sign[:, :n], rounding[:, :n]
+    return primal.result()[0], logd, sign, rounding
 
 
 def _require_positive_dual(
@@ -270,8 +299,9 @@ def dual_cluster_partition(cluster: ClusterSpec, disorder: DisorderAssignment, K
     if not math.isfinite(K):
         raise NonFinite(f"dual cluster partition of {cluster.name!r} is not finite (K={K})")
     states = np.arange(cluster.slot_count)[None, :]
-    _, logmag, sign, rounding = log_factor_batch(cluster, disorder, states, [K])
-    _require_positive_dual(cluster, sign[0] <= 0, states, disorder, K, rounding[0])
+    encoding = encode_rows(states, len(disorder))
+    _, logmag, sign, rounding = log_factor_batch(cluster, disorder, encoding, [K])
+    _require_positive_dual(cluster, sign[0, :1] <= 0, states, disorder, K, rounding[0, :1])
     return float(logmag[0, 0])
 
 

@@ -15,22 +15,26 @@ contributes depends only on how many slots sit in each (disorder state,
 parity cell) for every internal-spin configuration, so assignments whose
 per-configuration histograms agree up to a permutation of configurations
 form one class, and every assignment of a class has the same primal and
-dual sums. The class table of a cluster is compiled once and cached; an
-evaluation sums one representative assignment per class and weighs it by
-the class's multiplicity and disorder probability. Monte Carlo sampling
-covers clusters whose exact work exceeds TERM_BUDGET; it uses a
-counter-based generator so that the
-uniforms of every chunk of samples are reproducible and identical across
-different p, which keeps the estimated gap continuous during root finding.
+dual sums. The class table of a cluster is compiled once and cached, with
+all of an evaluation's work that does not depend on the point: the row
+kernel's encoding of one representative assignment per class, and the
+index of the classes' distinct state-count vectors. An evaluation sums
+that encoding and weighs each class by its multiplicity and disorder
+probability, whose products it forms once per count vector. Monte Carlo
+sampling covers clusters whose exact work exceeds TERM_BUDGET; it uses a
+counter-based generator so that the uniforms of every chunk of samples
+are reproducible and identical across different p, which keeps the
+estimated gap continuous during root finding.
 Since they do not depend on the point, one call draws each chunk once, in
 groups of `worker_count` chunks, and all its points read that draw.
 Sampled rows repeat often (near the root of B only 2-27 % of them are
 distinct), so each chunk sums its distinct rows once, weighted by their
 counts: the cost is per distinct row of a chunk.
 
-Both paths send rows of disorder state indices, as int8, through one
-kernel, `duality.log_factor_batch`: exact evaluation the class
-representatives, Monte Carlo the distinct rows of a chunk. It sums every
+Both paths send rows of disorder state indices, as int8 and encoded by
+`duality.encode_rows`, through one kernel, `duality.log_factor_batch`:
+exact evaluation the class representatives, encoded once with the table,
+Monte Carlo the distinct rows of a chunk, encoded per chunk. It sums every
 row's configurations in configuration order and gives each row the same
 bits in any batch. This module only weighs and adds its outputs.
 
@@ -59,7 +63,7 @@ import numpy as np
 
 from . import model
 from .cluster import CONFIG_BLOCK, ClusterSpec, NonFinite, ShapeMismatch, _iter_parity_blocks
-from .duality import _require_positive_dual, _slot_cells, log_factor_batch
+from .duality import UnsignedDual, _require_positive_dual, _slot_cells, encode_rows, log_factor_batch
 
 EXACT = "exact"
 MONTE_CARLO = "monte-carlo"
@@ -67,8 +71,21 @@ POLICIES = (EXACT, MONTE_CARLO)
 
 # bound on exact_work, checked before anything is compiled
 TERM_BUDGET = 10**8
+# |Delta| up to this at a bracket end is rounding, not a sign: a geometry whose
+# primal and dual sums coincide has Delta = 0 at every p, and its computed
+# value scatters around zero in the last bits.
+GAP_FLOOR = 1e-12
+# an exact gap whose dual sums may round it by more than this share of
+# GAP_FLOOR is refused; on the registered clusters the bound stays below
+# 5.7e-14, 4.4 times under the 2.5e-13 this allows
+ROUNDING_SHARE = 0.25
 DEFAULT_MC_SAMPLES = 100_000
 MIN_MC_SAMPLES = 1000
+
+# an exact slice holds at most this many (points x classes x configurations)
+# elements: both bracket ends of a round on E (3 150 classes x 4
+# configurations) share one kernel call
+EXACT_SLICE = 2 * CONFIG_BLOCK
 
 # Monte Carlo samples are processed in fixed-size chunks. The partition
 # depends only on the cluster and the sample count, never on the worker count,
@@ -186,11 +203,20 @@ class ClassTable:
     `edge_factor_twolayer`. Every assignment in a class has the same primal
     and dual sums and the same probability, so one representative per
     class stands for all of them.
+
+    The table also holds what an evaluation needs that does not depend on
+    the point: the representatives' `duality.encode_rows` encoding, which
+    the row kernel takes as it is, and the distinct state-count vectors
+    (330 for E's 3 150 classes), whose disorder weights are all a point
+    computes before gathering them out to the classes.
     """
 
     state_counts: np.ndarray  # (classes, states) slots in each disorder state
     multiplicity: np.ndarray  # (classes,) assignments in each class
     representative: np.ndarray  # (classes, slots) int8 state indices of one assignment
+    encoding: np.ndarray  # (slots * states, padded classes) `encode_rows` of representative
+    count_vectors: np.ndarray  # (vectors, states) intp distinct rows of state_counts
+    count_index: np.ndarray  # (classes,) intp row of count_vectors equal to each class's state_counts
 
 
 def _parity_cells(cluster: ClusterSpec, dtype) -> np.ndarray:
@@ -210,27 +236,40 @@ def _distinct_rows(idx: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of base-m state indices and how often each occurs.
 
     A row's digits (of any integer dtype; Monte Carlo states are int8) are
-    cast and packed into as many int64 words as its length needs, the last
-    word the most significant, and the words are folded into one int64 key
-    per row: key = rank(key) * n + rank(word), last word first,
-    with dense ranks below n, so that ascending keys order the rows as a
-    lexsort of their words would. One argsort of the keys brings equal rows
-    together, so the order of the distinct rows depends only on `idx`.
+    packed by Horner's rule over the columns into as many int64 words as
+    its length needs, the last word the most significant, and the words are
+    folded into one int64 key per row: key = rank(key) * n + rank(word),
+    last word first, with dense ranks below n, so that ascending keys order
+    the rows as a lexsort of their words would. A word holds
+    floor((63 - bits(n)) / log2 m) digits, so that a key shifted left by
+    bits(n) still fits in int64 for n up to _CHUNK_MAX, and the row's
+    position fills the low bits: one sort of these unique values brings
+    equal rows together, so the order of the distinct rows depends only on
+    `idx`.
     """
     n, S = idx.shape
-    digits = math.floor(63 / math.log2(m))
-    place = m ** np.arange(digits, dtype=np.int64)
-    words = [idx[:, lo : lo + digits].astype(np.int64) @ place[: S - lo] for lo in range(0, S, digits)]
+    bits = n.bit_length()
+    digits = math.floor((63 - bits) / math.log2(m))
+    columns = np.ascontiguousarray(idx.T)
+    words = []
+    for lo in range(0, S, digits):
+        top, *rest = columns[lo : lo + digits][::-1]
+        word = top.astype(np.int64)
+        for column in rest:
+            word *= m
+            word += column
+        words.append(word)
     key = words[-1]
     for word in reversed(words[:-1]):
         key_rank, word_rank = (np.unique(a, return_inverse=True)[1] for a in (key, word))
         key = key_rank * n + word_rank
-    order = np.argsort(key)
-    key = key[order]
+    packed = np.sort((key << bits) | np.arange(n))
+    order = packed & ((1 << bits) - 1)
+    key = packed >> bits
     first = np.ones(n, dtype=bool)
     first[1:] = key[1:] != key[:-1]
     starts = np.flatnonzero(first)
-    return idx[order[starts]], np.diff(starts, append=n)
+    return idx.take(order[starts], axis=0), np.diff(starts, append=n)
 
 
 @lru_cache(maxsize=16)
@@ -242,7 +281,9 @@ def class_table(cluster: ClusterSpec) -> ClassTable:
     without knowing its configuration. After every slot, classes that became
     equal are merged and their multiplicities added. One assignment of each
     class is kept as its representative: evaluation sums it for the whole
-    class, and errors name its signs.
+    class, and errors name its signs. The representatives are encoded for
+    the row kernel, and the classes' state counts indexed by their distinct
+    vectors, here, once per table.
     """
     m = support_size(cluster.layers)
     cells = 2 * cluster.layers
@@ -275,8 +316,16 @@ def class_table(cluster: ClusterSpec) -> ClassTable:
             [representative[first % n], (first // n).astype(np.int8)[:, None]], axis=1
         )
     state_counts = hist[classes[:, 0]].reshape(-1, m, cells).sum(axis=2)
-    table = ClassTable(state_counts, multiplicity, representative)
-    for array in (state_counts, multiplicity, representative):
+    count_vectors, _, count_index = _unique_rows(state_counts)
+    table = ClassTable(
+        state_counts,
+        multiplicity,
+        representative,
+        encode_rows(representative, m),
+        count_vectors.astype(np.intp),
+        count_index.astype(np.intp),
+    )
+    for array in vars(table).values():
         array.flags.writeable = False
     return table
 
@@ -287,22 +336,42 @@ def _exact_gaps(
     """Delta at each point of a slice, from its couplings and (points, states) probabilities.
 
     Every assignment of a class has the class's primal and dual sums, so
-    the class representatives go through `log_factor_batch` as its rows,
-    and each class counts multiplicity * probability times. A point's bits
-    do not depend on which other points share its slice.
+    the table's encoding of the class representatives goes through
+    `log_factor_batch`, and each class counts multiplicity * probability
+    times. The probabilities are multiplied out once per distinct
+    state-count vector and gathered to the classes. A class of positive
+    weight whose dual sum is not positive raises NonPositiveDual. Each
+    class's rounding bound, weighed the same way, bounds the rounding of
+    Delta; past ROUNDING_SHARE * GAP_FLOOR the point raises UnsignedDual,
+    naming the representative that weighs most in it. A point's bits do
+    not depend on which other points share its slice.
     """
-    logp, logd, sign, _ = log_factor_batch(cluster, support, table.representative, K)
-    # p**k for every state and slot count k, so each class weight is a
-    # product of table entries rather than of fresh powers
+    classes = len(table.multiplicity)
+    logp, logd, sign, rounding = (
+        a[:, :classes] for a in log_factor_batch(cluster, support, table.encoding, K)
+    )
+    # p**k for every state and slot count k, so each weight is a product of
+    # table entries rather than of fresh powers
     powers = probs[:, :, None] ** np.arange(cluster.slot_count + 1)
     states = np.arange(len(support))[:, None]
-    weight = np.prod(powers[:, states, table.state_counts.T], axis=1)
+    weight = np.prod(powers[:, states, table.count_vectors.T], axis=1)[:, table.count_index]
     # classes of zero probability (q = 0, or p on the support boundary) never
-    # enter the average, whatever the sign of their dual sum
-    bad = (sign <= 0) & (weight > 0.0)
+    # enter the average, whatever the sign or rounding of their dual sum
+    positive = weight > 0.0
+    bad = (sign <= 0) & positive
     if bad.any():
         i = int(np.argmax(bad.any(axis=1)))
         _require_positive_dual(cluster, bad[i], table.representative, support, K[i])
+    error = table.multiplicity * weight * np.where(positive, rounding, 0.0)
+    bound = error.sum(axis=1)
+    limit = ROUNDING_SHARE * GAP_FLOOR
+    if np.any(bound > limit):
+        i = int(np.argmax(bound > limit))
+        signs = [support[s].sign for s in table.representative[np.argmax(error[i])]]
+        raise UnsignedDual(
+            f"dual sums of cluster {cluster.name!r} may round the gap by {bound[i]:.3g} at "
+            f"K={K[i]}, past {limit:.3g}; the largest share is the class of signs {signs}"
+        )
     delta = logp - np.where(sign > 0, logd, logp)
     return [math.fsum(v.tolist()) for v in table.multiplicity * weight * delta]
 
@@ -348,9 +417,12 @@ def _sampled_chunks(K: float, probs: np.ndarray, support, cluster: ClusterSpec):
         for c in cum[1:-1]:
             states += (u >= c).view(np.int8)
         rows, count = _distinct_rows(states, len(cum))
-        logp, logd, sign, rounding = log_factor_batch(cluster, support, rows, [K])
-        _require_positive_dual(cluster, sign[0] <= 0, rows, support, K, rounding[0])
-        delta = logp[0] - logd[0]
+        n = len(rows)
+        logp, logd, sign, rounding = (
+            a[0, :n] for a in log_factor_batch(cluster, support, encode_rows(rows, len(cum)), [K])
+        )
+        _require_positive_dual(cluster, sign <= 0, rows, support, K, rounding)
+        delta = logp - logd
         total = float((count * delta).sum())
         return total, float((count * (delta - total / len(u)) ** 2).sum())
 
@@ -396,7 +468,7 @@ def gap_batch(
     policy "exact" sums every assignment through the cluster's class table
     and raises TooManyTerms, before compiling anything, when `exact_work`
     exceeds TERM_BUDGET; "monte-carlo" samples. Exact points are cut into
-    slices of at most CONFIG_BLOCK (points x classes x configurations)
+    slices of at most EXACT_SLICE (points x classes x configurations)
     elements, one point at least, which run one after another on the
     calling thread. Sampled points share their `_chunk_bounds` chunks: the
     chunks are taken in groups of `worker_count(workers)`, each group's
@@ -445,7 +517,7 @@ def gap_batch(
             f"policy, or --mc-samples on the command line"
         )
     table = class_table(cluster)
-    step = max(1, CONFIG_BLOCK // (len(table.multiplicity) * cluster.config_count))
+    step = max(1, EXACT_SLICE // (len(table.multiplicity) * cluster.config_count))
     values = []
     for lo in range(0, len(K), step):
         values += _exact_gaps(K[lo : lo + step], probs[lo : lo + step], support, cluster, table)

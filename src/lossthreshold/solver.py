@@ -43,10 +43,6 @@ BRACKET_MARGIN = 1e-6
 SEED_HALF_WIDTH = 4e-3
 MIN_TOL = 1e-10
 MAX_ITERATIONS = 200
-# |Delta| up to this at a bracket end is rounding, not a sign: a geometry whose
-# primal and dual sums coincide has Delta = 0 at every p, and its computed
-# value scatters around zero in the last bits.
-GAP_FLOOR = 1e-12
 
 STATUS_OK = "ok"
 STATUS_NO_THRESHOLD = "no-threshold"
@@ -123,8 +119,8 @@ def solve_threshold(
     Returns a no-threshold result (p_c = 0) for the one-unit clusters when
     q >= 1/2, where the closed form shows the gap is negative for every p.
     Raises NoSignChange when the gap fails to change sign over the full
-    bracket (an end within GAP_FLOOR of zero has no sign), which signals the
-    q >= 1/2 regime of a larger cluster or a broken geometry. Raises
+    bracket (an end within replica.GAP_FLOOR of zero has no sign), which
+    signals the q >= 1/2 regime of a larger cluster or a broken geometry. Raises
     ValueError for a tol that is not finite or is below MIN_TOL, for a
     `workers` below 1, and for a Monte Carlo seed outside [0, 2**128). A
     search that takes MAX_ITERATIONS steps without closing the bracket keeps
@@ -217,7 +213,7 @@ def _search(kind, name, q, method, tol, root):
         brackets.insert(0, seeded)
     for tried, (a, b) in enumerate(brackets, 1):
         (fa, _), (fb, _) = yield (a, b)
-        if fa > GAP_FLOOR and fb < -GAP_FLOOR:
+        if fa > replica.GAP_FLOOR and fb < -replica.GAP_FLOOR:
             return (yield from _refine(kind, name, q, method, a, b, fa, fb, tol, 2 * tried))
     raise NoSignChange(
         f"gap does not change sign on [{a}, {b}] for {kind}/{name} at q={q}: "

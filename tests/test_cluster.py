@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -306,3 +307,17 @@ def test_cluster_from_dict_rejects_names_that_are_not_strings(data, what):
 def test_load_cluster_file_missing_path(tmp_path):
     with pytest.raises(ClusterFileError):
         load_cluster_file(str(tmp_path / "absent.json"))
+
+
+def test_cluster_hash_is_cached_and_left_out_of_pickles():
+    # lru_cache lookups hash a cluster every call; the hash is the one of
+    # its fields, kept once, and never pickled, since str hashes differ
+    # between processes
+    spec = builtin_cluster("E")
+    want = hash((spec.name, spec.layers, spec.vertices, spec.slots))
+    assert hash(spec) == want and hash(spec) == want
+    copy = pickle.loads(pickle.dumps(spec))
+    assert "_hash" not in copy.__dict__
+    assert copy == spec and hash(copy) == want
+    assert cluster_from_dict(cluster_to_dict(spec)) == spec
+    assert len({spec, copy, cluster_from_dict(cluster_to_dict(spec))}) == 1

@@ -22,11 +22,13 @@ from lossthreshold.duality import (
     NonPositiveDual,
     UnsignedDual,
     _dual_signs,
+    _log_weight_tables,
     dual_cluster_partition,
     dual_edge_factor_single,
     dual_edge_factor_twolayer,
     edge_factor_single,
     edge_factor_twolayer,
+    encode_rows,
     log_factor_batch,
     pure_self_dual_point,
 )
@@ -80,6 +82,34 @@ def test_two_layer_dual_components():
     assert mixed == pytest.approx((a, -s, s, -s), rel=1e-14)
     diluted = dual_edge_factor_twolayer(edge_factor_twolayer(EdgeDisorder(0, 0), K))
     assert diluted == pytest.approx((2.0, 0.0, 0.0, 0.0), abs=1e-14)
+
+
+def _per_state_tables(cluster, support, K: np.ndarray) -> np.ndarray:
+    """The weight tables built state by state from the edge factors and their Hadamard duals."""
+    if cluster.layers == 1:
+        factor, dual = edge_factor_single, dual_edge_factor_single
+    else:
+        factor, dual = edge_factor_twolayer, dual_edge_factor_twolayer
+    primal = np.array([factor(d, K) for d in support], dtype=np.float64)
+    dual_w = np.stack(dual(primal.swapaxes(0, 1)), axis=1)
+    zero = dual_w == 0.0
+    base = 1 << cluster.slot_count.bit_length()
+    return np.stack([np.log(primal), np.log(np.abs(dual_w) + zero), (dual_w < 0.0) + base * zero])
+
+
+@pytest.mark.parametrize("name, kind", [("B", "uncorrelated"), ("E", "depolarizing")])
+def test_weight_tables_have_the_bits_of_the_per_state_edge_factors(name, kind):
+    # one exp over every (state, cell, point) must give each entry the bits
+    # of the edge factor's own exp over that state's couplings, whatever
+    # SIMD lane or tail the entry lands in
+    spec, support = builtin_cluster(name), model.SUPPORT[kind]
+    rng = np.random.default_rng(9)
+    for length in range(1, 18):
+        for K in (np.geomspace(1e-3, 12.0, length), 10.0 ** rng.uniform(-3.0, math.log10(12.0), length)):
+            got = _log_weight_tables(spec, support, K)
+            want = _per_state_tables(spec, support, K)
+            assert got.shape == want.shape == (3, len(support), 2 * spec.layers, length)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), f"K={K.tolist()}"
 
 
 def test_single_edge_dual_anchor():
@@ -164,7 +194,8 @@ def test_batch_matches_scalar_dual(name, states):
             rows.append(tuple(EdgeDisorder(*pair) for pair in assignment))
     support = model.SUPPORT["uncorrelated" if spec.layers == 1 else "depolarizing"]
     idx = np.array([[support.index(d) for d in row] for row in rows])
-    _, (logmag,), (sign,), _ = log_factor_batch(spec, support, idx, [K])
+    encoding = encode_rows(idx, len(support))
+    _, (logmag,), (sign,), _ = (a[:, : len(idx)] for a in log_factor_batch(spec, support, encoding, [K]))
     for i, row in enumerate(rows):
         scalar = dual_cluster_partition(spec, row, K)
         assert sign[i] == 1
@@ -200,7 +231,7 @@ def test_dual_sum_that_rounding_cannot_sign_is_refused():
     spec = _cancelling_cluster()
     K = model.coupling("uncorrelated", 1e-6)
     disorder = (EdgeDisorder(-1),) * 6
-    _, logmag, sign, rounding = log_factor_batch(spec, disorder, np.arange(6)[None, :], [K])
+    _, logmag, sign, rounding = log_factor_batch(spec, disorder, encode_rows(np.arange(6)[None, :], 6), [K])
     assert abs(logmag[0, 0] - 3.0 * math.log1p(math.exp(-2.0 * K))) > 1.0
     assert 0.5 < rounding[0, 0] < 2.0
     with pytest.raises(UnsignedDual, match=r"cancels below double precision for signs \[-1, -1, -1, -1, -1, -1\]"):
@@ -212,7 +243,8 @@ def test_rounding_bound_accepts_a_frustrated_star_at_strong_coupling():
     # the frustrated star of test_non_positive_dual_from_cancellation keeps
     # about 11 digits at K = 12, far inside the limit
     frustrated = tuple(EdgeDisorder(s) for s in (-1, 1, 1, 1))
-    *_, rounding = log_factor_batch(builtin_cluster("A"), frustrated, np.arange(4)[None, :], [12.0])
+    encoding = encode_rows(np.arange(4)[None, :], 4)
+    *_, rounding = log_factor_batch(builtin_cluster("A"), frustrated, encoding, [12.0])
     assert 1e-6 < rounding[0, 0] < 1e-5 < ROUNDING_LIMIT
 
 
@@ -225,9 +257,9 @@ def test_state_indices_outside_the_support_are_refused(dtype, bad):
     idx = np.zeros((4, 4), dtype=dtype)
     idx[2, 2] = bad
     with pytest.raises(ValueError, match=r"\[0, 3\)"):
-        log_factor_batch(builtin_cluster("A"), support, idx, [0.7])
+        encode_rows(idx, len(support))
     idx[2, 2] = 2
-    log_factor_batch(builtin_cluster("A"), support, idx, [0.7])
+    log_factor_batch(builtin_cluster("A"), support, encode_rows(idx, len(support)), [0.7])
 
 
 def test_sampled_rows_that_rounding_cannot_sign_are_refused():

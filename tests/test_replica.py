@@ -14,7 +14,6 @@ import pytest
 
 from lossthreshold import duality, model, replica
 from lossthreshold.cluster import (
-    CONFIG_BLOCK,
     ClusterSpec,
     ShapeMismatch,
     Slot,
@@ -23,7 +22,13 @@ from lossthreshold.cluster import (
     builtin_names,
     log_partition_batch,
 )
-from lossthreshold.duality import NonPositiveDual, dual_cluster_partition, log_factor_batch
+from lossthreshold.duality import (
+    NonPositiveDual,
+    UnsignedDual,
+    dual_cluster_partition,
+    encode_rows,
+    log_factor_batch,
+)
 from lossthreshold.model import ChannelSpec, DomainError, EdgeDisorder
 from lossthreshold.replica import (
     EXACT,
@@ -49,9 +54,15 @@ CHANNEL_OF = {
 }
 
 
+def _row_kernel(spec: ClusterSpec, support, idx: np.ndarray, K) -> tuple[np.ndarray, ...]:
+    """The row kernel's four (points, rows) outputs for rows of state indices, padding dropped."""
+    encoding = encode_rows(idx, len(support))
+    return tuple(a[:, : len(idx)] for a in log_factor_batch(spec, support, encoding, K))
+
+
 def _one_point(spec: ClusterSpec, support, idx: np.ndarray, K: float) -> tuple[np.ndarray, ...]:
     """The row kernel's four (rows,) outputs at one coupling K."""
-    return tuple(a[0] for a in log_factor_batch(spec, support, idx, [K]))
+    return tuple(a[0] for a in _row_kernel(spec, support, idx, [K]))
 
 
 def _brute_force_row(spec: ClusterSpec, assignment, K: float) -> tuple[float, float]:
@@ -340,12 +351,17 @@ def _lexsort_distinct(idx: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return idx[order[starts]], np.diff(starts, append=n)
 
 
+def _word_count(m: int, S: int, n: int) -> int:
+    """Int64 words `_distinct_rows` packs a row of S base-m digits into, in a batch of n rows."""
+    return -(-S // math.floor((63 - n.bit_length()) / math.log2(m)))
+
+
 @pytest.mark.parametrize("m, S, words", [(3, 12, 1), (3, 60, 2), (3, 80, 3), (5, 30, 2)])
 def test_distinct_rows_come_in_lexsort_order(m, S, words):
     # the Monte Carlo chunk sums add distinct rows in this order, so their
     # bits rest on it. Rows are drawn from a few bases with a few digits
     # changed, so that many repeat and many agree in every word but one.
-    assert -(-S // math.floor(63 / math.log2(m))) == words
+    assert _word_count(m, S, 20_000) == words
     rng = np.random.default_rng(100 * m + S)
     base = rng.integers(0, m, size=(4, S))
     idx = base[rng.integers(0, 4, size=5000)]
@@ -363,7 +379,7 @@ def test_distinct_rows_come_in_lexsort_order(m, S, words):
 def test_int8_states_give_the_int64_distinct_rows(m, S, words):
     # Monte Carlo states are int8; their distinct rows, counts and order must
     # be those of the same states as int64
-    assert -(-S // math.floor(63 / math.log2(m))) == words
+    assert _word_count(m, S, 4000) == words
     rng = np.random.default_rng(7 * m + S)
     base = rng.integers(0, m, size=(5, S))
     idx = base[rng.integers(0, 5, size=4000)]
@@ -373,6 +389,28 @@ def test_int8_states_give_the_int64_distinct_rows(m, S, words):
     assert narrow_rows.dtype == np.int8
     assert np.array_equal(narrow_rows, rows)
     assert np.array_equal(narrow_count, count)
+
+
+@pytest.mark.parametrize("m, S, words", [(3, 36, 2), (3, 60, 3), (5, 27, 2), (5, 45, 3)])
+def test_distinct_rows_of_a_full_chunk_match_numpy_unique(m, S, words):
+    # at n = _CHUNK_MAX the row's position takes 17 low bits of each packed
+    # key, so a word holds fewer digits than 63 bits would (36 base-3 or 27
+    # base-5 digits fit one word of 63 bits but overflow it once shifted);
+    # the rows, counts and order must still be np.unique's over the columns
+    # taken last first
+    n = replica._CHUNK_MAX
+    assert _word_count(m, S, n) == words
+    rng = np.random.default_rng(31 * m + S)
+    base = rng.integers(0, m, size=(8, S), dtype=np.int8)
+    idx = base[rng.integers(0, 8, size=n)]
+    for column in (0, S // 2, S - 1):
+        idx[:, column] = rng.integers(0, m, size=n)
+    idx[rng.integers(0, n, size=n // 4), rng.integers(0, S, size=n // 4)] = 0
+    rows, count = replica._distinct_rows(idx, m)
+    expected_rows, expected_count = np.unique(idx[:, ::-1], axis=0, return_counts=True)
+    assert 1000 < len(rows) < n
+    assert np.array_equal(rows, expected_rows[:, ::-1])
+    assert np.array_equal(count, expected_count)
 
 
 def _count_draws(monkeypatch):
@@ -692,12 +730,12 @@ def test_points_of_one_call_have_the_bits_of_points_alone(name):
     support = model.SUPPORT[kind]
     idx = np.random.default_rng(14).integers(0, len(support), size=(150, spec.slot_count))
     K = [model.coupling(kind, p) for p in (BRACKET_LO, 0.02, 0.1, 0.3)]
-    together = log_factor_batch(spec, support, idx, K)
+    together = _row_kernel(spec, support, idx, K)
     for i, k in enumerate(K):
         for a, b in zip(together, _one_point(spec, support, idx, k)):
             assert np.array_equal(a[i], b), f"point {i}"
     with pytest.raises(ValueError, match="1-D"):
-        log_factor_batch(spec, support, idx, K[0])
+        _row_kernel(spec, support, idx, K[0])
 
 
 def _relabeled(spec: ClusterSpec, rng: np.random.Generator, what: str):
@@ -823,6 +861,51 @@ def test_class_table_matches_brute_force_grouping(spec):
 
 
 @pytest.mark.parametrize("name", builtin_names())
+def test_table_carries_the_representatives_encoding_and_count_index(name):
+    # the compiled encoding is the one a fresh encode_rows gives, cannot be
+    # written, and gives the kernel the same bits; the count-vector index
+    # gives back every class's state counts
+    spec = builtin_cluster(name)
+    kind = _channel_kind(spec)
+    support = model.SUPPORT[kind]
+    table = class_table(spec)
+    fresh = encode_rows(table.representative, len(support))
+    assert table.encoding.dtype == np.float64 and np.array_equal(table.encoding, fresh)
+    assert table.encoding.shape[1] % duality.ROW_GRAIN == 0
+    for array in vars(table).values():
+        assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        table.encoding[0, 0] = 1.0
+    K = [model.coupling(kind, p) for p in (BRACKET_LO, 0.05, 0.2)]
+    for a, b in zip(
+        log_factor_batch(spec, support, table.encoding, K), log_factor_batch(spec, support, fresh, K)
+    ):
+        assert np.array_equal(a, b)
+    assert table.count_vectors.dtype == table.count_index.dtype == np.intp
+    assert np.array_equal(table.count_vectors[table.count_index], table.state_counts)
+    assert len(np.unique(table.count_vectors, axis=0)) == len(table.count_vectors)
+
+
+def test_exact_gap_refuses_dual_rounding_past_its_share_of_the_gap_floor(monkeypatch):
+    # B at p = 1e-6 rounds its exact gap by up to 5.7e-14, a quarter of the
+    # limit; a share below that must refuse the point, naming the class
+    # whose weighted bound is largest
+    spec = builtin_cluster("B")
+    channel = ChannelSpec("uncorrelated", 1e-6, 0.0)
+    gap(channel, spec)
+    monkeypatch.setattr(replica, "ROUNDING_SHARE", 0.04)
+    with pytest.raises(UnsignedDual) as info:
+        gap(channel, spec)
+    text = str(info.value)
+    match = re.search(r"round the gap by (\S+) at K=.*past 4e-14; .*signs (\[[^]]*\])", text)
+    assert match, text
+    assert 4e-14 < float(match.group(1)) < 1e-13
+    signs = json.loads(match.group(2))
+    assert signs == [1] * 8 + [-1] + [1] * 3
+    assert isinstance(info.value, NonPositiveDual)
+
+
+@pytest.mark.parametrize("name", builtin_names())
 def test_registered_class_sums_have_rounding_headroom(name):
     # every class of a registered cluster has a positive dual sum well above
     # its rounding at the strongest coupling, at p = 1e-3 and at the weakest
@@ -830,9 +913,7 @@ def test_registered_class_sums_have_rounding_headroom(name):
     kind = _channel_kind(spec)
     upper = (0.5 if spec.layers == 1 else 0.75) - BRACKET_MARGIN
     K = [model.coupling(kind, p) for p in (BRACKET_LO, 1e-3, upper)]
-    _, _, sign, rounding = log_factor_batch(
-        spec, model.SUPPORT[kind], class_table(spec).representative, K
-    )
+    _, _, sign, rounding = _row_kernel(spec, model.SUPPORT[kind], class_table(spec).representative, K)
     assert np.all(sign == 1)
     assert rounding.max() < duality.ROUNDING_LIMIT
 
@@ -885,9 +966,9 @@ def _mixed_points(kind: str, count: int, seed: int) -> list[ChannelSpec]:
 @pytest.mark.parametrize("name", list(CHANNEL_OF))
 def test_batched_points_equal_points_alone(name):
     # a point's bits must not depend on the points that share its call or
-    # its slice; the last batch crosses the CONFIG_BLOCK slice budget
+    # its slice; the last batch crosses the EXACT_SLICE slice budget
     spec = builtin_cluster(name)
-    step = max(1, CONFIG_BLOCK // (len(class_table(spec).multiplicity) * spec.config_count))
+    step = max(1, replica.EXACT_SLICE // (len(class_table(spec).multiplicity) * spec.config_count))
     for size in (1, 2, 7, step + 2):
         points = _mixed_points(CHANNEL_OF[name], size, seed=size)
         batched = _batch(CHANNEL_OF[name], points, spec, workers=2)
