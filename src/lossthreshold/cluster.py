@@ -190,41 +190,27 @@ def _iter_parity_blocks(cluster: ClusterSpec):
 class SignedLogSum:
     """Streaming signed log-sum-exp over blocks of terms.
 
-    Accumulates sums of the form sum_t s_t * exp(l_t) along one axis of its
-    blocks (the last unless `axis` says otherwise) without ever leaving the
-    log domain for the magnitudes. Used for both primal sums (all signs +1)
-    and dual sums (signs may cancel). It also accumulates
-    sum_t |s_t| * exp(l_t) from the same exp'd terms, for `condition`. A
-    term of sign 0 adds nothing, but its log still counts towards the scale.
-    The first block sets the scale, so a sum taken in one block is never
-    rescaled.
+    Accumulates sums of the form sum_t s_t * exp(l_t) along the last axis
+    of its blocks without ever leaving the log domain for the magnitudes;
+    signs default to +1, as in the primal sums of `log_partition_batch`. A
+    term of sign 0 adds nothing, but its log still counts towards the
+    scale. The empty sum rescales to 0, so a sum taken in one block keeps
+    that block's bits.
     """
 
-    def __init__(self, rows, axis: int = -1):
-        self.axis = axis
+    def __init__(self, rows):
         self.maxlog = np.full(rows, -np.inf)
         self.scaled = np.zeros(rows)
-        self.magnitude = np.zeros(rows)
-        self.empty = True
 
     def add(self, logmag: np.ndarray, sign: np.ndarray | None = None):
-        newmax = np.maximum(self.maxlog, np.max(logmag, axis=self.axis))
+        newmax = np.maximum(self.maxlog, np.max(logmag, axis=-1))
         # rows that are still all -inf rescale by exp(-inf - 0) = 0, never nan
         safe = np.where(np.isfinite(newmax), newmax, 0.0)
-        terms = logmag - np.expand_dims(safe, self.axis)
-        np.exp(terms, out=terms)
+        terms = np.exp(logmag - safe[..., None])
         if sign is not None:
             terms *= sign
-        block = magnitude = terms.sum(axis=self.axis)
-        if sign is not None:
-            magnitude = np.abs(terms, out=terms).sum(axis=self.axis)
-        if self.empty:
-            self.scaled, self.magnitude = block, magnitude
-        else:
-            rescale = np.exp(self.maxlog - safe)
-            self.scaled = self.scaled * rescale + block
-            self.magnitude = self.magnitude * rescale + magnitude
-        self.maxlog, self.empty = newmax, False
+        self.scaled = self.scaled * np.exp(self.maxlog - safe) + terms.sum(axis=-1)
+        self.maxlog = newmax
 
     def result(self) -> tuple[np.ndarray, np.ndarray]:
         """(log magnitude, sign) of the accumulated sums; sign 0 for empty or cancelled rows."""
@@ -232,11 +218,6 @@ class SignedLogSum:
         with np.errstate(divide="ignore"):
             logmag = self.maxlog + np.log(np.abs(self.scaled))
         return logmag, sign
-
-    def condition(self) -> np.ndarray:
-        """sum_t |s_t| exp(l_t) / |sum_t s_t exp(l_t)| of each sum; inf where it cancelled to 0."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self.magnitude / np.abs(self.scaled)
 
 
 def signs_array(disorder: DisorderAssignment, layers: int) -> tuple[np.ndarray, np.ndarray | None]:

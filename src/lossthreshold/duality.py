@@ -8,43 +8,35 @@ that with overall normalization 1/2 on two layers.
 
 The dual cluster factor x_0* is the same internal-spin sum as the primal one,
 on the same graph, but with every slot weight replaced by its dual components.
-Dual components can be negative, so the sum is accumulated in sign-magnitude
-log form and must come out strictly positive to have a logarithm. It must
-also be larger than its rounding: where the terms cancel below double
-precision, rounding decides the sign, and the sum is refused.
+Dual components can be negative, so the sum must come out strictly positive
+to have a logarithm, and larger than its rounding: where the terms cancel
+below double precision, rounding decides the sign, and the sum is refused.
 
-Both sums are evaluated from one table: for each (disorder state, parity
-cell) of a slot, the log of its edge factor, the log magnitude of its dual
-component, and one flag column that counts a negative component as 1 and a
-zero one as a power of two above the slot count. These three add up over
-the slots of a configuration. `log_factor_batch` is the one function that
-forms x_0 and x_0* from them: it takes a one-hot encoding of rows of
-disorder state indices, made by `encode_rows`, and a 1-D array of
-couplings. It serves the exact average (one row per disorder class, whose
-encoding `replica.class_table` compiles once with the table), the
-distinct rows of a Monte Carlo chunk and `dual_cluster_partition`. Per
-call it builds only what depends on the couplings: the tables above, from
-one exp. Apart from the closed-form oracle
-`replica.gap_closed_form_single`, the dual weights have no other form;
-`cluster.cluster_partition` keeps a direct-energy primal sum as a
-reference.
+Both sums come from one kernel in two steps. A slot's primal weight is
+exp(K e), with e an integer energy (`_cell_energies`), and its dual one of
+three magnitudes a, b and c, with a sign free of K. The counts step,
+`count_rows`, sums per (configuration, row of disorder states) the energy,
+the slots in cell 0 that are not lost, and the dual sign: integers, free
+of K, compiled once per class by `replica.class_table`. The values step,
+`log_factor_batch`, turns them into ln x_0 and ln x_0* at an array of
+couplings. `cluster.cluster_partition` keeps a direct-energy primal sum as
+a reference, and `replica.gap_closed_form_single` a closed-form gap.
 """
-
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .model import EdgeDisorder
+from .model import LAYER_SUPPORT, EdgeDisorder
 from .cluster import (
     CONFIG_BLOCK,
     ClusterSpec,
     DisorderAssignment,
     NonFinite,
     ShapeMismatch,
-    SignedLogSum,
-    _iter_parity_blocks,
+    _parity_block,
     signs_array,
 )
 
@@ -53,12 +45,6 @@ EPS = float(np.finfo(np.float64).eps)
 # a dual sum whose rounding bound (see log_factor_batch) exceeds this
 # fraction of its value is refused rather than logged
 ROUNDING_LIMIT = 1e-2
-# The row kernel's matrix product adds a row's slot terms in slot order
-# where its column lies in a whole block of 8 columns. OpenBLAS computes a
-# tail of fewer columns with other kernels, whose order differs (measured:
-# OpenBLAS 0.3.31 on AVX-512), so that a row's bits would depend on how many
-# rows share its batch. Rows are padded to blocks of 16 columns.
-ROW_GRAIN = 16
 
 
 class NonPositiveDual(ArithmeticError):
@@ -139,29 +125,50 @@ def _flag_base(slots: int) -> int:
     return 1 << slots.bit_length()
 
 
-def _log_weight_tables(cluster: ClusterSpec, support, K: np.ndarray) -> np.ndarray:
-    """Per (disorder state, cell) terms that add up over the slots of a configuration.
+_FACTOR_AND_DUAL = {1: (edge_factor_single, dual_edge_factor_single),
+                    2: (edge_factor_twolayer, dual_edge_factor_twolayer)}
+# a support holds the clean state first and the lost one last; a lost slot's
+# factor is exp(K * 0) = 1 at every K, so its dual is one number
+_LOST_DUAL = {n: float(dual(factor(LAYER_SUPPORT[n][-1], 0.0))[0])
+              for n, (factor, dual) in _FACTOR_AND_DUAL.items()}
 
-    Shape (3, states, cells, points) for a 1-D array K of couplings: log
-    primal weight, log |dual weight| and a flag. The primal weights are one
-    exp over the (states, cells, points) array of `_cell_energies` times K,
-    with the bits of `edge_factor_single` / `edge_factor_twolayer`, and the
-    dual weights their Hadamard duals. The flag is 1 where the dual weight
-    is negative and `_flag_base(slot count)` where it is zero, so that a
-    configuration's summed flag holds both its count of negative slots
-    (below the base) and whether any slot is zero (see `_dual_signs`). The
-    log of a zero dual weight is stored as 0.
+
+def _dual_magnitudes(layers: int, K: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(a, b, c) at a 1-D array K of couplings: a clean slot's dual in cells 0 and 1, a lost slot's in cell 0.
+
+    For K > 0 every state that is not lost has dual a in cell 0 and ±b in
+    every other cell, with the signs `_state_columns` records; a lost
+    slot's is c in cell 0 and 0 elsewhere.
     """
-    dual = dual_edge_factor_single if cluster.layers == 1 else dual_edge_factor_twolayer
-    energies = np.array([_cell_energies(d, cluster.layers) for d in support], dtype=np.float64)
-    primal = np.exp(energies[:, :, None] * K)
-    dual_w = np.stack(dual(primal.swapaxes(0, 1)), axis=1)
-    zero = dual_w == 0.0
-    tables = np.empty((3, *primal.shape))
-    tables[0] = np.log(primal)
-    tables[1] = np.log(np.abs(dual_w) + zero)
-    tables[2] = (dual_w < 0.0) + _flag_base(cluster.slot_count) * zero
-    return tables
+    factor, dual = _FACTOR_AND_DUAL[layers]
+    a, b, *_ = dual(factor(LAYER_SUPPORT[layers][0], K))
+    return a, b, _LOST_DUAL[layers]
+
+
+def _state_columns(layers: int, slots: int) -> np.ndarray:
+    """(3, states, cells) float32 integers of a slot in each (state of `model.LAYER_SUPPORT[layers]`, cell).
+
+    The energy of `_cell_energies`; 1 in cell 0 of a state that is not
+    lost; and a flag (see `_dual_signs`), 1 where the dual component is
+    negative and `_flag_base(slots)` where it is zero, with the signs of the
+    Hadamard dual at K = 1, the same at every K > 0.
+    """
+    support = LAYER_SUPPORT[layers]
+    factor, dual = _FACTOR_AND_DUAL[layers]
+    energy = np.array([_cell_energies(d, layers) for d in support])
+    sign = np.sign([dual(factor(d, 1.0)) for d in support])
+    cell0 = np.outer([not d.diluted for d in support], np.arange(2 * layers) == 0)
+    return np.stack([energy, cell0, (sign < 0) + _flag_base(slots) * (sign == 0)]).astype(np.float32)
+
+
+@lru_cache(maxsize=16)
+def _count_table(cluster: ClusterSpec, lo: int, hi: int) -> np.ndarray:
+    """The float32 count table of configurations [lo, hi): row k * (hi - lo) + c, column s*m + a
+    holds column k of `_state_columns` for state a in the cell of slot s in configuration lo + c."""
+    columns = _state_columns(cluster.layers, cluster.slot_count).transpose(0, 2, 1)
+    table = columns[:, _slot_cells(*_parity_block(cluster, lo, hi))].reshape(3 * (hi - lo), -1)
+    table.flags.writeable = False
+    return table
 
 
 def _dual_signs(flag: np.ndarray, base: int) -> np.ndarray:
@@ -172,94 +179,111 @@ def _dual_signs(flag: np.ndarray, base: int) -> np.ndarray:
     reaches base; otherwise its sign is the parity of the flag. The flags
     are whole numbers, so one table lookup on their cast gives every sign.
     """
-    lookup = 1.0 - 2.0 * (np.arange(base + 1) & 1)
-    lookup[base] = 0.0
+    lookup = (1 - 2 * (np.arange(base + 1) & 1)).astype(np.int8)
+    lookup[base] = 0
     entry = flag.astype(np.intp)
     np.minimum(entry, base, out=entry)
     return lookup.take(entry)
 
 
-def encode_rows(idx: np.ndarray, m: int) -> np.ndarray:
-    """The one-hot encoding of rows of disorder state indices that `log_factor_batch` takes.
+def count_rows(cluster: ClusterSpec, idx: np.ndarray):
+    """The counts step: the energy, n and dual sign of every (configuration, row) of disorder state indices.
 
-    idx has shape (n, S) and entries in [0, m), the states of a support of
-    m; any other entry raises ValueError. Column i of the (S*m, width)
-    float64 result has a 1 in row s*m + state for each slot s of row i,
-    and width is n rounded up to a multiple of ROW_GRAIN with empty
-    columns, so that a row has the same bits in a batch of any size.
+    idx has shape (rows, S), any integer dtype, and entries in [0, m), the
+    states of `model.LAYER_SUPPORT[cluster.layers]`; anything else raises
+    ValueError, here rather than when the counts are read. The result
+    yields (3, configurations, rows) float32 blocks in configuration order:
+    per (configuration, row) the sum of the row's slot energies, its slots
+    in cell 0 that are not lost, and the sign of its dual term, 0 where a
+    lost slot sits outside cell 0. Each block is the product of a count
+    table with the rows' one-hot encoding (a 1 in row s*m + state for each
+    slot s): sums of at most S small integers, exact in float32 in any
+    order, so a row's counts depend on neither its batch nor the BLAS.
     """
-    n, S = idx.shape
+    (n, S), m = idx.shape, len(LAYER_SUPPORT[cluster.layers])
     if idx.size and not 0 <= idx.min() <= idx.max() < m:
         raise ValueError(f"disorder state indices must lie in [0, {m}), got {idx.min()} to {idx.max()}")
-    # empty columns pad the rows to a multiple of ROW_GRAIN, so that no row is in a tail
-    width = n + (-n % ROW_GRAIN)
-    onehot = np.zeros((S, m, width))
-    states = np.arange(m).astype(idx.dtype)[:, None]
-    np.equal(np.ascontiguousarray(idx.T)[:, None, :], states, out=onehot[:, :, :n])
-    return onehot.reshape(S * m, width)
+    onehot = np.empty((S, m, n), dtype=np.float32)
+    np.equal(np.ascontiguousarray(idx.T)[:, None, :], np.arange(m).astype(idx.dtype)[:, None], out=onehot)
+    # a table holds 3m numbers per (configuration, slot), so one block holds at most
+    # CONFIG_BLOCK * S of them; only a cluster that fits in one keeps its table cached
+    step, total = max(1, CONFIG_BLOCK // (3 * m)), cluster.config_count
+    table = _count_table if total <= step else _count_table.__wrapped__
+
+    def blocks():
+        for lo in range(0, total, step):
+            counts = (table(cluster, lo, min(lo + step, total)) @ onehot.reshape(S * m, n)).reshape(3, -1, n)
+            counts[2] = _dual_signs(counts[2], _flag_base(S))
+            yield counts
+
+    return blocks()
 
 
-def log_factor_batch(
-    cluster: ClusterSpec,
-    support,
-    encoding: np.ndarray,
-    K,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(ln x_0, ln |x_0*|, sign of x_0*, rounding bound of x_0*) for encoded rows of disorder states.
+def _configuration_sum(terms: np.ndarray, carry: np.ndarray | None = None) -> np.ndarray:
+    """carry, then (points, configurations, rows) terms, summed over configurations in configuration order."""
+    if carry is not None:
+        terms = np.concatenate([carry[:, None], terms], axis=1)
+    # numpy adds many rows configuration by configuration, but one row pairwise
+    return np.add.accumulate(terms, axis=1)[:, -1] if terms.shape[2] == 1 else terms.sum(axis=1)
 
-    `encoding` is `encode_rows` of rows that index `support`, the disorder
-    states; its shape must be (S*len(support), width). K is a 1-D array of
-    couplings, one per point (any other shape raises ValueError), and each
-    output has shape (points, width): one column per encoded row, then the
-    padding columns, whose values callers drop. The rows are the class
-    representatives of `replica.class_table`, encoded once with the table,
-    the distinct rows of a Monte Carlo chunk or one assignment
-    (`dual_cluster_partition`).
 
-    One batched matrix product per block of configurations of the
-    per-point table
-    W[point, (k, c), s*m + a] = T[k, a, cell of slot s in configuration c, point]
-    with the encoding gives all three summed terms of `_log_weight_tables`,
-    as (points, configurations, width) blocks, so both log-sum-exps sum each
-    row's configurations in configuration order, and a point has the same
-    bits whatever points share its call. A dual term's sign, and 0 for a
-    zero term, is applied by a multiply (`_dual_signs`); configuration 0,
-    where every slot's dual weight is at its largest and never zero, sets
-    the scale. The rounding bound is configurations * eps * sum |terms| /
-    |sum terms|, a bound on the relative error of x_0*; where it nears 1,
-    rounding decides the sign.
+def log_factor_batch(cluster: ClusterSpec, blocks, K) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The values step: (ln x_0, ln |x_0*|, sign of x_0*, rounding bound of x_0*) per point and row.
+
+    `blocks` holds the (3, configurations, rows) energy, n and sign of
+    `count_rows`, or of a table compiled from it, in configuration order;
+    K is a 1-D array of couplings at least 0, one per point (anything else
+    raises ValueError). Each output is (points, rows). With top a row's
+    largest energy, n_0 = S - ℓ its n in configuration 0 (every slot in
+    cell 0) and `_dual_magnitudes` a, b, c:
+
+        ln x_0  = K top + ln sum_c exp(K (E_c - top)),
+        ln x_0* = n_0 ln a + ℓ ln c + ln sum_c sign_c exp((n_c - n_0)(ln a - ln b)).
+
+    Each sum carries from block to block, and the primal is rescaled where a
+    block raises top. Configuration 0, first, has the largest dual term, 1,
+    so the dual needs no max. Both sums run in configuration order, so a
+    row and a point have the same bits whatever shares the call. The
+    rounding bound, configurations * eps * sum |terms| / |sum terms|,
+    bounds the relative error of x_0*; where it nears 1, rounding decides
+    the sign.
     """
-    S, m = cluster.slot_count, len(support)
-    if encoding.ndim != 2 or encoding.shape[0] != S * m:
-        raise ValueError(f"encoding must have {S * m} rows (slots x states), got shape {encoding.shape}")
     K = np.asarray(K, dtype=np.float64)
-    if K.ndim != 1:
-        raise ValueError(f"K must be a 1-D array of couplings, got shape {K.shape}")
-    # (points, 3, states, cells): each point's three terms per (state, cell)
-    tables = np.moveaxis(_log_weight_tables(cluster, support, K), -1, 0)
-    width = encoding.shape[1]
-    base = _flag_base(S)
-    # W holds 3m numbers per (point, configuration, slot); taking
-    # configurations in steps keeps it within CONFIG_BLOCK * S of them per
-    # point on large clusters
-    step = max(1, CONFIG_BLOCK // (3 * m))
-    shape = (len(K), width)
-    primal, dual = SignedLogSum(shape, axis=1), SignedLogSum(shape, axis=1)
-    for P, D in _iter_parity_blocks(cluster):
-        cells = _slot_cells(P, D)
-        for lo in range(0, len(cells), step):
-            W = tables[..., cells[lo : lo + step]].transpose(0, 1, 3, 4, 2).reshape(len(K), -1, S * m)
-            log_p, log_d, flag = (W @ encoding).reshape(len(K), 3, -1, width).swapaxes(0, 1)
-            primal.add(log_p)
-            dual.add(log_d, _dual_signs(flag, base))
-    logd, sign = dual.result()
-    rounding = cluster.config_count * EPS * dual.condition()
-    return primal.result()[0], logd, sign, rounding
+    if K.ndim != 1 or not (K >= 0.0).all():
+        raise ValueError(f"K must be a 1-D array of couplings at least 0, got {K!r}")
+    a, b, c = _dual_magnitudes(cluster.layers, K)
+    with np.errstate(divide="ignore"):
+        log_a, log_b, log_c = np.log(a), np.log(b), math.log(c)
+    # b is 0 at K = 0 (and where e^{3K} - e^{-K} rounds to 0); the cap keeps
+    # the terms of n_c = n_0 at exp(0) = 1 and sends every other one to 0
+    S = cluster.slot_count
+    gap = np.minimum(log_a - log_b, np.finfo(np.float64).max / S)
+    top = n0 = primal = total = magnitude = None
+    for energy, cell0, sign in blocks:
+        if top is None:
+            top, n0 = energy.max(axis=0), cell0[0]
+        else:
+            lift = np.maximum(top, energy.max(axis=0))
+            primal *= np.exp(K[:, None] * (top - lift))
+            top = lift
+        terms = (energy - top) * K[:, None, None]
+        np.exp(terms, out=terms)
+        primal = _configuration_sum(terms, primal)
+        terms = (cell0 - n0) * gap[:, None, None]
+        np.exp(terms, out=terms)
+        terms *= sign
+        total = _configuration_sum(terms, total)
+        magnitude = _configuration_sum(np.abs(terms, out=terms), magnitude)
+    logp = K[:, None] * top + np.log(primal)
+    size = np.abs(total)
+    with np.errstate(divide="ignore"):
+        # n_0 ln a + ℓ ln c = n_0 (ln a - ln c) + S ln c
+        logd = n0 * (log_a - log_c)[:, None] + (S * log_c + np.log(size))
+        rounding = cluster.config_count * EPS * magnitude / size
+    return logp, logd, np.sign(total).astype(np.int64), rounding
 
 
-def _require_positive_dual(
-    cluster: ClusterSpec, bad: np.ndarray, states: np.ndarray, support, K: float, rounding=None
-):
+def _require_positive_dual(cluster: ClusterSpec, bad: np.ndarray, states: np.ndarray, K: float, rounding=None):
     """Raise NonPositiveDual naming the signs of the first row of `states` flagged in `bad`.
 
     With `rounding` (the bounds of `log_factor_batch`), a row whose bound
@@ -269,7 +293,7 @@ def _require_positive_dual(
     flagged = bad | unsigned
     if np.any(flagged):
         i = int(np.argmax(flagged))
-        signs = [support[s].sign for s in states[i]]
+        signs = [LAYER_SUPPORT[cluster.layers][s].sign for s in states[i]]
         if unsigned[i]:
             raise UnsignedDual(
                 f"dual sum of cluster {cluster.name!r} cancels below double precision for "
@@ -283,13 +307,15 @@ def _require_positive_dual(
 def dual_cluster_partition(cluster: ClusterSpec, disorder: DisorderAssignment, K: float) -> float:
     """ln x_0* of the cluster: same spin sum as the primal factor, dual slot weights.
 
-    The assignment goes through `log_factor_batch` as one row whose support
-    is the assignment itself. Raises NonPositiveDual when the signed sum is
-    not strictly positive, which happens for some exotic geometries at
-    strong coupling, and its subclass UnsignedDual when the sum cancels so
-    far that rounding decides its sign (the bound of `log_factor_batch`
-    over ROUNDING_LIMIT); registered clusters stay positive over the whole
-    supported range.
+    The assignment goes through both steps of the kernel as one row of
+    indices into the support of its layer count (`model.LAYER_SUPPORT`).
+    K must be finite (NonFinite) and at least 0 (ValueError). Raises
+    NonPositiveDual when the signed sum is not strictly positive, and its
+    subclass UnsignedDual when the sum cancels so far that rounding decides
+    its sign (the bound of `log_factor_batch` over ROUNDING_LIMIT). Both
+    happen at strong coupling: for some custom clusters, and for some
+    classes of registered B at p = 1e-9 (ROADMAP item 1, step (b), is the
+    mend). The solver never asks below `solver.BRACKET_LO` = 1e-6.
     """
     if len(disorder) != cluster.slot_count:
         raise ShapeMismatch(
@@ -298,10 +324,9 @@ def dual_cluster_partition(cluster: ClusterSpec, disorder: DisorderAssignment, K
     signs_array(disorder, cluster.layers)  # raises ShapeMismatch on the wrong layer count
     if not math.isfinite(K):
         raise NonFinite(f"dual cluster partition of {cluster.name!r} is not finite (K={K})")
-    states = np.arange(cluster.slot_count)[None, :]
-    encoding = encode_rows(states, len(disorder))
-    _, logmag, sign, rounding = log_factor_batch(cluster, disorder, encoding, [K])
-    _require_positive_dual(cluster, sign[0, :1] <= 0, states, disorder, K, rounding[0, :1])
+    states = np.array([[LAYER_SUPPORT[cluster.layers].index(d) for d in disorder]])
+    _, logmag, sign, rounding = log_factor_batch(cluster, count_rows(cluster, states), [K])
+    _require_positive_dual(cluster, sign[0] <= 0, states, K, rounding[0])
     return float(logmag[0, 0])
 
 

@@ -144,6 +144,8 @@ SUPPORT = {
         EdgeDisorder(0, 0),
     ),
 }
+# the same supports by the number of coupled layers of the channel's image
+LAYER_SUPPORT = {channel_layers(kind): states for kind, states in SUPPORT.items()}
 
 
 def disorder_probs(kind: str, p, q) -> tuple:

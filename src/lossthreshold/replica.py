@@ -16,27 +16,19 @@ parity cell) for every internal-spin configuration, so assignments whose
 per-configuration histograms agree up to a permutation of configurations
 form one class, and every assignment of a class has the same primal and
 dual sums. The class table of a cluster is compiled once and cached, with
-all of an evaluation's work that does not depend on the point: the row
-kernel's encoding of one representative assignment per class, and the
-index of the classes' distinct state-count vectors. An evaluation sums
-that encoding and weighs each class by its multiplicity and disorder
-probability, whose products it forms once per count vector. Monte Carlo
-sampling covers clusters whose exact work exceeds TERM_BUDGET; it uses a
-counter-based generator so that the uniforms of every chunk of samples
-are reproducible and identical across different p, which keeps the
-estimated gap continuous during root finding.
-Since they do not depend on the point, one call draws each chunk once, in
-groups of `worker_count` chunks, and all its points read that draw.
-Sampled rows repeat often (near the root of B only 2-27 % of them are
-distinct), so each chunk sums its distinct rows once, weighted by their
-counts: the cost is per distinct row of a chunk.
-
-Both paths send rows of disorder state indices, as int8 and encoded by
-`duality.encode_rows`, through one kernel, `duality.log_factor_batch`:
-exact evaluation the class representatives, encoded once with the table,
-Monte Carlo the distinct rows of a chunk, encoded per chunk. It sums every
-row's configurations in configuration order and gives each row the same
-bits in any batch. This module only weighs and adds its outputs.
+all of an evaluation's work that does not depend on the point: the
+kernel's counts of one representative assignment per class
+(`duality.count_rows`), and the index of the classes' distinct
+state-count vectors. A point then takes the kernel's values step
+(`duality.log_factor_batch`) on those counts and weighs each class by its
+multiplicity and disorder probability, whose products it forms once per
+count vector. Monte Carlo sampling covers clusters whose exact work
+exceeds TERM_BUDGET. A counter-based generator makes the uniforms of every
+chunk of samples reproducible and identical across p, which keeps the
+estimated gap continuous during root finding, so one call draws each chunk
+once, in groups of `worker_count` chunks, for all its points. Sampled rows
+repeat often (near the root of B only 2-27 % of them are distinct), so a
+chunk counts and weighs only its distinct rows.
 
 `gap_batch` evaluates many (p, q) points on one cluster in one call, as a
 root finder's round does: it takes the channel kind and sequences of p and
@@ -63,7 +55,7 @@ import numpy as np
 
 from . import model
 from .cluster import CONFIG_BLOCK, ClusterSpec, NonFinite, ShapeMismatch, _iter_parity_blocks
-from .duality import UnsignedDual, _require_positive_dual, _slot_cells, encode_rows, log_factor_batch
+from .duality import UnsignedDual, _require_positive_dual, _slot_cells, count_rows, log_factor_batch
 
 EXACT = "exact"
 MONTE_CARLO = "monte-carlo"
@@ -130,7 +122,7 @@ def worker_count(workers: int | None = None) -> int:
 
 def support_size(layers: int) -> int:
     """Disorder states per slot: +1, -1, lost on one layer; four sign pairs and lost on two."""
-    return 3 if layers == 1 else 5
+    return len(model.LAYER_SUPPORT[layers])
 
 
 def exact_work(cluster: ClusterSpec) -> int:
@@ -205,16 +197,16 @@ class ClassTable:
     class stands for all of them.
 
     The table also holds what an evaluation needs that does not depend on
-    the point: the representatives' `duality.encode_rows` encoding, which
-    the row kernel takes as it is, and the distinct state-count vectors
-    (330 for E's 3 150 classes), whose disorder weights are all a point
-    computes before gathering them out to the classes.
+    the point: the representatives' `duality.count_rows`, which the
+    kernel's values step takes as they are, and the distinct state-count
+    vectors (330 for E's 3 150 classes), whose disorder weights are all a
+    point computes before gathering them out to the classes.
     """
 
     state_counts: np.ndarray  # (classes, states) slots in each disorder state
     multiplicity: np.ndarray  # (classes,) assignments in each class
     representative: np.ndarray  # (classes, slots) int8 state indices of one assignment
-    encoding: np.ndarray  # (slots * states, padded classes) `encode_rows` of representative
+    counts: np.ndarray  # (3, configurations, classes) int8 (int16 past 32 slots) counts of representative
     count_vectors: np.ndarray  # (vectors, states) intp distinct rows of state_counts
     count_index: np.ndarray  # (classes,) intp row of count_vectors equal to each class's state_counts
 
@@ -281,8 +273,8 @@ def class_table(cluster: ClusterSpec) -> ClassTable:
     without knowing its configuration. After every slot, classes that became
     equal are merged and their multiplicities added. One assignment of each
     class is kept as its representative: evaluation sums it for the whole
-    class, and errors name its signs. The representatives are encoded for
-    the row kernel, and the classes' state counts indexed by their distinct
+    class, and errors name its signs. The representatives' counts are
+    compiled, and the classes' state counts indexed by their distinct
     vectors, here, once per table.
     """
     m = support_size(cluster.layers)
@@ -317,11 +309,14 @@ def class_table(cluster: ClusterSpec) -> ClassTable:
         )
     state_counts = hist[classes[:, 0]].reshape(-1, m, cells).sum(axis=2)
     count_vectors, _, count_index = _unique_rows(state_counts)
+    # energies lie in [-S, 3S], and the kernel subtracts each row's largest
+    dtype = np.min_scalar_type(-4 * cluster.slot_count)
+    counts = np.concatenate([block.astype(dtype) for block in count_rows(cluster, representative)], axis=1)
     table = ClassTable(
         state_counts,
         multiplicity,
         representative,
-        encode_rows(representative, m),
+        counts,
         count_vectors.astype(np.intp),
         count_index.astype(np.intp),
     )
@@ -330,30 +325,27 @@ def class_table(cluster: ClusterSpec) -> ClassTable:
     return table
 
 
-def _exact_gaps(
-    K: np.ndarray, probs: np.ndarray, support, cluster: ClusterSpec, table: ClassTable
-) -> list[float]:
+def _exact_gaps(K: np.ndarray, probs: np.ndarray, cluster: ClusterSpec, table: ClassTable) -> list[float]:
     """Delta at each point of a slice, from its couplings and (points, states) probabilities.
 
     Every assignment of a class has the class's primal and dual sums, so
-    the table's encoding of the class representatives goes through
-    `log_factor_batch`, and each class counts multiplicity * probability
-    times. The probabilities are multiplied out once per distinct
-    state-count vector and gathered to the classes. A class of positive
-    weight whose dual sum is not positive raises NonPositiveDual. Each
-    class's rounding bound, weighed the same way, bounds the rounding of
-    Delta; past ROUNDING_SHARE * GAP_FLOOR the point raises UnsignedDual,
-    naming the representative that weighs most in it. A point's bits do
-    not depend on which other points share its slice.
+    the table's compiled counts of the class representatives go through
+    the kernel's values step, `log_factor_batch`, and each class counts
+    multiplicity * probability times. The probabilities are multiplied out
+    once per distinct state-count vector and gathered to the classes. A
+    class of positive weight whose dual sum is not positive raises
+    NonPositiveDual. Each class's rounding bound, weighed the same way,
+    bounds the rounding of Delta; past ROUNDING_SHARE * GAP_FLOOR the point
+    raises UnsignedDual, naming the representative that weighs most in it.
+    A point's bits do not depend on which other points share its slice.
+    Only classes of positive weight enter a point's `fsum`, which rounds
+    the exact sum once, so leaving out the zero terms keeps its bits.
     """
-    classes = len(table.multiplicity)
-    logp, logd, sign, rounding = (
-        a[:, :classes] for a in log_factor_batch(cluster, support, table.encoding, K)
-    )
+    logp, logd, sign, rounding = log_factor_batch(cluster, (table.counts,), K)
     # p**k for every state and slot count k, so each weight is a product of
     # table entries rather than of fresh powers
     powers = probs[:, :, None] ** np.arange(cluster.slot_count + 1)
-    states = np.arange(len(support))[:, None]
+    states = np.arange(probs.shape[1])[:, None]
     weight = np.prod(powers[:, states, table.count_vectors.T], axis=1)[:, table.count_index]
     # classes of zero probability (q = 0, or p on the support boundary) never
     # enter the average, whatever the sign or rounding of their dual sum
@@ -361,19 +353,20 @@ def _exact_gaps(
     bad = (sign <= 0) & positive
     if bad.any():
         i = int(np.argmax(bad.any(axis=1)))
-        _require_positive_dual(cluster, bad[i], table.representative, support, K[i])
+        _require_positive_dual(cluster, bad[i], table.representative, K[i])
     error = table.multiplicity * weight * np.where(positive, rounding, 0.0)
     bound = error.sum(axis=1)
     limit = ROUNDING_SHARE * GAP_FLOOR
     if np.any(bound > limit):
         i = int(np.argmax(bound > limit))
-        signs = [support[s].sign for s in table.representative[np.argmax(error[i])]]
+        signs = [model.LAYER_SUPPORT[cluster.layers][s].sign for s in table.representative[np.argmax(error[i])]]
         raise UnsignedDual(
             f"dual sums of cluster {cluster.name!r} may round the gap by {bound[i]:.3g} at "
             f"K={K[i]}, past {limit:.3g}; the largest share is the class of signs {signs}"
         )
     delta = logp - np.where(sign > 0, logd, logp)
-    return [math.fsum(v.tolist()) for v in table.multiplicity * weight * delta]
+    terms = table.multiplicity * weight * delta
+    return [math.fsum(v[w].tolist()) for v, w in zip(terms, positive)]
 
 
 def check_seed(seed: int) -> None:
@@ -395,14 +388,14 @@ def _chunk_uniforms(seed: int, cluster: ClusterSpec, lo: int, hi: int) -> np.nda
     return np.random.Generator(bitgen).random((hi - lo, S))
 
 
-def _sampled_chunks(K: float, probs: np.ndarray, support, cluster: ClusterSpec):
+def _sampled_chunks(K: float, probs: np.ndarray, cluster: ClusterSpec):
     """The function that sums one chunk of a sampled gap at one point from its uniforms.
 
     The uniforms are those of `_chunk_uniforms`, drawn once per chunk and
     call of `gap_batch` and shared by all the call's points. A row's state
     is the number of cumulative probabilities at or below its uniform,
     summed as int8 from the comparisons' bytes. Only the chunk's distinct
-    rows go through `log_factor_batch`, and every one is checked for a
+    rows go through the kernel, both steps, and every one is checked for a
     positive dual sum larger than its rounding (NonPositiveDual and
     UnsignedDual), so every sampled one is. It returns
     the count-weighted sum of Delta and of its squared deviations about the
@@ -417,11 +410,10 @@ def _sampled_chunks(K: float, probs: np.ndarray, support, cluster: ClusterSpec):
         for c in cum[1:-1]:
             states += (u >= c).view(np.int8)
         rows, count = _distinct_rows(states, len(cum))
-        n = len(rows)
         logp, logd, sign, rounding = (
-            a[0, :n] for a in log_factor_batch(cluster, support, encode_rows(rows, len(cum)), [K])
+            a[0] for a in log_factor_batch(cluster, count_rows(cluster, rows), [K])
         )
-        _require_positive_dual(cluster, sign <= 0, rows, support, K, rounding)
+        _require_positive_dual(cluster, sign <= 0, rows, K, rounding)
         delta = logp - logd
         total = float((count * delta).sum())
         return total, float((count * (delta - total / len(u)) ** 2).sum())
@@ -485,7 +477,6 @@ def gap_batch(
     check_policy(policy)
     K, probs = _round_points(kind, p, q)
     _check_layers(kind, cluster)
-    support = model.SUPPORT[kind]
     if policy == MONTE_CARLO:
         samples = _sample_count(mc_samples)
         if samples < MIN_MC_SAMPLES:
@@ -494,7 +485,7 @@ def gap_batch(
         if not len(K):
             return np.zeros(0), np.zeros(0)
         bounds = _chunk_bounds(samples, cluster)
-        stats = [_sampled_chunks(k, row, support, cluster) for k, row in zip(K.tolist(), probs)]
+        stats = [_sampled_chunks(k, row, cluster) for k, row in zip(K.tolist(), probs)]
         nworkers = worker_count(workers)
         partials = [[] for _ in stats]
         for start in range(0, len(bounds), nworkers):
@@ -520,7 +511,7 @@ def gap_batch(
     step = max(1, EXACT_SLICE // (len(table.multiplicity) * cluster.config_count))
     values = []
     for lo in range(0, len(K), step):
-        values += _exact_gaps(K[lo : lo + step], probs[lo : lo + step], support, cluster, table)
+        values += _exact_gaps(K[lo : lo + step], probs[lo : lo + step], cluster, table)
     delta = np.array(values, dtype=np.float64)
     finite = np.isfinite(delta)
     if not finite.all():

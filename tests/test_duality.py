@@ -21,14 +21,16 @@ from lossthreshold.duality import (
     ROUNDING_LIMIT,
     NonPositiveDual,
     UnsignedDual,
+    _dual_magnitudes,
     _dual_signs,
-    _log_weight_tables,
+    _flag_base,
+    _state_columns,
+    count_rows,
     dual_cluster_partition,
     dual_edge_factor_single,
     dual_edge_factor_twolayer,
     edge_factor_single,
     edge_factor_twolayer,
-    encode_rows,
     log_factor_batch,
     pure_self_dual_point,
 )
@@ -84,32 +86,54 @@ def test_two_layer_dual_components():
     assert diluted == pytest.approx((2.0, 0.0, 0.0, 0.0), abs=1e-14)
 
 
-def _per_state_tables(cluster, support, K: np.ndarray) -> np.ndarray:
-    """The weight tables built state by state from the edge factors and their Hadamard duals."""
-    if cluster.layers == 1:
-        factor, dual = edge_factor_single, dual_edge_factor_single
-    else:
-        factor, dual = edge_factor_twolayer, dual_edge_factor_twolayer
-    primal = np.array([factor(d, K) for d in support], dtype=np.float64)
-    dual_w = np.stack(dual(primal.swapaxes(0, 1)), axis=1)
-    zero = dual_w == 0.0
-    base = 1 << cluster.slot_count.bit_length()
-    return np.stack([np.log(primal), np.log(np.abs(dual_w) + zero), (dual_w < 0.0) + base * zero])
+_LAYERS = {1: (edge_factor_single, dual_edge_factor_single), 2: (edge_factor_twolayer, dual_edge_factor_twolayer)}
+_CLEAN_AND_LOST = {1: (EdgeDisorder(1), EdgeDisorder(0)), 2: (EdgeDisorder(1, 1), EdgeDisorder(0, 0))}
 
 
-@pytest.mark.parametrize("name, kind", [("B", "uncorrelated"), ("E", "depolarizing")])
-def test_weight_tables_have_the_bits_of_the_per_state_edge_factors(name, kind):
-    # one exp over every (state, cell, point) must give each entry the bits
-    # of the edge factor's own exp over that state's couplings, whatever
-    # SIMD lane or tail the entry lands in
-    spec, support = builtin_cluster(name), model.SUPPORT[kind]
+@pytest.mark.parametrize("layers", [1, 2])
+def test_dual_magnitudes_have_the_bits_of_the_per_state_hadamard_construction(layers):
+    # a, b and c over an array of couplings must have, entry by entry, the
+    # bits of the Hadamard dual of the clean and the lost edge factor at
+    # that coupling alone, whatever SIMD lane or tail the entry lands in
+    factor, dual = _LAYERS[layers]
+    clean, lost = _CLEAN_AND_LOST[layers]
     rng = np.random.default_rng(9)
     for length in range(1, 18):
         for K in (np.geomspace(1e-3, 12.0, length), 10.0 ** rng.uniform(-3.0, math.log10(12.0), length)):
-            got = _log_weight_tables(spec, support, K)
-            want = _per_state_tables(spec, support, K)
-            assert got.shape == want.shape == (3, len(support), 2 * spec.layers, length)
+            a, b, c = _dual_magnitudes(layers, K)
+            got = np.array([a, b, np.full(length, c)])
+            want = np.array(
+                [[dual(factor(clean, k))[0], dual(factor(clean, k))[1], dual(factor(lost, k))[0]] for k in K]
+            ).T
+            assert got.shape == want.shape == (3, length)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), f"K={K.tolist()}"
+
+
+@pytest.mark.parametrize("kind", ["uncorrelated", "depolarizing"])
+def test_every_state_has_the_three_dual_magnitudes_with_the_recorded_signs(kind):
+    # a state that is not lost has |dual| = (a, b) or (a, b, b, b) in cell
+    # order, with the negative cells the table's flag column records; the
+    # lost state has (c, 0, ...), zeros flagged at the base
+    support = model.SUPPORT[kind]
+    layers = model.channel_layers(kind)
+    factor, dual = _LAYERS[layers]
+    base = _flag_base(7)
+    energy, cell0, flag = _state_columns(layers, 7)
+    assert np.array_equal(cell0[:, 0], [not d.diluted for d in support])
+    assert not cell0[:, 1:].any()
+    for K in np.geomspace(1e-3, 12.0, 41):
+        a, b, c = (float(np.squeeze(x)) for x in _dual_magnitudes(layers, np.array([K])))
+        assert 0.0 < b <= a
+        for d, row in zip(support, flag):
+            components = np.array(dual(factor(d, K)))
+            if d.diluted:
+                assert components[0] == c and not components[1:].any()
+                assert row.tolist() == [0] + [base] * (len(row) - 1)
+                continue
+            np.testing.assert_allclose(np.abs(components), [a] + [b] * (len(row) - 1), rtol=1e-12, atol=0.0)
+            assert np.array_equal(components < 0, row == 1) and np.all(row <= 1)
+    for d, row in zip(support, energy):
+        assert row.tolist() == [round(math.log(x)) for x in factor(d, 1.0)]
 
 
 def test_single_edge_dual_anchor():
@@ -176,6 +200,16 @@ def test_non_finite_coupling():
         dual_cluster_partition(builtin_cluster("single"), (EdgeDisorder(1),), math.inf)
 
 
+def test_negative_coupling_is_refused():
+    # the table's dual signs are those of K > 0; at K < 0 every b changes
+    # sign, so the kernel refuses the coupling rather than mis-sign the sum
+    with pytest.raises(ValueError, match="at least 0"):
+        dual_cluster_partition(builtin_cluster("A"), (EdgeDisorder(1),) * 4, -0.5)
+    assert dual_cluster_partition(builtin_cluster("A"), (EdgeDisorder(1),) * 4, 0.0) == pytest.approx(
+        math.log(4.0), rel=1e-15
+    )
+
+
 @pytest.mark.parametrize(
     "name,states",
     [
@@ -194,8 +228,7 @@ def test_batch_matches_scalar_dual(name, states):
             rows.append(tuple(EdgeDisorder(*pair) for pair in assignment))
     support = model.SUPPORT["uncorrelated" if spec.layers == 1 else "depolarizing"]
     idx = np.array([[support.index(d) for d in row] for row in rows])
-    encoding = encode_rows(idx, len(support))
-    _, (logmag,), (sign,), _ = (a[:, : len(idx)] for a in log_factor_batch(spec, support, encoding, [K]))
+    _, (logmag,), (sign,), _ = log_factor_batch(spec, count_rows(spec, idx), [K])
     for i, row in enumerate(rows):
         scalar = dual_cluster_partition(spec, row, K)
         assert sign[i] == 1
@@ -226,14 +259,18 @@ def _cancelling_cluster() -> ClusterSpec:
 
 def test_dual_sum_that_rounding_cannot_sign_is_refused():
     # every term is about e^39 and the true ln x_0* is 3 ln(1 + e^(-2K)) =
-    # 3.0e-6; the signed sum keeps no digit of it (the kernel logs 7.5), and
-    # its rounding bound says so
+    # 3.0e-6; the signed sum keeps no digit of it (the kernel logs 3.7), and
+    # its rounding bound says so: past 1, rounding decides the sign. Both
+    # stay finite (the kernel's bound on this row is 42.7), so a sum that
+    # cancels to exactly 0 fails here
     spec = _cancelling_cluster()
     K = model.coupling("uncorrelated", 1e-6)
     disorder = (EdgeDisorder(-1),) * 6
-    _, logmag, sign, rounding = log_factor_batch(spec, disorder, encode_rows(np.arange(6)[None, :], 6), [K])
+    idx = np.ones((1, 6), dtype=np.int8)  # EdgeDisorder(-1) in the uncorrelated support
+    _, logmag, sign, rounding = log_factor_batch(spec, count_rows(spec, idx), [K])
+    assert math.isfinite(logmag[0, 0])
     assert abs(logmag[0, 0] - 3.0 * math.log1p(math.exp(-2.0 * K))) > 1.0
-    assert 0.5 < rounding[0, 0] < 2.0
+    assert 20.0 < rounding[0, 0] < 90.0
     with pytest.raises(UnsignedDual, match=r"cancels below double precision for signs \[-1, -1, -1, -1, -1, -1\]"):
         dual_cluster_partition(spec, disorder, K)
     assert issubclass(UnsignedDual, NonPositiveDual)
@@ -243,8 +280,9 @@ def test_rounding_bound_accepts_a_frustrated_star_at_strong_coupling():
     # the frustrated star of test_non_positive_dual_from_cancellation keeps
     # about 11 digits at K = 12, far inside the limit
     frustrated = tuple(EdgeDisorder(s) for s in (-1, 1, 1, 1))
-    encoding = encode_rows(np.arange(4)[None, :], 4)
-    *_, rounding = log_factor_batch(builtin_cluster("A"), frustrated, encoding, [12.0])
+    support = model.SUPPORT["uncorrelated"]
+    idx = np.array([[support.index(d) for d in frustrated]])
+    *_, rounding = log_factor_batch(builtin_cluster("A"), count_rows(builtin_cluster("A"), idx), [12.0])
     assert 1e-6 < rounding[0, 0] < 1e-5 < ROUNDING_LIMIT
 
 
@@ -253,13 +291,12 @@ def test_rounding_bound_accepts_a_frustrated_star_at_strong_coupling():
 def test_state_indices_outside_the_support_are_refused(dtype, bad):
     # an index one past either end at an inner slot would read a
     # neighbouring slot's column of a flat one-hot, or drop out of it
-    support = model.SUPPORT["uncorrelated"]
     idx = np.zeros((4, 4), dtype=dtype)
     idx[2, 2] = bad
     with pytest.raises(ValueError, match=r"\[0, 3\)"):
-        encode_rows(idx, len(support))
+        count_rows(builtin_cluster("A"), idx)
     idx[2, 2] = 2
-    log_factor_batch(builtin_cluster("A"), support, encode_rows(idx, len(support)), [0.7])
+    log_factor_batch(builtin_cluster("A"), count_rows(builtin_cluster("A"), idx), [0.7])
 
 
 def test_sampled_rows_that_rounding_cannot_sign_are_refused():
@@ -267,7 +304,7 @@ def test_sampled_rows_that_rounding_cannot_sign_are_refused():
     # refuses the cancelling row instead of averaging its noise
     spec = _cancelling_cluster()
     K, probs = replica._round_points("uncorrelated", [1e-6], [0.0])
-    chunk = replica._sampled_chunks(float(K[0]), probs[0], model.SUPPORT["uncorrelated"], spec)
+    chunk = replica._sampled_chunks(float(K[0]), probs[0], spec)
     # between the first two cumulative probabilities: state 1, sign -1, on every slot
     u = np.full((64, 6), 1.0 - 0.5e-6)
     with pytest.raises(UnsignedDual):

@@ -21,12 +21,17 @@ from lossthreshold.cluster import (
     builtin_cluster,
     builtin_names,
     log_partition_batch,
+    spin_parity_tables,
 )
 from lossthreshold.duality import (
     NonPositiveDual,
     UnsignedDual,
+    count_rows,
     dual_cluster_partition,
-    encode_rows,
+    dual_edge_factor_single,
+    dual_edge_factor_twolayer,
+    edge_factor_single,
+    edge_factor_twolayer,
     log_factor_batch,
 )
 from lossthreshold.model import ChannelSpec, DomainError, EdgeDisorder
@@ -55,9 +60,13 @@ CHANNEL_OF = {
 
 
 def _row_kernel(spec: ClusterSpec, support, idx: np.ndarray, K) -> tuple[np.ndarray, ...]:
-    """The row kernel's four (points, rows) outputs for rows of state indices, padding dropped."""
-    encoding = encode_rows(idx, len(support))
-    return tuple(a[:, : len(idx)] for a in log_factor_batch(spec, support, encoding, K))
+    """The row kernel's four (points, rows) outputs for rows of indices into `support`: both steps.
+
+    The kernel reads indices into the support of the cluster's layer count,
+    so `support` must be that one.
+    """
+    assert support == model.LAYER_SUPPORT[spec.layers]
+    return log_factor_batch(spec, count_rows(spec, idx), K)
 
 
 def _one_point(spec: ClusterSpec, support, idx: np.ndarray, K: float) -> tuple[np.ndarray, ...]:
@@ -574,8 +583,8 @@ def _random_cluster(rng: np.random.Generator, layers: int, index: int) -> Cluste
 def _per_row_gaps(spec: ClusterSpec, kind: str, p: float, qs) -> list[float]:
     """Delta at each q by a direct sum over every assignment, one row per assignment.
 
-    Rows go through log_factor_batch, the row kernel the Monte Carlo path
-    uses; q only changes the weights.
+    Rows go through both steps of the row kernel, as the Monte Carlo path
+    sends them; q only changes the weights.
     """
     support, K = model.SUPPORT[kind], model.coupling(kind, p)
     m, S = len(support), spec.slot_count
@@ -670,10 +679,11 @@ def test_row_kernel_matches_independent_references(spec):
 @pytest.mark.parametrize("step", [1, 3])
 @pytest.mark.parametrize("name", ["B", "D", "E"])
 def test_row_kernel_across_configuration_blocks(monkeypatch, name, step):
-    # CONFIG_BLOCK = 3m * step gives blocks of `step` configurations (B has
-    # 16, D 8 and E 4), so every sum streams through the rescale; the blocked
-    # kernel must meet the direct-energy primal and the plain-loop dual, and
-    # the one-block kernel
+    # CONFIG_BLOCK = 3m * step gives count tables of `step` configurations
+    # (B has 16, D 2 and E 4): the counts step builds and multiplies one per
+    # block, and the values step streams every sum through them, the primal
+    # through its rescale; the blocked kernel must meet the direct-energy
+    # primal and the plain-loop dual, and the one-block kernel
     spec = builtin_cluster(name)
     kind = _channel_kind(spec)
     support = model.SUPPORT[kind]
@@ -687,6 +697,7 @@ def test_row_kernel_across_configuration_blocks(monkeypatch, name, step):
         one = _one_point(spec, support, idx, K)
         with monkeypatch.context() as patch:
             patch.setattr(duality, "CONFIG_BLOCK", 3 * m * step)
+            assert max(block.shape[1] for block in count_rows(spec, idx)) == min(step, spec.config_count)
             logp, logd, sign, rounding = _one_point(spec, support, idx, K)
         assert np.max(np.abs(logp - one[0])) <= 1e-12
         assert np.max(np.abs(logd - one[1])) <= 1e-12
@@ -704,8 +715,8 @@ def test_row_kernel_across_configuration_blocks(monkeypatch, name, step):
 def test_row_bits_depend_on_neither_dtype_nor_batch(name):
     # Monte Carlo sends int8 distinct rows, the per-sample reference int64
     # rows in other batches; a row's four outputs must have the same bits
-    # either way, in a batch of one, in a tail shorter than ROW_GRAIN or in a
-    # batch of hundreds
+    # either way, in a batch of one, in a batch shorter than a BLAS block or
+    # in a batch of hundreds
     spec = builtin_cluster(name)
     kind = _channel_kind(spec)
     support = model.SUPPORT[kind]
@@ -719,6 +730,24 @@ def test_row_bits_depend_on_neither_dtype_nor_batch(name):
         part = _one_point(spec, support, idx[lo : lo + size].astype(np.int8), K)
         for a, b in zip(whole, part):
             assert np.array_equal(a[lo : lo + size], b), f"rows {lo}..{lo + size}"
+
+
+@pytest.mark.parametrize("name", ["B", "D"])
+def test_a_lone_row_has_the_bits_it_has_in_a_batch(name):
+    # numpy sums a lone row's configurations pairwise (B has 16, D 2), but
+    # a batch's one after another; the kernel must sum a row alone, as
+    # dual_cluster_partition and a chunk with one distinct row send it, in
+    # configuration order too
+    spec = builtin_cluster(name)
+    kind = _channel_kind(spec)
+    support = model.SUPPORT[kind]
+    idx = np.random.default_rng(15).integers(0, len(support), size=(60, spec.slot_count))
+    for p in (0.02, 0.1, 0.3):
+        K = model.coupling(kind, p)
+        whole = _one_point(spec, support, idx, K)
+        for i in range(len(idx)):
+            for a, b in zip(whole, _one_point(spec, support, idx[i : i + 1], K)):
+                assert np.array_equal(a[i : i + 1], b), f"p={p}, row {i}"
 
 
 @pytest.mark.parametrize("name", ["B", "E"])
@@ -862,28 +891,78 @@ def test_class_table_matches_brute_force_grouping(spec):
 
 @pytest.mark.parametrize("name", builtin_names())
 def test_table_carries_the_representatives_encoding_and_count_index(name):
-    # the compiled encoding is the one a fresh encode_rows gives, cannot be
-    # written, and gives the kernel the same bits; the count-vector index
-    # gives back every class's state counts
+    # the compiled counts are the int8 cast of a fresh count_rows of the
+    # representatives, cannot be written, and give the values step the same
+    # bits; the count-vector index gives back every class's state counts
     spec = builtin_cluster(name)
     kind = _channel_kind(spec)
     support = model.SUPPORT[kind]
     table = class_table(spec)
-    fresh = encode_rows(table.representative, len(support))
-    assert table.encoding.dtype == np.float64 and np.array_equal(table.encoding, fresh)
-    assert table.encoding.shape[1] % duality.ROW_GRAIN == 0
+    assert support == model.LAYER_SUPPORT[spec.layers]
+    fresh = np.concatenate(list(count_rows(spec, table.representative)), axis=1)
+    assert table.counts.dtype == np.int8
+    assert table.counts.shape == fresh.shape == (3, spec.config_count, len(table.multiplicity))
+    assert np.array_equal(table.counts, fresh)
     for array in vars(table).values():
         assert not array.flags.writeable
     with pytest.raises(ValueError):
-        table.encoding[0, 0] = 1.0
+        table.counts[0, 0, 0] = 1
     K = [model.coupling(kind, p) for p in (BRACKET_LO, 0.05, 0.2)]
-    for a, b in zip(
-        log_factor_batch(spec, support, table.encoding, K), log_factor_batch(spec, support, fresh, K)
-    ):
+    for a, b in zip(log_factor_batch(spec, (table.counts,), K), log_factor_batch(spec, (fresh,), K)):
         assert np.array_equal(a, b)
     assert table.count_vectors.dtype == table.count_index.dtype == np.intp
     assert np.array_equal(table.count_vectors[table.count_index], table.state_counts)
     assert len(np.unique(table.count_vectors, axis=0)) == len(table.count_vectors)
+
+
+@pytest.mark.parametrize("spec", _COMPILED_CASES, ids=lambda s: s.name)
+def test_compiled_counts_match_a_brute_force_recount(spec):
+    # each class's energy, cell-0 count and dual sign per configuration,
+    # recounted from its representative's signs and the cluster's parity
+    # tables: the energy from the coupling formula, the sign as the product
+    # of the slots' Hadamard dual signs at K = 0.5, with no encoding,
+    # count table or matrix product
+    kind = _channel_kind(spec)
+    support = model.SUPPORT[kind]
+    table = class_table(spec)
+    rep = table.representative.astype(np.intp)
+    P, D = spin_parity_tables(spec)
+    tau = np.array([d.sign for d in support])[rep][:, None, :]
+    energy = tau * P[None]
+    cell = (P < 0).astype(np.intp)
+    if spec.layers == 2:
+        tau_star = np.array([d.dual_sign for d in support])[rep][:, None, :]
+        energy = energy + tau_star * D[None] + tau * tau_star * (P * D)[None]
+        cell = 2 * cell + (D < 0)
+        factor, dual = edge_factor_twolayer, dual_edge_factor_twolayer
+    else:
+        factor, dual = edge_factor_single, dual_edge_factor_single
+    lost = np.array([d.diluted for d in support])[rep][:, None, :]
+    slot_sign = np.sign([dual(factor(d, 0.5)) for d in support])
+    sign = slot_sign[rep[:, None, :], cell[None]].prod(axis=2)
+    cell0 = ((cell[None] == 0) & ~lost).sum(axis=2)
+    for compiled, recount in zip(table.counts, (energy.sum(axis=2), cell0, sign)):
+        assert np.array_equal(compiled, recount.T)
+    # configuration 0 (every spin +1) puts every slot in cell 0
+    assert np.array_equal(table.counts[1, 0], spec.slot_count - lost.sum(axis=(1, 2)))
+
+
+@pytest.mark.parametrize("name", ["B", "E"])
+def test_zero_weight_classes_leave_the_exact_sum_without_moving_its_bits(name):
+    # at q = 0 every class with a lost slot weighs 0, and the exact gap sums
+    # only the others; fsum rounds the exact sum once, so the gap must equal
+    # the fsum over every class
+    spec = builtin_cluster(name)
+    kind = _channel_kind(spec)
+    table = class_table(spec)
+    for p in (BRACKET_LO, 0.02, 0.1):
+        K, probs = replica._round_points(kind, [p], [0.0])
+        logp, logd, sign, _ = log_factor_batch(spec, (table.counts,), K)
+        assert np.all(sign > 0)
+        weight = np.prod(probs[0] ** table.state_counts, axis=1)
+        assert 0 < np.count_nonzero(weight) < len(weight)
+        every_class = math.fsum((table.multiplicity * weight * (logp[0] - logd[0])).tolist())
+        assert gap_batch(kind, [p], [0.0], spec)[0][0] == every_class
 
 
 def test_exact_gap_refuses_dual_rounding_past_its_share_of_the_gap_floor(monkeypatch):
