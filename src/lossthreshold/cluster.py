@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -27,8 +26,8 @@ LAYERS = ("primal", "dual")
 # 2**24 configurations is the largest exact internal sum we are willing to do.
 MAX_INTERNAL_SPINS = 24
 
-# Internal-spin configurations are processed in blocks of this many rows so a
-# 24-spin cluster never materializes the full 2**24 x S parity table.
+# Internal-spin configurations are processed in blocks of this many, so a
+# 24-spin cluster never holds the cells of all 2**24 configurations at once.
 CONFIG_BLOCK = 1 << 14
 
 DisorderAssignment = tuple[EdgeDisorder, ...]
@@ -143,81 +142,27 @@ class ClusterSpec:
         return 1 << len(self.internal_ids)
 
 
-@lru_cache(maxsize=64)
-def spin_parity_tables(cluster: ClusterSpec) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-configuration products of edge endpoint spins.
+def slot_cells(cluster: ClusterSpec, start: int, stop: int) -> np.ndarray:
+    """int8 cell of every slot in internal configurations [start, stop), shape (stop - start, S).
 
-    Returns (P, D) where P[c, s] is the product of the two primal endpoint
-    spins of slot s in internal configuration c (boundary spins count as +1),
-    and D is the same for dual edges, or None on single-layer clusters.
-    Configuration c assigns spin 1 - 2*((c >> b) & 1) to the b-th internal
-    vertex.
+    Configuration c gives the b-th internal vertex the bit (c >> b) & 1, that
+    is spin 1 - 2 bit, and every boundary vertex bit 0. A slot's cell is the
+    XOR of its primal edge's end bits; on two layers it is twice that plus
+    the XOR of its dual edge's, the component order of
+    `duality.edge_factor_twolayer`.
     """
-    P, D = _parity_block(cluster, 0, cluster.config_count)
-    return P, D
+    bit = {vid: b for b, vid in enumerate(cluster.internal_ids)}
+    configs = np.arange(start, stop, dtype=np.int64)[:, None]
 
+    def parity(edges) -> np.ndarray:
+        # bit 63 of a configuration is 0, as a boundary spin's bit is
+        first, second = (np.array([bit.get(vid, 63) for vid in ends]) for ends in zip(*edges))
+        return ((configs >> first) ^ (configs >> second)) & 1
 
-def _parity_block(cluster: ClusterSpec, start: int, stop: int) -> tuple[np.ndarray, np.ndarray | None]:
-    order = {vid: b for b, vid in enumerate(cluster.internal_ids)}
-    configs = np.arange(start, stop, dtype=np.int64)
-
-    def spin_column(vid: str) -> np.ndarray:
-        if vid not in order:
-            return np.ones(len(configs), dtype=np.int8)
-        return (1 - 2 * ((configs >> order[vid]) & 1)).astype(np.int8)
-
-    def products(which: str) -> np.ndarray:
-        cols = []
-        for slot in cluster.slots:
-            edge = slot.primal_edge if which == "primal" else slot.dual_edge
-            cols.append(spin_column(edge[0]) * spin_column(edge[1]))
-        return np.stack(cols, axis=1).astype(np.float64)
-
-    P = products("primal")
-    D = products("dual") if cluster.layers == 2 else None
-    return P, D
-
-
-def _iter_parity_blocks(cluster: ClusterSpec):
-    total = cluster.config_count
-    if total * cluster.slot_count <= (1 << 22):
-        yield spin_parity_tables(cluster)
-        return
-    for start in range(0, total, CONFIG_BLOCK):
-        yield _parity_block(cluster, start, min(start + CONFIG_BLOCK, total))
-
-
-class SignedLogSum:
-    """Streaming signed log-sum-exp over blocks of terms.
-
-    Accumulates sums of the form sum_t s_t * exp(l_t) along the last axis
-    of its blocks without ever leaving the log domain for the magnitudes;
-    signs default to +1, as in the primal sums of `log_partition_batch`. A
-    term of sign 0 adds nothing, but its log still counts towards the
-    scale. The empty sum rescales to 0, so a sum taken in one block keeps
-    that block's bits.
-    """
-
-    def __init__(self, rows):
-        self.maxlog = np.full(rows, -np.inf)
-        self.scaled = np.zeros(rows)
-
-    def add(self, logmag: np.ndarray, sign: np.ndarray | None = None):
-        newmax = np.maximum(self.maxlog, np.max(logmag, axis=-1))
-        # rows that are still all -inf rescale by exp(-inf - 0) = 0, never nan
-        safe = np.where(np.isfinite(newmax), newmax, 0.0)
-        terms = np.exp(logmag - safe[..., None])
-        if sign is not None:
-            terms *= sign
-        self.scaled = self.scaled * np.exp(self.maxlog - safe) + terms.sum(axis=-1)
-        self.maxlog = newmax
-
-    def result(self) -> tuple[np.ndarray, np.ndarray]:
-        """(log magnitude, sign) of the accumulated sums; sign 0 for empty or cancelled rows."""
-        sign = np.sign(self.scaled).astype(np.int64)
-        with np.errstate(divide="ignore"):
-            logmag = self.maxlog + np.log(np.abs(self.scaled))
-        return logmag, sign
+    cell = parity([slot.primal_edge for slot in cluster.slots])
+    if cluster.layers == 2:
+        cell = 2 * cell + parity([slot.dual_edge for slot in cluster.slots])
+    return cell.astype(np.int8)
 
 
 def signs_array(disorder: DisorderAssignment, layers: int) -> tuple[np.ndarray, np.ndarray | None]:
@@ -243,22 +188,33 @@ def log_partition_batch(
 
     tau (and tau_star for two-layer clusters) has shape (n, S) with entries in
     {+1, -1, 0}; returns shape (n,). Boundary spins are +1, internal spins are
-    summed exactly. A diluted slot (sign 0) drops out of the energy, which is
-    exactly the weight-1 convention.
+    summed exactly, CONFIG_BLOCK configurations at a time. A diluted slot
+    (sign 0) drops out of the energy, which is exactly the weight-1
+    convention.
     """
     tau = np.asarray(tau, dtype=np.float64)
-    acc = SignedLogSum(tau.shape[0])
     if cluster.layers == 2:
         tau_star = np.asarray(tau_star, dtype=np.float64)
         cross = tau * tau_star
-    for P, D in _iter_parity_blocks(cluster):
+    # a running log-sum-exp: the largest term so far and the sum scaled by it
+    maxlog, scaled = np.full(tau.shape[0], -np.inf), np.zeros(tau.shape[0])
+    total = cluster.config_count
+    for start in range(0, total, CONFIG_BLOCK):
+        cell = slot_cells(cluster, start, min(start + CONFIG_BLOCK, total))
+        P = 1.0 - 2.0 * (cell >> (cluster.layers - 1))
         if cluster.layers == 1:
             energy = tau @ P.T
         else:
+            D = 1.0 - 2.0 * (cell & 1)
             energy = tau @ P.T + tau_star @ D.T + cross @ (P * D).T
-        acc.add(K * energy)
-    logmag, _ = acc.result()
-    return logmag
+        logmag = K * energy
+        newmax = np.maximum(maxlog, np.max(logmag, axis=-1))
+        # rows that are still all -inf rescale by exp(-inf - 0) = 0, never nan
+        safe = np.where(np.isfinite(newmax), newmax, 0.0)
+        scaled = scaled * np.exp(maxlog - safe) + np.exp(logmag - safe[:, None]).sum(axis=-1)
+        maxlog = newmax
+    with np.errstate(divide="ignore"):
+        return maxlog + np.log(scaled)
 
 
 def cluster_partition(cluster: ClusterSpec, disorder: DisorderAssignment, K: float) -> float:

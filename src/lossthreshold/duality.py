@@ -17,9 +17,10 @@ exp(K e), with e an integer energy (`_cell_energies`), and its dual one of
 three magnitudes a, b and c, with a sign free of K. The counts step,
 `count_rows`, sums per (configuration, row of disorder states) the energy,
 the slots in cell 0 that are not lost, and the dual sign: integers, free
-of K, compiled once per class by `replica.class_table`. The values step,
-`log_factor_batch`, turns them into ln x_0 and ln x_0* at an array of
-couplings. `cluster.cluster_partition` keeps a direct-energy primal sum as
+of K, compiled once per class by `replica.class_table`. It reads each
+slot's parity cell in each configuration from `cluster.slot_cells`. The
+values step, `log_factor_batch`, turns them into ln x_0 and ln x_0* at an
+array of couplings. `cluster.cluster_partition` keeps a direct-energy primal sum as
 a reference, and `replica.gap_closed_form_single` a closed-form gap.
 """
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .cluster import (
     DisorderAssignment,
     NonFinite,
     ShapeMismatch,
-    _parity_block,
     signs_array,
+    slot_cells,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -110,16 +111,6 @@ def edge_factor_twolayer(disorder: EdgeDisorder, K):
     return tuple(np.exp(K * e) for e in _cell_energies(disorder, 2))
 
 
-def _slot_cells(P: np.ndarray, D: np.ndarray | None) -> np.ndarray:
-    """Cell of every slot in a block of parity rows, in edge-factor component order.
-
-    The cell is 1 for an odd primal edge and 0 for an even one; on two
-    layers it is twice that plus 1 for an odd dual edge.
-    """
-    cell = (P < 0.0).astype(np.intp)
-    return cell if D is None else 2 * cell + (D < 0.0)
-
-
 def _flag_base(slots: int) -> int:
     """The power of two above `slots` that scales the zero count in a flag column."""
     return 1 << slots.bit_length()
@@ -166,7 +157,7 @@ def _count_table(cluster: ClusterSpec, lo: int, hi: int) -> np.ndarray:
     """The float32 count table of configurations [lo, hi): row k * (hi - lo) + c, column s*m + a
     holds column k of `_state_columns` for state a in the cell of slot s in configuration lo + c."""
     columns = _state_columns(cluster.layers, cluster.slot_count).transpose(0, 2, 1)
-    table = columns[:, _slot_cells(*_parity_block(cluster, lo, hi))].reshape(3 * (hi - lo), -1)
+    table = columns[:, slot_cells(cluster, lo, hi)].reshape(3 * (hi - lo), -1)
     table.flags.writeable = False
     return table
 

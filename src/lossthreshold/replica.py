@@ -46,6 +46,7 @@ chunk sums, and no point's value depends on its neighbours in the call.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -54,8 +55,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import model
-from .cluster import CONFIG_BLOCK, ClusterSpec, NonFinite, ShapeMismatch, _iter_parity_blocks
-from .duality import UnsignedDual, _require_positive_dual, _slot_cells, count_rows, log_factor_batch
+from .cluster import CONFIG_BLOCK, ClusterSpec, NonFinite, ShapeMismatch, slot_cells
+from .duality import UnsignedDual, _require_positive_dual, count_rows, log_factor_batch
 
 EXACT = "exact"
 MONTE_CARLO = "monte-carlo"
@@ -105,13 +106,18 @@ class GapEvaluation:
 def worker_count(workers: int | None = None) -> int:
     """Resolve a worker count: explicit argument, THRESHOLD_WORKERS, or all cores.
 
-    Raises ValueError when `workers` is below 1, or when THRESHOLD_WORKERS is
-    set but is not an integer of at least 1.
+    Raises ValueError when `workers` is not an integer of at least 1 (a
+    float, a string or a bool is refused, a numpy integer taken), or when
+    THRESHOLD_WORKERS is set but is not an integer of at least 1.
     """
     if workers is not None:
-        if int(workers) < 1:
-            raise ValueError(f"workers={workers!r} must be at least 1")
-        return int(workers)
+        try:
+            count = operator.index(workers)
+        except TypeError:
+            count = 0
+        if count < 1 or isinstance(workers, bool):
+            raise ValueError(f"workers={workers!r} must be an integer of at least 1")
+        return count
     env = os.environ.get("THRESHOLD_WORKERS", "").strip()
     if not env:
         return os.cpu_count() or 1
@@ -191,29 +197,23 @@ class ClassTable:
     configurations, they give the same multiset of per-configuration
     histograms, the number of slots in each (disorder state, parity cell).
     Cells are the parities of a slot's edges, (primal) on one layer and
-    (primal, dual) on two, in the component order of `edge_factor_single` /
-    `edge_factor_twolayer`. Every assignment in a class has the same primal
-    and dual sums and the same probability, so one representative per
-    class stands for all of them.
+    (primal, dual) on two, as `cluster.slot_cells` gives them. Every
+    assignment in a class has the same primal and dual sums and the same
+    probability, so one representative per class stands for all of them.
 
     The table also holds what an evaluation needs that does not depend on
     the point: the representatives' `duality.count_rows`, which the
     kernel's values step takes as they are, and the distinct state-count
     vectors (330 for E's 3 150 classes), whose disorder weights are all a
-    point computes before gathering them out to the classes.
+    point computes before gathering them out to the classes:
+    `count_vectors[count_index]` holds each class's slots per disorder state.
     """
 
-    state_counts: np.ndarray  # (classes, states) slots in each disorder state
     multiplicity: np.ndarray  # (classes,) assignments in each class
     representative: np.ndarray  # (classes, slots) int8 state indices of one assignment
     counts: np.ndarray  # (3, configurations, classes) int8 (int16 past 32 slots) counts of representative
-    count_vectors: np.ndarray  # (vectors, states) intp distinct rows of state_counts
-    count_index: np.ndarray  # (classes,) intp row of count_vectors equal to each class's state_counts
-
-
-def _parity_cells(cluster: ClusterSpec, dtype) -> np.ndarray:
-    """Cell of every slot in every configuration (`_slot_cells`), shape (2^internal, slots)."""
-    return np.concatenate([_slot_cells(P, D).astype(dtype) for P, D in _iter_parity_blocks(cluster)])
+    count_vectors: np.ndarray  # (vectors, states) intp distinct slot counts per disorder state
+    count_index: np.ndarray  # (classes,) intp row of count_vectors holding each class's slot counts
 
 
 def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -280,8 +280,9 @@ def class_table(cluster: ClusterSpec) -> ClassTable:
     m = support_size(cluster.layers)
     cells = 2 * cluster.layers
     width = m * cells
-    count_type = np.min_scalar_type(cluster.slot_count)
-    pending, _, row_of_config = _unique_rows(_parity_cells(cluster, count_type))
+    count_type, total = np.min_scalar_type(cluster.slot_count), cluster.config_count
+    blocks = [slot_cells(cluster, lo, min(lo + CONFIG_BLOCK, total)) for lo in range(0, total, CONFIG_BLOCK)]
+    pending, _, row_of_config = _unique_rows(np.concatenate(blocks).astype(count_type))
     hist = np.zeros((len(pending), width), dtype=count_type)
     classes = np.sort(row_of_config.astype(np.int32)[None, :], axis=1)
     multiplicity = np.ones(1, dtype=np.int64)
@@ -307,13 +308,11 @@ def class_table(cluster: ClusterSpec) -> ClassTable:
         representative = np.concatenate(
             [representative[first % n], (first // n).astype(np.int8)[:, None]], axis=1
         )
-    state_counts = hist[classes[:, 0]].reshape(-1, m, cells).sum(axis=2)
-    count_vectors, _, count_index = _unique_rows(state_counts)
+    count_vectors, _, count_index = _unique_rows(hist[classes[:, 0]].reshape(-1, m, cells).sum(axis=2))
     # energies lie in [-S, 3S], and the kernel subtracts each row's largest
     dtype = np.min_scalar_type(-4 * cluster.slot_count)
     counts = np.concatenate([block.astype(dtype) for block in count_rows(cluster, representative)], axis=1)
     table = ClassTable(
-        state_counts,
         multiplicity,
         representative,
         counts,

@@ -122,9 +122,10 @@ def solve_threshold(
     bracket (an end within replica.GAP_FLOOR of zero has no sign), which
     signals the q >= 1/2 regime of a larger cluster or a broken geometry. Raises
     ValueError for a tol that is not finite or is below MIN_TOL, for a
-    `workers` below 1, and for a Monte Carlo seed outside [0, 2**128). A
-    search that takes MAX_ITERATIONS steps without closing the bracket keeps
-    its best iterate with status "no-convergence".
+    `workers` that is not an integer of at least 1, and for a Monte Carlo
+    seed outside [0, 2**128). A search that takes MAX_ITERATIONS steps
+    without closing the bracket keeps its best iterate with status
+    "no-convergence".
     """
     model.check_rate("loss rate q", q)
     spec = _resolve_cluster(cluster)

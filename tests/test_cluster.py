@@ -14,7 +14,6 @@ from lossthreshold.cluster import (
     ClusterFileError,
     ClusterSpec,
     ShapeMismatch,
-    SignedLogSum,
     Slot,
     UnknownCluster,
     Vertex,
@@ -26,7 +25,6 @@ from lossthreshold.cluster import (
     cluster_to_dict,
     gauge_orbit_check,
     load_cluster_file,
-    spin_parity_tables,
 )
 from lossthreshold.model import EdgeDisorder
 
@@ -182,32 +180,6 @@ def test_gauge_orbit_invariance(name):
 def test_gauge_check_rejects_two_layer():
     with pytest.raises(ShapeMismatch):
         gauge_orbit_check(builtin_cluster("D"), (EdgeDisorder(1, 1),) * 4, 0.5)
-
-
-def test_parity_tables():
-    P, D = spin_parity_tables(builtin_cluster("B"))
-    assert P.shape == (16, 12) and D is None
-    assert set(np.unique(P)) == {-1.0, 1.0}
-    # configuration 0 has every internal spin up
-    assert np.all(P[0] == 1.0)
-    P, D = spin_parity_tables(builtin_cluster("E"))
-    assert P.shape == (4, 7) and D.shape == (4, 7)
-    # dual vertices of E are all boundary, so dual parities never flip
-    assert np.all(D == 1.0)
-
-
-def test_signed_log_sum_streaming():
-    acc = SignedLogSum(1)
-    acc.add(np.array([[math.log(3.0)]]), np.array([[1.0]]))
-    acc.add(np.array([[math.log(1.0)]]), np.array([[-1.0]]))
-    logmag, sign = acc.result()
-    assert sign[0] == 1
-    assert logmag[0] == pytest.approx(math.log(2.0), rel=1e-14)
-
-    cancel = SignedLogSum(1)
-    cancel.add(np.array([[0.5, 0.5]]), np.array([[1.0, -1.0]]))
-    _, sign = cancel.result()
-    assert sign[0] == 0
 
 
 @pytest.mark.parametrize("name", ["single", "A", "B", "C", "D", "E"])

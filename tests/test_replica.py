@@ -12,16 +12,18 @@ import weakref
 import numpy as np
 import pytest
 
-from lossthreshold import duality, model, replica
+from lossthreshold import cluster, duality, model, replica
 from lossthreshold.cluster import (
     ClusterSpec,
+    NonFinite,
     ShapeMismatch,
     Slot,
     Vertex,
     builtin_cluster,
     builtin_names,
+    cluster_partition,
     log_partition_batch,
-    spin_parity_tables,
+    slot_cells,
 )
 from lossthreshold.duality import (
     NonPositiveDual,
@@ -511,6 +513,7 @@ def test_exact_worker_independence():
 
 def test_worker_count_resolution(monkeypatch):
     assert worker_count(5) == 5
+    assert type(worker_count(np.int64(2))) is int and worker_count(np.int64(2)) == 2
     monkeypatch.setenv("THRESHOLD_WORKERS", "2")
     assert worker_count() == 2
     monkeypatch.delenv("THRESHOLD_WORKERS")
@@ -525,9 +528,11 @@ def test_worker_count_rejects_bad_environment(monkeypatch, value):
         worker_count()
 
 
-@pytest.mark.parametrize("workers", [0, -3])
+@pytest.mark.parametrize(
+    "workers", [0, -3, pytest.param(2.7, id="float"), pytest.param("2", id="str"), pytest.param(True, id="bool")]
+)
 def test_explicit_worker_count_below_one_is_rejected(workers):
-    # both used to run on one worker
+    # 0 and -3 used to run on one worker, 2.7 and "2" on two and True on one
     with pytest.raises(ValueError, match="workers"):
         worker_count(workers)
     with pytest.raises(ValueError, match="workers"):
@@ -615,7 +620,9 @@ def test_compiled_gap_matches_per_row_sum(spec):
     table = class_table(spec)
     m = replica.support_size(spec.layers)
     assert int(table.multiplicity.sum()) == m**spec.slot_count
-    assert np.all(table.state_counts.sum(axis=1) == spec.slot_count)
+    state_counts = _state_counts(table.representative, m)
+    assert np.array_equal(table.count_vectors[table.count_index], state_counts)
+    assert np.all(state_counts.sum(axis=1) == spec.slot_count)
 
     qs = (0.0, 0.2, 0.45)
     upper = (0.5 if spec.layers == 1 else 0.75) - BRACKET_MARGIN
@@ -650,6 +657,50 @@ def _channel_kind(spec: ClusterSpec) -> str:
 def _all_rows(m: int, S: int) -> np.ndarray:
     codes = np.arange(m**S)
     return (codes[:, None] // m ** np.arange(S)[None, :]) % m
+
+
+@pytest.mark.parametrize("spec", _COMPILED_CASES, ids=lambda s: s.name)
+def test_slot_cells_match_an_independent_loop(spec):
+    # every configuration, and an interior range from the middle; the random
+    # two-layer clusters have internal dual vertices
+    total = spec.config_count
+    for start, stop in ((0, total), (total // 2, total // 2 + (total + 3) // 4)):
+        cells = slot_cells(spec, start, stop)
+        assert cells.dtype == np.int8 and cells.shape == (stop - start, spec.slot_count)
+        assert np.array_equal(cells, _configuration_cells(spec, start, stop))
+
+
+@pytest.mark.parametrize("step", [1, 3])
+@pytest.mark.parametrize(
+    "spec", [builtin_cluster(n) for n in ("B", "D", "E")] + _RANDOM_CASES, ids=lambda s: s.name
+)
+def test_log_partition_batch_streams_over_configuration_blocks(monkeypatch, spec, step):
+    # cluster.CONFIG_BLOCK = step carries the running log-sum-exp across
+    # blocks of `step` configurations; it must meet the one-block value and
+    # the plain loop's ln x_0
+    kind = _channel_kind(spec)
+    support = model.SUPPORT[kind]
+    idx = np.random.default_rng(13).integers(0, len(support), size=(40, spec.slot_count))
+    tau = np.array([d.sign for d in support], dtype=np.float64)[idx]
+    tau_star = np.array([d.dual_sign or 0 for d in support], dtype=np.float64)[idx] if spec.layers == 2 else None
+    # every slot clean but the last, which is lost where the slot count is
+    # even: an odd number of clean slots keeps every energy odd, so K = inf
+    # never meets inf * 0
+    clean = [support[0]] * spec.slot_count
+    if spec.slot_count % 2 == 0:
+        clean[-1] = support[-1]
+    for p in (0.01, 0.1, 0.3):
+        K = model.coupling(kind, p)
+        one = log_partition_batch(spec, tau, tau_star, K)
+        with monkeypatch.context() as patch:
+            patch.setattr(cluster, "CONFIG_BLOCK", step)
+            blocked = log_partition_batch(spec, tau, tau_star, K)
+            with pytest.raises(NonFinite):
+                cluster_partition(spec, tuple(clean), math.inf)
+        assert np.max(np.abs(blocked - one)) <= 1e-12
+        for row, got in zip(idx, blocked):
+            z, _ = _brute_force_row(spec, [support[s] for s in row], K)
+            assert abs(got - math.log(z)) <= 1e-12, f"p={p}, row {row.tolist()}"
 
 
 @pytest.mark.parametrize(
@@ -832,16 +883,18 @@ def test_gauge_flip_invariance_of_primal_rows(spec):
             assert np.max(np.abs(logp - base)) <= 1e-12, f"{vid} at p={p}"
 
 
-def _configuration_cells(spec: ClusterSpec) -> np.ndarray:
-    """(configurations, slots) parity cell of every slot, from the cluster's edges.
+def _configuration_cells(spec: ClusterSpec, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """(configurations, slots) parity cell of every slot in configurations [start, stop), by a plain loop.
 
-    Boundary spins are +1. The cell is 1 for an antiparallel primal edge and
-    0 for a parallel one; on two layers it is twice that plus 1 for an
-    antiparallel dual edge.
+    Configuration c gives internal vertex b the spin 1 - 2 ((c >> b) & 1),
+    and every boundary vertex +1. The cell is 1 for an antiparallel primal
+    edge and 0 for a parallel one; on two layers it is twice that plus 1
+    for an antiparallel dual edge.
     """
     rows = []
-    for bits in itertools.product((1, -1), repeat=len(spec.internal_ids)):
-        spin = {v.id: 1 for v in spec.vertices} | dict(zip(spec.internal_ids, bits))
+    for config in range(start, spec.config_count if stop is None else stop):
+        spin = {v.id: 1 for v in spec.vertices}
+        spin |= {vid: 1 - 2 * ((config >> b) & 1) for b, vid in enumerate(spec.internal_ids)}
         row = []
         for slot in spec.slots:
             a, b = slot.primal_edge
@@ -852,6 +905,11 @@ def _configuration_cells(spec: ClusterSpec) -> np.ndarray:
             row.append(cell)
         rows.append(row)
     return np.array(rows)
+
+
+def _state_counts(representative: np.ndarray, m: int) -> np.ndarray:
+    """(classes, states) slots of each representative in each of the m disorder states."""
+    return (representative[:, :, None] == np.arange(m)).sum(1)
 
 
 _SMALL_CASES = [builtin_cluster("A"), builtin_cluster("D")] + [
@@ -880,7 +938,9 @@ def test_class_table_matches_brute_force_grouping(spec):
     table = class_table(spec)
     assert len(table.multiplicity) == len(groups)
     seen = set()
-    for rep, multiplicity, counts in zip(table.representative, table.multiplicity, table.state_counts):
+    state_counts = _state_counts(table.representative, m)
+    assert np.array_equal(table.count_vectors[table.count_index], state_counts)
+    for rep, multiplicity, counts in zip(table.representative, table.multiplicity, state_counts):
         group = key(rep)
         assert group not in seen, f"two classes share the group of {rep.tolist()}"
         seen.add(group)
@@ -911,22 +971,23 @@ def test_table_carries_the_representatives_encoding_and_count_index(name):
     for a, b in zip(log_factor_batch(spec, (table.counts,), K), log_factor_batch(spec, (fresh,), K)):
         assert np.array_equal(a, b)
     assert table.count_vectors.dtype == table.count_index.dtype == np.intp
-    assert np.array_equal(table.count_vectors[table.count_index], table.state_counts)
+    assert np.array_equal(table.count_vectors[table.count_index], _state_counts(table.representative, len(support)))
     assert len(np.unique(table.count_vectors, axis=0)) == len(table.count_vectors)
 
 
 @pytest.mark.parametrize("spec", _COMPILED_CASES, ids=lambda s: s.name)
 def test_compiled_counts_match_a_brute_force_recount(spec):
     # each class's energy, cell-0 count and dual sign per configuration,
-    # recounted from its representative's signs and the cluster's parity
-    # tables: the energy from the coupling formula, the sign as the product
-    # of the slots' Hadamard dual signs at K = 0.5, with no encoding,
-    # count table or matrix product
+    # recounted from its representative's signs and the cells of the plain
+    # loop `_configuration_cells`: the energy from the coupling formula, the
+    # sign as the product of the slots' Hadamard dual signs at K = 0.5, with
+    # no encoding, count table or matrix product
     kind = _channel_kind(spec)
     support = model.SUPPORT[kind]
     table = class_table(spec)
     rep = table.representative.astype(np.intp)
-    P, D = spin_parity_tables(spec)
+    cells = _configuration_cells(spec)
+    P, D = 1 - 2 * (cells >> (spec.layers - 1)), 1 - 2 * (cells & 1)
     tau = np.array([d.sign for d in support])[rep][:, None, :]
     energy = tau * P[None]
     cell = (P < 0).astype(np.intp)
@@ -959,7 +1020,7 @@ def test_zero_weight_classes_leave_the_exact_sum_without_moving_its_bits(name):
         K, probs = replica._round_points(kind, [p], [0.0])
         logp, logd, sign, _ = log_factor_batch(spec, (table.counts,), K)
         assert np.all(sign > 0)
-        weight = np.prod(probs[0] ** table.state_counts, axis=1)
+        weight = np.prod(probs[0] ** _state_counts(table.representative, probs.shape[1]), axis=1)
         assert 0 < np.count_nonzero(weight) < len(weight)
         every_class = math.fsum((table.multiplicity * weight * (logp[0] - logd[0])).tolist())
         assert gap_batch(kind, [p], [0.0], spec)[0][0] == every_class
@@ -1023,7 +1084,7 @@ def test_too_many_terms_before_compiling(monkeypatch):
         raise AssertionError("compiled a cluster past the term budget")
 
     monkeypatch.setattr(replica, "class_table", forbidden)
-    monkeypatch.setattr(replica, "_parity_cells", forbidden)
+    monkeypatch.setattr(replica, "slot_cells", forbidden)
     with pytest.raises(TooManyTerms):
         gap(ChannelSpec("uncorrelated", 0.1, 0.1), spec)
 
