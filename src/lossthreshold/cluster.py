@@ -116,19 +116,6 @@ class ClusterSpec:
         if n_int > MAX_INTERNAL_SPINS:
             raise ClusterFileError(f"{n_int} internal spins exceed the cap of {MAX_INTERNAL_SPINS}")
 
-    def __hash__(self) -> int:
-        # the lru_caches keyed by a cluster hash it on every lookup; its
-        # vertices and slots are hashed once
-        value = self.__dict__.get("_hash")
-        if value is None:
-            value = hash((self.name, self.layers, self.vertices, self.slots))
-            object.__setattr__(self, "_hash", value)
-        return value
-
-    def __getstate__(self) -> dict:
-        # str hashes differ between processes, so a pickle never carries one
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
-
     @property
     def internal_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.vertices if v.role == "internal")
@@ -221,13 +208,16 @@ def cluster_partition(cluster: ClusterSpec, disorder: DisorderAssignment, K: flo
     """Principal Boltzmann factor ln x_0 of the cluster under one disorder assignment.
 
     Raises ShapeMismatch when the assignment does not fit the cluster and
-    NonFinite when the log-sum-exp escapes the representable range.
+    NonFinite, before summing, for a K that is not finite, and when the
+    log-sum-exp escapes the representable range.
     """
     if len(disorder) != cluster.slot_count:
         raise ShapeMismatch(
             f"cluster {cluster.name!r} has {cluster.slot_count} slots, got {len(disorder)} disorder entries"
         )
     tau, tau_star = signs_array(disorder, cluster.layers)
+    if not np.isfinite(K):
+        raise NonFinite(f"cluster partition of {cluster.name!r} is not finite (K={K})")
     value = float(
         log_partition_batch(
             cluster, tau[None, :], None if tau_star is None else tau_star[None, :], K

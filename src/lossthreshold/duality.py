@@ -177,6 +177,15 @@ def _dual_signs(flag: np.ndarray, base: int) -> np.ndarray:
     return lookup.take(entry)
 
 
+def count_block(cluster: ClusterSpec) -> int:
+    """Configurations per count table of `count_rows`: all of them, up to CONFIG_BLOCK // 3m.
+
+    A table holds 3m numbers per (configuration, slot), so one holds at most
+    CONFIG_BLOCK * S of them.
+    """
+    return min(cluster.config_count, max(1, CONFIG_BLOCK // (3 * len(LAYER_SUPPORT[cluster.layers]))))
+
+
 def count_rows(cluster: ClusterSpec, idx: np.ndarray):
     """The counts step: the energy, n and dual sign of every (configuration, row) of disorder state indices.
 
@@ -196,10 +205,9 @@ def count_rows(cluster: ClusterSpec, idx: np.ndarray):
         raise ValueError(f"disorder state indices must lie in [0, {m}), got {idx.min()} to {idx.max()}")
     onehot = np.empty((S, m, n), dtype=np.float32)
     np.equal(np.ascontiguousarray(idx.T)[:, None, :], np.arange(m).astype(idx.dtype)[:, None], out=onehot)
-    # a table holds 3m numbers per (configuration, slot), so one block holds at most
-    # CONFIG_BLOCK * S of them; only a cluster that fits in one keeps its table cached
-    step, total = max(1, CONFIG_BLOCK // (3 * m)), cluster.config_count
-    table = _count_table if total <= step else _count_table.__wrapped__
+    # only a cluster whose configurations fit in one table keeps it cached
+    step, total = count_block(cluster), cluster.config_count
+    table = _count_table if step == total else _count_table.__wrapped__
 
     def blocks():
         for lo in range(0, total, step):

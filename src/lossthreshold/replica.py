@@ -56,7 +56,7 @@ import numpy as np
 
 from . import model
 from .cluster import CONFIG_BLOCK, ClusterSpec, NonFinite, ShapeMismatch, slot_cells
-from .duality import UnsignedDual, _require_positive_dual, count_rows, log_factor_batch
+from .duality import UnsignedDual, _require_positive_dual, count_block, count_rows, log_factor_batch
 
 EXACT = "exact"
 MONTE_CARLO = "monte-carlo"
@@ -84,7 +84,8 @@ EXACT_SLICE = 2 * CONFIG_BLOCK
 # depends only on the cluster and the sample count, never on the worker count,
 # so parallel runs are bit-identical: per-chunk sums are combined in chunk
 # order with fsum. The draws themselves depend on the partition (a chunk's
-# stream starts at its first sample times the slot count).
+# stream starts at its first sample times the slot count). A chunk holds
+# _CHUNK_TARGET (row, configuration) pairs of one count table (`count_block`).
 _CHUNK_TARGET = 1 << 20
 _CHUNK_MAX = 1 << 16
 
@@ -147,7 +148,7 @@ def check_policy(policy: str) -> None:
 
 
 def _chunk_bounds(total: int, cluster: ClusterSpec) -> list[tuple[int, int]]:
-    size = max(1, min(_CHUNK_MAX, _CHUNK_TARGET // cluster.config_count))
+    size = min(_CHUNK_MAX, _CHUNK_TARGET // count_block(cluster))
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 

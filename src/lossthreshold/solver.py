@@ -10,28 +10,26 @@ signs, the search falls back to the full bracket [1e-6, 1/2 - 1e-6] (single
 layer) or [1e-6, 3/4 - 1e-6] (two layers), which alone decides that there is
 no sign change. Either bracket is refined by Brent's method (inverse
 quadratic interpolation and secant steps, safeguarded by bisection), and the
-same loop finds r. Exact and Monte Carlo gaps share the loop: a sampled gap
-is a fixed function of p for one seed, because every evaluation reads the
-same random stream, and its refinement stops once the bracket is within
-twice the standard error of p_c.
+same loop finds r, one q at a time outside the rounds below. Exact and Monte
+Carlo gaps share the loop: a sampled gap is a fixed function of p for one
+seed, because every evaluation reads the same random stream, and its
+refinement stops once the bracket is within twice the standard error of p_c.
 
 Each search is a generator that asks for the gap at the points it needs
 next. A sweep advances the searches of all its q values in lockstep: round 1
 holds every q's two bracket ends, later rounds each unfinished search's
 next request, and every round is one `replica.gap_batch` call on the
 round's p and q lists. Searches are sent back plain (Delta, standard error)
-floats, and the closed-form seed rounds send the same pairs, so no
-per-point channel or result object passes between solver and replica. A
-point's gap does not depend on the points that share its round, so each
-q's search, and its row, is the same as alone; `solve_threshold` is the
-sweep of one q.
+floats, so no per-point channel or result object passes between solver and
+replica. A point's gap does not depend on the points that share its round,
+so each q's search, and its row, is the same as alone; `solve_threshold` is
+the sweep of one q.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 from . import model, replica
 from .cluster import ClusterSpec, builtin_cluster
@@ -138,9 +136,11 @@ def solve_threshold(
 def _thresholds(kind, spec, qs, tol, policy, mc_samples, seed, workers) -> list:
     """A ThresholdResult or a NoSignChange for every q, all searched in lockstep.
 
-    Every search's rounds go to one `replica.gap_batch` call each (see
-    `_lockstep`), whose values do not depend on which points share the call
-    or on the worker count; so each outcome depends on its own q alone.
+    A search yields the tuple of p values it needs next and is sent back a
+    list of their (delta, std_error) pairs. Each round gathers the requests
+    of every unfinished search, in q order, into one `replica.gap_batch`
+    call, whose values do not depend on which points share the call or on
+    the worker count; so each outcome depends on its own q alone.
     """
     model.check_kind(kind)
     _check_tol(tol)
@@ -148,16 +148,8 @@ def _thresholds(kind, spec, qs, tol, policy, mc_samples, seed, workers) -> list:
     replica.check_policy(policy)
     if policy == replica.MONTE_CARLO:
         replica.check_seed(seed)
-
-    def evaluate(ps, round_qs):
-        delta, std_error = replica.gap_batch(
-            kind, ps, round_qs, spec, policy, mc_samples=mc_samples, seed=seed, workers=nworkers
-        )
-        return delta.tolist(), std_error.tolist()
-
-    outcomes = {}
-    searches = {}
-    for i, (q, root) in enumerate(zip(qs, _closed_form_roots(kind, qs))):
+    outcomes, searches = {}, {}
+    for i, q in enumerate(qs):
         # One-unit clusters reduce to the closed form, whose root degenerates
         # to p = 0 exactly when q reaches 1/2 (binary entropy target <= 0).
         if spec.slot_count == 1 and not spec.internal_ids and q >= 0.5:
@@ -165,22 +157,8 @@ def _thresholds(kind, spec, qs, tol, policy, mc_samples, seed, workers) -> list:
                 kind, spec.name, q, 0.0, 0.0, (0.0, 0.0), 0, policy, STATUS_NO_THRESHOLD
             )
         else:
-            searches[i] = _search(kind, spec.name, q, policy, tol, root)
-    outcomes.update(_lockstep(searches, qs, evaluate))
-    return [outcomes[i] for i in range(len(qs))]
-
-
-def _lockstep(searches: dict, qs, evaluate) -> dict:
-    """Run generator searches in rounds until each returns or raises NoSignChange.
-
-    A search yields the tuple of p values it needs next and is sent back a
-    list of their (delta, std_error) pairs. Each round gathers the requests
-    of every unfinished search, in search order, into one `evaluate(ps, qs)`
-    call, which returns the round's deltas and standard errors as two
-    sequences of floats. Returns each search's result, or its NoSignChange,
-    by key.
-    """
-    outcomes, replies = {}, dict.fromkeys(searches)
+            searches[i] = _search(kind, spec.name, q, policy, tol, _closed_form_root(kind, q))
+    replies = dict.fromkeys(searches)
     while True:
         requests = {}
         for i, reply in replies.items():
@@ -191,15 +169,18 @@ def _lockstep(searches: dict, qs, evaluate) -> dict:
             except NoSignChange as exc:
                 outcomes[i] = exc
         if not requests:
-            return outcomes
+            return [outcomes[i] for i in range(len(qs))]
         ps = [p for request in requests.values() for p in request]
         round_qs = [qs[i] for i, request in requests.items() for _ in request]
-        values = zip(*evaluate(ps, round_qs))
+        delta, std_error = replica.gap_batch(
+            kind, ps, round_qs, spec, policy, mc_samples=mc_samples, seed=seed, workers=nworkers
+        )
+        values = zip(delta.tolist(), std_error.tolist())
         replies = {i: [next(values) for _ in request] for i, request in requests.items()}
 
 
 def _search(kind, name, q, method, tol, root):
-    """The threshold search at one q, as a generator driven by `_lockstep`.
+    """The threshold search at one q, as a generator.
 
     It asks first for the ends of the seeded bracket (of the full bracket
     when the closed form has no root), then for the full bracket's ends if
@@ -222,26 +203,23 @@ def _search(kind, name, q, method, tol, root):
     )
 
 
-def _closed_form_roots(kind: str, qs) -> list[float | None]:
-    """Root in p of the one-unit closed form on the full bracket at each q, or None.
+def _closed_form_root(kind: str, q: float) -> float | None:
+    """Root in p of the one-unit closed form on the full bracket at q, or None.
 
-    Found by the same search as the threshold itself, to MIN_TOL whatever
-    the caller's tol, so a root depends on (kind, q) alone. The closed form
-    has no root once q >= 1/2 (its search raises NoSignChange); the
-    threshold search then starts on the full bracket.
+    Found by the same search as the threshold itself, one point at a time,
+    to MIN_TOL whatever the caller's tol, so the root depends on (kind, q)
+    alone. The closed form has no root once q >= 1/2 (its search raises
+    NoSignChange); the threshold search then starts on the full bracket.
     """
-
-    def evaluate(ps, round_qs):
-        closed_form = replica.gap_closed_form_single
-        return [closed_form(kind, p, q) for p, q in zip(ps, round_qs)], repeat(0.0)
-
-    searches = {
-        i: _search(kind, "closed-form", q, replica.EXACT, MIN_TOL, None) for i, q in enumerate(qs)
-    }
-    roots = _lockstep(searches, qs, evaluate)
-    return [
-        roots[i].p_c if isinstance(roots[i], ThresholdResult) else None for i in range(len(qs))
-    ]
+    search = _search(kind, "closed-form", q, replica.EXACT, MIN_TOL, None)
+    reply = None
+    try:
+        while True:
+            reply = [(replica.gap_closed_form_single(kind, p, q), 0.0) for p in search.send(reply)]
+    except StopIteration as stop:
+        return stop.value.p_c
+    except NoSignChange:
+        return None
 
 
 def _refine(kind, name, q, method, a, b, fa, fb, tol, spent):

@@ -281,10 +281,10 @@ def test_load_cluster_file_missing_path(tmp_path):
         load_cluster_file(str(tmp_path / "absent.json"))
 
 
-def test_cluster_hash_is_cached_and_left_out_of_pickles():
+def test_cluster_hash_is_its_fields_hash_across_pickles():
     # lru_cache lookups hash a cluster every call; the hash is the one of
-    # its fields, kept once, and never pickled, since str hashes differ
-    # between processes
+    # its fields that the frozen dataclass makes, and a pickle carries none,
+    # since str hashes differ between processes
     spec = builtin_cluster("E")
     want = hash((spec.name, spec.layers, spec.vertices, spec.slots))
     assert hash(spec) == want and hash(spec) == want

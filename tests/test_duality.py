@@ -198,6 +198,12 @@ def test_non_finite_coupling():
         cluster_partition(builtin_cluster("single"), (EdgeDisorder(1),), math.inf)
     with pytest.raises(NonFinite):
         dual_cluster_partition(builtin_cluster("single"), (EdgeDisorder(1),), math.inf)
+    # with every sign +1, some configuration of B has energy 0, and K * 0
+    # would warn of an invalid value (an error in this suite) before the
+    # sum's own check could raise
+    for K in (math.inf, math.nan):
+        with pytest.raises(NonFinite):
+            cluster_partition(builtin_cluster("B"), (EdgeDisorder(1),) * 12, K)
 
 
 def test_negative_coupling_is_refused():

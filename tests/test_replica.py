@@ -325,6 +325,38 @@ def test_monte_carlo_matches_per_sample_sum(monkeypatch, spec):
             assert got.std_error == pytest.approx(std_error, rel=1e-12, abs=ulp / math.sqrt(samples))
 
 
+def _ring_cluster(spins: int) -> ClusterSpec:
+    """A single-layer ring of internal spins, tied to two boundary spins on opposite sides."""
+    vertices = tuple(Vertex(f"i{k}", "internal") for k in range(spins)) + (
+        Vertex("b0", "boundary"),
+        Vertex("b1", "boundary"),
+    )
+    edges = [(f"i{k}", f"i{(k + 1) % spins}") for k in range(spins)]
+    edges += [("b0", "i0"), ("b1", f"i{spins // 2}")]
+    return ClusterSpec(f"ring{spins}", 1, vertices, tuple(Slot(e) for e in edges))
+
+
+def test_monte_carlo_chunks_hold_one_count_table_of_rows():
+    # a chunk holds _CHUNK_TARGET // count_block rows: a registered cluster's
+    # table covers all its configurations, so its partition is the one by
+    # configurations, while a 12-spin ring's 4 096 configurations take three
+    # tables of at most 1 820, and its chunks 576 rows rather than 256
+    for name in builtin_names():
+        spec = builtin_cluster(name)
+        assert duality.count_block(spec) == spec.config_count
+    spec = _ring_cluster(12)
+    assert duality.count_block(spec) == duality.CONFIG_BLOCK // 9 == 1820
+    samples = MIN_MC_SAMPLES
+    assert replica._chunk_bounds(samples, spec) == [(0, 576), (576, samples)]
+    for p in (0.02, 0.08, 0.3):
+        channel = ChannelSpec("uncorrelated", p, 0.1)
+        got = gap(channel, spec, MONTE_CARLO, mc_samples=samples, seed=3)
+        mean, std_error, rms = _per_sample_monte_carlo(channel, spec, samples, seed=3)
+        ulp = np.finfo(float).eps * rms
+        assert got.delta == pytest.approx(mean, rel=1e-12, abs=ulp)
+        assert got.std_error == pytest.approx(std_error, rel=1e-12, abs=ulp / math.sqrt(samples))
+
+
 @pytest.mark.parametrize("m, S", [(3, 5), (3, 39), (3, 80), (5, 27), (5, 30)])
 def test_distinct_rows_counts_every_row(m, S):
     # 80 slots of three states span three words; rows that agree in every
@@ -683,12 +715,6 @@ def test_log_partition_batch_streams_over_configuration_blocks(monkeypatch, spec
     idx = np.random.default_rng(13).integers(0, len(support), size=(40, spec.slot_count))
     tau = np.array([d.sign for d in support], dtype=np.float64)[idx]
     tau_star = np.array([d.dual_sign or 0 for d in support], dtype=np.float64)[idx] if spec.layers == 2 else None
-    # every slot clean but the last, which is lost where the slot count is
-    # even: an odd number of clean slots keeps every energy odd, so K = inf
-    # never meets inf * 0
-    clean = [support[0]] * spec.slot_count
-    if spec.slot_count % 2 == 0:
-        clean[-1] = support[-1]
     for p in (0.01, 0.1, 0.3):
         K = model.coupling(kind, p)
         one = log_partition_batch(spec, tau, tau_star, K)
@@ -696,7 +722,7 @@ def test_log_partition_batch_streams_over_configuration_blocks(monkeypatch, spec
             patch.setattr(cluster, "CONFIG_BLOCK", step)
             blocked = log_partition_batch(spec, tau, tau_star, K)
             with pytest.raises(NonFinite):
-                cluster_partition(spec, tuple(clean), math.inf)
+                cluster_partition(spec, (support[0],) * spec.slot_count, math.inf)
         assert np.max(np.abs(blocked - one)) <= 1e-12
         for row, got in zip(idx, blocked):
             z, _ = _brute_force_row(spec, [support[s] for s in row], K)

@@ -89,8 +89,13 @@ def test_single_crossing_threshold_matches_closed_form_root(q):
 
 
 @pytest.mark.parametrize("name,kind", [("single", "uncorrelated"), ("C", "depolarizing")])
-@pytest.mark.parametrize("q", [0.5, 0.75, 1.0])
-def test_one_unit_loses_threshold_at_half(name, kind, q):
+@pytest.mark.parametrize("q", [0.5, 0.6, 0.75, 1.0])
+def test_one_unit_loses_threshold_at_half(monkeypatch, name, kind, q):
+    # the no-threshold row builds no search, so its closed-form seed is never needed
+    def fail(*args, **kwargs):
+        raise AssertionError("the closed form was evaluated")
+
+    monkeypatch.setattr(replica, "gap_closed_form_single", fail)
     result = solve_threshold(kind, name, q)
     assert result.status == "no-threshold"
     assert not result.ok
@@ -370,12 +375,12 @@ def test_exact_sweep_never_builds_a_pool(monkeypatch):
 
 
 def test_closed_form_roots_are_the_entropy_roots():
-    roots = solver._closed_form_roots("uncorrelated", REFERENCE_Q)
+    roots = [solver._closed_form_root("uncorrelated", q) for q in REFERENCE_Q]
     for q, root in zip(REFERENCE_Q, roots):
         assert abs(root - binary_entropy_root(q)) <= 1e-9
     # past q = 1/2 the closed form is negative on the whole bracket
     for kind in ("uncorrelated", "depolarizing"):
-        assert solver._closed_form_roots(kind, [0.5, 0.6]) == [None, None]
+        assert [solver._closed_form_root(kind, q) for q in (0.5, 0.6)] == [None, None]
 
 
 def test_lockstep_fallback_for_one_q_leaves_the_others(monkeypatch):
