@@ -17,7 +17,7 @@ exp(K e), with e an integer energy (`_cell_energies`), and its dual one of
 three magnitudes a, b and c, with a sign free of K. The counts step,
 `count_rows`, sums per (configuration, row of disorder states) the energy,
 the slots in cell 0 that are not lost, and the dual sign: integers, free
-of K, compiled once per class by `replica.class_table`. It reads each
+of K, compiled once per cluster by `replica.class_table`. It reads each
 slot's parity cell in each configuration from `cluster.slot_cells`. The
 values step, `log_factor_batch`, turns them into ln x_0 and ln x_0* at an
 array of couplings. `cluster.cluster_partition` keeps a direct-energy primal sum as

@@ -15,18 +15,21 @@ contributes depends only on how many slots sit in each (disorder state,
 parity cell) for every internal-spin configuration, so assignments whose
 per-configuration histograms agree up to a permutation of configurations
 form one class, and every assignment of a class has the same primal and
-dual sums. The class table of a cluster is compiled once and cached, with
-all of an evaluation's work that does not depend on the point: the
-kernel's counts of one representative assignment per class
-(`duality.count_rows`), and the index of the classes' distinct
-state-count vectors. A point then takes the kernel's values step
-(`duality.log_factor_batch`) on those counts and weighs each class by its
-multiplicity and disorder probability, whose products it forms once per
-count vector. Monte Carlo sampling covers clusters whose exact work
-exceeds TERM_BUDGET. A counter-based generator makes the uniforms of every
-chunk of samples reproducible and identical across p, which keeps the
-estimated gap continuous during root finding, so one call draws each chunk
-once, in groups of `worker_count` chunks, for all its points. Sampled rows
+dual sums. Classes whose counts (`duality.count_rows`) give the same
+multisets of configuration energies and of signed dual terms have the
+same sums too, and share one column. The class table of a cluster is
+compiled once and cached, with all of an evaluation's work that does not
+depend on the point: the kernel's counts of one representative assignment
+per column, and the column and distinct state-count vector of each
+(column, vector) pair of classes. A point then takes the kernel's values
+step (`duality.log_factor_batch`) on those counts and weighs each column
+by its pairs' multiplicities and disorder probabilities, whose products it
+forms once per count vector. Monte Carlo sampling covers clusters whose
+exact work exceeds TERM_BUDGET. A counter-based generator makes the
+uniforms of every chunk of samples reproducible and identical across p,
+which keeps the estimated gap continuous during root finding, so one call
+draws each chunk once, in groups of `worker_count` chunks, for all its
+points. Sampled rows
 repeat often (near the root of B only 2-27 % of them are distinct), so a
 chunk counts and weighs only its distinct rows.
 
@@ -75,9 +78,9 @@ ROUNDING_SHARE = 0.25
 DEFAULT_MC_SAMPLES = 100_000
 MIN_MC_SAMPLES = 1000
 
-# an exact slice holds at most this many (points x classes x configurations)
-# elements: both bracket ends of a round on E (3 150 classes x 4
-# configurations) share one kernel call
+# an exact slice holds at most this many (points x columns x configurations)
+# elements: 24 points of a round on E (340 columns x 4 configurations) share
+# one kernel call
 EXACT_SLICE = 2 * CONFIG_BLOCK
 
 # Monte Carlo samples are processed in fixed-size chunks. The partition
@@ -104,6 +107,16 @@ class GapEvaluation:
     terms: int
 
 
+def _integer(name: str, value) -> int:
+    """`value` as an int, a numpy integer with its bits; ValueError naming `name` for a float, a string or a bool."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name}={value!r} must be an integer")
+
+
 def worker_count(workers: int | None = None) -> int:
     """Resolve a worker count: explicit argument, THRESHOLD_WORKERS, or all cores.
 
@@ -112,11 +125,8 @@ def worker_count(workers: int | None = None) -> int:
     THRESHOLD_WORKERS is set but is not an integer of at least 1.
     """
     if workers is not None:
-        try:
-            count = operator.index(workers)
-        except TypeError:
-            count = 0
-        if count < 1 or isinstance(workers, bool):
+        count = _integer("workers", workers)
+        if count < 1:
             raise ValueError(f"workers={workers!r} must be an integer of at least 1")
         return count
     env = os.environ.get("THRESHOLD_WORKERS", "").strip()
@@ -192,7 +202,7 @@ def _round_points(kind: str, p, q) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ClassTable:
-    """Disorder classes of a cluster: assignments with the same primal and dual sums.
+    """Disorder classes of a cluster, merged into columns of equal primal and dual sums.
 
     Two assignments are in one class when, over all 2^internal
     configurations, they give the same multiset of per-configuration
@@ -200,21 +210,29 @@ class ClassTable:
     Cells are the parities of a slot's edges, (primal) on one layer and
     (primal, dual) on two, as `cluster.slot_cells` gives them. Every
     assignment in a class has the same primal and dual sums and the same
-    probability, so one representative per class stands for all of them.
+    probability.
 
-    The table also holds what an evaluation needs that does not depend on
-    the point: the representatives' `duality.count_rows`, which the
-    kernel's values step takes as they are, and the distinct state-count
-    vectors (330 for E's 3 150 classes), whose disorder weights are all a
-    point computes before gathering them out to the classes:
-    `count_vectors[count_index]` holds each class's slots per disorder state.
+    A class's sums depend only on its `duality.count_rows` counts: on the
+    multiset of its configurations' energies, and on the multiset of their
+    (dual sign, cell-0 count) pairs, leaving out dual sign 0, whose term is
+    0. Classes that share both multisets have the same sums up to the order
+    of their configurations, so they share one column (E: 3 150 classes in
+    340 columns, B: 13 881 in 1 561). A column keeps one representative
+    class's counts, which the kernel's values step takes as they are, and
+    its signs, which errors name. Its classes may differ in probability, so
+    the table lists (column, state-count vector, multiplicity) pairs, the
+    assignments of the column with each distinct count of slots per
+    disorder state: `count_vectors[count_index]` holds each pair's counts,
+    and a point computes only the weights of the distinct vectors (330 on
+    E) before adding them up per column.
     """
 
-    multiplicity: np.ndarray  # (classes,) assignments in each class
-    representative: np.ndarray  # (classes, slots) int8 state indices of one assignment
-    counts: np.ndarray  # (3, configurations, classes) int8 (int16 past 32 slots) counts of representative
+    representative: np.ndarray  # (columns, slots) int8 state indices of one assignment per column
+    counts: np.ndarray  # (3, configurations, columns) int8 (int16 past 32 slots) counts of representative
     count_vectors: np.ndarray  # (vectors, states) intp distinct slot counts per disorder state
-    count_index: np.ndarray  # (classes,) intp row of count_vectors holding each class's slot counts
+    column_index: np.ndarray  # (pairs,) intp column of each pair, ascending
+    count_index: np.ndarray  # (pairs,) intp row of count_vectors holding each pair's slot counts
+    multiplicity: np.ndarray  # (pairs,) int64 assignments of each pair
 
 
 def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -265,18 +283,15 @@ def _distinct_rows(idx: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return idx.take(order[starts], axis=0), np.diff(starts, append=n)
 
 
-@lru_cache(maxsize=16)
-def class_table(cluster: ClusterSpec) -> ClassTable:
-    """Compile the disorder classes of a cluster by folding in one slot at a time.
+def _class_fold(cluster: ClusterSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The disorder classes of a cluster, folded in one slot at a time: (multiplicity, representative).
 
     While slots are being assigned, a row also carries the cells of the slots
     still to come, so that the next slot's state moves each row to a new row
     without knowing its configuration. After every slot, classes that became
     equal are merged and their multiplicities added. One assignment of each
-    class is kept as its representative: evaluation sums it for the whole
-    class, and errors name its signs. The representatives' counts are
-    compiled, and the classes' state counts indexed by their distinct
-    vectors, here, once per table.
+    class, (classes, slots) int8 state indices, is kept as its
+    representative.
     """
     m = support_size(cluster.layers)
     cells = 2 * cluster.layers
@@ -309,16 +324,38 @@ def class_table(cluster: ClusterSpec) -> ClassTable:
         representative = np.concatenate(
             [representative[first % n], (first // n).astype(np.int8)[:, None]], axis=1
         )
-    count_vectors, _, count_index = _unique_rows(hist[classes[:, 0]].reshape(-1, m, cells).sum(axis=2))
+    return multiplicity, representative
+
+
+@lru_cache(maxsize=16)
+def class_table(cluster: ClusterSpec) -> ClassTable:
+    """Compile the class table of a cluster: its classes (`_class_fold`) merged into columns.
+
+    A column is keyed by the sorted energies and the sorted dual codes of a
+    class's configurations, the multisets of `ClassTable`; the first class
+    of a column represents it.
+    """
+    multiplicity, representative = _class_fold(cluster)
+    S = cluster.slot_count
     # energies lie in [-S, 3S], and the kernel subtracts each row's largest
-    dtype = np.min_scalar_type(-4 * cluster.slot_count)
+    dtype = np.min_scalar_type(-4 * S)
     counts = np.concatenate([block.astype(dtype) for block in count_rows(cluster, representative)], axis=1)
+    energy, cell0, sign = counts
+    # a configuration's dual code: its cell-0 count, moved past S where its
+    # dual sign is -1, and -1 where its term is 0
+    dual = np.where(sign == 0, -1, cell0 + (sign < 0) * (S + 1)).astype(dtype)
+    _, first, column = _unique_rows(np.concatenate([np.sort(energy, axis=0), np.sort(dual, axis=0)]).T)
+    m, n = support_size(cluster.layers), len(multiplicity)
+    state_counts = np.bincount((np.arange(n)[:, None] * m + representative).ravel(), minlength=n * m)
+    count_vectors, _, vector = _unique_rows(state_counts.reshape(n, m))
+    pairs, pair = np.unique(column * len(count_vectors) + vector, return_inverse=True)
     table = ClassTable(
-        multiplicity,
-        representative,
-        counts,
+        representative[first],
+        np.ascontiguousarray(counts[:, :, first]),
         count_vectors.astype(np.intp),
-        count_index.astype(np.intp),
+        (pairs // len(count_vectors)).astype(np.intp),
+        (pairs % len(count_vectors)).astype(np.intp),
+        np.bincount(pair, weights=multiplicity).astype(np.int64),
     )
     for array in vars(table).values():
         array.flags.writeable = False
@@ -328,17 +365,18 @@ def class_table(cluster: ClusterSpec) -> ClassTable:
 def _exact_gaps(K: np.ndarray, probs: np.ndarray, cluster: ClusterSpec, table: ClassTable) -> list[float]:
     """Delta at each point of a slice, from its couplings and (points, states) probabilities.
 
-    Every assignment of a class has the class's primal and dual sums, so
-    the table's compiled counts of the class representatives go through
-    the kernel's values step, `log_factor_batch`, and each class counts
-    multiplicity * probability times. The probabilities are multiplied out
-    once per distinct state-count vector and gathered to the classes. A
-    class of positive weight whose dual sum is not positive raises
-    NonPositiveDual. Each class's rounding bound, weighed the same way,
-    bounds the rounding of Delta; past ROUNDING_SHARE * GAP_FLOOR the point
-    raises UnsignedDual, naming the representative that weighs most in it.
-    A point's bits do not depend on which other points share its slice.
-    Only classes of positive weight enter a point's `fsum`, which rounds
+    Every assignment of a column has the column's primal and dual sums, so
+    the table's compiled counts of the column representatives go through
+    the kernel's values step, `log_factor_batch`, and each column counts
+    its weight W times: the sum over its pairs of multiplicity *
+    probability, with the probabilities multiplied out once per distinct
+    state-count vector. A column of positive weight whose dual sum is not
+    positive raises NonPositiveDual. Each column's rounding bound, weighed
+    the same way, bounds the rounding of Delta; past ROUNDING_SHARE *
+    GAP_FLOOR the point raises UnsignedDual, naming the representative of
+    the column that weighs most in it. A point's bits do not depend on
+    which other points share its slice: its weights add up in pair order.
+    Only columns of positive weight enter a point's `fsum`, which rounds
     the exact sum once, so leaving out the zero terms keeps its bits.
     """
     logp, logd, sign, rounding = log_factor_batch(cluster, (table.counts,), K)
@@ -347,14 +385,18 @@ def _exact_gaps(K: np.ndarray, probs: np.ndarray, cluster: ClusterSpec, table: C
     powers = probs[:, :, None] ** np.arange(cluster.slot_count + 1)
     states = np.arange(probs.shape[1])[:, None]
     weight = np.prod(powers[:, states, table.count_vectors.T], axis=1)[:, table.count_index]
-    # classes of zero probability (q = 0, or p on the support boundary) never
+    # each point's bins are its own, so bincount adds each column's pairs in order
+    points, columns = logp.shape
+    bins = (np.arange(points)[:, None] * columns + table.column_index).ravel()
+    W = np.bincount(bins, (table.multiplicity * weight).ravel(), points * columns).reshape(points, columns)
+    # columns of zero probability (q = 0, or p on the support boundary) never
     # enter the average, whatever the sign or rounding of their dual sum
-    positive = weight > 0.0
+    positive = W > 0.0
     bad = (sign <= 0) & positive
     if bad.any():
         i = int(np.argmax(bad.any(axis=1)))
         _require_positive_dual(cluster, bad[i], table.representative, K[i])
-    error = table.multiplicity * weight * np.where(positive, rounding, 0.0)
+    error = W * np.where(positive, rounding, 0.0)
     bound = error.sum(axis=1)
     limit = ROUNDING_SHARE * GAP_FLOOR
     if np.any(bound > limit):
@@ -362,17 +404,19 @@ def _exact_gaps(K: np.ndarray, probs: np.ndarray, cluster: ClusterSpec, table: C
         signs = [model.LAYER_SUPPORT[cluster.layers][s].sign for s in table.representative[np.argmax(error[i])]]
         raise UnsignedDual(
             f"dual sums of cluster {cluster.name!r} may round the gap by {bound[i]:.3g} at "
-            f"K={K[i]}, past {limit:.3g}; the largest share is the class of signs {signs}"
+            f"K={K[i]}, past {limit:.3g}; the largest share is the column of signs {signs}"
         )
     delta = logp - np.where(sign > 0, logd, logp)
-    terms = table.multiplicity * weight * delta
+    terms = W * delta
     return [math.fsum(v[w].tolist()) for v, w in zip(terms, positive)]
 
 
-def check_seed(seed: int) -> None:
-    """Refuse a Monte Carlo seed that cannot key the Philox stream."""
-    if not 0 <= seed < 2**128:
+def check_seed(seed: int) -> int:
+    """A Monte Carlo seed as an int; ValueError for one that is not an integer in [0, 2**128), the Philox keys."""
+    key = _integer("seed", seed)
+    if not 0 <= key < 2**128:
         raise ValueError(f"seed={seed} must lie in [0, 2**128)")
+    return key
 
 
 def _chunk_uniforms(seed: int, cluster: ClusterSpec, lo: int, hi: int) -> np.ndarray:
@@ -436,7 +480,13 @@ def _combine_chunks(cluster: ClusterSpec, bounds, partials, samples: int) -> tup
 
 
 def _sample_count(mc_samples: int | None) -> int:
-    return int(DEFAULT_MC_SAMPLES if mc_samples is None else mc_samples)
+    """DEFAULT_MC_SAMPLES for None, else `mc_samples` as an int of at least MIN_MC_SAMPLES (ValueError)."""
+    if mc_samples is None:
+        return DEFAULT_MC_SAMPLES
+    samples = _integer("mc_samples", mc_samples)
+    if samples < MIN_MC_SAMPLES:
+        raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
+    return samples
 
 
 def gap_batch(
@@ -460,7 +510,7 @@ def gap_batch(
     policy "exact" sums every assignment through the cluster's class table
     and raises TooManyTerms, before compiling anything, when `exact_work`
     exceeds TERM_BUDGET; "monte-carlo" samples. Exact points are cut into
-    slices of at most EXACT_SLICE (points x classes x configurations)
+    slices of at most EXACT_SLICE (points x columns x configurations)
     elements, one point at least, which run one after another on the
     calling thread. Sampled points share their `_chunk_bounds` chunks: the
     chunks are taken in groups of `worker_count(workers)`, each group's
@@ -468,7 +518,8 @@ def gap_batch(
     chunk) item of the group is summed over them, reading the shared draws.
     So a call draws each chunk once, whatever its number of points, and
     holds at most `worker_count(workers)` draws at a time. An explicit
-    `workers` below 1 is refused on either path. Each point's value is
+    `workers` below 1 is refused on either path, and so is a sampled
+    `mc_samples` or `seed` that is not an integer. Each point's value is
     bit-identical to evaluating it alone, with any worker count; sampled
     chunks are combined per point in chunk order.
     """
@@ -479,9 +530,7 @@ def gap_batch(
     _check_layers(kind, cluster)
     if policy == MONTE_CARLO:
         samples = _sample_count(mc_samples)
-        if samples < MIN_MC_SAMPLES:
-            raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
-        check_seed(seed)
+        seed = check_seed(seed)
         if not len(K):
             return np.zeros(0), np.zeros(0)
         bounds = _chunk_bounds(samples, cluster)
@@ -508,7 +557,7 @@ def gap_batch(
             f"policy, or --mc-samples on the command line"
         )
     table = class_table(cluster)
-    step = max(1, EXACT_SLICE // (len(table.multiplicity) * cluster.config_count))
+    step = max(1, EXACT_SLICE // (len(table.representative) * cluster.config_count))
     values = []
     for lo in range(0, len(K), step):
         values += _exact_gaps(K[lo : lo + step], probs[lo : lo + step], cluster, table)

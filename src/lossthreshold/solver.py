@@ -121,7 +121,7 @@ def solve_threshold(
     signals the q >= 1/2 regime of a larger cluster or a broken geometry. Raises
     ValueError for a tol that is not finite or is below MIN_TOL, for a
     `workers` that is not an integer of at least 1, and for a Monte Carlo
-    seed outside [0, 2**128). A search that takes MAX_ITERATIONS steps
+    seed that is not an integer in [0, 2**128). A search that takes MAX_ITERATIONS steps
     without closing the bracket keeps its best iterate with status
     "no-convergence".
     """

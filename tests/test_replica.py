@@ -8,6 +8,7 @@ import math
 import re
 import threading
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -652,9 +653,7 @@ def test_compiled_gap_matches_per_row_sum(spec):
     table = class_table(spec)
     m = replica.support_size(spec.layers)
     assert int(table.multiplicity.sum()) == m**spec.slot_count
-    state_counts = _state_counts(table.representative, m)
-    assert np.array_equal(table.count_vectors[table.count_index], state_counts)
-    assert np.all(state_counts.sum(axis=1) == spec.slot_count)
+    assert np.all(table.count_vectors.sum(axis=1) == spec.slot_count)
 
     qs = (0.0, 0.2, 0.45)
     upper = (0.5 if spec.layers == 1 else 0.75) - BRACKET_MARGIN
@@ -946,8 +945,9 @@ _SMALL_CASES = [builtin_cluster("A"), builtin_cluster("D")] + [
 @pytest.mark.parametrize("spec", _SMALL_CASES, ids=lambda s: s.name)
 def test_class_table_matches_brute_force_grouping(spec):
     # every assignment, keyed by the sorted tuple of its per-configuration
-    # (state, cell) histograms: the groups must be the table's classes, with
-    # its multiplicities and state counts, one representative in each
+    # (state, cell) histograms: the groups must be the classes of the table's
+    # fold, with its multiplicities and state counts, one representative in
+    # each
     m, S = replica.support_size(spec.layers), spec.slot_count
     cells = _configuration_cells(spec)
     width = m * 2 * spec.layers
@@ -961,12 +961,11 @@ def test_class_table_matches_brute_force_grouping(spec):
     groups = {}
     for assignment in itertools.product(range(m), repeat=S):
         groups.setdefault(key(assignment), []).append(assignment)
-    table = class_table(spec)
-    assert len(table.multiplicity) == len(groups)
+    multiplicities, representatives = replica._class_fold(spec)
+    assert len(multiplicities) == len(groups)
     seen = set()
-    state_counts = _state_counts(table.representative, m)
-    assert np.array_equal(table.count_vectors[table.count_index], state_counts)
-    for rep, multiplicity, counts in zip(table.representative, table.multiplicity, state_counts):
+    state_counts = _state_counts(representatives, m)
+    for rep, multiplicity, counts in zip(representatives, multiplicities, state_counts):
         group = key(rep)
         assert group not in seen, f"two classes share the group of {rep.tolist()}"
         seen.add(group)
@@ -978,8 +977,10 @@ def test_class_table_matches_brute_force_grouping(spec):
 @pytest.mark.parametrize("name", builtin_names())
 def test_table_carries_the_representatives_encoding_and_count_index(name):
     # the compiled counts are the int8 cast of a fresh count_rows of the
-    # representatives, cannot be written, and give the values step the same
-    # bits; the count-vector index gives back every class's state counts
+    # column representatives, cannot be written, and give the values step
+    # the same bits; the pairs ascend by (column, count vector), each pair
+    # once, every column has one, and one of a column's count vectors is its
+    # representative's
     spec = builtin_cluster(name)
     kind = _channel_kind(spec)
     support = model.SUPPORT[kind]
@@ -987,7 +988,7 @@ def test_table_carries_the_representatives_encoding_and_count_index(name):
     assert support == model.LAYER_SUPPORT[spec.layers]
     fresh = np.concatenate(list(count_rows(spec, table.representative)), axis=1)
     assert table.counts.dtype == np.int8
-    assert table.counts.shape == fresh.shape == (3, spec.config_count, len(table.multiplicity))
+    assert table.counts.shape == fresh.shape == (3, spec.config_count, len(table.representative))
     assert np.array_equal(table.counts, fresh)
     for array in vars(table).values():
         assert not array.flags.writeable
@@ -996,9 +997,13 @@ def test_table_carries_the_representatives_encoding_and_count_index(name):
     K = [model.coupling(kind, p) for p in (BRACKET_LO, 0.05, 0.2)]
     for a, b in zip(log_factor_batch(spec, (table.counts,), K), log_factor_batch(spec, (fresh,), K)):
         assert np.array_equal(a, b)
-    assert table.count_vectors.dtype == table.count_index.dtype == np.intp
-    assert np.array_equal(table.count_vectors[table.count_index], _state_counts(table.representative, len(support)))
+    assert table.count_vectors.dtype == table.count_index.dtype == table.column_index.dtype == np.intp
     assert len(np.unique(table.count_vectors, axis=0)) == len(table.count_vectors)
+    assert np.all(np.diff(table.column_index * len(table.count_vectors) + table.count_index) > 0)
+    assert np.array_equal(np.unique(table.column_index), np.arange(len(table.representative)))
+    for u, counts in enumerate(_state_counts(table.representative, len(support))):
+        own = table.count_vectors[table.count_index[table.column_index == u]]
+        assert (own == counts).all(axis=1).any()
 
 
 @pytest.mark.parametrize("spec", _COMPILED_CASES, ids=lambda s: s.name)
@@ -1034,11 +1039,84 @@ def test_compiled_counts_match_a_brute_force_recount(spec):
     assert np.array_equal(table.counts[1, 0], spec.slot_count - lost.sum(axis=(1, 2)))
 
 
+def _column_weights(table: replica.ClassTable, probs: np.ndarray) -> np.ndarray:
+    """Each column's weight at one point's state probabilities: multiplicity * probability, added in pair order."""
+    weight = np.prod(probs ** table.count_vectors, axis=1)
+    columns = [0.0] * len(table.representative)
+    pairs = zip(table.column_index.tolist(), table.count_index.tolist(), table.multiplicity.tolist())
+    for u, v, multiplicity in pairs:
+        columns[u] += multiplicity * weight[v]
+    return np.array(columns)
+
+
+def _sum_key(counts: np.ndarray) -> tuple:
+    """What a class's sums depend on, from its (3, configurations) counts.
+
+    Its largest energy top and n_0, the histogram of top - E_c, and the
+    histograms of n_0 - n_c over the configurations of dual sign +1 and of
+    dual sign -1; a term of dual sign 0 is 0.
+    """
+    energy, cell0, sign = (row.tolist() for row in counts)
+    top, n0 = max(energy), cell0[0]
+    dual = [(s, n0 - n) for n, s in zip(cell0, sign) if s != 0]
+    return top, n0, tuple(sorted(Counter(top - e for e in energy).items())), tuple(sorted(Counter(dual).items()))
+
+
+@pytest.mark.parametrize("spec", _COMPILED_CASES, ids=lambda s: s.name)
+def test_columns_merge_classes_without_loss(spec):
+    # the table's columns are the classes of the fold grouped by `_sum_key`,
+    # one column per key, and the pairs hold the classes' multiplicities per
+    # (column, state-count vector). Each class, through its own counts, has
+    # its column's dual sign and, to 1e-13 relative, its ln x_0: only the
+    # order of the configuration sums may differ. A signed dual sum that
+    # cancels (B and random2-1 at BRACKET_LO) moves with that order by up to
+    # its rounding bound r, so ln |x_0*| and r agree to 1e-13 relative plus
+    # the bounds of both sums; elsewhere r is about 1e-15
+    m = replica.support_size(spec.layers)
+    table = class_table(spec)
+    multiplicities, representatives = replica._class_fold(spec)
+    counts = np.concatenate(list(count_rows(spec, representatives)), axis=1)
+    column_of = {_sum_key(table.counts[:, :, u]): u for u in range(len(table.representative))}
+    assert len(column_of) == len(table.representative)
+    column = np.array([column_of[_sum_key(counts[:, :, k])] for k in range(len(multiplicities))])
+    pairs = Counter()
+    for u, state_counts, multiplicity in zip(column, _state_counts(representatives, m), multiplicities):
+        pairs[int(u), tuple(state_counts.tolist())] += int(multiplicity)
+    table_pairs = zip(table.column_index.tolist(), table.count_index.tolist(), table.multiplicity.tolist())
+    assert pairs == {(u, tuple(table.count_vectors[v].tolist())): multiplicity for u, v, multiplicity in table_pairs}
+    assert sum(pairs.values()) == m**spec.slot_count
+
+    kind = _channel_kind(spec)
+    upper = (0.5 if spec.layers == 1 else 0.75) - BRACKET_MARGIN
+    K = [model.coupling(kind, p) for p in (BRACKET_LO, 0.05, upper)]
+    logp, logd, sign, rounding = log_factor_batch(spec, (counts,), K)
+    merged = [a[:, column] for a in log_factor_batch(spec, (table.counts,), K)]
+    assert np.array_equal(sign, merged[2])
+    assert np.all(np.abs(logp - merged[0]) <= 1e-13 * np.abs(merged[0]))
+    # |ln(1 + e)| <= 1.02 |e| for |e| <= ROUNDING_LIMIT = 1e-2
+    assert rounding.max() <= duality.ROUNDING_LIMIT
+    order = 1.02 * (rounding + merged[3])
+    assert np.all(np.abs(logd - merged[1]) <= 1e-13 * np.abs(merged[1]) + order)
+    assert np.all(np.abs(rounding - merged[3]) <= (1e-13 + order) * merged[3])
+
+
+@pytest.mark.parametrize(
+    "name, columns, pairs",
+    [("single", 3, 3), ("A", 9, 15), ("B", 1561, 6096), ("C", 3, 5), ("D", 28, 70), ("E", 340, 1599)],
+)
+def test_registered_column_counts(name, columns, pairs):
+    # B's 13 881 classes share 1 561 columns and E's 3 150 share 340: a key
+    # that merged fewer classes, or more, changes these counts
+    table = class_table(builtin_cluster(name))
+    assert (len(table.representative), len(table.multiplicity)) == (columns, pairs)
+
+
 @pytest.mark.parametrize("name", ["B", "E"])
 def test_zero_weight_classes_leave_the_exact_sum_without_moving_its_bits(name):
-    # at q = 0 every class with a lost slot weighs 0, and the exact gap sums
-    # only the others; fsum rounds the exact sum once, so the gap must equal
-    # the fsum over every class
+    # at q = 0 every class with a lost slot weighs 0, and so does every
+    # column of such classes; the exact gap sums only the other columns, and
+    # fsum rounds the exact sum once, so the gap must equal the fsum over
+    # every column, with each column's weight added up in pair order
     spec = builtin_cluster(name)
     kind = _channel_kind(spec)
     table = class_table(spec)
@@ -1046,16 +1124,16 @@ def test_zero_weight_classes_leave_the_exact_sum_without_moving_its_bits(name):
         K, probs = replica._round_points(kind, [p], [0.0])
         logp, logd, sign, _ = log_factor_batch(spec, (table.counts,), K)
         assert np.all(sign > 0)
-        weight = np.prod(probs[0] ** _state_counts(table.representative, probs.shape[1]), axis=1)
+        weight = _column_weights(table, probs[0])
         assert 0 < np.count_nonzero(weight) < len(weight)
-        every_class = math.fsum((table.multiplicity * weight * (logp[0] - logd[0])).tolist())
-        assert gap_batch(kind, [p], [0.0], spec)[0][0] == every_class
+        every_column = math.fsum((weight * (logp[0] - logd[0])).tolist())
+        assert gap_batch(kind, [p], [0.0], spec)[0][0] == every_column
 
 
 def test_exact_gap_refuses_dual_rounding_past_its_share_of_the_gap_floor(monkeypatch):
     # B at p = 1e-6 rounds its exact gap by up to 5.7e-14, a quarter of the
-    # limit; a share below that must refuse the point, naming the class
-    # whose weighted bound is largest
+    # limit; a share below that must refuse the point, naming the
+    # representative of the column whose weighted bound is largest
     spec = builtin_cluster("B")
     channel = ChannelSpec("uncorrelated", 1e-6, 0.0)
     gap(channel, spec)
@@ -1067,7 +1145,11 @@ def test_exact_gap_refuses_dual_rounding_past_its_share_of_the_gap_floor(monkeyp
     assert match, text
     assert 4e-14 < float(match.group(1)) < 1e-13
     signs = json.loads(match.group(2))
-    assert signs == [1] * 8 + [-1] + [1] * 3
+    table = class_table(spec)
+    K, probs = replica._round_points(channel.kind, [channel.p], [channel.q])
+    rounding = log_factor_batch(spec, (table.counts,), K)[3][0]
+    heaviest = table.representative[np.argmax(_column_weights(table, probs[0]) * rounding)]
+    assert signs == [model.SUPPORT[channel.kind][s].sign for s in heaviest]
     assert isinstance(info.value, NonPositiveDual)
 
 
@@ -1079,7 +1161,7 @@ def test_registered_class_sums_have_rounding_headroom(name):
     kind = _channel_kind(spec)
     upper = (0.5 if spec.layers == 1 else 0.75) - BRACKET_MARGIN
     K = [model.coupling(kind, p) for p in (BRACKET_LO, 1e-3, upper)]
-    _, _, sign, rounding = _row_kernel(spec, model.SUPPORT[kind], class_table(spec).representative, K)
+    _, _, sign, rounding = _row_kernel(spec, model.SUPPORT[kind], replica._class_fold(spec)[1], K)
     assert np.all(sign == 1)
     assert rounding.max() < duality.ROUNDING_LIMIT
 
@@ -1134,7 +1216,7 @@ def test_batched_points_equal_points_alone(name):
     # a point's bits must not depend on the points that share its call or
     # its slice; the last batch crosses the EXACT_SLICE slice budget
     spec = builtin_cluster(name)
-    step = max(1, replica.EXACT_SLICE // (len(class_table(spec).multiplicity) * spec.config_count))
+    step = max(1, replica.EXACT_SLICE // (len(class_table(spec).representative) * spec.config_count))
     for size in (1, 2, 7, step + 2):
         points = _mixed_points(CHANNEL_OF[name], size, seed=size)
         batched = _batch(CHANNEL_OF[name], points, spec, workers=2)
@@ -1169,6 +1251,28 @@ def test_seed_outside_philox_range_is_rejected(seed):
     with pytest.raises(ValueError, match="seed"):
         sweep("uncorrelated", spec, [0.0, 0.1], policy=MONTE_CARLO, mc_samples=2000, seed=seed)
     assert gap(channel, spec, MONTE_CARLO, mc_samples=2000, seed=2**128 - 1).method == MONTE_CARLO
+
+
+@pytest.mark.parametrize(
+    "argument, value",
+    [("mc_samples", 1500.9), ("mc_samples", "2000"), ("seed", 1.5), ("seed", True), ("seed", "3")],
+)
+def test_monte_carlo_samples_and_seed_must_be_integers(argument, value):
+    # 1500.9 samples drew 1 500 rows and "2000" was taken; seeds 1.5 and True
+    # keyed the stream as 1, and "3" failed with a raw TypeError
+    spec = builtin_cluster("A")
+    options = {"mc_samples": 2000, "seed": 0, argument: value}
+    with pytest.raises(ValueError, match=argument):
+        gap_batch("uncorrelated", [0.1], [0.1], spec, MONTE_CARLO, **options)
+    with pytest.raises(ValueError, match=argument):
+        solve_threshold("uncorrelated", spec, 0.1, policy=MONTE_CARLO, **options)
+
+
+def test_numpy_integer_samples_and_seed_are_taken_as_ints():
+    spec = builtin_cluster("A")
+    numpy = gap_batch("uncorrelated", [0.1], [0.1], spec, MONTE_CARLO, mc_samples=np.int64(2000), seed=np.int64(3))
+    plain = gap_batch("uncorrelated", [0.1], [0.1], spec, MONTE_CARLO, mc_samples=2000, seed=3)
+    assert _bits(np.concatenate(numpy)) == _bits(np.concatenate(plain))
 
 
 def _bits(values) -> list[int]:
