@@ -34,10 +34,8 @@ from .cluster import (
 from .duality import (
     NonPositiveDual,
     dual_cluster_partition,
-    dual_edge_factor_single,
-    dual_edge_factor_twolayer,
-    edge_factor_single,
-    edge_factor_twolayer,
+    dual_edge_factor,
+    edge_factor,
     pure_self_dual_point,
 )
 from .replica import (

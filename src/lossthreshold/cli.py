@@ -18,12 +18,7 @@ import numpy as np
 
 from . import cluster as clusters
 from . import model, reference, replica, solver
-from .duality import (
-    NonPositiveDual,
-    dual_edge_factor_single,
-    dual_edge_factor_twolayer,
-    pure_self_dual_point,
-)
+from .duality import NonPositiveDual, dual_edge_factor, pure_self_dual_point
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -201,12 +196,12 @@ def cmd_clusters(args) -> int:
     return EXIT_OK
 
 
-def _check_involution(transform, size: int) -> tuple[bool, str]:
+def _check_involution(size: int) -> tuple[bool, str]:
     rng = np.random.default_rng(20240817)
     worst = 0.0
     for _ in range(50):
         x = tuple(rng.uniform(0.1, 10.0, size=size))
-        y = transform(transform(x))
+        y = dual_edge_factor(dual_edge_factor(x))
         worst = max(worst, max(abs(a - b) / abs(a) for a, b in zip(x, y)))
     return worst <= 1e-14, f"max relative deviation {worst:.2e} over 50 random factors"
 
@@ -274,8 +269,8 @@ def _check_parallel_determinism() -> tuple[bool, str]:
 
 def cmd_verify(args) -> int:
     checks = [
-        ("hadamard-involution-single", lambda: _check_involution(dual_edge_factor_single, 2)),
-        ("hadamard-involution-twolayer", lambda: _check_involution(dual_edge_factor_twolayer, 4)),
+        ("hadamard-involution-single", lambda: _check_involution(2)),
+        ("hadamard-involution-twolayer", lambda: _check_involution(4)),
         ("pure-self-dual-point", _check_self_dual),
         ("single-edge-oracle", _check_single_oracle),
         ("column-uncorrelated-single", lambda: _check_column("uncorrelated", "single")),

@@ -136,7 +136,7 @@ def slot_cells(cluster: ClusterSpec, start: int, stop: int) -> np.ndarray:
     is spin 1 - 2 bit, and every boundary vertex bit 0. A slot's cell is the
     XOR of its primal edge's end bits; on two layers it is twice that plus
     the XOR of its dual edge's, the component order of
-    `duality.edge_factor_twolayer`.
+    `duality.edge_factor`.
     """
     bit = {vid: b for b, vid in enumerate(cluster.internal_ids)}
     configs = np.arange(start, stop, dtype=np.int64)[:, None]

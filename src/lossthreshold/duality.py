@@ -1,10 +1,11 @@
 """Binary Fourier (Hadamard) transforms of edge Boltzmann factors and dual cluster factors.
 
-An edge Boltzmann factor has one component per spin-pair parity: (x_0, x_1)
-for a single-layer edge, (x_00, x_01, x_10, x_11) for a two-layer slot indexed
-by (primal parity, dual-layer parity). Its dual is the normalized Hadamard
-transform, x_0* = (x_0 + x_1)/sqrt(2) on one layer and the tensor square of
-that with overall normalization 1/2 on two layers.
+A slot's Boltzmann factor, `edge_factor`, has one component per parity
+cell, 2^L on L = 1 or 2 layers: (x_0, x_1) for a single-layer edge,
+(x_00, x_01, x_10, x_11) for a two-layer slot indexed by (primal parity,
+dual-layer parity). Its dual, `dual_edge_factor`, is the normalized
+Hadamard transform x*_c = 2^(-L/2) sum_d (-1)^popcount(c & d) x_d:
+(x_0 ± x_1)/sqrt(2) on one layer and its tensor square on two.
 
 The dual cluster factor x_0* is the same internal-spin sum as the primal one,
 on the same graph, but with every slot weight replaced by its dual components.
@@ -41,7 +42,6 @@ from .cluster import (
     slot_cells,
 )
 
-SQRT2 = math.sqrt(2.0)
 EPS = float(np.finfo(np.float64).eps)
 # a dual sum whose rounding bound (see log_factor_batch) exceeds this
 # fraction of its value is refused rather than logged
@@ -56,59 +56,55 @@ class UnsignedDual(NonPositiveDual):
     """The dual cluster sum cancels below double precision, so rounding decides its sign."""
 
 
-def dual_edge_factor_single(x) -> tuple[float, float]:
-    """Hadamard dual of a single-layer edge factor: ((x0+x1)/sqrt2, (x0-x1)/sqrt2)."""
-    x0, x1 = x
-    return ((x0 + x1) / SQRT2, (x0 - x1) / SQRT2)
-
-
-def dual_edge_factor_twolayer(x) -> tuple[float, float, float, float]:
-    """Four-point Hadamard dual of a two-layer slot factor.
-
-    x*_{ab} = (1/2) sum over eta, eta* in {+1,-1} of eta^a (eta*)^b x_{eta eta*},
-    with components ordered (x_00, x_01, x_10, x_11). Applying it twice is the
-    identity.
-    """
-    a, b, c, d = x
-    return (
-        0.5 * (a + b + c + d),
-        0.5 * (a - b + c - d),
-        0.5 * (a + b - c - d),
-        0.5 * (a - b - c + d),
-    )
-
-
-def _cell_energies(disorder: EdgeDisorder, layers: int) -> tuple[int, ...]:
+def _cell_energies(disorder: EdgeDisorder) -> tuple[int, ...]:
     """Exponent over K of each primal component of a slot, in component order.
 
-    On one layer: t at a parallel pair, -t at an antiparallel one. On two:
-    t*eta + t*'eta* + t*t*'eta*eta* for (eta, eta*) = (+,+), (+,-), (-,+), (-,-).
+    On one layer (dual_sign None): t at a parallel pair, -t at an
+    antiparallel one. On two: t*eta + t*'eta* + t*t*'eta*eta* for
+    (eta, eta*) = (+,+), (+,-), (-,+), (-,-).
     """
-    t = disorder.sign
-    if layers == 1:
+    t, ts = disorder.sign, disorder.dual_sign
+    if ts is None:
         return (t, -t)
-    ts = disorder.dual_sign
     return tuple(
         t * eta + ts * eta_star + t * ts * eta * eta_star
         for eta, eta_star in ((1, 1), (1, -1), (-1, 1), (-1, -1))
     )
 
 
-def edge_factor_single(disorder: EdgeDisorder, K):
-    """Primal components (weight at parallel pair, weight at antiparallel pair).
+def edge_factor(disorder: EdgeDisorder, K):
+    """Primal components exp(K e) of a slot, one per parity cell of `_cell_energies`.
 
     K is one coupling or an array of them; each component has its shape. A
-    diluted edge has sign 0 and so weight exp(0) = 1 at either parity.
+    diluted edge has sign 0 and so weight exp(0) = 1 in every cell.
     """
-    return tuple(np.exp(K * e) for e in _cell_energies(disorder, 1))
+    return tuple(np.exp(K * e) for e in _cell_energies(disorder))
 
 
-def edge_factor_twolayer(disorder: EdgeDisorder, K):
-    """Primal components of a two-layer slot, indexed by (primal, dual) parity.
+def dual_edge_factor(x) -> tuple:
+    """Normalized Hadamard dual of a slot factor of 2^L components, L = 1 or 2 layers.
 
-    K is one coupling or an array of them, as in `edge_factor_single`.
+    x*_c = 2^(-L/2) sum_d (-1)^popcount(c & d) x_d: each component adds its
+    terms in component order from x_0 and divides once by sqrt(len(x)).
+    Applying it twice is the identity. Components may be floats or arrays.
     """
-    return tuple(np.exp(K * e) for e in _cell_energies(disorder, 2))
+    size = len(x)
+    if size not in (2, 4):
+        raise ValueError(f"a slot factor has 2 or 4 components, got {size}")
+    norm = math.sqrt(size)
+    duals = []
+    for c in range(size):
+        total = x[0]
+        for d in range(1, size):
+            total = total - x[d] if (c & d).bit_count() & 1 else total + x[d]
+        duals.append(total / norm)
+    return tuple(duals)
+
+
+def _row_signs(layers: int, states) -> list:
+    """The signs of a row of disorder state indices for an error message: [sign, dual_sign] pairs on two layers."""
+    support = [d.sign if layers == 1 else [d.sign, d.dual_sign] for d in LAYER_SUPPORT[layers]]
+    return [support[s] for s in states]
 
 
 def _flag_base(slots: int) -> int:
@@ -116,23 +112,20 @@ def _flag_base(slots: int) -> int:
     return 1 << slots.bit_length()
 
 
-_FACTOR_AND_DUAL = {1: (edge_factor_single, dual_edge_factor_single),
-                    2: (edge_factor_twolayer, dual_edge_factor_twolayer)}
 # a support holds the clean state first and the lost one last; a lost slot's
 # factor is exp(K * 0) = 1 at every K, so its dual is one number
-_LOST_DUAL = {n: float(dual(factor(LAYER_SUPPORT[n][-1], 0.0))[0])
-              for n, (factor, dual) in _FACTOR_AND_DUAL.items()}
+_LOST_DUAL = {n: float(dual_edge_factor(edge_factor(support[-1], 0.0))[0]) for n, support in LAYER_SUPPORT.items()}
 
 
 def _dual_magnitudes(layers: int, K: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """(a, b, c) at a 1-D array K of couplings: a clean slot's dual in cells 0 and 1, a lost slot's in cell 0.
 
-    For K > 0 every state that is not lost has dual a in cell 0 and ±b in
-    every other cell, with the signs `_state_columns` records; a lost
-    slot's is c in cell 0 and 0 elsewhere.
+    `dual_edge_factor` of the clean state's `edge_factor`: for K > 0 every
+    state that is not lost has dual a in cell 0 and ±b in every other cell,
+    with the signs `_state_columns` records; a lost slot's is c in cell 0
+    and 0 elsewhere.
     """
-    factor, dual = _FACTOR_AND_DUAL[layers]
-    a, b, *_ = dual(factor(LAYER_SUPPORT[layers][0], K))
+    a, b, *_ = dual_edge_factor(edge_factor(LAYER_SUPPORT[layers][0], K))
     return a, b, _LOST_DUAL[layers]
 
 
@@ -141,13 +134,12 @@ def _state_columns(layers: int, slots: int) -> np.ndarray:
 
     The energy of `_cell_energies`; 1 in cell 0 of a state that is not
     lost; and a flag (see `_dual_signs`), 1 where the dual component is
-    negative and `_flag_base(slots)` where it is zero, with the signs of the
-    Hadamard dual at K = 1, the same at every K > 0.
+    negative and `_flag_base(slots)` where it is zero, with the signs of
+    `dual_edge_factor` of `edge_factor` at K = 1, the same at every K > 0.
     """
     support = LAYER_SUPPORT[layers]
-    factor, dual = _FACTOR_AND_DUAL[layers]
-    energy = np.array([_cell_energies(d, layers) for d in support])
-    sign = np.sign([dual(factor(d, 1.0)) for d in support])
+    energy = np.array([_cell_energies(d) for d in support])
+    sign = np.sign([dual_edge_factor(edge_factor(d, 1.0)) for d in support])
     cell0 = np.outer([not d.diluted for d in support], np.arange(2 * layers) == 0)
     return np.stack([energy, cell0, (sign < 0) + _flag_base(slots) * (sign == 0)]).astype(np.float32)
 
@@ -283,7 +275,7 @@ def log_factor_batch(cluster: ClusterSpec, blocks, K) -> tuple[np.ndarray, np.nd
 
 
 def _require_positive_dual(cluster: ClusterSpec, bad: np.ndarray, states: np.ndarray, K: float, rounding=None):
-    """Raise NonPositiveDual naming the signs of the first row of `states` flagged in `bad`.
+    """Raise NonPositiveDual naming the signs (`_row_signs`) of the first row of `states` flagged in `bad`.
 
     With `rounding` (the bounds of `log_factor_batch`), a row whose bound
     exceeds ROUNDING_LIMIT is flagged too, and raises UnsignedDual.
@@ -292,7 +284,7 @@ def _require_positive_dual(cluster: ClusterSpec, bad: np.ndarray, states: np.nda
     flagged = bad | unsigned
     if np.any(flagged):
         i = int(np.argmax(flagged))
-        signs = [LAYER_SUPPORT[cluster.layers][s].sign for s in states[i]]
+        signs = _row_signs(cluster.layers, states[i])
         if unsigned[i]:
             raise UnsignedDual(
                 f"dual sum of cluster {cluster.name!r} cancels below double precision for "
@@ -336,4 +328,4 @@ def pure_self_dual_point() -> float:
     because the threshold condition must degenerate to it when disorder is
     switched off.
     """
-    return 0.5 * math.log1p(SQRT2)
+    return 0.5 * math.log1p(math.sqrt(2.0))

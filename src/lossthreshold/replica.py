@@ -59,7 +59,7 @@ import numpy as np
 
 from . import model
 from .cluster import CONFIG_BLOCK, ClusterSpec, NonFinite, ShapeMismatch, slot_cells
-from .duality import UnsignedDual, _require_positive_dual, count_block, count_rows, log_factor_batch
+from .duality import UnsignedDual, _require_positive_dual, _row_signs, count_block, count_rows, log_factor_batch
 
 EXACT = "exact"
 MONTE_CARLO = "monte-carlo"
@@ -401,7 +401,7 @@ def _exact_gaps(K: np.ndarray, probs: np.ndarray, cluster: ClusterSpec, table: C
     limit = ROUNDING_SHARE * GAP_FLOOR
     if np.any(bound > limit):
         i = int(np.argmax(bound > limit))
-        signs = [model.LAYER_SUPPORT[cluster.layers][s].sign for s in table.representative[np.argmax(error[i])]]
+        signs = _row_signs(cluster.layers, table.representative[np.argmax(error[i])])
         raise UnsignedDual(
             f"dual sums of cluster {cluster.name!r} may round the gap by {bound[i]:.3g} at "
             f"K={K[i]}, past {limit:.3g}; the largest share is the column of signs {signs}"

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,13 +26,12 @@ from lossthreshold.duality import (
     _dual_magnitudes,
     _dual_signs,
     _flag_base,
+    _require_positive_dual,
     _state_columns,
     count_rows,
     dual_cluster_partition,
-    dual_edge_factor_single,
-    dual_edge_factor_twolayer,
-    edge_factor_single,
-    edge_factor_twolayer,
+    dual_edge_factor,
+    edge_factor,
     log_factor_batch,
     pure_self_dual_point,
 )
@@ -39,38 +40,71 @@ from lossthreshold.model import EdgeDisorder
 SQRT2 = math.sqrt(2.0)
 
 
-@pytest.mark.parametrize(
-    "transform,size",
-    [(dual_edge_factor_single, 2), (dual_edge_factor_twolayer, 4)],
-)
-def test_hadamard_involution(transform, size):
+def _hadamard_single(x):
+    """The one-layer dual written out: ((x0 + x1)/sqrt2, (x0 - x1)/sqrt2)."""
+    x0, x1 = x
+    return ((x0 + x1) / SQRT2, (x0 - x1) / SQRT2)
+
+
+def _hadamard_twolayer(x):
+    """The two-layer dual written out: half the signed sums of (x_00, x_01, x_10, x_11)."""
+    a, b, c, d = x
+    return (
+        0.5 * (a + b + c + d),
+        0.5 * (a - b + c - d),
+        0.5 * (a + b - c - d),
+        0.5 * (a - b - c + d),
+    )
+
+
+_WRITTEN_OUT = {2: _hadamard_single, 4: _hadamard_twolayer}
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_hadamard_has_the_bits_of_the_written_out_formulas(size):
+    # the same sums in the same order: any other order (a butterfly, a
+    # matrix product) would round differently and move p_c
+    rng = np.random.default_rng(6)
+    for _ in range(2000):
+        x = tuple(rng.uniform(-10.0, 10.0, size=size) * 10.0 ** rng.integers(-8, 9, size=size))
+        assert dual_edge_factor(x) == _WRITTEN_OUT[size](x)
+    arrays = tuple(rng.uniform(0.0, 5.0, size=(size, 37)) ** 3)
+    for got, want in zip(dual_edge_factor(arrays), _WRITTEN_OUT[size](arrays)):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("size", [0, 1, 3, 5, 8])
+def test_hadamard_refuses_other_lengths(size):
+    with pytest.raises(ValueError, match="2 or 4 components"):
+        dual_edge_factor((1.0,) * size)
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_hadamard_involution(size):
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(50):
         x = tuple(rng.uniform(0.1, 10.0, size=size))
-        y = transform(transform(x))
+        y = dual_edge_factor(dual_edge_factor(x))
         worst = max(worst, max(abs(a - b) / abs(a) for a, b in zip(x, y)))
     assert worst <= 1e-14
 
 
-@pytest.mark.parametrize(
-    "transform,size",
-    [(dual_edge_factor_single, 2), (dual_edge_factor_twolayer, 4)],
-)
-def test_hadamard_preserves_norm(transform, size):
+@pytest.mark.parametrize("size", [2, 4])
+def test_hadamard_preserves_norm(size):
     rng = np.random.default_rng(8)
     x = tuple(rng.uniform(0.1, 10.0, size=size))
-    assert sum(v * v for v in transform(x)) == pytest.approx(sum(v * v for v in x), rel=1e-14)
+    assert sum(v * v for v in dual_edge_factor(x)) == pytest.approx(sum(v * v for v in x), rel=1e-14)
 
 
 def test_single_layer_dual_components():
     K = 0.52
-    plus = dual_edge_factor_single(edge_factor_single(EdgeDisorder(1), K))
+    plus = dual_edge_factor(edge_factor(EdgeDisorder(1), K))
     assert plus[0] == pytest.approx(SQRT2 * math.cosh(K), rel=1e-15)
     assert plus[1] == pytest.approx(SQRT2 * math.sinh(K), rel=1e-15)
-    minus = dual_edge_factor_single(edge_factor_single(EdgeDisorder(-1), K))
+    minus = dual_edge_factor(edge_factor(EdgeDisorder(-1), K))
     assert minus[1] == pytest.approx(-SQRT2 * math.sinh(K), rel=1e-15)
-    diluted = dual_edge_factor_single(edge_factor_single(EdgeDisorder(0), K))
+    diluted = dual_edge_factor(edge_factor(EdgeDisorder(0), K))
     assert diluted == pytest.approx((SQRT2, 0.0), abs=1e-15)
 
 
@@ -78,15 +112,14 @@ def test_two_layer_dual_components():
     K = 0.52
     a = 0.5 * (math.exp(3.0 * K) + 3.0 * math.exp(-K))
     s = 0.5 * (math.exp(3.0 * K) - math.exp(-K))
-    plus = dual_edge_factor_twolayer(edge_factor_twolayer(EdgeDisorder(1, 1), K))
+    plus = dual_edge_factor(edge_factor(EdgeDisorder(1, 1), K))
     assert plus == pytest.approx((a, s, s, s), rel=1e-14)
-    mixed = dual_edge_factor_twolayer(edge_factor_twolayer(EdgeDisorder(1, -1), K))
+    mixed = dual_edge_factor(edge_factor(EdgeDisorder(1, -1), K))
     assert mixed == pytest.approx((a, -s, s, -s), rel=1e-14)
-    diluted = dual_edge_factor_twolayer(edge_factor_twolayer(EdgeDisorder(0, 0), K))
+    diluted = dual_edge_factor(edge_factor(EdgeDisorder(0, 0), K))
     assert diluted == pytest.approx((2.0, 0.0, 0.0, 0.0), abs=1e-14)
 
 
-_LAYERS = {1: (edge_factor_single, dual_edge_factor_single), 2: (edge_factor_twolayer, dual_edge_factor_twolayer)}
 _CLEAN_AND_LOST = {1: (EdgeDisorder(1), EdgeDisorder(0)), 2: (EdgeDisorder(1, 1), EdgeDisorder(0, 0))}
 
 
@@ -95,7 +128,6 @@ def test_dual_magnitudes_have_the_bits_of_the_per_state_hadamard_construction(la
     # a, b and c over an array of couplings must have, entry by entry, the
     # bits of the Hadamard dual of the clean and the lost edge factor at
     # that coupling alone, whatever SIMD lane or tail the entry lands in
-    factor, dual = _LAYERS[layers]
     clean, lost = _CLEAN_AND_LOST[layers]
     rng = np.random.default_rng(9)
     for length in range(1, 18):
@@ -103,7 +135,10 @@ def test_dual_magnitudes_have_the_bits_of_the_per_state_hadamard_construction(la
             a, b, c = _dual_magnitudes(layers, K)
             got = np.array([a, b, np.full(length, c)])
             want = np.array(
-                [[dual(factor(clean, k))[0], dual(factor(clean, k))[1], dual(factor(lost, k))[0]] for k in K]
+                [
+                    [*dual_edge_factor(edge_factor(clean, k))[:2], dual_edge_factor(edge_factor(lost, k))[0]]
+                    for k in K
+                ]
             ).T
             assert got.shape == want.shape == (3, length)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), f"K={K.tolist()}"
@@ -116,7 +151,6 @@ def test_every_state_has_the_three_dual_magnitudes_with_the_recorded_signs(kind)
     # lost state has (c, 0, ...), zeros flagged at the base
     support = model.SUPPORT[kind]
     layers = model.channel_layers(kind)
-    factor, dual = _LAYERS[layers]
     base = _flag_base(7)
     energy, cell0, flag = _state_columns(layers, 7)
     assert np.array_equal(cell0[:, 0], [not d.diluted for d in support])
@@ -125,7 +159,7 @@ def test_every_state_has_the_three_dual_magnitudes_with_the_recorded_signs(kind)
         a, b, c = (float(np.squeeze(x)) for x in _dual_magnitudes(layers, np.array([K])))
         assert 0.0 < b <= a
         for d, row in zip(support, flag):
-            components = np.array(dual(factor(d, K)))
+            components = np.array(dual_edge_factor(edge_factor(d, K)))
             if d.diluted:
                 assert components[0] == c and not components[1:].any()
                 assert row.tolist() == [0] + [base] * (len(row) - 1)
@@ -133,7 +167,7 @@ def test_every_state_has_the_three_dual_magnitudes_with_the_recorded_signs(kind)
             np.testing.assert_allclose(np.abs(components), [a] + [b] * (len(row) - 1), rtol=1e-12, atol=0.0)
             assert np.array_equal(components < 0, row == 1) and np.all(row <= 1)
     for d, row in zip(support, energy):
-        assert row.tolist() == [round(math.log(x)) for x in factor(d, 1.0)]
+        assert row.tolist() == [round(math.log(x)) for x in edge_factor(d, 1.0)]
 
 
 def test_single_edge_dual_anchor():
@@ -191,6 +225,20 @@ def test_non_positive_dual_two_layer():
     dual_cluster_partition(builtin_cluster("E"), disorder, 0.9)
     with pytest.raises(NonPositiveDual):
         dual_cluster_partition(builtin_cluster("E"), disorder, 12.0)
+
+
+def test_two_layer_refusal_names_sign_pairs():
+    # on two layers a state is a (sign, dual_sign) pair, so (1, 1) and
+    # (1, -1) must not both be named 1; one layer keeps its flat list
+    support = model.LAYER_SUPPORT[2]
+    states = np.array([[3, 0, 1, 4, 2, 1, 0], [0] * 7])
+    with pytest.raises(NonPositiveDual, match="is not positive") as info:
+        _require_positive_dual(builtin_cluster("E"), np.array([True, False]), states, 12.0)
+    pairs = json.loads(re.search(r"signs (\[.*\]) at K", str(info.value)).group(1))
+    assert pairs == [[support[s].sign, support[s].dual_sign] for s in states[0]]
+    assert [EdgeDisorder(*pair) for pair in pairs] == [support[s] for s in states[0]]
+    with pytest.raises(UnsignedDual, match=r"for signs \[1, -1, 0, 1\] at K"):
+        _require_positive_dual(builtin_cluster("A"), np.array([False]), np.array([[0, 1, 2, 0]]), 12.0, np.ones(1))
 
 
 def test_non_finite_coupling():

@@ -31,10 +31,8 @@ from lossthreshold.duality import (
     UnsignedDual,
     count_rows,
     dual_cluster_partition,
-    dual_edge_factor_single,
-    dual_edge_factor_twolayer,
-    edge_factor_single,
-    edge_factor_twolayer,
+    dual_edge_factor,
+    edge_factor,
     log_factor_batch,
 )
 from lossthreshold.model import ChannelSpec, DomainError, EdgeDisorder
@@ -1026,11 +1024,8 @@ def test_compiled_counts_match_a_brute_force_recount(spec):
         tau_star = np.array([d.dual_sign for d in support])[rep][:, None, :]
         energy = energy + tau_star * D[None] + tau * tau_star * (P * D)[None]
         cell = 2 * cell + (D < 0)
-        factor, dual = edge_factor_twolayer, dual_edge_factor_twolayer
-    else:
-        factor, dual = edge_factor_single, dual_edge_factor_single
     lost = np.array([d.diluted for d in support])[rep][:, None, :]
-    slot_sign = np.sign([dual(factor(d, 0.5)) for d in support])
+    slot_sign = np.sign([dual_edge_factor(edge_factor(d, 0.5)) for d in support])
     sign = slot_sign[rep[:, None, :], cell[None]].prod(axis=2)
     cell0 = ((cell[None] == 0) & ~lost).sum(axis=2)
     for compiled, recount in zip(table.counts, (energy.sum(axis=2), cell0, sign)):
@@ -1151,6 +1146,24 @@ def test_exact_gap_refuses_dual_rounding_past_its_share_of_the_gap_floor(monkeyp
     heaviest = table.representative[np.argmax(_column_weights(table, probs[0]) * rounding)]
     assert signs == [model.SUPPORT[channel.kind][s].sign for s in heaviest]
     assert isinstance(info.value, NonPositiveDual)
+
+
+def test_two_layer_rounding_refusal_names_sign_pairs(monkeypatch):
+    # on two layers the named column must be (sign, dual_sign) pairs: the
+    # signs alone name (1, 1) and (1, -1) both as 1
+    spec = builtin_cluster("E")
+    channel = ChannelSpec("depolarizing", 1e-6, 0.1)
+    monkeypatch.setattr(replica, "ROUNDING_SHARE", 1e-6)
+    with pytest.raises(UnsignedDual) as info:
+        gap(channel, spec)
+    pairs = json.loads(re.search(r"column of signs (\[.*\])$", str(info.value)).group(1))
+    table = class_table(spec)
+    K, probs = replica._round_points(channel.kind, [channel.p], [channel.q])
+    rounding = log_factor_batch(spec, (table.counts,), K)[3][0]
+    heaviest = table.representative[np.argmax(_column_weights(table, probs[0]) * rounding)]
+    support = model.SUPPORT[channel.kind]
+    assert pairs == [[support[s].sign, support[s].dual_sign] for s in heaviest]
+    assert [EdgeDisorder(*pair) for pair in pairs] == [support[s] for s in heaviest]
 
 
 @pytest.mark.parametrize("name", builtin_names())
