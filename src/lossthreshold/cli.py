@@ -232,6 +232,28 @@ def _check_column(kind: str, name: str) -> tuple[bool, str]:
     return worst <= tol, f"max |p_c - reference| = {worst:.2e} (allowed {tol:.0e})"
 
 
+def _check_slope() -> tuple[bool, str]:
+    """The exact slope against a central difference of the gap at every registered column's p_c.
+
+    The difference (f(p+h) - f(p-h)) / 2h misses f' by h^2 f'''/6 to leading
+    order, f''' taken from (f(p+2h) - 2f(p+h) + 2f(p-h) - f(p-2h)) / 2h^3
+    on the same points, and twice that covers the next order; each gap's
+    rounding, at most GAP_FLOOR, adds at most 1.5 GAP_FLOOR / h.
+    """
+    worst, points = 0.0, 0
+    for (kind, name), column in reference.REFERENCE_COLUMNS.items():
+        spec = clusters.builtin_cluster(name)
+        for q, p in zip(reference.REFERENCE_Q, column):
+            h = 1e-3 * p
+            delta, _, slope = replica.gap_batch(kind, [p + k * h for k in range(-2, 3)], [q] * 5, spec)
+            central = (delta[3] - delta[1]) / (2.0 * h)
+            third = (delta[4] - 2.0 * delta[3] + 2.0 * delta[1] - delta[0]) / (2.0 * h**3)
+            bound = h**2 * abs(third) / 3.0 + 1.5 * replica.GAP_FLOOR / h
+            worst = max(worst, float(abs(slope[2] - central) / bound))
+            points += 1
+    return worst <= 1.0, f"max |slope - central difference| / bound = {worst:.2f} over {points} points"
+
+
 def _check_parallel_determinism() -> tuple[bool, str]:
     qs = (0.0, 0.2, 0.4)
     outputs = []
@@ -284,6 +306,7 @@ def cmd_verify(args) -> int:
             ("depolarizing", "E"),
         ):
             checks.append((f"column-{kind}-{name}", lambda k=kind, n=name: _check_column(k, n)))
+        checks.append(("slope", _check_slope))
         checks.append(("parallel-determinism", _check_parallel_determinism))
 
     failed = 0

@@ -35,7 +35,8 @@ chunk counts and weighs only its distinct rows.
 
 `gap_batch` evaluates many (p, q) points on one cluster in one call, as a
 root finder's round does: it takes the channel kind and sequences of p and
-q, and returns arrays of Delta and of its standard error. It checks the
+q, and returns arrays of Delta, of its standard error and of its slope in
+p, which exact points get from the same column sums. It checks the
 round's points once (`model.check_points`) and builds their couplings and
 disorder probabilities as arrays, with no object per point: each K from
 the scalar `model.coupling`, the probabilities element-wise from
@@ -224,12 +225,16 @@ class ClassTable:
     assignments of the column with each distinct count of slots per
     disorder state: `count_vectors[count_index]` holds each pair's counts,
     and a point computes only the weights of the distinct vectors (330 on
-    E) before adding them up per column.
+    E) before adding them up per column. A vector's clean and error counts,
+    the slots in the support's first state and in the states between it
+    and the lost one, give d ln(weight)/dp = errors/p - clean/(1-p).
     """
 
     representative: np.ndarray  # (columns, slots) int8 state indices of one assignment per column
     counts: np.ndarray  # (3, configurations, columns) int8 (int16 past 32 slots) counts of representative
     count_vectors: np.ndarray  # (vectors, states) intp distinct slot counts per disorder state
+    clean: np.ndarray  # (vectors,) float64 slots of each vector in the clean state
+    errors: np.ndarray  # (vectors,) float64 slots of each vector in a state neither clean nor lost
     column_index: np.ndarray  # (pairs,) intp column of each pair, ascending
     count_index: np.ndarray  # (pairs,) intp row of count_vectors holding each pair's slot counts
     multiplicity: np.ndarray  # (pairs,) int64 assignments of each pair
@@ -353,6 +358,8 @@ def class_table(cluster: ClusterSpec) -> ClassTable:
         representative[first],
         np.ascontiguousarray(counts[:, :, first]),
         count_vectors.astype(np.intp),
+        count_vectors[:, 0].astype(np.float64),
+        count_vectors[:, 1:-1].sum(axis=1).astype(np.float64),
         (pairs // len(count_vectors)).astype(np.intp),
         (pairs % len(count_vectors)).astype(np.intp),
         np.bincount(pair, weights=multiplicity).astype(np.int64),
@@ -362,8 +369,8 @@ def class_table(cluster: ClusterSpec) -> ClassTable:
     return table
 
 
-def _exact_gaps(K: np.ndarray, probs: np.ndarray, cluster: ClusterSpec, table: ClassTable) -> list[float]:
-    """Delta at each point of a slice, from its couplings and (points, states) probabilities.
+def _exact_gaps(p: np.ndarray, K: np.ndarray, probs: np.ndarray, cluster: ClusterSpec, table: ClassTable):
+    """Delta and dDelta/dp at each point of a slice, from its p, couplings and (points, states) probabilities.
 
     Every assignment of a column has the column's primal and dual sums, so
     the table's compiled counts of the column representatives go through
@@ -378,17 +385,26 @@ def _exact_gaps(K: np.ndarray, probs: np.ndarray, cluster: ClusterSpec, table: C
     which other points share its slice: its weights add up in pair order.
     Only columns of positive weight enter a point's `fsum`, which rounds
     the exact sum once, so leaving out the zero terms keeps its bits.
+
+    On the Nishimori line the gauge identity E[d ln x_0/dK] = E[d ln x_0*/dK]
+    (Nishimori 1981) makes dDelta/dK vanish at fixed probabilities, so the
+    slope is sum_columns dW/dp * (ln x_0 - ln x_0*), with dW/dp weighing
+    each vector by the `ClassTable` factor errors/p - clean/(1-p). It is a
+    plain sum per point, in column order, over a row that is zero where W
+    is. Returns the list of Delta and the array of slopes.
     """
     logp, logd, sign, rounding = log_factor_batch(cluster, (table.counts,), K)
     # p**k for every state and slot count k, so each weight is a product of
     # table entries rather than of fresh powers
-    powers = probs[:, :, None] ** np.arange(cluster.slot_count + 1)
-    states = np.arange(probs.shape[1])[:, None]
-    weight = np.prod(powers[:, states, table.count_vectors.T], axis=1)[:, table.count_index]
-    # each point's bins are its own, so bincount adds each column's pairs in order
     points, columns = logp.shape
+    powers = (probs[:, :, None] ** np.arange(cluster.slot_count + 1)).reshape(points, -1)
+    entries = np.arange(probs.shape[1])[:, None] * (cluster.slot_count + 1) + table.count_vectors.T
+    pair_weight = table.multiplicity * np.prod(powers.take(entries, axis=1), axis=1).take(table.count_index, axis=1)
+    p = p[:, None]
+    pair_slope = pair_weight * (table.errors / p - table.clean / (1.0 - p)).take(table.count_index, axis=1)
+    # each point's bins are its own, so bincount adds each column's pairs in order
     bins = (np.arange(points)[:, None] * columns + table.column_index).ravel()
-    W = np.bincount(bins, (table.multiplicity * weight).ravel(), points * columns).reshape(points, columns)
+    W, dW = (np.bincount(bins, v.ravel(), points * columns).reshape(points, columns) for v in (pair_weight, pair_slope))
     # columns of zero probability (q = 0, or p on the support boundary) never
     # enter the average, whatever the sign or rounding of their dual sum
     positive = W > 0.0
@@ -408,7 +424,7 @@ def _exact_gaps(K: np.ndarray, probs: np.ndarray, cluster: ClusterSpec, table: C
         )
     delta = logp - np.where(sign > 0, logd, logp)
     terms = W * delta
-    return [math.fsum(v[w].tolist()) for v, w in zip(terms, positive)]
+    return [math.fsum(v[w].tolist()) for v, w in zip(terms, positive)], (dW * delta).sum(axis=1)
 
 
 def check_seed(seed: int) -> int:
@@ -499,11 +515,12 @@ def gap_batch(
     mc_samples: int | None = None,
     seed: int = 0,
     workers: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Delta(p, q) and its standard error at every point (p[i], q[i]) of a channel kind.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Delta(p, q), its standard error and its slope dDelta/dp at every point (p[i], q[i]) of a channel kind.
 
-    Returns two float arrays in the order of the points; the standard
-    error is 0.0 on exact points. The points are checked once, by
+    Returns three float arrays in the order of the points; the standard
+    error is 0.0 on exact points, and the slope NaN on sampled ones (see
+    `_exact_gaps` for the exact one). The points are checked once, by
     `model.check_points` (see `_round_points`), and no object is built per
     point.
 
@@ -519,7 +536,7 @@ def gap_batch(
     So a call draws each chunk once, whatever its number of points, and
     holds at most `worker_count(workers)` draws at a time. An explicit
     `workers` below 1 is refused on either path, and so is a sampled
-    `mc_samples` or `seed` that is not an integer. Each point's value is
+    `mc_samples` or `seed` that is not an integer. Each point's values are
     bit-identical to evaluating it alone, with any worker count; sampled
     chunks are combined per point in chunk order.
     """
@@ -532,7 +549,7 @@ def gap_batch(
         samples = _sample_count(mc_samples)
         seed = check_seed(seed)
         if not len(K):
-            return np.zeros(0), np.zeros(0)
+            return np.zeros(0), np.zeros(0), np.zeros(0)
         bounds = _chunk_bounds(samples, cluster)
         stats = [_sampled_chunks(k, row, cluster) for k, row in zip(K.tolist(), probs)]
         nworkers = worker_count(workers)
@@ -548,7 +565,7 @@ def gap_batch(
         delta, std_error = np.array(
             [_combine_chunks(cluster, bounds, point, samples) for point in partials]
         ).T
-        return delta, std_error
+        return delta, std_error, np.full_like(delta, math.nan)
     work = exact_work(cluster)
     if work > TERM_BUDGET:
         raise TooManyTerms(
@@ -557,16 +574,19 @@ def gap_batch(
             f"policy, or --mc-samples on the command line"
         )
     table = class_table(cluster)
+    p = np.asarray(p, dtype=np.float64)
     step = max(1, EXACT_SLICE // (len(table.representative) * cluster.config_count))
-    values = []
+    values, slopes = [], []
     for lo in range(0, len(K), step):
-        values += _exact_gaps(K[lo : lo + step], probs[lo : lo + step], cluster, table)
+        value, slope = _exact_gaps(p[lo : lo + step], K[lo : lo + step], probs[lo : lo + step], cluster, table)
+        values += value
+        slopes += slope.tolist()
     delta = np.array(values, dtype=np.float64)
     finite = np.isfinite(delta)
     if not finite.all():
         i = int(np.argmin(finite))
         raise NonFinite(f"gap on cluster {cluster.name!r} is not finite at p={p[i]}, q={q[i]}")
-    return delta, np.zeros_like(delta)
+    return delta, np.zeros_like(delta), np.array(slopes, dtype=np.float64)
 
 
 def gap(
@@ -585,7 +605,7 @@ def gap(
     at least MIN_MC_SAMPLES samples and a seed in [0, 2**128); see
     `_sampled_chunks` for its draws.
     """
-    delta, std_error = gap_batch(
+    delta, std_error, _ = gap_batch(
         channel.kind, [channel.p], [channel.q], cluster, policy,
         mc_samples=mc_samples, seed=seed, workers=workers,
     )

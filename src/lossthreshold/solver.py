@@ -1,29 +1,34 @@
 """Root finding for the threshold p_c(q) and sweeps over the loss rate.
 
 Delta(p, q) is strictly decreasing in p, positive below threshold and negative
-above. The search starts from the one-unit closed form: the root r of
-replica.gap_closed_form_single for the same channel and q (the entropy
-condition H2(p) = 1 - 1/(2(1-q)) on one layer) lies within about 1e-3 of
-every registered cluster's p_c. So the real gap is first bracketed on
-[r - SEED_HALF_WIDTH, r + SEED_HALF_WIDTH]. If its ends do not have opposite
-signs, the search falls back to the full bracket [1e-6, 1/2 - 1e-6] (single
-layer) or [1e-6, 3/4 - 1e-6] (two layers), which alone decides that there is
-no sign change. Either bracket is refined by Brent's method (inverse
-quadratic interpolation and secant steps, safeguarded by bisection), and the
-same loop finds r, one q at a time outside the rounds below. Exact and Monte
-Carlo gaps share the loop: a sampled gap is a fixed function of p for one
-seed, because every evaluation reads the same random stream, and its
-refinement stops once the bracket is within twice the standard error of p_c.
+above. The search starts from the one-unit closed form: its root r for the
+same channel and q (the entropy condition H2(p) = 1 - 1/(2(1-q)) on one
+layer, the hashing bound with loss on two) lies within about 1e-3 of every
+registered cluster's p_c, and Newton's method on the closed form's entropy
+form finds it to MIN_TOL, one q at a time outside the rounds below. An
+exact search then takes safeguarded Newton steps from r on the exact slope
+that `replica.gap_batch` returns (as `rtsafe` does, Press et al., Numerical
+Recipes, section 9.4), and ends with a certificate round at p and p ± tol/2
+whose outer points straddle zero. Where Newton gives up (a slope that is
+not finite and negative, an iterate outside the full bracket, a failed
+certificate or the iteration cap), the search falls back to Brent's method
+on the full bracket [1e-6, 1/2 - 1e-6] (single layer) or [1e-6, 3/4 - 1e-6]
+(two layers), which alone decides that there is no sign change. A Monte
+Carlo gap has no slope: it is a fixed function of p for one seed, because
+every evaluation reads the same random stream, and its search brackets it
+on [r - SEED_HALF_WIDTH, r + SEED_HALF_WIDTH], falls back to the full
+bracket if those ends do not straddle zero, and refines with Brent's
+method (inverse quadratic interpolation and secant steps, safeguarded by
+bisection) until the bracket is within twice the standard error of p_c.
 
 Each search is a generator that asks for the gap at the points it needs
-next. A sweep advances the searches of all its q values in lockstep: round 1
-holds every q's two bracket ends, later rounds each unfinished search's
-next request, and every round is one `replica.gap_batch` call on the
-round's p and q lists. Searches are sent back plain (Delta, standard error)
-floats, so no per-point channel or result object passes between solver and
-replica. A point's gap does not depend on the points that share its round,
-so each q's search, and its row, is the same as alone; `solve_threshold` is
-the sweep of one q.
+next. A sweep advances the searches of all its q values in lockstep: each
+round holds every unfinished search's next request, and is one
+`replica.gap_batch` call on the round's p and q lists. Searches are sent
+back plain (Delta, standard error, slope) floats, so no per-point channel or
+result object passes between solver and replica. A point's gap does not
+depend on the points that share its round, so each q's search, and its row,
+is the same as alone; `solve_threshold` is the sweep of one q.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ from .cluster import ClusterSpec, builtin_cluster
 
 BRACKET_LO = 1e-6
 BRACKET_MARGIN = 1e-6
-# half-width of the bracket around the closed-form root; every registered
+# half-width of a Monte Carlo search's bracket around the closed-form root
+# (exact searches take Newton steps from the root instead); every registered
 # cluster's p_c lies within 8.5e-4 of that root
 SEED_HALF_WIDTH = 4e-3
 MIN_TOL = 1e-10
@@ -56,11 +62,17 @@ class NoSignChange(RuntimeError):
 class ThresholdResult:
     """p_c is the best iterate, an end of `bracket`, and residual |Delta(p_c)|.
 
-    std_error is the Monte Carlo standard error of p_c in units of p:
-    sigma_Delta / |dDelta/dp| by the delta method, with the final bracket's
-    secant as the slope. It is 0.0 for exact runs. evaluations counts the
-    gap evaluations the search spent, every bracket end included; it is 0
-    where no search ran.
+    For a certified Newton search, p_c is the last iterate, `bracket` the
+    half of the certificate (p_c - tol/2, p_c + tol/2) whose ends have
+    opposite signs, and `iterations` the Newton steps taken from the seed;
+    its evaluations are iterations + 3 (the seed and the certificate's outer
+    points). For a Brent search, `bracket` is the final bracket, at most
+    tol wide, and `iterations` its interior iterates. std_error is the
+    Monte Carlo standard error of p_c in units of p: sigma_Delta /
+    |dDelta/dp| by the delta method, with the final bracket's secant as the
+    slope. It is 0.0 for exact runs. evaluations counts the gap evaluations
+    the search spent, every bracket end and every Newton point before a
+    fallback included; it is 0 where no search ran.
     """
 
     channel: str
@@ -108,11 +120,13 @@ def solve_threshold(
 ) -> ThresholdResult:
     """Find p_c for one (channel, cluster, q) combination: a sweep of one q.
 
-    The gap is first bracketed on SEED_HALF_WIDTH either side of the root of
-    the one-unit closed form for (channel_kind, q), clipped to the full
-    bracket. When that bracket has no sign change (or the closed form has no
-    root), the search starts again on the full bracket; its two ends count
-    in `evaluations` too.
+    An exact search takes Newton steps from the root of the one-unit closed
+    form for (channel_kind, q); a Monte Carlo search first brackets the gap
+    on SEED_HALF_WIDTH either side of that root, clipped to the full
+    bracket. Where Newton gives up, the seeded bracket has no sign change,
+    or the closed form has no root, the search starts again on the full
+    bracket with Brent's method; every point spent before counts in
+    `evaluations` too.
 
     Returns a no-threshold result (p_c = 0) for the one-unit clusters when
     q >= 1/2, where the closed form shows the gap is negative for every p.
@@ -121,9 +135,10 @@ def solve_threshold(
     signals the q >= 1/2 regime of a larger cluster or a broken geometry. Raises
     ValueError for a tol that is not finite or is below MIN_TOL, for a
     `workers` that is not an integer of at least 1, and for a Monte Carlo
-    seed that is not an integer in [0, 2**128). A search that takes MAX_ITERATIONS steps
-    without closing the bracket keeps its best iterate with status
-    "no-convergence".
+    seed that is not an integer in [0, 2**128). A Brent search that takes
+    MAX_ITERATIONS steps without closing the bracket keeps its best iterate
+    with status "no-convergence"; Newton steps that reach the cap fall back
+    to Brent.
     """
     model.check_rate("loss rate q", q)
     spec = _resolve_cluster(cluster)
@@ -137,10 +152,11 @@ def _thresholds(kind, spec, qs, tol, policy, mc_samples, seed, workers) -> list:
     """A ThresholdResult or a NoSignChange for every q, all searched in lockstep.
 
     A search yields the tuple of p values it needs next and is sent back a
-    list of their (delta, std_error) pairs. Each round gathers the requests
-    of every unfinished search, in q order, into one `replica.gap_batch`
-    call, whose values do not depend on which points share the call or on
-    the worker count; so each outcome depends on its own q alone.
+    list of their (delta, std_error, slope) triples. Each round gathers the
+    requests of every unfinished search, in q order, into one
+    `replica.gap_batch` call, whose values do not depend on which points
+    share the call or on the worker count; so each outcome depends on its
+    own q alone.
     """
     model.check_kind(kind)
     _check_tol(tol)
@@ -172,64 +188,139 @@ def _thresholds(kind, spec, qs, tol, policy, mc_samples, seed, workers) -> list:
             return [outcomes[i] for i in range(len(qs))]
         ps = [p for request in requests.values() for p in request]
         round_qs = [qs[i] for i, request in requests.items() for _ in request]
-        delta, std_error = replica.gap_batch(
+        delta, std_error, slope = replica.gap_batch(
             kind, ps, round_qs, spec, policy, mc_samples=mc_samples, seed=seed, workers=nworkers
         )
-        values = zip(delta.tolist(), std_error.tolist())
+        values = zip(delta.tolist(), std_error.tolist(), slope.tolist())
         replies = {i: [next(values) for _ in request] for i, request in requests.items()}
 
 
 def _search(kind, name, q, method, tol, root):
-    """The threshold search at one q, as a generator.
+    """The threshold search at one q from the closed-form root `root`, as a generator.
 
-    It asks first for the ends of the seeded bracket (of the full bracket
-    when the closed form has no root), then for the full bracket's ends if
-    those do not straddle zero, then for Brent's iterates. Returns the
-    ThresholdResult with every requested point counted in `evaluations`;
-    raises NoSignChange when the full bracket's ends do not straddle zero.
+    An exact search takes Newton steps from the root (`_newton`) and
+    returns their result if they certify one. Otherwise, and on the Monte
+    Carlo path after the seeded bracket's ends if those do not straddle
+    zero, it asks for the full bracket's ends, then for Brent's iterates.
+    Returns the ThresholdResult with every requested point counted in
+    `evaluations`; raises NoSignChange when the full bracket's ends do not
+    straddle zero.
     """
     upper = _upper_bracket(kind)
     brackets = [(BRACKET_LO, upper)]
-    if root is not None:
+    spent = 0
+    if root is not None and method == replica.EXACT:
+        outcome = yield from _newton(kind, name, q, tol, root, upper)
+        if isinstance(outcome, ThresholdResult):
+            return outcome
+        spent = outcome
+    elif root is not None:
         seeded = (max(BRACKET_LO, root - SEED_HALF_WIDTH), min(upper, root + SEED_HALF_WIDTH))
         brackets.insert(0, seeded)
-    for tried, (a, b) in enumerate(brackets, 1):
-        (fa, _), (fb, _) = yield (a, b)
+    for a, b in brackets:
+        (fa, _, _), (fb, _, _) = yield (a, b)
+        spent += 2
         if fa > replica.GAP_FLOOR and fb < -replica.GAP_FLOOR:
-            return (yield from _refine(kind, name, q, method, a, b, fa, fb, tol, 2 * tried))
+            return (yield from _refine(kind, name, q, method, a, b, fa, fb, tol, spent))
     raise NoSignChange(
         f"gap does not change sign on [{a}, {b}] for {kind}/{name} at q={q}: "
         f"Delta({a})={fa:.6g}, Delta({b})={fb:.6g}"
     )
 
 
-def _closed_form_root(kind: str, q: float) -> float | None:
-    """Root in p of the one-unit closed form on the full bracket at q, or None.
+def _newton(kind, name, q, tol, p, upper):
+    """Safeguarded Newton steps on the exact gap from the seed p, as a generator.
 
-    Found by the same search as the threshold itself, one point at a time,
-    to MIN_TOL whatever the caller's tol, so the root depends on (kind, q)
-    alone. The closed form has no root once q >= 1/2 (its search raises
-    NoSignChange); the threshold search then starts on the full bracket.
+    Each round asks for one iterate, (p,), and is sent back its [(Delta,
+    standard error, slope)]; p moves by -Delta/slope. The error of the next
+    iterate is predicted as |f''/(2 f')| step^2, with f'' the difference
+    quotient of the last two slopes; before a second slope, f''/f' is the
+    closed form's at p, whose f'' = (1-q)/(p(1-p)) on one and two layers.
+    Once that is below tol/8, the next round is a certificate, (p - tol/2,
+    p, p + tol/2) clipped to the full bracket: if its outer points straddle
+    zero beyond GAP_FLOOR, the search returns p, its own |Delta| as
+    residual, and the half of the certificate that holds the sign change as
+    bracket. It gives up, returning the evaluations it spent, when a slope
+    is not finite and negative, an iterate leaves (BRACKET_LO, upper), the
+    certificate fails or the rounds reach MAX_ITERATIONS.
     """
-    search = _search(kind, "closed-form", q, replica.EXACT, MIN_TOL, None)
-    reply = None
-    try:
-        while True:
-            reply = [(replica.gap_closed_form_single(kind, p, q), 0.0) for p in search.send(reply)]
-    except StopIteration as stop:
-        return stop.value.p_c
-    except NoSignChange:
+    spent, prior, certify = 0, None, False
+    for rounds in range(MAX_ITERATIONS):
+        points = (max(BRACKET_LO, p - 0.5 * tol), p, min(upper, p + 0.5 * tol)) if certify else (p,)
+        reply = yield points
+        spent += len(points)
+        if certify:
+            (f_lo, _, _), (f, _, _), (f_hi, _, _) = reply
+            if not (f_lo > replica.GAP_FLOOR and f_hi < -replica.GAP_FLOOR):
+                return spent
+            bracket = (p, points[2]) if f > 0.0 else (points[0], p)
+            return ThresholdResult(
+                kind, name, q, p, abs(f), bracket, rounds, replica.EXACT, STATUS_OK, 0.0, spent
+            )
+        ((f, _, slope),) = reply
+        if not -math.inf < slope < 0.0:
+            return spent
+        step = f / slope
+        if prior is None:
+            ratio = (1.0 - q) / (p * (1.0 - p)) / _closed_form(kind, p, q)[1]
+        else:
+            ratio = (slope - prior[1]) / (p - prior[0]) / slope
+        prior, p = (p, slope), p - step
+        if not BRACKET_LO < p < upper:
+            return spent
+        certify = p == prior[0] or 0.5 * abs(ratio) * step * step < tol / 8.0
+    return spent
+
+
+def _closed_form(kind: str, p: float, q: float) -> tuple[float, float]:
+    """The one-unit closed-form gap in entropy form and its slope in p.
+
+    With H the binary entropy in nats, one layer gives
+    (1-q)(ln 2 - H(p)) - ln(2)/2 and two layers
+    (1-q)(ln 2 - H(p) - p ln 3) - q ln 2, equal to
+    `replica.gap_closed_form_single`; the slopes are -(1-q) ln(m(1-p)/p)
+    with m = 1 and 3, and both are convex in p.
+    """
+    m, lost = (1.0, 0.5) if kind == model.UNCORRELATED else (3.0, q)
+    entropy = -p * math.log(p) - (1.0 - p) * math.log(1.0 - p)
+    ln2 = math.log(2.0)
+    delta = (1.0 - q) * (ln2 - entropy - p * math.log(m)) - lost * ln2
+    return delta, -(1.0 - q) * math.log(m * (1.0 - p) / p)
+
+
+def _closed_form_root(kind: str, q: float) -> float | None:
+    """Root in p of the one-unit closed form on the full bracket at q, or None for q >= 1/2.
+
+    Newton's method from p = 0.1 on `_closed_form`, kept inside the sign
+    bracket it has seen (a step that leaves it bisects instead), to MIN_TOL
+    whatever the caller's tol, so the root depends on (kind, q) alone. At q
+    >= 1/2 the closed form is negative at every p, so nothing is evaluated.
+    """
+    if q >= 0.5:
         return None
+    lo, hi, p = BRACKET_LO, _upper_bracket(kind), 0.1
+    while True:
+        f, slope = _closed_form(kind, p, q)
+        if f > 0.0:
+            lo = p
+        else:
+            hi = p
+        nxt = p - f / slope
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - p) <= MIN_TOL:
+            return nxt
+        p = nxt
 
 
 def _refine(kind, name, q, method, a, b, fa, fb, tol, spent):
     """Brent's zeroin on [a, b] with Delta(a) > 0 > Delta(b), as a generator.
 
     It yields each iterate p as a one-point request, (p,), and is sent back
-    [(Delta(p), its standard error)]; it returns the ThresholdResult, whose
-    `evaluations` adds its iterations to the `spent` bracket ends. b is the
-    best iterate, c the end of the bracket with the other sign, a the
-    previous b.
+    [(Delta(p), its standard error, its slope)]; it returns the
+    ThresholdResult, whose `evaluations` adds its iterations to the `spent`
+    evaluations before it. b is the best iterate, c the end of the bracket
+    with the other sign, a the previous b.
     Steps are interpolations kept well inside the bracket, else midpoints,
     and at least half the stopping width long. It stops at
     |c - b| <= max(tol, 2 sigma_p), with sigma_p the latest interior gap's
@@ -272,7 +363,7 @@ def _refine(kind, name, q, method, a, b, fa, fb, tol, spent):
             d = e = mid
         a, fa = b, fb
         b += d if abs(d) > half else math.copysign(half, mid)
-        ((fb, sigma),) = yield (b,)
+        ((fb, sigma, _),) = yield (b,)
         iterations += 1
     status = STATUS_OK if converged else STATUS_NOT_CONVERGED
     bracket = (min(b, c), max(b, c))

@@ -415,8 +415,22 @@ def test_verify_full_passes(capsys):
     # every registered column is calibrated, so the full suite runs all of them
     assert cli.main(["verify", "--suite", "full"]) == cli.EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 11
+    assert len(lines) == 12
     assert all(line.startswith("PASS") for line in lines)
+    assert any(line.startswith("PASS slope: ") for line in lines)
+
+
+def test_verify_slope_check_catches_a_wrong_slope(monkeypatch):
+    # half the slope is off by far more than the central difference's bound
+    real_batch = replica.gap_batch
+
+    def halved(*args, **kwargs):
+        delta, std_error, slope = real_batch(*args, **kwargs)
+        return delta, std_error, 0.5 * slope
+
+    monkeypatch.setattr(replica, "gap_batch", halved)
+    ok, detail = cli._check_slope()
+    assert not ok, detail
 
 
 def test_verify_catches_tampering(capsys, monkeypatch):

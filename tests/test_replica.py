@@ -483,7 +483,7 @@ def _count_draws(monkeypatch):
 
 def _batch(kind: str, points: list[ChannelSpec], spec, *args, **kwargs) -> list[tuple]:
     """gap_batch at the p and q of `points`: each point's (delta, std_error)."""
-    delta, std_error = gap_batch(
+    delta, std_error, _ = gap_batch(
         kind, [c.p for c in points], [c.q for c in points], spec, *args, **kwargs
     )
     return list(zip(delta.tolist(), std_error.tolist()))
@@ -1125,6 +1125,68 @@ def test_zero_weight_classes_leave_the_exact_sum_without_moving_its_bits(name):
         assert gap_batch(kind, [p], [0.0], spec)[0][0] == every_column
 
 
+_ORACLE_POINTS = list(itertools.product((0.2, 0.1, 0.05, 0.02), (0.0, 0.15, 0.3, 0.45)))
+
+
+@pytest.mark.parametrize("spec", _COMPILED_CASES, ids=lambda s: s.name)
+def test_exact_slope_is_a_central_difference_of_the_gap(spec):
+    # the slope is sum dW/dp * delta alone: dDelta/dK vanishes on the
+    # Nishimori line. The central difference (f(p+h) - f(p-h)) / 2h misses
+    # f' by h^2 f'''/6 to leading order, with f''' from the stencil
+    # (f(p+2h) - 2f(p+h) + 2f(p-h) - f(p-2h)) / 2h^3 on the same points;
+    # twice that covers the next order, h^2 smaller. Each gap rounds by at
+    # most GAP_FLOOR, which the two stencils turn into at most
+    # (1/h + 1/(2h)) GAP_FLOOR.
+    kind = _channel_kind(spec)
+    for p, q in _ORACLE_POINTS:
+        h = 1e-3 * p
+        delta, _, slope = gap_batch(kind, p + h * np.arange(-2, 3), [q] * 5, spec)
+        central = (delta[3] - delta[1]) / (2 * h)
+        third = (delta[4] - 2 * delta[3] + 2 * delta[1] - delta[0]) / (2 * h**3)
+        bound = 2 * h**2 * abs(third) / 6 + 1.5 * replica.GAP_FLOOR / h
+        assert abs(slope[2] - central) <= bound, f"{spec.name} at p={p}, q={q}: {slope[2]} vs {central}"
+
+
+def _stencil(g: list[float], h: float) -> float:
+    """The 5-point derivative (g(-2h) - 8 g(-h) + 8 g(h) - g(2h)) / 12h from g at -2h, -h, h, 2h."""
+    return (g[0] - 8 * g[1] + 8 * g[2] - g[3]) / (12 * h)
+
+
+@pytest.mark.parametrize("spec", _COMPILED_CASES, ids=lambda s: s.name)
+def test_nishimori_energy_identity_holds_for_both_sums(spec):
+    # on the Nishimori line, at fixed disorder probabilities, gauge flips give
+    # E[d ln x_0/dK] = (1-q) S (1-2p) on one layer and (1-q) S (3-4p) on two
+    # (Nishimori 1981), and E[d ln x_0*/dK] is the same. Both sums go
+    # through the 5-point stencil in K, weighed by W. Its truncation error,
+    # h^4 g^(5)/30 to leading order, is 1/16 of the stencil's at 2h, so it is
+    # |D(2h) - D(h)| / 15; twice that covers the next order. Each weighted
+    # sum g rounds by at most e = sum W (rounding bound + 8 eps (1 + |ln x|)),
+    # which D(h), D(2h) and the estimate turn into at most 2.4 e / h.
+    kind = _channel_kind(spec)
+    table = class_table(spec)
+    eps = np.finfo(np.float64).eps
+    h = 1e-3
+    for p, q in _ORACLE_POINTS:
+        expected = (1.0 - q) * spec.slot_count * ((1.0 - 2.0 * p) if spec.layers == 1 else (3.0 - 4.0 * p))
+        K, probs = replica._round_points(kind, [p], [q])
+        weight = _column_weights(table, probs[0])
+        keep = weight > 0.0
+        weight = weight[keep]
+        logp, logd, sign, rounding = log_factor_batch(
+            spec, (table.counts,), K[0] + h * np.array([-4.0, -2.0, -1.0, 1.0, 2.0, 4.0])
+        )
+        assert np.all(sign[:, keep] > 0)
+        for name, values, bounds in (("primal", logp, np.zeros_like(logp)), ("dual", logd, rounding)):
+            g = [math.fsum((weight * v[keep]).tolist()) for v in values]
+            fine, coarse = _stencil(g[1:5], h), _stencil([g[0], g[1], g[4], g[5]], 2 * h)
+            error = max(
+                math.fsum((weight * (b[keep] + 8 * eps * (1.0 + np.abs(v[keep])))).tolist())
+                for v, b in zip(values, bounds)
+            )
+            bound = 2 * abs(coarse - fine) / 15 + 2.4 * error / h
+            assert abs(fine - expected) <= bound, f"{spec.name} {name} at p={p}, q={q}: {fine} vs {expected}"
+
+
 def test_exact_gap_refuses_dual_rounding_past_its_share_of_the_gap_floor(monkeypatch):
     # B at p = 1e-6 rounds its exact gap by up to 5.7e-14, a quarter of the
     # limit; a share below that must refuse the point, naming the
@@ -1237,8 +1299,11 @@ def test_batched_points_equal_points_alone(name):
         # thousands of points cross the budget on single and C: check both
         # sides of the slice boundary and every 50th point
         checked = set(range(0, size, 50)) | {step - 1, step, size - 1}
+        slope = gap_batch(CHANNEL_OF[name], [c.p for c in points], [c.q for c in points], spec)[2]
         for k in sorted(k for k in checked if k < size):
             assert batched[k][0] == gap(points[k], spec).delta, f"point {k} of {size}"
+            alone = gap_batch(CHANNEL_OF[name], [points[k].p], [points[k].q], spec)[2]
+            assert slope[k] == alone[0], f"slope of point {k} of {size}"
 
 
 def test_monte_carlo_batch_matches_points_alone():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 
@@ -95,7 +96,7 @@ def test_one_unit_loses_threshold_at_half(monkeypatch, name, kind, q):
     def fail(*args, **kwargs):
         raise AssertionError("the closed form was evaluated")
 
-    monkeypatch.setattr(replica, "gap_closed_form_single", fail)
+    monkeypatch.setattr(solver, "_closed_form_root", fail)
     result = solve_threshold(kind, name, q)
     assert result.status == "no-threshold"
     assert not result.ok
@@ -168,7 +169,7 @@ def test_sweep_checks_every_q_before_any_search(monkeypatch, qs):
         raise AssertionError("a gap was evaluated")
 
     monkeypatch.setattr(replica, "gap_batch", fail)
-    monkeypatch.setattr(replica, "gap_closed_form_single", fail)
+    monkeypatch.setattr(solver, "_closed_form_root", fail)
     with pytest.raises(ValueError, match=r"\[0, 0.5\)"):
         sweep("uncorrelated", "A", qs)
 
@@ -213,7 +214,9 @@ CHANNEL_OF = {
 @pytest.mark.parametrize("name", list(CHANNEL_OF))
 def test_gap_evaluations_per_threshold(monkeypatch, name):
     # bisection with secant steps spent about 21 evaluations per threshold,
-    # Brent on the full bracket 8.3-8.7
+    # Brent on the full bracket 8.3-8.7, Brent on the seeded bracket 5.0-5.7;
+    # Newton spends the seed, one iterate per step and the certificate's
+    # two outer points
     calls = _count_gap_calls(monkeypatch)
     kind, spec = CHANNEL_OF[name], builtin_cluster(name)
     for q in REFERENCE_Q:
@@ -221,7 +224,7 @@ def test_gap_evaluations_per_threshold(monkeypatch, name):
         result = solve_threshold(kind, spec, q, tol=1e-7)
         assert result.ok
         assert len(calls) <= 7, f"{name} at q={q}: {len(calls)} gap evaluations"
-        assert result.evaluations == len(calls) == result.iterations + 2
+        assert result.evaluations == len(calls) == result.iterations + 3
         assert result.bracket[0] <= result.p_c <= result.bracket[1]
         assert result.bracket[1] - result.bracket[0] <= 1e-7
         # the residual is the best iterate's own gap, not a fresh evaluation
@@ -242,24 +245,93 @@ def test_monte_carlo_gap_evaluations_per_threshold(monkeypatch, seed):
         assert result.evaluations == len(calls) == result.iterations + 2
 
 
+def _top_seed(kind: str, q: float) -> float:
+    """A seed 1e-3 under the top of the full bracket, where the gap is nearly flat: Newton's first step leaves the bracket."""
+    return solver._upper_bracket(kind) - 1e-3
+
+
 @pytest.mark.parametrize("name", ["A", "D"])
 def test_misplaced_seed_falls_back_to_full_bracket(monkeypatch, name):
     kind, spec = CHANNEL_OF[name], builtin_cluster(name)
     unpatched = [solve_threshold(kind, spec, q) for q in REFERENCE_Q]
-    real = replica.gap_closed_form_single
-
-    def shifted(kind, p, q):
-        # the closed-form root moves up by 0.05, so the seeded bracket misses p_c
-        return real(kind, max(p - 0.05, 1e-9), q)
-
-    monkeypatch.setattr(replica, "gap_closed_form_single", shifted)
+    monkeypatch.setattr(solver, "_closed_form_root", _top_seed)
     calls = _count_gap_calls(monkeypatch)
     for q, expected in zip(REFERENCE_Q, unpatched):
         calls.clear()
         result = solve_threshold(kind, spec, q)
         assert result.ok
         assert abs(result.p_c - expected.p_c) <= 1e-7
-        assert result.evaluations == len(calls) == result.iterations + 4
+        assert calls[1:3] == [solver.BRACKET_LO, solver._upper_bracket(kind)]
+        # the seed, the full bracket's ends and Brent's iterates
+        assert result.evaluations == len(calls) == result.iterations + 3
+
+
+@pytest.mark.parametrize("name", ["A", "D"])
+def test_newton_steps_recover_a_distant_seed(monkeypatch, name):
+    # a seed at half the closed-form root takes more Newton steps, not the
+    # full bracket: the gap is convex, so they approach p_c from below
+    kind, spec = CHANNEL_OF[name], builtin_cluster(name)
+    unpatched = [solve_threshold(kind, spec, q) for q in REFERENCE_Q]
+    real = solver._closed_form_root
+    monkeypatch.setattr(solver, "_closed_form_root", lambda kind, q: 0.5 * real(kind, q))
+    calls = _count_gap_calls(monkeypatch)
+    for q, expected in zip(REFERENCE_Q, unpatched):
+        calls.clear()
+        result = solve_threshold(kind, spec, q)
+        assert result.ok
+        assert abs(result.p_c - expected.p_c) <= 1e-7
+        assert solver.BRACKET_LO not in calls and result.iterations > 2
+        assert result.evaluations == len(calls) == result.iterations + 3
+
+
+@pytest.mark.parametrize("slope", [math.nan, 1.0], ids=["nan", "positive"])
+def test_unusable_slope_falls_back_to_full_bracket(monkeypatch, slope):
+    # Newton needs a finite negative slope; without one the search falls
+    # back to Brent on the full bracket, and the evaluation it spent counts
+    kind, spec = "depolarizing", builtin_cluster("D")
+    reference = [solve_threshold(kind, spec, q, tol=1e-10) for q in REFERENCE_Q]
+    real_batch = replica.gap_batch
+
+    def unusable(*args, **kwargs):
+        delta, std_error, _ = real_batch(*args, **kwargs)
+        return delta, std_error, np.full_like(delta, slope)
+
+    monkeypatch.setattr(replica, "gap_batch", unusable)
+    calls = _count_gap_calls(monkeypatch)
+    for q, expected in zip(REFERENCE_Q, reference):
+        calls.clear()
+        result = solve_threshold(kind, spec, q)
+        assert result.ok
+        assert abs(result.p_c - expected.p_c) <= 1e-7
+        assert calls[0] == solver._closed_form_root(kind, q)
+        assert calls[1:3] == [solver.BRACKET_LO, solver._upper_bracket(kind)]
+        assert result.evaluations == len(calls) == result.iterations + 3
+        assert result.bracket[1] - result.bracket[0] <= 1e-7
+
+
+def test_failed_certificate_falls_back_to_full_bracket(monkeypatch):
+    # twice the true slope halves every Newton step, so the steps shrink
+    # while the error stays about as large as them: the predicted error
+    # passes tol/8 long before the iterate is within tol/2, its certificate
+    # does not straddle zero, and the search falls back to the full bracket
+    kind, spec = "depolarizing", builtin_cluster("D")
+    reference = [solve_threshold(kind, spec, q, tol=1e-10) for q in REFERENCE_Q]
+    real_batch = replica.gap_batch
+
+    def doubled(*args, **kwargs):
+        delta, std_error, slope = real_batch(*args, **kwargs)
+        return delta, std_error, 2.0 * slope
+
+    monkeypatch.setattr(replica, "gap_batch", doubled)
+    calls = _count_gap_calls(monkeypatch)
+    for q, expected in zip(REFERENCE_Q, reference):
+        calls.clear()
+        result = solve_threshold(kind, spec, q)
+        assert result.ok
+        assert abs(result.p_c - expected.p_c) <= 1e-7
+        start = calls.index(solver.BRACKET_LO)
+        assert start > 3 and calls[start + 1] == solver._upper_bracket(kind)
+        assert result.evaluations == len(calls)
 
 
 def test_iteration_cap_reports_no_convergence(monkeypatch, capsys):
@@ -384,19 +456,25 @@ def test_closed_form_roots_are_the_entropy_roots():
 
 
 def test_lockstep_fallback_for_one_q_leaves_the_others(monkeypatch):
-    real = replica.gap_closed_form_single
+    expected = sweep("uncorrelated", "A", REFERENCE_Q)
+    real = solver._closed_form_root
 
-    def shifted(kind, p, q):
-        # at q = 0.2 the closed-form root moves up by 0.05, so the seeded
-        # bracket misses p_c there and only there
-        return real(kind, max(p - 0.05, 1e-9), q) if q == 0.2 else real(kind, p, q)
+    def misplaced(kind, q):
+        # at q = 0.2 the seed moves to the top of the bracket, so that search
+        # alone falls back to the full bracket
+        return _top_seed(kind, q) if q == 0.2 else real(kind, q)
 
-    monkeypatch.setattr(replica, "gap_closed_form_single", shifted)
+    monkeypatch.setattr(solver, "_closed_form_root", misplaced)
     rows = sweep("uncorrelated", "A", REFERENCE_Q)
-    for row in rows:
+    for row, before in zip(rows, expected):
         assert row == solve_threshold("uncorrelated", "A", row.q)
         assert row.ok
-        assert row.evaluations == row.iterations + (4 if row.q == 0.2 else 2)
+        assert row.evaluations == row.iterations + 3
+        if row.q == 0.2:
+            assert abs(row.p_c - before.p_c) <= 1e-7
+            assert row.evaluations > before.evaluations
+        else:
+            assert row == before
 
 
 def test_lockstep_no_sign_change_at_one_q_leaves_the_others(monkeypatch):
@@ -404,8 +482,8 @@ def test_lockstep_no_sign_change_at_one_q_leaves_the_others(monkeypatch):
     real_batch = replica.gap_batch
 
     def positive_at_03(kind, p, q, *args, **kwargs):
-        delta, std_error = real_batch(kind, p, q, *args, **kwargs)
-        return np.where(np.asarray(q) == 0.3, 1.0, delta), std_error
+        delta, std_error, slope = real_batch(kind, p, q, *args, **kwargs)
+        return np.where(np.asarray(q) == 0.3, 1.0, delta), std_error, slope
 
     monkeypatch.setattr(replica, "gap_batch", positive_at_03)
     rows = sweep("depolarizing", "D", REFERENCE_Q)
@@ -416,6 +494,53 @@ def test_lockstep_no_sign_change_at_one_q_leaves_the_others(monkeypatch):
             assert row.status == "no-sign-change" and row.p_c == 0.0
         else:
             assert row == before
+
+
+GRID_91 = [round(0.005 * i, 10) for i in range(91)]
+
+
+@pytest.mark.parametrize("name", list(CHANNEL_OF))
+def test_lockstep_rounds_on_the_91_q_grid(monkeypatch, name):
+    # Newton from the closed-form root: two steps and a certificate where the
+    # seed is off by up to 8.5e-4, one step where it is the one unit's root
+    real_batch = replica.gap_batch
+    rounds = []
+
+    def counted(*args, **kwargs):
+        rounds.append(len(args[1]))
+        return real_batch(*args, **kwargs)
+
+    monkeypatch.setattr(replica, "gap_batch", counted)
+    kind = CHANNEL_OF[name]
+    rows = sweep(kind, name, GRID_91, tol=1e-7)
+    assert len(rounds) == (2 if name in ("single", "C") else 3)
+    assert sum(rounds) == sum(row.evaluations for row in rows)
+    fine = sweep(kind, name, GRID_91, tol=1e-10)
+    for row, exact in zip(rows, fine):
+        assert row.ok and row.evaluations <= 5, f"{name} at q={row.q}: {row.evaluations} evaluations"
+        assert row.bracket[0] <= row.p_c <= row.bracket[1]
+        assert row.bracket[1] - row.bracket[0] <= 1e-7
+        assert abs(row.p_c - exact.p_c) <= 1e-7
+
+
+def test_entropy_form_is_the_closed_form():
+    # the seed's Newton steps run on the entropy form, whose slope is exact
+    for kind in ("uncorrelated", "depolarizing"):
+        for p, q in itertools.product((0.001, 0.02, 0.1, 0.2, 0.4), (0.0, 0.15, 0.3, 0.45, 0.6)):
+            delta, slope = solver._closed_form(kind, p, q)
+            assert abs(delta - gap_closed_form_single(kind, p, q)) <= 1e-14
+            h = 1e-6 * p
+            central = (solver._closed_form(kind, p + h, q)[0] - solver._closed_form(kind, p - h, q)[0]) / (2 * h)
+            assert abs(slope - central) <= 1e-6 * abs(slope)
+
+
+def test_closed_form_root_evaluates_nothing_past_half(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the closed form was evaluated")
+
+    monkeypatch.setattr(solver, "_closed_form", fail)
+    for kind in ("uncorrelated", "depolarizing"):
+        assert [solver._closed_form_root(kind, q) for q in (0.5, 0.6, 1.0)] == [None, None, None]
 
 
 def test_reference_threshold_lookup():
