@@ -36,13 +36,14 @@ chunk counts and weighs only its distinct rows.
 `gap_batch` evaluates many (p, q) points on one cluster in one call, as a
 root finder's round does: it takes the channel kind and sequences of p and
 q, and returns arrays of Delta, of its standard error and of its slope in
-p, which exact points get from the same column sums. It checks the
-round's points once (`model.check_points`) and builds their couplings and
-disorder probabilities as arrays, with no object per point: each K from
-the scalar `model.coupling`, the probabilities element-wise from
-`model.disorder_probs`, so a point has the same bits in any round. `gap`
-is its one-point case, from a `ChannelSpec` to a `GapEvaluation`, for
-either policy. Exact points share array operations in slices on the
+p, which exact points get from the same column sums and sampled points
+from the same rows, as a score-function (likelihood-ratio) estimate. It
+checks the round's points once (`model.check_points`) and builds their
+couplings and disorder probabilities as arrays, with no object per point:
+each K from the scalar `model.coupling`, the probabilities element-wise
+from `model.disorder_probs`, so a point has the same bits in any round.
+`gap` is its one-point case, from a `ChannelSpec` to a `GapEvaluation`,
+for either policy. Exact points share array operations in slices on the
 calling thread, sampled points share the draws of each chunk and a pool of
 chunk sums, and no point's value depends on its neighbours in the call.
 """
@@ -369,6 +370,11 @@ def class_table(cluster: ClusterSpec) -> ClassTable:
     return table
 
 
+def _score(p, clean, errors):
+    """d ln(probability)/dp of rows with `clean` slots in the support's first state and `errors` strictly between it and the lost one."""
+    return errors / p - clean / (1.0 - p)
+
+
 def _exact_gaps(p: np.ndarray, K: np.ndarray, probs: np.ndarray, cluster: ClusterSpec, table: ClassTable):
     """Delta and dDelta/dp at each point of a slice, from its p, couplings and (points, states) probabilities.
 
@@ -400,8 +406,7 @@ def _exact_gaps(p: np.ndarray, K: np.ndarray, probs: np.ndarray, cluster: Cluste
     powers = (probs[:, :, None] ** np.arange(cluster.slot_count + 1)).reshape(points, -1)
     entries = np.arange(probs.shape[1])[:, None] * (cluster.slot_count + 1) + table.count_vectors.T
     pair_weight = table.multiplicity * np.prod(powers.take(entries, axis=1), axis=1).take(table.count_index, axis=1)
-    p = p[:, None]
-    pair_slope = pair_weight * (table.errors / p - table.clean / (1.0 - p)).take(table.count_index, axis=1)
+    pair_slope = pair_weight * _score(p[:, None], table.clean, table.errors).take(table.count_index, axis=1)
     # each point's bins are its own, so bincount adds each column's pairs in order
     bins = (np.arange(points)[:, None] * columns + table.column_index).ravel()
     W, dW = (np.bincount(bins, v.ravel(), points * columns).reshape(points, columns) for v in (pair_weight, pair_slope))
@@ -448,7 +453,7 @@ def _chunk_uniforms(seed: int, cluster: ClusterSpec, lo: int, hi: int) -> np.nda
     return np.random.Generator(bitgen).random((hi - lo, S))
 
 
-def _sampled_chunks(K: float, probs: np.ndarray, cluster: ClusterSpec):
+def _sampled_chunks(p: float, K: float, probs: np.ndarray, cluster: ClusterSpec):
     """The function that sums one chunk of a sampled gap at one point from its uniforms.
 
     The uniforms are those of `_chunk_uniforms`, drawn once per chunk and
@@ -457,14 +462,16 @@ def _sampled_chunks(K: float, probs: np.ndarray, cluster: ClusterSpec):
     summed as int8 from the comparisons' bytes. Only the chunk's distinct
     rows go through the kernel, both steps, and every one is checked for a
     positive dual sum larger than its rounding (NonPositiveDual and
-    UnsignedDual), so every sampled one is. It returns
-    the count-weighted sum of Delta and of its squared deviations about the
-    chunk mean.
+    UnsignedDual), so every sampled one is. It returns four count-weighted
+    sums: of Delta, of its squared deviations about the chunk mean, of
+    score * Delta and of the score, with the score of a row d ln P(row)/dp
+    (`_score`, from its clean and error slots as `ClassTable` counts them).
     """
     cum = np.cumsum(probs)
     cum[-1] = 1.0
+    lost = len(cum) - 1
 
-    def chunk_stats(u: np.ndarray) -> tuple[float, float]:
+    def chunk_stats(u: np.ndarray) -> tuple[float, float, float, float]:
         # u < 1 = cum[-1], so the last cumulative probability never counts
         states = (u >= cum[0]).view(np.int8)
         for c in cum[1:-1]:
@@ -476,23 +483,40 @@ def _sampled_chunks(K: float, probs: np.ndarray, cluster: ClusterSpec):
         _require_positive_dual(cluster, sign <= 0, rows, K, rounding)
         delta = logp - logd
         total = float((count * delta).sum())
-        return total, float((count * (delta - total / len(u)) ** 2).sum())
+        clean = np.count_nonzero(rows == 0, axis=1)
+        score = count * _score(p, clean, np.count_nonzero(rows < lost, axis=1) - clean)
+        return (
+            total,
+            float((count * (delta - total / len(u)) ** 2).sum()),
+            float((score * delta).sum()),
+            float(score.sum()),
+        )
 
     return chunk_stats
 
 
-def _combine_chunks(cluster: ClusterSpec, bounds, partials, samples: int) -> tuple[float, float]:
-    """Mean and standard error of a sampled gap from its chunk sums, combined in chunk order."""
-    mean = math.fsum(total for total, _ in partials) / samples
+def _combine_chunks(cluster: ClusterSpec, bounds, partials, samples: int) -> tuple[float, float, float]:
+    """Mean, standard error and slope of a sampled gap from its chunk sums, each combined in chunk order.
+
+    The slope is the score-function estimate of dDelta/dp (Glynn 1990; the
+    gauge identity of `_exact_gaps` leaves only the probabilities'
+    derivative): (fsum(count * score * Delta) - mean * fsum(count * score))
+    / samples, the mean score, whose expectation is 0, serving as a control
+    variate. The chunk partition is fixed by the cluster and the sample
+    count, so no value depends on the worker count or on the other points
+    of the call.
+    """
+    totals, m2s, score_deltas, scores = zip(*partials)
+    mean = math.fsum(totals) / samples
     # each chunk's squared deviations about its own mean, moved to the overall mean
     variance = math.fsum(
         m2 + (hi - lo) * (total / (hi - lo) - mean) ** 2
-        for (lo, hi), (total, m2) in zip(bounds, partials)
+        for (lo, hi), total, m2 in zip(bounds, totals, m2s)
     ) / (samples - 1)
     std_error = math.sqrt(variance / samples)
     if not math.isfinite(mean):
         raise NonFinite(f"sampled gap on cluster {cluster.name!r} is not finite")
-    return mean, std_error
+    return mean, std_error, (math.fsum(score_deltas) - mean * math.fsum(scores)) / samples
 
 
 def _sample_count(mc_samples: int | None) -> int:
@@ -519,10 +543,11 @@ def gap_batch(
     """Delta(p, q), its standard error and its slope dDelta/dp at every point (p[i], q[i]) of a channel kind.
 
     Returns three float arrays in the order of the points; the standard
-    error is 0.0 on exact points, and the slope NaN on sampled ones (see
-    `_exact_gaps` for the exact one). The points are checked once, by
-    `model.check_points` (see `_round_points`), and no object is built per
-    point.
+    error is 0.0 on exact points. The slope is the exact one on exact points
+    (see `_exact_gaps`), and the score-function estimate from the same
+    samples on sampled ones (see `_combine_chunks`). The points are checked
+    once, by `model.check_points` (see `_round_points`), and no object is
+    built per point.
 
     policy "exact" sums every assignment through the cluster's class table
     and raises TooManyTerms, before compiling anything, when `exact_work`
@@ -544,6 +569,7 @@ def gap_batch(
         worker_count(workers)
     check_policy(policy)
     K, probs = _round_points(kind, p, q)
+    p = np.asarray(p, dtype=np.float64)
     _check_layers(kind, cluster)
     if policy == MONTE_CARLO:
         samples = _sample_count(mc_samples)
@@ -551,7 +577,7 @@ def gap_batch(
         if not len(K):
             return np.zeros(0), np.zeros(0), np.zeros(0)
         bounds = _chunk_bounds(samples, cluster)
-        stats = [_sampled_chunks(k, row, cluster) for k, row in zip(K.tolist(), probs)]
+        stats = [_sampled_chunks(x, k, row, cluster) for x, k, row in zip(p.tolist(), K.tolist(), probs)]
         nworkers = worker_count(workers)
         partials = [[] for _ in stats]
         for start in range(0, len(bounds), nworkers):
@@ -562,10 +588,7 @@ def gap_batch(
             del draws
             for i, point in enumerate(partials):
                 point.extend(sums[i * len(group) : (i + 1) * len(group)])
-        delta, std_error = np.array(
-            [_combine_chunks(cluster, bounds, point, samples) for point in partials]
-        ).T
-        return delta, std_error, np.full_like(delta, math.nan)
+        return tuple(np.array([_combine_chunks(cluster, bounds, point, samples) for point in partials]).T)
     work = exact_work(cluster)
     if work > TERM_BUDGET:
         raise TooManyTerms(
@@ -574,7 +597,6 @@ def gap_batch(
             f"policy, or --mc-samples on the command line"
         )
     table = class_table(cluster)
-    p = np.asarray(p, dtype=np.float64)
     step = max(1, EXACT_SLICE // (len(table.representative) * cluster.config_count))
     values, slopes = [], []
     for lo in range(0, len(K), step):

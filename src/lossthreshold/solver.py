@@ -5,21 +5,22 @@ above. The search starts from the one-unit closed form: its root r for the
 same channel and q (the entropy condition H2(p) = 1 - 1/(2(1-q)) on one
 layer, the hashing bound with loss on two) lies within about 1e-3 of every
 registered cluster's p_c, and Newton's method on the closed form's entropy
-form finds it to MIN_TOL, one q at a time outside the rounds below. An
-exact search then takes safeguarded Newton steps from r on the exact slope
-that `replica.gap_batch` returns (as `rtsafe` does, Press et al., Numerical
-Recipes, section 9.4), and ends with a certificate round at p and p ± tol/2
-whose outer points straddle zero. Where Newton gives up (a slope that is
-not finite and negative, an iterate outside the full bracket, a failed
-certificate or the iteration cap), the search falls back to Brent's method
-on the full bracket [1e-6, 1/2 - 1e-6] (single layer) or [1e-6, 3/4 - 1e-6]
-(two layers), which alone decides that there is no sign change. A Monte
-Carlo gap has no slope: it is a fixed function of p for one seed, because
-every evaluation reads the same random stream, and its search brackets it
-on [r - SEED_HALF_WIDTH, r + SEED_HALF_WIDTH], falls back to the full
-bracket if those ends do not straddle zero, and refines with Brent's
-method (inverse quadratic interpolation and secant steps, safeguarded by
-bisection) until the bracket is within twice the standard error of p_c.
+form finds it to MIN_TOL, one q at a time outside the rounds below. The
+search then takes safeguarded Newton steps from r on the slope that
+`replica.gap_batch` returns (as `rtsafe` does, Press et al., Numerical
+Recipes, section 9.4): the exact slope, or on a Monte Carlo gap the
+score-function estimate from the same samples. A Monte Carlo gap is a fixed
+function of p for one seed, because every evaluation reads the same random
+stream. The search ends with a certificate round whose outer points
+straddle zero: p and p ± tol/2 when exact, and p ± h when sampled, with h
+the larger of tol/2 and half the standard error of p. Where Newton gives up
+(a slope that is not finite and negative, an iterate outside the full
+bracket, a failed certificate or the iteration cap), the search falls back
+to Brent's method (inverse quadratic interpolation and secant steps,
+safeguarded by bisection) on the full bracket [1e-6, 1/2 - 1e-6] (single
+layer) or [1e-6, 3/4 - 1e-6] (two layers), which alone decides that there
+is no sign change, until the bracket is within tol, or within twice the
+standard error of p_c when sampled.
 
 Each search is a generator that asks for the gap at the points it needs
 next. A sweep advances the searches of all its q values in lockstep: each
@@ -41,10 +42,6 @@ from .cluster import ClusterSpec, builtin_cluster
 
 BRACKET_LO = 1e-6
 BRACKET_MARGIN = 1e-6
-# half-width of a Monte Carlo search's bracket around the closed-form root
-# (exact searches take Newton steps from the root instead); every registered
-# cluster's p_c lies within 8.5e-4 of that root
-SEED_HALF_WIDTH = 4e-3
 MIN_TOL = 1e-10
 MAX_ITERATIONS = 200
 
@@ -62,17 +59,24 @@ class NoSignChange(RuntimeError):
 class ThresholdResult:
     """p_c is the best iterate, an end of `bracket`, and residual |Delta(p_c)|.
 
-    For a certified Newton search, p_c is the last iterate, `bracket` the
-    half of the certificate (p_c - tol/2, p_c + tol/2) whose ends have
+    For a certified exact search, p_c is the last Newton iterate, `bracket`
+    the half of the certificate (p_c - tol/2, p_c + tol/2) whose ends have
     opposite signs, and `iterations` the Newton steps taken from the seed;
     its evaluations are iterations + 3 (the seed and the certificate's outer
-    points). For a Brent search, `bracket` is the final bracket, at most
-    tol wide, and `iterations` its interior iterates. std_error is the
-    Monte Carlo standard error of p_c in units of p: sigma_Delta /
-    |dDelta/dp| by the delta method, with the final bracket's secant as the
-    slope. It is 0.0 for exact runs. evaluations counts the gap evaluations
-    the search spent, every bracket end and every Newton point before a
-    fallback included; it is 0 where no search ran.
+    points). For a certified Monte Carlo search, `bracket` is the
+    certificate (p - h, p + h) about the last iterate p, clipped to the full
+    bracket, with h = max(tol, sigma_p)/2 and sigma_p the standard error of
+    Delta over |slope| at the iterate before; p_c is the end of smaller
+    |Delta|, and `iterations` the Newton steps. The last iterate is not
+    evaluated itself, so its evaluations are iterations + 2 (the seed and
+    the certificate's ends). For a Brent search, `bracket` is the final
+    bracket, at most max(tol, 2 std_error) wide, and `iterations` its
+    interior iterates. std_error is the Monte Carlo
+    standard error of p_c in units of p: sigma_Delta at p_c / |dDelta/dp|
+    by the delta method, with the secant of `bracket` as the slope. It is
+    0.0 for exact runs. evaluations counts the gap evaluations the search
+    spent, every bracket end and every Newton point before a fallback
+    included; it is 0 where no search ran.
     """
 
     channel: str
@@ -120,13 +124,12 @@ def solve_threshold(
 ) -> ThresholdResult:
     """Find p_c for one (channel, cluster, q) combination: a sweep of one q.
 
-    An exact search takes Newton steps from the root of the one-unit closed
-    form for (channel_kind, q); a Monte Carlo search first brackets the gap
-    on SEED_HALF_WIDTH either side of that root, clipped to the full
-    bracket. Where Newton gives up, the seeded bracket has no sign change,
-    or the closed form has no root, the search starts again on the full
-    bracket with Brent's method; every point spent before counts in
-    `evaluations` too.
+    The search takes Newton steps from the root of the one-unit closed form
+    for (channel_kind, q), on the exact slope or, with policy "monte-carlo",
+    on the sampled one, and certifies the last iterate (see `_newton`).
+    Where Newton gives up or the closed form has no root, the search starts
+    again on the full bracket with Brent's method; every point spent before
+    counts in `evaluations` too.
 
     Returns a no-threshold result (p_c = 0) for the one-unit clusters when
     q >= 1/2, where the closed form shows the gap is negative for every p.
@@ -198,66 +201,78 @@ def _thresholds(kind, spec, qs, tol, policy, mc_samples, seed, workers) -> list:
 def _search(kind, name, q, method, tol, root):
     """The threshold search at one q from the closed-form root `root`, as a generator.
 
-    An exact search takes Newton steps from the root (`_newton`) and
-    returns their result if they certify one. Otherwise, and on the Monte
-    Carlo path after the seeded bracket's ends if those do not straddle
-    zero, it asks for the full bracket's ends, then for Brent's iterates.
-    Returns the ThresholdResult with every requested point counted in
-    `evaluations`; raises NoSignChange when the full bracket's ends do not
-    straddle zero.
+    It takes Newton steps from the root (`_newton`) and returns their result
+    if they certify one. Otherwise, or with no root, it asks for the full
+    bracket's ends, then for Brent's iterates. Returns the ThresholdResult
+    with every requested point counted in `evaluations`; raises
+    NoSignChange when the full bracket's ends do not straddle zero.
     """
     upper = _upper_bracket(kind)
-    brackets = [(BRACKET_LO, upper)]
     spent = 0
-    if root is not None and method == replica.EXACT:
-        outcome = yield from _newton(kind, name, q, tol, root, upper)
+    if root is not None:
+        outcome = yield from _newton(kind, name, q, method, tol, root, upper)
         if isinstance(outcome, ThresholdResult):
             return outcome
         spent = outcome
-    elif root is not None:
-        seeded = (max(BRACKET_LO, root - SEED_HALF_WIDTH), min(upper, root + SEED_HALF_WIDTH))
-        brackets.insert(0, seeded)
-    for a, b in brackets:
-        (fa, _, _), (fb, _, _) = yield (a, b)
-        spent += 2
-        if fa > replica.GAP_FLOOR and fb < -replica.GAP_FLOOR:
-            return (yield from _refine(kind, name, q, method, a, b, fa, fb, tol, spent))
+    a, b = BRACKET_LO, upper
+    (fa, _, _), (fb, _, _) = yield (a, b)
+    spent += 2
+    if fa > replica.GAP_FLOOR and fb < -replica.GAP_FLOOR:
+        return (yield from _refine(kind, name, q, method, a, b, fa, fb, tol, spent))
     raise NoSignChange(
         f"gap does not change sign on [{a}, {b}] for {kind}/{name} at q={q}: "
         f"Delta({a})={fa:.6g}, Delta({b})={fb:.6g}"
     )
 
 
-def _newton(kind, name, q, tol, p, upper):
-    """Safeguarded Newton steps on the exact gap from the seed p, as a generator.
+def _newton(kind, name, q, method, tol, p, upper):
+    """Safeguarded Newton steps on the gap from the seed p, as a generator.
 
-    Each round asks for one iterate, (p,), and is sent back its [(Delta,
+    Each round asks for one iterate, (p,), and is sent back [(Delta,
     standard error, slope)]; p moves by -Delta/slope. The error of the next
     iterate is predicted as |f''/(2 f')| step^2, with f'' the difference
     quotient of the last two slopes; before a second slope, f''/f' is the
     closed form's at p, whose f'' = (1-q)/(p(1-p)) on one and two layers.
-    Once that is below tol/8, the next round is a certificate, (p - tol/2,
-    p, p + tol/2) clipped to the full bracket: if its outer points straddle
-    zero beyond GAP_FLOOR, the search returns p, its own |Delta| as
-    residual, and the half of the certificate that holds the sign change as
-    bracket. It gives up, returning the evaluations it spent, when a slope
-    is not finite and negative, an iterate leaves (BRACKET_LO, upper), the
+    The certificate's half-width is h = max(tol/2, sigma_p/2), with sigma_p
+    = standard error / |slope| at the latest iterate, so h = tol/2 on the
+    exact path. Once the predicted error is below h/4, the next round is a
+    certificate, clipped to the full bracket, whose outer points must
+    straddle zero beyond GAP_FLOOR:
+    - exact, (p - h, p, p + h): the search returns p, its own |Delta| as
+      residual, and the half of the certificate that holds the sign change
+      as bracket;
+    - sampled, (p - h, p + h): it returns the end of smaller |Delta| with
+      that |Delta| as residual, the two ends as bracket, and sigma_Delta
+      at that end over the ends' secant slope as std_error.
+    It gives up, returning the evaluations it spent, when a slope is not
+    finite and negative, an iterate leaves (BRACKET_LO, upper), the
     certificate fails or the rounds reach MAX_ITERATIONS.
     """
     spent, prior, certify = 0, None, False
     for rounds in range(MAX_ITERATIONS):
-        points = (max(BRACKET_LO, p - 0.5 * tol), p, min(upper, p + 0.5 * tol)) if certify else (p,)
+        if certify:
+            lo, hi = max(BRACKET_LO, p - half), min(upper, p + half)
+            points = (lo, p, hi) if method == replica.EXACT else (lo, hi)
+        else:
+            points = (p,)
         reply = yield points
         spent += len(points)
         if certify:
-            (f_lo, _, _), (f, _, _), (f_hi, _, _) = reply
+            (f_lo, sigma_lo, _), *_, (f_hi, sigma_hi, _) = reply
             if not (f_lo > replica.GAP_FLOOR and f_hi < -replica.GAP_FLOOR):
                 return spent
-            bracket = (p, points[2]) if f > 0.0 else (points[0], p)
+            if method == replica.EXACT:
+                f = reply[1][0]
+                bracket = (p, hi) if f > 0.0 else (lo, p)
+                return ThresholdResult(
+                    kind, name, q, p, abs(f), bracket, rounds, method, STATUS_OK, 0.0, spent
+                )
+            best, f, sigma = (lo, f_lo, sigma_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi, sigma_hi)
+            std_error = sigma * abs((hi - lo) / (f_hi - f_lo))
             return ThresholdResult(
-                kind, name, q, p, abs(f), bracket, rounds, replica.EXACT, STATUS_OK, 0.0, spent
+                kind, name, q, best, abs(f), (lo, hi), rounds, method, STATUS_OK, std_error, spent
             )
-        ((f, _, slope),) = reply
+        ((f, sigma, slope),) = reply
         if not -math.inf < slope < 0.0:
             return spent
         step = f / slope
@@ -268,7 +283,8 @@ def _newton(kind, name, q, tol, p, upper):
         prior, p = (p, slope), p - step
         if not BRACKET_LO < p < upper:
             return spent
-        certify = p == prior[0] or 0.5 * abs(ratio) * step * step < tol / 8.0
+        half = 0.5 * max(tol, sigma / -slope)
+        certify = p == prior[0] or 0.5 * abs(ratio) * step * step < 0.25 * half
     return spent
 
 

@@ -358,11 +358,11 @@ def test_sampled_rows_that_rounding_cannot_sign_are_refused():
     # refuses the cancelling row instead of averaging its noise
     spec = _cancelling_cluster()
     K, probs = replica._round_points("uncorrelated", [1e-6], [0.0])
-    chunk = replica._sampled_chunks(float(K[0]), probs[0], spec)
+    chunk = replica._sampled_chunks(1e-6, float(K[0]), probs[0], spec)
     # between the first two cumulative probabilities: state 1, sign -1, on every slot
     u = np.full((64, 6), 1.0 - 0.5e-6)
     with pytest.raises(UnsignedDual):
         chunk(u)
     u[:] = 0.5
-    total, _ = chunk(u)
+    total, *_ = chunk(u)
     assert math.isfinite(total)

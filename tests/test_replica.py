@@ -1316,6 +1316,41 @@ def test_monte_carlo_batch_matches_points_alone():
     assert batched == [(a.delta, a.std_error) for a in alone]
 
 
+@pytest.mark.parametrize("name", ["A", "D", "B"])
+def test_sampled_slope_matches_the_exact_slope(name):
+    # the score-function slope is an unbiased estimate of dDelta/dp: its
+    # mean over 20 seeds lies within 4 standard errors of the exact slope at
+    # each exact p_c
+    kind, spec = CHANNEL_OF[name], builtin_cluster(name)
+    qs = [0.0, 0.2, 0.4]
+    ps = [solve_threshold(kind, spec, q).p_c for q in qs]
+    exact = gap_batch(kind, ps, qs, spec)[2]
+    sampled = np.array(
+        [gap_batch(kind, ps, qs, spec, MONTE_CARLO, mc_samples=20_000, seed=s)[2] for s in range(20)]
+    )
+    z = (sampled.mean(axis=0) - exact) / (sampled.std(axis=0, ddof=1) / math.sqrt(len(sampled)))
+    assert np.all(np.abs(z) <= 4.0), f"{name}: z = {z}"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sampled_values_are_the_same_alone_and_in_a_batch(monkeypatch, workers):
+    # the slope's chunk sums combine in chunk order, as the gap's do, so
+    # each of a sampled point's three values keeps its bits alone, beside
+    # other points and over any number of workers
+    spec, points = _eight_chunk_case(monkeypatch)
+    options = {"mc_samples": 30_000, "seed": 9}
+    batched = np.array(gap_batch(
+        "depolarizing", [c.p for c in points], [c.q for c in points], spec, MONTE_CARLO,
+        workers=workers, **options,
+    ))
+    assert np.all(batched[2] < 0.0)
+    for k, point in enumerate(points):
+        for alone_workers in (1, 2):
+            alone = gap_batch("depolarizing", [point.p], [point.q], spec, MONTE_CARLO,
+                              workers=alone_workers, **options)
+            assert [values[0] for values in alone] == batched[:, k].tolist()
+
+
 @pytest.mark.parametrize("seed", [-1, 2**128])
 def test_seed_outside_philox_range_is_rejected(seed):
     # -1 once got through the closed-form search and failed in the first chunk

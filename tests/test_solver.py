@@ -214,9 +214,9 @@ CHANNEL_OF = {
 @pytest.mark.parametrize("name", list(CHANNEL_OF))
 def test_gap_evaluations_per_threshold(monkeypatch, name):
     # bisection with secant steps spent about 21 evaluations per threshold,
-    # Brent on the full bracket 8.3-8.7, Brent on the seeded bracket 5.0-5.7;
-    # Newton spends the seed, one iterate per step and the certificate's
-    # two outer points
+    # Brent on the full bracket 8.3-8.7, Brent on a +-4e-3 bracket about the
+    # closed-form root (since removed) 5.0-5.7; Newton spends the seed, one
+    # iterate per step and the certificate's two outer points
     calls = _count_gap_calls(monkeypatch)
     kind, spec = CHANNEL_OF[name], builtin_cluster(name)
     for q in REFERENCE_Q:
@@ -243,6 +243,27 @@ def test_monte_carlo_gap_evaluations_per_threshold(monkeypatch, seed):
         assert result.ok
         assert len(calls) <= 6, f"seed {seed} at q={q}: {len(calls)} gap evaluations"
         assert result.evaluations == len(calls) == result.iterations + 2
+        # the seed, one Newton step to the certificate, its two ends
+        assert len(calls) == 3, f"seed {seed} at q={q}: {len(calls)} gap evaluations"
+        assert result.bracket == (calls[1], calls[2])
+        assert result.p_c in calls[1:]
+
+
+def test_monte_carlo_sweep_takes_two_rounds(monkeypatch):
+    # every search spends its seed in the first round and its certificate in
+    # the second, all in lockstep
+    real_batch = replica.gap_batch
+    rounds = []
+
+    def counted(kind, p, *args, **kwargs):
+        rounds.append(len(p))
+        return real_batch(kind, p, *args, **kwargs)
+
+    monkeypatch.setattr(replica, "gap_batch", counted)
+    qs = (0.0, 0.1, 0.2, 0.3, 0.4)
+    rows = sweep("uncorrelated", "B", qs, policy="monte-carlo", mc_samples=100_000, seed=1)
+    assert all(row.ok and row.evaluations == 3 for row in rows)
+    assert rounds == [len(qs), 2 * len(qs)]
 
 
 def _top_seed(kind: str, q: float) -> float:
@@ -334,10 +355,38 @@ def test_failed_certificate_falls_back_to_full_bracket(monkeypatch):
         assert result.evaluations == len(calls)
 
 
+@pytest.mark.parametrize("scale", [math.nan, -1.0, 0.5], ids=["nan", "positive", "halved"])
+def test_unusable_sampled_slope_falls_back_to_full_bracket(monkeypatch, scale):
+    # a NaN or positive sampled slope stops Newton after the seed; half the
+    # slope doubles the step, which overshoots the sampled root by about
+    # the seed's distance from it, past the certificate's half-width at
+    # these q, so its ends do not straddle zero. Brent on the full bracket
+    # then stops at max(tol, 2 sigma_p), and every point counts.
+    kind, spec = "uncorrelated", builtin_cluster("B")
+    real_batch = replica.gap_batch
+
+    def scaled(*args, **kwargs):
+        delta, std_error, slope = real_batch(*args, **kwargs)
+        return delta, std_error, scale * slope
+
+    monkeypatch.setattr(replica, "gap_batch", scaled)
+    calls = _count_gap_calls(monkeypatch)
+    for q in (0.0, 0.1, 0.4):
+        calls.clear()
+        result = solve_threshold(kind, spec, q, policy="monte-carlo", mc_samples=100_000, seed=3)
+        assert result.ok
+        start = calls.index(solver.BRACKET_LO)
+        assert start == (3 if scale == 0.5 else 1)
+        assert calls[start + 1] == solver._upper_bracket(kind)
+        assert result.evaluations == len(calls) == start + 2 + result.iterations
+        assert result.bracket[0] <= result.p_c <= result.bracket[1]
+        assert result.bracket[1] - result.bracket[0] <= max(1e-7, 2.0 * result.std_error)
+
+
 def test_iteration_cap_reports_no_convergence(monkeypatch, capsys):
     # a capped search once reported ok, e.g. D at q = 0.1 gave p_c = 0.1451 (true 0.1598);
-    # the sampled search below closes its seeded bracket in one iteration, so
-    # only a cap of 0 holds it whatever bracket it starts from
+    # the sampled search below certifies after one Newton step, so only a
+    # cap of 0 holds it, in its Newton rounds and in Brent's that follow
     monkeypatch.setattr(solver, "MAX_ITERATIONS", 0)
     exact = solve_threshold("depolarizing", "D", 0.1)
     sampled = solve_threshold(
