@@ -274,11 +274,13 @@ def _check_parallel_determinism() -> tuple[bool, str]:
         for w in (1, 2)
     ]
     # exact rounds (A, E) run on the calling thread; only B's sampled
-    # chunks are spread over the workers
+    # chunks, and the blocks of its merged rows, are spread over the
+    # workers. 100 000 samples are two B chunks, so each point merges the
+    # distinct rows of both.
     identical = len(set(outputs)) == 1
     for kind, name, options in (
         ("depolarizing", "E", {}),
-        ("uncorrelated", "B", {"policy": replica.MONTE_CARLO, "mc_samples": 20_000}),
+        ("uncorrelated", "B", {"policy": replica.MONTE_CARLO, "mc_samples": 100_000}),
     ):
         runs = {
             render_csv([_record(r, False) for r in rows])

@@ -29,9 +29,11 @@ exact work exceeds TERM_BUDGET. A counter-based generator makes the
 uniforms of every chunk of samples reproducible and identical across p,
 which keeps the estimated gap continuous during root finding, so one call
 draws each chunk once, in groups of `worker_count` chunks, for all its
-points. Sampled rows
-repeat often (near the root of B only 2-27 % of them are distinct), so a
-chunk counts and weighs only its distinct rows.
+points. Sampled rows repeat often, within a chunk and across chunks, so a
+chunk only decodes its rows into distinct ones, and a point merges the
+distinct rows of all its chunks and counts and weighs each row of its
+whole draw once: near the root of B at 100 000 samples, 1.2 % (q = 0) to
+21 % (q = 0.3) of the drawn rows.
 
 `gap_batch` evaluates many (p, q) points on one cluster in one call, as a
 root finder's round does: it takes the channel kind and sequences of p and
@@ -45,7 +47,8 @@ from `model.disorder_probs`, so a point has the same bits in any round.
 `gap` is its one-point case, from a `ChannelSpec` to a `GapEvaluation`,
 for either policy. Exact points share array operations in slices on the
 calling thread, sampled points share the draws of each chunk and a pool of
-chunk sums, and no point's value depends on its neighbours in the call.
+decoded chunks and weighed blocks, and no point's value depends on its
+neighbours in the call.
 """
 
 from __future__ import annotations
@@ -61,7 +64,15 @@ import numpy as np
 
 from . import model
 from .cluster import CONFIG_BLOCK, ClusterSpec, NonFinite, ShapeMismatch, slot_cells
-from .duality import UnsignedDual, _require_positive_dual, _row_signs, count_block, count_rows, log_factor_batch
+from .duality import (
+    UnsignedDual,
+    _cell_energies,
+    _require_positive_dual,
+    _row_signs,
+    count_block,
+    count_rows,
+    log_factor_batch,
+)
 
 EXACT = "exact"
 MONTE_CARLO = "monte-carlo"
@@ -85,14 +96,22 @@ MIN_MC_SAMPLES = 1000
 # one kernel call
 EXACT_SLICE = 2 * CONFIG_BLOCK
 
-# Monte Carlo samples are processed in fixed-size chunks. The partition
-# depends only on the cluster and the sample count, never on the worker count,
-# so parallel runs are bit-identical: per-chunk sums are combined in chunk
-# order with fsum. The draws themselves depend on the partition (a chunk's
-# stream starts at its first sample times the slot count). A chunk holds
-# _CHUNK_TARGET (row, configuration) pairs of one count table (`count_block`).
+# Monte Carlo samples are drawn in fixed-size chunks. The partition depends
+# only on the cluster and the sample count, never on the worker count, and so
+# do a point's merged distinct rows and its blocks of them, so parallel runs
+# are bit-identical: block sums are combined in block order with fsum. The
+# draws themselves depend on the partition (a chunk's stream starts at its
+# first sample times the slot count). A chunk, and a block of distinct rows,
+# holds _CHUNK_TARGET (row, configuration) pairs of one count table
+# (`count_block`).
 _CHUNK_TARGET = 1 << 20
 _CHUNK_MAX = 1 << 16
+# `_distinct_rows` packs rows, and `_weigh_rows` runs the kernel on them, this
+# many at a time: the packing's float copy stays small (2.7 MB at 41 slots)
+# however many rows a point merges, and on B the kernel's values step cost
+# twice as much per row at 16 384 rows and more as at 8 192 or fewer (2-vCPU
+# VM, numpy 2.4.6, one BLAS thread)
+_ROW_BLOCK = 1 << 13
 
 
 class TooManyTerms(ValueError):
@@ -159,15 +178,20 @@ def check_policy(policy: str) -> None:
         raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
 
 
+def _chunk_size(cluster: ClusterSpec) -> int:
+    """Rows of a Monte Carlo chunk, and of a block of distinct rows weighed at once."""
+    return min(_CHUNK_MAX, _CHUNK_TARGET // count_block(cluster))
+
+
 def _chunk_bounds(total: int, cluster: ClusterSpec) -> list[tuple[int, int]]:
-    size = min(_CHUNK_MAX, _CHUNK_TARGET // count_block(cluster))
+    size = _chunk_size(cluster)
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
 def _run_chunks(fn, items, workers: int) -> list:
     """[fn(*item) for item in items], over up to `workers` threads.
 
-    It draws and sums Monte Carlo chunks.
+    It draws and decodes Monte Carlo chunks, and merges and weighs their rows.
     """
     if workers <= 1 or len(items) <= 1:
         return [fn(*item) for item in items]
@@ -249,44 +273,60 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a[first], first, inverse.reshape(-1)
 
 
-def _distinct_rows(idx: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of base-m state indices and how often each occurs.
+def _distinct_rows(idx: np.ndarray, m: int, weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of base-m state indices and how often each occurs, or their summed `weights`.
 
     A row's digits (of any integer dtype; Monte Carlo states are int8) are
-    packed by Horner's rule over the columns into as many int64 words as
-    its length needs, the last word the most significant, and the words are
-    folded into one int64 key per row: key = rank(key) * n + rank(word),
-    last word first, with dense ranks below n, so that ascending keys order
-    the rows as a lexsort of their words would. A word holds
-    floor((63 - bits(n)) / log2 m) digits, so that a key shifted left by
-    bits(n) still fits in int64 for n up to _CHUNK_MAX, and the row's
-    position fills the low bits: one sort of these unique values brings
+    packed into as many words as its length needs, the last word the most
+    significant: one matrix product of the rows, as floats, with the digits'
+    place values m^j per word gives every word at once. Each word is an
+    integer below the float's exact range, 2^24 for a row that fits one
+    float32 word, 2^53 for float64 words, so the product is exact in any
+    order the BLAS sums it. A float64 word holds
+    floor(min(53, 63 - bits(n)) / log2 m) digits, so that a word shifted
+    left by bits(n) still fits in int64. Several words are folded into one
+    int64 key per row: key = rank(rank(key) * n + rank(word)), last word
+    first, with dense ranks below n, so that ascending keys order the rows
+    as a lexsort of their words would. The row's position fills the low
+    bits below the shifted key: one sort of these unique values brings
     equal rows together, so the order of the distinct rows depends only on
-    `idx`.
+    the set of rows, ascending in their digits read last column first. With
+    `weights`, one number per row (a chunk's counts, when the distinct rows
+    of several chunks are merged), each distinct row gets the sum of its
+    rows' weights instead of their number.
     """
     n, S = idx.shape
     bits = n.bit_length()
-    digits = math.floor((63 - bits) / math.log2(m))
-    columns = np.ascontiguousarray(idx.T)
-    words = []
-    for lo in range(0, S, digits):
-        top, *rest = columns[lo : lo + digits][::-1]
-        word = top.astype(np.int64)
-        for column in rest:
-            word *= m
-            word += column
-        words.append(word)
-    key = words[-1]
-    for word in reversed(words[:-1]):
-        key_rank, word_rank = (np.unique(a, return_inverse=True)[1] for a in (key, word))
-        key = key_rank * n + word_rank
+    if m**S <= 1 << 24:
+        dtype, digits = np.float32, S
+    else:
+        dtype, digits = np.float64, math.floor(min(53, 63 - bits) / math.log2(m))
+    column = np.arange(S)
+    place = np.zeros((S, -(-S // digits)), dtype=dtype)
+    place[column, column // digits] = float(m) ** (column % digits)
+    words = np.empty((place.shape[1], n), dtype=np.int64)
+    for lo in range(0, n, _ROW_BLOCK):
+        words[:, lo : lo + _ROW_BLOCK] = (idx[lo : lo + _ROW_BLOCK].astype(dtype) @ place).T
+    *words, key = words
+    if words:
+        # a key of several words is ranked after every fold, so that it stays
+        # below n and its shift fits in int64 at any n
+        def rank(a):
+            return np.unique(a, return_inverse=True)[1].astype(np.int64)
+
+        key = rank(key)
+        for word in reversed(words):
+            key = rank(key * n + rank(word))
     packed = np.sort((key << bits) | np.arange(n))
     order = packed & ((1 << bits) - 1)
     key = packed >> bits
     first = np.ones(n, dtype=bool)
     first[1:] = key[1:] != key[:-1]
     starts = np.flatnonzero(first)
-    return idx.take(order[starts], axis=0), np.diff(starts, append=n)
+    rows = idx.take(order[starts], axis=0)
+    if weights is None:
+        return rows, np.diff(starts, append=n)
+    return rows, np.add.reduceat(weights.take(order), starts)
 
 
 def _class_fold(cluster: ClusterSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -453,65 +493,101 @@ def _chunk_uniforms(seed: int, cluster: ClusterSpec, lo: int, hi: int) -> np.nda
     return np.random.Generator(bitgen).random((hi - lo, S))
 
 
-def _sampled_chunks(p: float, K: float, probs: np.ndarray, cluster: ClusterSpec):
-    """The function that sums one chunk of a sampled gap at one point from its uniforms.
+def _sampled_rows(probs: np.ndarray):
+    """The function that decodes one chunk's uniforms at one point into its distinct rows and their counts.
 
     The uniforms are those of `_chunk_uniforms`, drawn once per chunk and
     call of `gap_batch` and shared by all the call's points. A row's state
     is the number of cumulative probabilities at or below its uniform,
-    summed as int8 from the comparisons' bytes. Only the chunk's distinct
-    rows go through the kernel, both steps, and every one is checked for a
-    positive dual sum larger than its rounding (NonPositiveDual and
-    UnsignedDual), so every sampled one is. It returns four count-weighted
-    sums: of Delta, of its squared deviations about the chunk mean, of
-    score * Delta and of the score, with the score of a row d ln P(row)/dp
-    (`_score`, from its clean and error slots as `ClassTable` counts them).
+    summed as int8 from the comparisons' bytes; `_distinct_rows` gives the
+    chunk's distinct rows, in key order, and how often each was drawn.
     """
     cum = np.cumsum(probs)
     cum[-1] = 1.0
-    lost = len(cum) - 1
 
-    def chunk_stats(u: np.ndarray) -> tuple[float, float, float, float]:
+    def decode(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # u < 1 = cum[-1], so the last cumulative probability never counts
         states = (u >= cum[0]).view(np.int8)
         for c in cum[1:-1]:
             states += (u >= c).view(np.int8)
-        rows, count = _distinct_rows(states, len(cum))
-        logp, logd, sign, rounding = (
-            a[0] for a in log_factor_batch(cluster, count_rows(cluster, rows), [K])
-        )
-        _require_positive_dual(cluster, sign <= 0, rows, K, rounding)
-        delta = logp - logd
-        total = float((count * delta).sum())
-        clean = np.count_nonzero(rows == 0, axis=1)
-        score = count * _score(p, clean, np.count_nonzero(rows < lost, axis=1) - clean)
-        return (
-            total,
-            float((count * (delta - total / len(u)) ** 2).sum()),
-            float((score * delta).sum()),
-            float(score.sum()),
-        )
+        return _distinct_rows(states, len(cum))
 
-    return chunk_stats
+    return decode
 
 
-def _combine_chunks(cluster: ClusterSpec, bounds, partials, samples: int) -> tuple[float, float, float]:
-    """Mean, standard error and slope of a sampled gap from its chunk sums, each combined in chunk order.
+def _merge_rows(chunks: list, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a point's whole draw, in key order, and their counts, from its chunks' (rows, count)."""
+    if len(chunks) == 1:
+        return chunks[0]
+    rows, count = zip(*chunks)
+    return _distinct_rows(np.concatenate(rows), m, np.concatenate(count))
 
-    The slope is the score-function estimate of dDelta/dp (Glynn 1990; the
+
+def _configuration_zero(blocks, into: list):
+    """Pass `count_rows` blocks through, putting the energy and n of configuration 0 into `into` as float64."""
+    for block in blocks:
+        if not into:
+            into.extend(block[:2, 0].astype(np.float64))
+        yield block
+
+
+def _weigh_rows(p: float, K: float, cluster: ClusterSpec, rows: np.ndarray, count: np.ndarray):
+    """Count-weighted sums of a sampled gap at one point over a block of its distinct rows.
+
+    The rows go through the kernel, both steps, _ROW_BLOCK at a time
+    (a row's values do not depend on the rows beside it), and every one is
+    checked for a positive dual sum larger than its rounding
+    (NonPositiveDual and UnsignedDual), so every sampled one is. The sums
+    run over the whole block at once. It returns the block's samples
+    and four sums: of Delta, of its squared deviations about the block
+    mean, of score * Delta and of the score, with the score of a row d ln
+    P(row)/dp (`_score`). A row's clean and error slots, as `ClassTable`
+    counts them, come from its counts in configuration 0, where every slot
+    sits in cell 0: there a clean slot has energy e, every error state -1
+    and a lost slot 0, and n counts the slots that are not lost, so
+    clean = (E_0 + n_0) / (e + 1) and errors = n_0 - clean.
+    """
+    parts = []
+    for lo in range(0, len(rows), _ROW_BLOCK):
+        zero = []
+        blocks = _configuration_zero(count_rows(cluster, rows[lo : lo + _ROW_BLOCK]), zero)
+        parts.append([a[0] for a in log_factor_batch(cluster, blocks, [K])] + zero)
+    logp, logd, sign, rounding, energy, kept = (np.concatenate(a) for a in zip(*parts))
+    _require_positive_dual(cluster, sign <= 0, rows, K, rounding)
+    delta = logp - logd
+    samples = int(count.sum())
+    total = float((count * delta).sum())
+    clean = (energy + kept) / (_cell_energies(model.LAYER_SUPPORT[cluster.layers][0])[0] + 1)
+    score = count * _score(p, clean, kept - clean)
+    return (
+        samples,
+        total,
+        float((count * (delta - total / samples) ** 2).sum()),
+        float((score * delta).sum()),
+        float(score.sum()),
+    )
+
+
+def _combine_chunks(cluster: ClusterSpec, partials) -> tuple[float, float, float]:
+    """Mean, standard error and slope of a sampled gap from its block sums, each combined in block order.
+
+    `partials` holds the `_weigh_rows` sums of a point's blocks of distinct
+    rows, in the key order of its merged draw. The variance takes each
+    block's squared deviations about its own mean and moves them to the
+    overall mean (the pairwise update of Chan, Golub and LeVeque 1979). The
+    slope is the score-function estimate of dDelta/dp (Glynn 1990; the
     gauge identity of `_exact_gaps` leaves only the probabilities'
     derivative): (fsum(count * score * Delta) - mean * fsum(count * score))
     / samples, the mean score, whose expectation is 0, serving as a control
-    variate. The chunk partition is fixed by the cluster and the sample
-    count, so no value depends on the worker count or on the other points
+    variate. The blocks are fixed by the point's merged rows and the chunk
+    size, so no value depends on the worker count or on the other points
     of the call.
     """
-    totals, m2s, score_deltas, scores = zip(*partials)
+    sizes, totals, m2s, score_deltas, scores = zip(*partials)
+    samples = sum(sizes)
     mean = math.fsum(totals) / samples
-    # each chunk's squared deviations about its own mean, moved to the overall mean
     variance = math.fsum(
-        m2 + (hi - lo) * (total / (hi - lo) - mean) ** 2
-        for (lo, hi), total, m2 in zip(bounds, totals, m2s)
+        m2 + n * (total / n - mean) ** 2 for n, total, m2 in zip(sizes, totals, m2s)
     ) / (samples - 1)
     std_error = math.sqrt(variance / samples)
     if not math.isfinite(mean):
@@ -554,16 +630,23 @@ def gap_batch(
     exceeds TERM_BUDGET; "monte-carlo" samples. Exact points are cut into
     slices of at most EXACT_SLICE (points x columns x configurations)
     elements, one point at least, which run one after another on the
-    calling thread. Sampled points share their `_chunk_bounds` chunks: the
-    chunks are taken in groups of `worker_count(workers)`, each group's
-    uniforms are drawn once over that many threads, and then every (point,
-    chunk) item of the group is summed over them, reading the shared draws.
-    So a call draws each chunk once, whatever its number of points, and
-    holds at most `worker_count(workers)` draws at a time. An explicit
-    `workers` below 1 is refused on either path, and so is a sampled
-    `mc_samples` or `seed` that is not an integer. Each point's values are
-    bit-identical to evaluating it alone, with any worker count; sampled
-    chunks are combined per point in chunk order.
+    calling thread. Sampled points share their `_chunk_bounds` chunks, and
+    their work has two phases, each over `worker_count(workers)` threads.
+    Decode: the chunks are taken in groups of that many, each group's
+    uniforms are drawn once, and every (point, chunk) item of the group
+    turns the shared draw into the chunk's distinct rows and their counts
+    (`_sampled_rows`); the draws are freed before the next group's. So a
+    call draws each chunk once, whatever its number of points, and holds at
+    most `worker_count(workers)` draws at a time. Weigh: each point merges
+    its chunks' distinct rows into those of its whole draw, in key order
+    with summed counts (`_merge_rows`), and cuts them into as few blocks of
+    at most one chunk's rows as it can, of sizes that differ by at most
+    one; every (point, block) item goes through the kernel and the checks
+    once (`_weigh_rows`), and a point's block sums are combined in block
+    order (`_combine_chunks`). An explicit `workers` below 1 is refused on
+    either path, and so is a sampled `mc_samples` or `seed` that is not an
+    integer. Each point's values are bit-identical to evaluating it alone,
+    with any worker count.
     """
     if workers is not None:
         worker_count(workers)
@@ -577,18 +660,32 @@ def gap_batch(
         if not len(K):
             return np.zeros(0), np.zeros(0), np.zeros(0)
         bounds = _chunk_bounds(samples, cluster)
-        stats = [_sampled_chunks(x, k, row, cluster) for x, k, row in zip(p.tolist(), K.tolist(), probs)]
+        decoders = [_sampled_rows(row) for row in probs]
         nworkers = worker_count(workers)
-        partials = [[] for _ in stats]
+        drawn = [[] for _ in decoders]
         for start in range(0, len(bounds), nworkers):
             group = bounds[start : start + nworkers]
             draws = _run_chunks(_chunk_uniforms, [(seed, cluster, lo, hi) for lo, hi in group], nworkers)
-            sums = _run_chunks(lambda fn, u: fn(u), [(fn, u) for fn in stats for u in draws], nworkers)
+            sets = _run_chunks(lambda fn, u: fn(u), [(fn, u) for fn in decoders for u in draws], nworkers)
             # freed before the next group is drawn: at most nworkers draws at a time
             del draws
-            for i, point in enumerate(partials):
-                point.extend(sums[i * len(group) : (i + 1) * len(group)])
-        return tuple(np.array([_combine_chunks(cluster, bounds, point, samples) for point in partials]).T)
+            for i, point in enumerate(drawn):
+                point.extend(sets[i * len(group) : (i + 1) * len(group)])
+        merged = _run_chunks(_merge_rows, [(chunks, probs.shape[1]) for chunks in drawn], nworkers)
+        del drawn
+        size = _chunk_size(cluster)
+        owner, blocks = [], []
+        for i, (x, k, (rows, count)) in enumerate(zip(p.tolist(), K.tolist(), merged)):
+            # as few blocks as a chunk's size allows, all of about one size
+            n = len(rows)
+            cuts = -(-n // size)
+            for lo, hi in ((j * n // cuts, (j + 1) * n // cuts) for j in range(cuts)):
+                owner.append(i)
+                blocks.append((x, k, cluster, rows[lo:hi], count[lo:hi]))
+        partials = [[] for _ in merged]
+        for i, sums in zip(owner, _run_chunks(_weigh_rows, blocks, nworkers)):
+            partials[i].append(sums)
+        return tuple(np.array([_combine_chunks(cluster, point) for point in partials]).T)
     work = exact_work(cluster)
     if work > TERM_BUDGET:
         raise TooManyTerms(
@@ -625,7 +722,7 @@ def gap(
     `terms` is the sample count of a sampled gap, and the number of joint
     disorder assignments (3^S or 5^S) of an exact one. A sampled gap needs
     at least MIN_MC_SAMPLES samples and a seed in [0, 2**128); see
-    `_sampled_chunks` for its draws.
+    `_sampled_rows` for its draws.
     """
     delta, std_error, _ = gap_batch(
         channel.kind, [channel.p], [channel.q], cluster, policy,

@@ -353,16 +353,30 @@ def test_state_indices_outside_the_support_are_refused(dtype, bad):
     log_factor_batch(builtin_cluster("A"), count_rows(builtin_cluster("A"), idx), [0.7])
 
 
-def test_sampled_rows_that_rounding_cannot_sign_are_refused():
-    # a Monte Carlo chunk checks every distinct row's bound, so a sampled gap
-    # refuses the cancelling row instead of averaging its noise
+def test_sampled_rows_that_rounding_cannot_sign_are_refused(monkeypatch):
+    # a sampled gap checks every distinct row of its whole draw, so it
+    # refuses the cancelling row instead of averaging its noise, even when
+    # the row is drawn once, in one of several chunks
     spec = _cancelling_cluster()
-    K, probs = replica._round_points("uncorrelated", [1e-6], [0.0])
-    chunk = replica._sampled_chunks(1e-6, float(K[0]), probs[0], spec)
-    # between the first two cumulative probabilities: state 1, sign -1, on every slot
-    u = np.full((64, 6), 1.0 - 0.5e-6)
-    with pytest.raises(UnsignedDual):
-        chunk(u)
-    u[:] = 0.5
-    total, *_ = chunk(u)
-    assert math.isfinite(total)
+    monkeypatch.setattr(replica, "_CHUNK_MAX", 1000)
+    bounds = replica._chunk_bounds(3000, spec)
+    assert len(bounds) == 3
+    host = {"lo": None}
+
+    def uniforms(seed, cluster, lo, hi):
+        u = np.full((hi - lo, cluster.slot_count), 0.5)
+        if lo == host["lo"]:
+            # between the first two cumulative probabilities: state 1, sign -1, on every slot
+            u[7] = 1.0 - 0.5e-6
+        return u
+
+    monkeypatch.setattr(replica, "_chunk_uniforms", uniforms)
+    args = ("uncorrelated", [1e-6, 2e-6], [0.0, 0.0], spec, replica.MONTE_CARLO)
+    for workers in (1, 2):
+        for lo, _ in bounds:
+            host["lo"] = lo
+            with pytest.raises(UnsignedDual, match=r"signs \[-1, -1, -1, -1, -1, -1\]"):
+                replica.gap_batch(*args, mc_samples=3000, workers=workers)
+        host["lo"] = None
+        delta, *_ = replica.gap_batch(*args, mc_samples=3000, workers=workers)
+        assert all(math.isfinite(d) for d in delta)

@@ -240,7 +240,7 @@ def test_monte_carlo_reproducible_and_seed_sensitive():
 
 def test_monte_carlo_worker_independence(monkeypatch):
     # small chunks, so that the draw spans 8 of them with a partial last one
-    # and the in-order combine of chunk sums is exercised
+    # and the merge of the chunks' distinct rows is exercised
     monkeypatch.setattr(replica, "_CHUNK_MAX", 4096)
     channel = ChannelSpec("depolarizing", 0.17, 0.05)
     spec = builtin_cluster("D")
@@ -400,9 +400,9 @@ def _word_count(m: int, S: int, n: int) -> int:
 
 @pytest.mark.parametrize("m, S, words", [(3, 12, 1), (3, 60, 2), (3, 80, 3), (5, 30, 2)])
 def test_distinct_rows_come_in_lexsort_order(m, S, words):
-    # the Monte Carlo chunk sums add distinct rows in this order, so their
-    # bits rest on it. Rows are drawn from a few bases with a few digits
-    # changed, so that many repeat and many agree in every word but one.
+    # a sampled point weighs its merged distinct rows in this order, so the
+    # bits of its sums rest on it. Rows are drawn from a few bases with a few
+    # digits changed, so that many repeat and many agree in every word but one.
     assert _word_count(m, S, 20_000) == words
     rng = np.random.default_rng(100 * m + S)
     base = rng.integers(0, m, size=(4, S))
@@ -524,6 +524,108 @@ def test_shared_draws_stay_within_the_worker_count(monkeypatch, workers):
     assert seen["draws"] == 8
     assert 1 <= seen["most_alive"] <= workers
     assert seen["alive"] == 0
+
+
+def _whole_draw(kind: str, p: float, q: float, spec: ClusterSpec, samples: int, seed: int) -> Counter:
+    """How often each row of states occurs in a point's whole draw, every chunk's uniforms mapped by searchsorted."""
+    cum = np.cumsum(model.disorder_probs(kind, p, q))
+    cum[-1] = 1.0
+    drawn = Counter()
+    for lo, hi in replica._chunk_bounds(samples, spec):
+        u = replica._chunk_uniforms(seed, spec, lo, hi)
+        drawn.update(map(tuple, np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1).tolist()))
+    return drawn
+
+
+def _eight_chunk_b(monkeypatch):
+    monkeypatch.setattr(replica, "_CHUNK_MAX", 4096)
+    spec = builtin_cluster("B")
+    assert replica._chunk_size(spec) == 4096 and len(replica._chunk_bounds(30_000, spec)) == 8
+    return spec
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_each_distinct_row_of_a_whole_draw_is_weighed_once(monkeypatch, workers):
+    # the chunks of a draw only decode their rows; a point merges the
+    # chunks' distinct rows and weighs each row of its whole draw once, with
+    # its count over all chunks, in blocks of at most a chunk's rows
+    spec = _eight_chunk_b(monkeypatch)
+    real_count, real_weigh = replica.count_rows, replica._weigh_rows
+    counted, weighed = [], []
+
+    def count_rows_spy(cluster, rows):
+        counted.append(rows.copy())
+        return real_count(cluster, rows)
+
+    def weigh_spy(p, K, cluster, rows, count):
+        weighed.append(dict(zip(map(tuple, rows.tolist()), count.tolist())))
+        return real_weigh(p, K, cluster, rows, count)
+
+    monkeypatch.setattr(replica, "count_rows", count_rows_spy)
+    monkeypatch.setattr(replica, "_weigh_rows", weigh_spy)
+    for p, q in ((0.1, 0.0), (0.08, 0.2), (0.05, 0.3)):
+        counted.clear()
+        weighed.clear()
+        gap_batch("uncorrelated", [p], [q], spec, MONTE_CARLO, mc_samples=30_000, seed=5, workers=workers)
+        drawn = _whole_draw("uncorrelated", p, q, spec, 30_000, seed=5)
+        rows = Counter(map(tuple, np.concatenate(counted).tolist()))
+        assert set(rows) == set(drawn) and set(rows.values()) == {1}
+        assert all(len(block) <= 4096 for block in counted)
+        merged = {}
+        for block in weighed:
+            assert not merged.keys() & block.keys()
+            merged.update(block)
+        assert merged == dict(drawn)
+        if q > 0.0:
+            # past one block of distinct rows, so block sums are combined too
+            assert len(drawn) > 4096 and len(counted) >= 2
+
+
+def test_merged_draws_are_worker_independent(monkeypatch):
+    # a call of several points, each merging eight chunks, gives the same
+    # arrays whatever the number of workers
+    spec = _eight_chunk_b(monkeypatch)
+    p, q = [0.1, 0.09, 0.07, 0.05, 0.03], [0.0, 0.1, 0.2, 0.3, 0.4]
+    runs = [
+        gap_batch("uncorrelated", p, q, spec, MONTE_CARLO, mc_samples=30_000, seed=5, workers=workers)
+        for workers in (1, 2, 4)
+    ]
+    for run in runs[1:]:
+        for got, expected in zip(run, runs[0]):
+            assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize(
+    "kind, spec",
+    [("uncorrelated", builtin_cluster("B")), ("depolarizing", builtin_cluster("E")),
+     ("uncorrelated", _ring_cluster(12)), ("depolarizing", _wide_cluster(2, 30))],
+    ids=["B", "E", "ring12", "wide2"],
+)
+def test_clean_and_error_slots_come_from_configuration_zero(kind, spec):
+    # every slot sits in cell 0 in configuration 0, where a clean slot has
+    # energy 1 (one layer) or 3 (two), every error state -1 and a lost slot
+    # 0, so E_0 and n_0 give each row's clean and error slots; the score
+    # sums must have the bits of the slots counted one by one
+    rng = np.random.default_rng(spec.slot_count)
+    m = replica.support_size(spec.layers)
+    rows = rng.integers(0, m, size=(400, spec.slot_count)).astype(np.int8)
+    assert np.any(rows == m - 1)
+    clean = np.count_nonzero(rows == 0, axis=1)
+    errors = np.count_nonzero(rows < m - 1, axis=1) - clean
+    zero = []
+    for _ in replica._configuration_zero(count_rows(spec, rows), zero):
+        pass
+    energy, kept = zero
+    assert np.array_equal(energy, ({1: 1, 2: 3}[spec.layers] * clean - errors).astype(np.float64))
+    assert np.array_equal(kept, (clean + errors).astype(np.float64))
+    count = rng.integers(1, 6, size=len(rows))
+    p = 0.1
+    K = model.coupling(kind, p)
+    logp, logd, _, _ = (a[0] for a in log_factor_batch(spec, count_rows(spec, rows), [K]))
+    score = count * replica._score(p, clean, errors)
+    _, _, _, score_delta, score_sum = replica._weigh_rows(p, K, spec, rows, count)
+    assert score_delta == float((score * (logp - logd)).sum())
+    assert score_sum == float(score.sum())
 
 
 def test_monte_carlo_shares_randomness_across_p():
@@ -1334,7 +1436,7 @@ def test_sampled_slope_matches_the_exact_slope(name):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sampled_values_are_the_same_alone_and_in_a_batch(monkeypatch, workers):
-    # the slope's chunk sums combine in chunk order, as the gap's do, so
+    # the slope's block sums combine in block order, as the gap's do, so
     # each of a sampled point's three values keeps its bits alone, beside
     # other points and over any number of workers
     spec, points = _eight_chunk_case(monkeypatch)
