@@ -15,12 +15,11 @@ stream. The search ends with a certificate round whose outer points
 straddle zero: p and p ± tol/2 when exact, and p ± h when sampled, with h
 the larger of tol/2 and half the standard error of p. Where Newton gives up
 (a slope that is not finite and negative, an iterate outside the full
-bracket, a failed certificate or the iteration cap), the search falls back
-to Brent's method (inverse quadratic interpolation and secant steps,
-safeguarded by bisection) on the full bracket [1e-6, 1/2 - 1e-6] (single
-layer) or [1e-6, 3/4 - 1e-6] (two layers), which alone decides that there
-is no sign change, until the bracket is within tol, or within twice the
-standard error of p_c when sampled.
+bracket, a failed certificate or MAX_ITERATIONS rounds), the search falls
+back to bisection of the full bracket [1e-6, 1/2 - 1e-6] (single layer) or
+[1e-6, 3/4 - 1e-6] (two layers), which alone decides that there is no sign
+change, until the bracket is within tol, or within twice the standard error
+of p_c when sampled. As tol >= MIN_TOL, that takes at most 33 halvings.
 
 Each search is a generator that asks for the gap at the points it needs
 next. A sweep advances the searches of all its q values in lockstep: each
@@ -48,7 +47,6 @@ MAX_ITERATIONS = 200
 STATUS_OK = "ok"
 STATUS_NO_THRESHOLD = "no-threshold"
 STATUS_NO_SIGN_CHANGE = "no-sign-change"
-STATUS_NOT_CONVERGED = "no-convergence"
 
 
 class NoSignChange(RuntimeError):
@@ -69,9 +67,9 @@ class ThresholdResult:
     Delta over |slope| at the iterate before; p_c is the end of smaller
     |Delta|, and `iterations` the Newton steps. The last iterate is not
     evaluated itself, so its evaluations are iterations + 2 (the seed and
-    the certificate's ends). For a Brent search, `bracket` is the final
-    bracket, at most max(tol, 2 std_error) wide, and `iterations` its
-    interior iterates. std_error is the Monte Carlo
+    the certificate's ends). For a bisection search, `bracket` is the final
+    bracket, at most max(tol, 2 std_error) wide, p_c its end of smaller
+    |Delta|, and `iterations` its halvings. std_error is the Monte Carlo
     standard error of p_c in units of p: sigma_Delta at p_c / |dDelta/dp|
     by the delta method, with the secant of `bracket` as the slope. It is
     0.0 for exact runs. evaluations counts the gap evaluations the search
@@ -127,9 +125,9 @@ def solve_threshold(
     The search takes Newton steps from the root of the one-unit closed form
     for (channel_kind, q), on the exact slope or, with policy "monte-carlo",
     on the sampled one, and certifies the last iterate (see `_newton`).
-    Where Newton gives up or the closed form has no root, the search starts
-    again on the full bracket with Brent's method; every point spent before
-    counts in `evaluations` too.
+    Where Newton gives up or the closed form has no root, the search bisects
+    the full bracket instead; every point spent before counts in
+    `evaluations` too.
 
     Returns a no-threshold result (p_c = 0) for the one-unit clusters when
     q >= 1/2, where the closed form shows the gap is negative for every p.
@@ -138,10 +136,7 @@ def solve_threshold(
     signals the q >= 1/2 regime of a larger cluster or a broken geometry. Raises
     ValueError for a tol that is not finite or is below MIN_TOL, for a
     `workers` that is not an integer of at least 1, and for a Monte Carlo
-    seed that is not an integer in [0, 2**128). A Brent search that takes
-    MAX_ITERATIONS steps without closing the bracket keeps its best iterate
-    with status "no-convergence"; Newton steps that reach the cap fall back
-    to Brent.
+    seed that is not an integer in [0, 2**128).
     """
     model.check_rate("loss rate q", q)
     spec = _resolve_cluster(cluster)
@@ -203,9 +198,11 @@ def _search(kind, name, q, method, tol, root):
 
     It takes Newton steps from the root (`_newton`) and returns their result
     if they certify one. Otherwise, or with no root, it asks for the full
-    bracket's ends, then for Brent's iterates. Returns the ThresholdResult
-    with every requested point counted in `evaluations`; raises
-    NoSignChange when the full bracket's ends do not straddle zero.
+    bracket's ends, then bisects: each step asks for the midpoint, (p,),
+    and keeps the half whose ends straddle zero, until the bracket is no
+    wider than max(tol, 2 std_error) (see `_bracketed`). Returns the
+    ThresholdResult with every requested point counted in `evaluations`;
+    raises NoSignChange when the full bracket's ends do not straddle zero.
     """
     upper = _upper_bracket(kind)
     spent = 0
@@ -215,13 +212,39 @@ def _search(kind, name, q, method, tol, root):
             return outcome
         spent = outcome
     a, b = BRACKET_LO, upper
-    (fa, _, _), (fb, _, _) = yield (a, b)
+    (fa, sigma_a, _), (fb, sigma_b, _) = yield (a, b)
     spent += 2
-    if fa > replica.GAP_FLOOR and fb < -replica.GAP_FLOOR:
-        return (yield from _refine(kind, name, q, method, a, b, fa, fb, tol, spent))
-    raise NoSignChange(
-        f"gap does not change sign on [{a}, {b}] for {kind}/{name} at q={q}: "
-        f"Delta({a})={fa:.6g}, Delta({b})={fb:.6g}"
+    if not (fa > replica.GAP_FLOOR and fb < -replica.GAP_FLOOR):
+        raise NoSignChange(
+            f"gap does not change sign on [{a}, {b}] for {kind}/{name} at q={q}: "
+            f"Delta({a})={fa:.6g}, Delta({b})={fb:.6g}"
+        )
+    ends = [(a, fa, sigma_a), (b, fb, sigma_b)]
+    iterations = 0
+    while True:
+        result = _bracketed(kind, name, q, method, ends, iterations, spent + iterations)
+        lo, hi = result.bracket
+        if hi - lo <= max(tol, 2.0 * result.std_error):
+            return result
+        mid = 0.5 * (lo + hi)
+        ((f, sigma, _),) = yield (mid,)
+        iterations += 1
+        # the midpoint replaces the end of its own sign
+        ends[f <= 0.0] = (mid, f, sigma)
+
+
+def _bracketed(kind, name, q, method, ends, iterations, evaluations):
+    """The result of the bracket whose two ends (p, Delta, sigma_Delta) straddle zero.
+
+    p_c is the end of smaller |Delta| (the lower on a tie), residual that
+    |Delta|, and std_error its sigma_Delta over the secant slope of the two
+    ends, so 0.0 on an exact gap.
+    """
+    (lo, f_lo, _), (hi, f_hi, _) = ends
+    best, f, sigma = min(ends, key=lambda end: abs(end[1]))
+    std_error = sigma * abs((hi - lo) / (f_hi - f_lo))
+    return ThresholdResult(
+        kind, name, q, best, abs(f), (lo, hi), iterations, method, STATUS_OK, std_error, evaluations
     )
 
 
@@ -241,9 +264,8 @@ def _newton(kind, name, q, method, tol, p, upper):
     - exact, (p - h, p, p + h): the search returns p, its own |Delta| as
       residual, and the half of the certificate that holds the sign change
       as bracket;
-    - sampled, (p - h, p + h): it returns the end of smaller |Delta| with
-      that |Delta| as residual, the two ends as bracket, and sigma_Delta
-      at that end over the ends' secant slope as std_error.
+    - sampled, (p - h, p + h): it returns the `_bracketed` result of the
+      two ends, as bisection does.
     It gives up, returning the evaluations it spent, when a slope is not
     finite and negative, an iterate leaves (BRACKET_LO, upper), the
     certificate fails or the rounds reach MAX_ITERATIONS.
@@ -267,11 +289,8 @@ def _newton(kind, name, q, method, tol, p, upper):
                 return ThresholdResult(
                     kind, name, q, p, abs(f), bracket, rounds, method, STATUS_OK, 0.0, spent
                 )
-            best, f, sigma = (lo, f_lo, sigma_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi, sigma_hi)
-            std_error = sigma * abs((hi - lo) / (f_hi - f_lo))
-            return ThresholdResult(
-                kind, name, q, best, abs(f), (lo, hi), rounds, method, STATUS_OK, std_error, spent
-            )
+            ends = [(lo, f_lo, sigma_lo), (hi, f_hi, sigma_hi)]
+            return _bracketed(kind, name, q, method, ends, rounds, spent)
         ((f, sigma, slope),) = reply
         if not -math.inf < slope < 0.0:
             return spent
@@ -327,65 +346,6 @@ def _closed_form_root(kind: str, q: float) -> float | None:
         if abs(nxt - p) <= MIN_TOL:
             return nxt
         p = nxt
-
-
-def _refine(kind, name, q, method, a, b, fa, fb, tol, spent):
-    """Brent's zeroin on [a, b] with Delta(a) > 0 > Delta(b), as a generator.
-
-    It yields each iterate p as a one-point request, (p,), and is sent back
-    [(Delta(p), its standard error, its slope)]; it returns the
-    ThresholdResult, whose `evaluations` adds its iterations to the `spent`
-    evaluations before it. b is the best iterate, c the end of the bracket
-    with the other sign, a the previous b.
-    Steps are interpolations kept well inside the bracket, else midpoints,
-    and at least half the stopping width long. It stops at
-    |c - b| <= max(tol, 2 sigma_p), with sigma_p the latest interior gap's
-    standard error over the secant slope of [b, c], so a sampled gap is not
-    refined below its own noise.
-    """
-    c, fc = a, fa
-    d = e = b - a
-    sigma = 0.0
-    iterations = 0
-    while True:
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        sigma_p = sigma * abs((c - b) / (fc - fb))
-        half = 0.5 * max(tol, 2.0 * sigma_p)
-        mid = 0.5 * (c - b)
-        converged = abs(mid) <= half or fb == 0.0
-        if converged or iterations == MAX_ITERATIONS:
-            break
-        if abs(e) >= half and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                num, den = 2.0 * mid * s, 1.0 - s
-            else:
-                r, t = fa / fc, fb / fc
-                num = s * (2.0 * mid * r * (r - t) - (b - a) * (t - 1.0))
-                den = (r - 1.0) * (t - 1.0) * (s - 1.0)
-            if num > 0.0:
-                den = -den
-            num = abs(num)
-            if 2.0 * num < min(3.0 * mid * den - abs(half * den), abs(e * den)):
-                e, d = d, num / den
-            else:
-                d = e = mid
-        else:
-            d = e = mid
-        a, fa = b, fb
-        b += d if abs(d) > half else math.copysign(half, mid)
-        ((fb, sigma, _),) = yield (b,)
-        iterations += 1
-    status = STATUS_OK if converged else STATUS_NOT_CONVERGED
-    bracket = (min(b, c), max(b, c))
-    return ThresholdResult(
-        kind, name, q, b, abs(fb), bracket, iterations, method, status, sigma_p, spent + iterations
-    )
 
 
 def sweep(

@@ -982,6 +982,10 @@ def test_relabeling_invariance(spec, what):
             assert abs(gap(channel, other).delta - gap(channel, spec).delta) <= 1e-12
 
 
+_ONE_LAYER = model.SUPPORT["uncorrelated"]
+_SIGN_FLIP = np.array([_ONE_LAYER.index(EdgeDisorder(-d.sign)) for d in _ONE_LAYER])
+
+
 @pytest.mark.parametrize(
     "spec", [builtin_cluster("A"), builtin_cluster("B")] + [s for s in _RANDOM_CASES if s.layers == 1],
     ids=lambda s: s.name,
@@ -993,19 +997,87 @@ def test_gauge_flip_invariance_of_primal_rows(spec):
     with parity-indexed dual weights, so a flip multiplies each of its terms
     by -1 per odd non-diluted edge at the spin. On a three-edge star at
     K = 0.7 the rows (+,+,+) and (-,-,-) give ln x_0* = 1.921 and 1.472.
+    Flips along cycles and boundary-to-boundary paths keep it (below).
     """
-    support = model.SUPPORT["uncorrelated"]
-    flip = np.array([support.index(EdgeDisorder(-d.sign)) for d in support])
-    m, S = len(support), spec.slot_count
+    m, S = len(_ONE_LAYER), spec.slot_count
     idx = _all_rows(m, S) if m**S <= 10**4 else np.random.default_rng(6).integers(0, m, (2000, S))
     for p in (0.01, 0.1, 0.3):
         K = model.coupling("uncorrelated", p)
-        base, _, _, _ = _one_point(spec, support, idx, K)
+        base, _, _, _ = _one_point(spec, _ONE_LAYER, idx, K)
         for vid in spec.internal_ids:
             incident = np.array([vid in slot.primal_edge for slot in spec.slots])
-            flipped = np.where(incident, flip[idx], idx)
-            logp, _, _, _ = _one_point(spec, support, flipped, K)
+            flipped = np.where(incident, _SIGN_FLIP[idx], idx)
+            logp, _, _, _ = _one_point(spec, _ONE_LAYER, flipped, K)
             assert np.max(np.abs(logp - base)) <= 1e-12, f"{vid} at p={p}"
+
+
+def _dual_shift(spec: ClusterSpec, flipped: np.ndarray) -> float:
+    """Largest |change| of ln x_0* over random rows when the `flipped` slots change sign.
+
+    The rows are drawn from the one-layer support, lost slots included, and
+    lost slots keep their state. The sign of x_0* must not change either.
+    """
+    idx = np.random.default_rng(24).integers(0, len(_ONE_LAYER), (200, spec.slot_count))
+    assert (idx == _ONE_LAYER.index(EdgeDisorder(0))).any()
+    moved = np.where(flipped, _SIGN_FLIP[idx], idx)
+    worst = 0.0
+    for K in (0.2, 0.7, 1.5):
+        _, base, base_sign, _ = _one_point(spec, _ONE_LAYER, idx, K)
+        _, logd, sign, _ = _one_point(spec, _ONE_LAYER, moved, K)
+        np.testing.assert_array_equal(sign, base_sign)
+        worst = max(worst, float(np.max(np.abs(logd - base))))
+    return worst
+
+
+def _slots_on(spec: ClusterSpec, path: tuple[str, ...]) -> np.ndarray:
+    edges = {frozenset(edge) for edge in zip(path, path[1:])}
+    on = np.array([frozenset(slot.primal_edge) in edges for slot in spec.slots])
+    assert on.sum() == len(edges)
+    return on
+
+
+@pytest.mark.parametrize(
+    "name, path",
+    [
+        ("B", ("i1", "i2", "i3", "i4", "i1")),
+        ("B", ("b1", "i1", "i2", "b3")),
+        ("A", ("b1", "c", "b2")),
+    ],
+    ids=["B-cycle", "B-path", "A-path"],
+)
+def test_gauge_flip_along_a_cycle_or_path_keeps_the_dual(name, path):
+    """Flipping the slots of a cycle, or of a path between boundary spins, keeps every row's ln x_0*.
+
+    Such a set meets every internal spin an even number of times, so an even
+    number of its slots are antiparallel in each configuration, and the
+    factor -1 that a flip puts on an antiparallel slot's dual weight cancels.
+    """
+    spec = builtin_cluster(name)
+    assert _dual_shift(spec, _slots_on(spec, path)) <= 1e-12
+
+
+def test_gauge_flip_of_even_slot_sets_keeps_the_dual_of_random_clusters():
+    # every nonempty set of slots with even degree at each internal spin; at
+    # least two clusters have one through an internal spin, not only slots
+    # between boundary spins
+    through_internal = set()
+    for spec in (s for s in _RANDOM_CASES if s.layers == 1):
+        for flipped in itertools.product((False, True), repeat=spec.slot_count):
+            on = [slot.primal_edge for f, slot in zip(flipped, spec.slots) if f]
+            ends = Counter(v for edge in on for v in edge)
+            if not any(flipped) or any(ends[v] % 2 for v in spec.internal_ids):
+                continue
+            assert _dual_shift(spec, np.array(flipped)) <= 1e-12, f"{spec.name}: {flipped}"
+            if any(ends[v] for v in spec.internal_ids):
+                through_internal.add(spec.name)
+    assert len(through_internal) >= 2
+
+
+def test_gauge_flip_of_one_spin_moves_the_dual():
+    # the negative control: the four slots at i1 meet i2 and i4 once each
+    spec = builtin_cluster("B")
+    at_i1 = np.array(["i1" in slot.primal_edge for slot in spec.slots])
+    assert _dual_shift(spec, at_i1) > 0.5
 
 
 def _configuration_cells(spec: ClusterSpec, start: int = 0, stop: int | None = None) -> np.ndarray:

@@ -21,7 +21,6 @@ from lossthreshold.reference import (
 from lossthreshold.replica import gap_closed_form_single
 from lossthreshold.solver import (
     MIN_TOL,
-    STATUS_NOT_CONVERGED,
     NoSignChange,
     ThresholdResult,
     solve_threshold,
@@ -214,9 +213,9 @@ CHANNEL_OF = {
 @pytest.mark.parametrize("name", list(CHANNEL_OF))
 def test_gap_evaluations_per_threshold(monkeypatch, name):
     # bisection with secant steps spent about 21 evaluations per threshold,
-    # Brent on the full bracket 8.3-8.7, Brent on a +-4e-3 bracket about the
-    # closed-form root (since removed) 5.0-5.7; Newton spends the seed, one
-    # iterate per step and the certificate's two outer points
+    # Brent's method (since removed) on the full bracket 8.3-8.7 and on a
+    # +-4e-3 bracket about the closed-form root 5.0-5.7; Newton spends the
+    # seed, one iterate per step and the certificate's two outer points
     calls = _count_gap_calls(monkeypatch)
     kind, spec = CHANNEL_OF[name], builtin_cluster(name)
     for q in REFERENCE_Q:
@@ -283,7 +282,7 @@ def test_misplaced_seed_falls_back_to_full_bracket(monkeypatch, name):
         assert result.ok
         assert abs(result.p_c - expected.p_c) <= 1e-7
         assert calls[1:3] == [solver.BRACKET_LO, solver._upper_bracket(kind)]
-        # the seed, the full bracket's ends and Brent's iterates
+        # the seed, the full bracket's ends and the bisection midpoints
         assert result.evaluations == len(calls) == result.iterations + 3
 
 
@@ -308,7 +307,7 @@ def test_newton_steps_recover_a_distant_seed(monkeypatch, name):
 @pytest.mark.parametrize("slope", [math.nan, 1.0], ids=["nan", "positive"])
 def test_unusable_slope_falls_back_to_full_bracket(monkeypatch, slope):
     # Newton needs a finite negative slope; without one the search falls
-    # back to Brent on the full bracket, and the evaluation it spent counts
+    # back to bisection of the full bracket, and the evaluation it spent counts
     kind, spec = "depolarizing", builtin_cluster("D")
     reference = [solve_threshold(kind, spec, q, tol=1e-10) for q in REFERENCE_Q]
     real_batch = replica.gap_batch
@@ -360,7 +359,7 @@ def test_unusable_sampled_slope_falls_back_to_full_bracket(monkeypatch, scale):
     # a NaN or positive sampled slope stops Newton after the seed; half the
     # slope doubles the step, which overshoots the sampled root by about
     # the seed's distance from it, past the certificate's half-width at
-    # these q, so its ends do not straddle zero. Brent on the full bracket
+    # these q, so its ends do not straddle zero. Bisection of the full bracket
     # then stops at max(tol, 2 sigma_p), and every point counts.
     kind, spec = "uncorrelated", builtin_cluster("B")
     real_batch = replica.gap_batch
@@ -383,31 +382,54 @@ def test_unusable_sampled_slope_falls_back_to_full_bracket(monkeypatch, scale):
         assert result.bracket[1] - result.bracket[0] <= max(1e-7, 2.0 * result.std_error)
 
 
-def test_iteration_cap_reports_no_convergence(monkeypatch, capsys):
-    # a capped search once reported ok, e.g. D at q = 0.1 gave p_c = 0.1451 (true 0.1598);
-    # the sampled search below certifies after one Newton step, so only a
-    # cap of 0 holds it, in its Newton rounds and in Brent's that follow
+def _bisection_steps(kind: str, tol: float) -> int:
+    """Halvings that take the full bracket to within tol."""
+    return math.ceil(math.log2((solver._upper_bracket(kind) - solver.BRACKET_LO) / tol))
+
+
+def test_iteration_cap_falls_back_to_bisection(monkeypatch, capsys):
+    # a cap of 0 stops Newton before its first round, so both searches
+    # bisect the full bracket; bisection has no cap of its own, since
+    # tol >= MIN_TOL bounds its halvings
+    unpatched = solve_threshold("depolarizing", "D", 0.1)
     monkeypatch.setattr(solver, "MAX_ITERATIONS", 0)
     exact = solve_threshold("depolarizing", "D", 0.1)
     sampled = solve_threshold(
         "uncorrelated", "single", 0.0, tol=1e-4, policy="monte-carlo", mc_samples=20_000, seed=4
     )
-    for result in (exact, sampled):
-        assert result.status == STATUS_NOT_CONVERGED
-        assert not result.ok
-        assert result.iterations == 0
+    for result, tol in ((exact, 1e-7), (sampled, 1e-4)):
+        assert result.ok
+        assert 0 < result.iterations <= _bisection_steps(result.channel, tol)
+        assert result.evaluations == result.iterations + 2
+        assert result.bracket[0] <= result.p_c <= result.bracket[1]
+        assert result.bracket[1] - result.bracket[0] <= max(tol, 2.0 * result.std_error)
+    assert abs(exact.p_c - unpatched.p_c) <= 1e-7
+    assert sampled.std_error > 0.0
     code = cli.main(
         ["threshold", "--channel", "depolarizing", "--cluster", "D", "--loss", "0.1",
          "--format", "csv"]
     )
-    assert code == cli.EXIT_NO_THRESHOLD
-    assert ",no-convergence," in capsys.readouterr().out
+    assert code == cli.EXIT_OK
+    assert "no-convergence" not in capsys.readouterr().out
     code = cli.main(
         ["sweep", "--channel", "uncorrelated", "--cluster", "single", "--q-to", "0.1",
          "--q-step", "0.1", "--mc-samples", "20000", "--seed", "4", "--format", "csv"]
     )
-    assert code == cli.EXIT_NO_THRESHOLD
-    assert capsys.readouterr().out.count(",no-convergence,") == 2
+    assert code == cli.EXIT_OK
+    assert "no-convergence" not in capsys.readouterr().out
+
+
+def test_bisection_at_min_tol_takes_at_most_33_steps(monkeypatch):
+    # the two-layer bracket is the wider one
+    assert _bisection_steps("depolarizing", MIN_TOL) == 33
+    unpatched = solve_threshold("depolarizing", "D", 0.1, tol=MIN_TOL)
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 0)
+    result = solve_threshold("depolarizing", "D", 0.1, tol=MIN_TOL)
+    assert result.ok
+    assert result.iterations <= 33
+    assert result.evaluations == result.iterations + 2
+    assert result.bracket[1] - result.bracket[0] <= MIN_TOL
+    assert abs(result.p_c - unpatched.p_c) <= MIN_TOL
 
 
 def test_monte_carlo_error_is_in_units_of_p():
