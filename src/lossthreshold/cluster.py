@@ -423,6 +423,7 @@ def load_cluster_file(path: str) -> ClusterSpec:
             data = json.load(fh)
     except OSError as exc:
         raise ClusterFileError(f"cannot read cluster file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ClusterFileError(f"cluster file {path} is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested past the decoder's depth
+        raise ClusterFileError(f"cluster file {path} cannot be read as UTF-8 JSON: {exc}") from exc
     return cluster_from_dict(data)

@@ -31,9 +31,10 @@ which keeps the estimated gap continuous during root finding, so one call
 draws each chunk once, in groups of `worker_count` chunks, for all its
 points. Sampled rows repeat often, within a chunk and across chunks, so a
 chunk only decodes its rows into distinct ones, and a point merges the
-distinct rows of all its chunks and counts and weighs each row of its
-whole draw once: near the root of B at 100 000 samples, 1.2 % (q = 0) to
-21 % (q = 0.3) of the drawn rows.
+distinct rows of all its chunks, counts and weighs each row of its whole
+draw once, in kernel slices, and takes its moments in one pass over all
+of them: near the root of B at 100 000 samples, 1.2 % (q = 0) to 21 %
+(q = 0.3) of the drawn rows.
 
 `gap_batch` evaluates many (p, q) points on one cluster in one call, as a
 root finder's round does: it takes the channel kind and sequences of p and
@@ -47,12 +48,13 @@ from `model.disorder_probs`, so a point has the same bits in any round.
 `gap` is its one-point case, from a `ChannelSpec` to a `GapEvaluation`,
 for either policy. Exact points share array operations in slices on the
 calling thread, sampled points share the draws of each chunk and a pool of
-decoded chunks and weighed blocks, and no point's value depends on its
+decoded chunks and weighed slices, and no point's value depends on its
 neighbours in the call.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import os
@@ -98,19 +100,19 @@ EXACT_SLICE = 2 * CONFIG_BLOCK
 
 # Monte Carlo samples are drawn in fixed-size chunks. The partition depends
 # only on the cluster and the sample count, never on the worker count, and so
-# do a point's merged distinct rows and its blocks of them, so parallel runs
-# are bit-identical: block sums are combined in block order with fsum. The
+# do a point's merged distinct rows and their order, so parallel runs are
+# bit-identical: a point's moments are sums over its rows in that order. The
 # draws themselves depend on the partition (a chunk's stream starts at its
-# first sample times the slot count). A chunk, and a block of distinct rows,
-# holds _CHUNK_TARGET (row, configuration) pairs of one count table
-# (`count_block`).
+# first sample times the slot count). A chunk holds _CHUNK_TARGET (row,
+# configuration) pairs of one count table (`count_block`), and a kernel slice
+# of distinct rows no more.
 _CHUNK_TARGET = 1 << 20
 _CHUNK_MAX = 1 << 16
-# `_distinct_rows` packs rows, and `_weigh_rows` runs the kernel on them, this
-# many at a time: the packing's float copy stays small (2.7 MB at 41 slots)
-# however many rows a point merges, and on B the kernel's values step cost
-# twice as much per row at 16 384 rows and more as at 8 192 or fewer (2-vCPU
-# VM, numpy 2.4.6, one BLAS thread)
+# `_distinct_rows` packs rows, and `_row_values` runs the kernel on them, at
+# most this many at a time: the packing's float copy stays small (2.7 MB at
+# 41 slots) however many rows a point merges, and on B the kernel's values
+# step cost twice as much per row at 16 384 rows and more as at 8 192 or
+# fewer (2-vCPU VM, numpy 2.4.6, one BLAS thread)
 _ROW_BLOCK = 1 << 13
 
 
@@ -179,7 +181,7 @@ def check_policy(policy: str) -> None:
 
 
 def _chunk_size(cluster: ClusterSpec) -> int:
-    """Rows of a Monte Carlo chunk, and of a block of distinct rows weighed at once."""
+    """Rows of a Monte Carlo chunk, and at most those of a kernel slice of distinct rows."""
     return min(_CHUNK_MAX, _CHUNK_TARGET // count_block(cluster))
 
 
@@ -191,7 +193,8 @@ def _chunk_bounds(total: int, cluster: ClusterSpec) -> list[tuple[int, int]]:
 def _run_chunks(fn, items, workers: int) -> list:
     """[fn(*item) for item in items], over up to `workers` threads.
 
-    It draws and decodes Monte Carlo chunks, and merges and weighs their rows.
+    It draws and decodes Monte Carlo chunks, merges their rows and weighs
+    the (point, slice) items of the merged rows.
     """
     if workers <= 1 or len(items) <= 1:
         return [fn(*item) for item in items]
@@ -523,76 +526,49 @@ def _merge_rows(chunks: list, m: int) -> tuple[np.ndarray, np.ndarray]:
     return _distinct_rows(np.concatenate(rows), m, np.concatenate(count))
 
 
-def _configuration_zero(blocks, into: list):
-    """Pass `count_rows` blocks through, putting the energy and n of configuration 0 into `into` as float64."""
-    for block in blocks:
-        if not into:
-            into.extend(block[:2, 0].astype(np.float64))
-        yield block
+def _row_values(p: float, K: float, cluster: ClusterSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Delta and score, d ln P(row)/dp (`_score`), of each row of a slice of a sampled point's distinct rows.
 
-
-def _weigh_rows(p: float, K: float, cluster: ClusterSpec, rows: np.ndarray, count: np.ndarray):
-    """Count-weighted sums of a sampled gap at one point over a block of its distinct rows.
-
-    The rows go through the kernel, both steps, _ROW_BLOCK at a time
-    (a row's values do not depend on the rows beside it), and every one is
-    checked for a positive dual sum larger than its rounding
-    (NonPositiveDual and UnsignedDual), so every sampled one is. The sums
-    run over the whole block at once. It returns the block's samples
-    and four sums: of Delta, of its squared deviations about the block
-    mean, of score * Delta and of the score, with the score of a row d ln
-    P(row)/dp (`_score`). A row's clean and error slots, as `ClassTable`
-    counts them, come from its counts in configuration 0, where every slot
-    sits in cell 0: there a clean slot has energy e, every error state -1
-    and a lost slot 0, and n counts the slots that are not lost, so
-    clean = (E_0 + n_0) / (e + 1) and errors = n_0 - clean.
+    The rows go through the kernel, both steps (a row's values do not
+    depend on the rows beside it), and every one is checked for a positive
+    dual sum larger than its rounding (NonPositiveDual and UnsignedDual),
+    so every sampled one is. A row's clean and error slots, as `ClassTable`
+    counts them, come from its counts in configuration 0, the first of the
+    first `count_rows` block, where every slot sits in cell 0: there a
+    clean slot has energy e, every error state -1 and a lost slot 0, and n
+    counts the slots that are not lost, so clean = (E_0 + n_0) / (e + 1)
+    and errors = n_0 - clean.
     """
-    parts = []
-    for lo in range(0, len(rows), _ROW_BLOCK):
-        zero = []
-        blocks = _configuration_zero(count_rows(cluster, rows[lo : lo + _ROW_BLOCK]), zero)
-        parts.append([a[0] for a in log_factor_batch(cluster, blocks, [K])] + zero)
-    logp, logd, sign, rounding, energy, kept = (np.concatenate(a) for a in zip(*parts))
+    blocks = count_rows(cluster, rows)
+    first = next(blocks)
+    energy, kept = first[:2, 0].astype(np.float64)
+    logp, logd, sign, rounding = (a[0] for a in log_factor_batch(cluster, itertools.chain([first], blocks), [K]))
     _require_positive_dual(cluster, sign <= 0, rows, K, rounding)
-    delta = logp - logd
-    samples = int(count.sum())
-    total = float((count * delta).sum())
     clean = (energy + kept) / (_cell_energies(model.LAYER_SUPPORT[cluster.layers][0])[0] + 1)
-    score = count * _score(p, clean, kept - clean)
-    return (
-        samples,
-        total,
-        float((count * (delta - total / samples) ** 2).sum()),
-        float((score * delta).sum()),
-        float(score.sum()),
-    )
+    return logp - logd, _score(p, clean, kept - clean)
 
 
-def _combine_chunks(cluster: ClusterSpec, partials) -> tuple[float, float, float]:
-    """Mean, standard error and slope of a sampled gap from its block sums, each combined in block order.
+def _sampled_gap(cluster: ClusterSpec, count: np.ndarray, delta, score) -> tuple[float, float, float]:
+    """Mean, standard error and slope of a sampled gap from its slices' `_row_values`, joined in order.
 
-    `partials` holds the `_weigh_rows` sums of a point's blocks of distinct
-    rows, in the key order of its merged draw. The variance takes each
-    block's squared deviations about its own mean and moves them to the
-    overall mean (the pairwise update of Chan, Golub and LeVeque 1979). The
-    slope is the score-function estimate of dDelta/dp (Glynn 1990; the
-    gauge identity of `_exact_gaps` leaves only the probabilities'
-    derivative): (fsum(count * score * Delta) - mean * fsum(count * score))
-    / samples, the mean score, whose expectation is 0, serving as a control
-    variate. The blocks are fixed by the point's merged rows and the chunk
-    size, so no value depends on the worker count or on the other points
-    of the call.
+    `count` holds how often each of the point's merged distinct rows was
+    drawn, in their key order, which the slices follow. Each moment is one
+    sum over the whole point: the mean of Delta, the variance about it
+    (two passes), and the slope, the score-function estimate of dDelta/dp
+    (Glynn 1990; the gauge identity of `_exact_gaps` leaves only the
+    probabilities' derivative): (sum(count * score * Delta) - mean *
+    sum(count * score)) / samples, the mean score, whose expectation is 0,
+    serving as a control variate. The rows and their order are fixed by the
+    point's draw, so no value depends on the worker count or on the other
+    points of the call.
     """
-    sizes, totals, m2s, score_deltas, scores = zip(*partials)
-    samples = sum(sizes)
-    mean = math.fsum(totals) / samples
-    variance = math.fsum(
-        m2 + n * (total / n - mean) ** 2 for n, total, m2 in zip(sizes, totals, m2s)
-    ) / (samples - 1)
-    std_error = math.sqrt(variance / samples)
+    delta, score = np.concatenate(delta), count * np.concatenate(score)
+    samples = int(count.sum())
+    mean = float((count * delta).sum()) / samples
     if not math.isfinite(mean):
         raise NonFinite(f"sampled gap on cluster {cluster.name!r} is not finite")
-    return mean, std_error, (math.fsum(score_deltas) - mean * math.fsum(scores)) / samples
+    std_error = math.sqrt(float((count * (delta - mean) ** 2).sum()) / (samples - 1) / samples)
+    return mean, std_error, (float((score * delta).sum()) - mean * float(score.sum())) / samples
 
 
 def _sample_count(mc_samples: int | None) -> int:
@@ -621,7 +597,7 @@ def gap_batch(
     Returns three float arrays in the order of the points; the standard
     error is 0.0 on exact points. The slope is the exact one on exact points
     (see `_exact_gaps`), and the score-function estimate from the same
-    samples on sampled ones (see `_combine_chunks`). The points are checked
+    samples on sampled ones (see `_sampled_gap`). The points are checked
     once, by `model.check_points` (see `_round_points`), and no object is
     built per point.
 
@@ -639,11 +615,11 @@ def gap_batch(
     call draws each chunk once, whatever its number of points, and holds at
     most `worker_count(workers)` draws at a time. Weigh: each point merges
     its chunks' distinct rows into those of its whole draw, in key order
-    with summed counts (`_merge_rows`), and cuts them into as few blocks of
-    at most one chunk's rows as it can, of sizes that differ by at most
-    one; every (point, block) item goes through the kernel and the checks
-    once (`_weigh_rows`), and a point's block sums are combined in block
-    order (`_combine_chunks`). An explicit `workers` below 1 is refused on
+    with summed counts (`_merge_rows`), and cuts them into slices of
+    min(_ROW_BLOCK, `_chunk_size`) rows; every (point, slice) item goes
+    through the kernel and the checks once (`_row_values`), and a point
+    joins its slices in order and takes its moments in one pass over them
+    (`_sampled_gap`). An explicit `workers` below 1 is refused on
     either path, and so is a sampled `mc_samples` or `seed` that is not an
     integer. Each point's values are bit-identical to evaluating it alone,
     with any worker count.
@@ -673,19 +649,18 @@ def gap_batch(
                 point.extend(sets[i * len(group) : (i + 1) * len(group)])
         merged = _run_chunks(_merge_rows, [(chunks, probs.shape[1]) for chunks in drawn], nworkers)
         del drawn
-        size = _chunk_size(cluster)
-        owner, blocks = [], []
-        for i, (x, k, (rows, count)) in enumerate(zip(p.tolist(), K.tolist(), merged)):
-            # as few blocks as a chunk's size allows, all of about one size
-            n = len(rows)
-            cuts = -(-n // size)
-            for lo, hi in ((j * n // cuts, (j + 1) * n // cuts) for j in range(cuts)):
-                owner.append(i)
-                blocks.append((x, k, cluster, rows[lo:hi], count[lo:hi]))
-        partials = [[] for _ in merged]
-        for i, sums in zip(owner, _run_chunks(_weigh_rows, blocks, nworkers)):
-            partials[i].append(sums)
-        return tuple(np.array([_combine_chunks(cluster, point) for point in partials]).T)
+        size = min(_ROW_BLOCK, _chunk_size(cluster))
+        starts = [range(0, len(rows), size) for rows, _ in merged]
+        items = [
+            (x, k, cluster, rows[lo : lo + size])
+            for x, k, (rows, _), los in zip(p.tolist(), K.tolist(), merged, starts)
+            for lo in los
+        ]
+        values = iter(_run_chunks(_row_values, items, nworkers))
+        return tuple(np.array([
+            _sampled_gap(cluster, count, *zip(*itertools.islice(values, len(los))))
+            for (_, count), los in zip(merged, starts)
+        ]).T)
     work = exact_work(cluster)
     if work > TERM_BUDGET:
         raise TooManyTerms(

@@ -110,6 +110,23 @@ def test_malformed_cluster_file(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"[" * 100_000],
+    ids=["not-utf8", "deeply-nested"],
+)
+def test_unreadable_cluster_file_is_a_bad_cluster(capsys, tmp_path, content):
+    # a file that is not UTF-8, or whose JSON nests past the decoder's
+    # recursion limit, is a bad cluster file, not a crash
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code = cli.main(["sweep", "--channel", "uncorrelated", "--cluster", f"file:{path}"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_BAD_CLUSTER
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
 def test_cluster_file_with_a_null_vertex_id_is_refused(capsys, tmp_path):
     # read through str(), the centre of star A would be the vertex "None"
     data = cluster_to_dict(builtin_cluster("A"))

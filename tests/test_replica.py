@@ -309,19 +309,34 @@ def test_monte_carlo_matches_per_sample_sum(monkeypatch, spec):
     # the upper end), agreement is asked to within what one ulp of rounding
     # in every row's delta would move the mean and the standard error.
     monkeypatch.setattr(replica, "_CHUNK_MAX", 8192)
+    real_values = replica._row_values
+    sliced = []
+
+    def values_spy(*args):
+        sliced.append(1)
+        return real_values(*args)
+
+    monkeypatch.setattr(replica, "_row_values", values_spy)
     kind = "uncorrelated" if spec.layers == 1 else "depolarizing"
     upper = (0.5 if spec.layers == 1 else 0.75) - BRACKET_MARGIN
     samples = 20_000
     assert len(replica._chunk_bounds(samples, spec)) == 3
+    slices = []
     for q in (0.0, 0.2, 0.4):
         near = solve_threshold(kind, "single" if spec.layers == 1 else "C", q).p_c
         for p in (BRACKET_LO, near, upper):
             channel = ChannelSpec(kind, p, q)
+            sliced.clear()
             got = gap(channel, spec, MONTE_CARLO, mc_samples=samples, seed=4)
+            slices.append(len(sliced))
             mean, std_error, rms = _per_sample_monte_carlo(channel, spec, samples, seed=4)
             ulp = np.finfo(float).eps * rms
             assert got.delta == pytest.approx(mean, rel=1e-12, abs=ulp)
             assert got.std_error == pytest.approx(std_error, rel=1e-12, abs=ulp / math.sqrt(samples))
+    # a cluster with more possible rows than one slice holds has points whose
+    # distinct rows span several slices, joined before any moment is taken
+    size = min(replica._ROW_BLOCK, replica._chunk_size(spec))
+    assert (max(slices) > 1) == (replica.support_size(spec.layers) ** spec.slot_count > size)
 
 
 def _ring_cluster(spins: int) -> ClusterSpec:
@@ -547,38 +562,41 @@ def _eight_chunk_b(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_each_distinct_row_of_a_whole_draw_is_weighed_once(monkeypatch, workers):
     # the chunks of a draw only decode their rows; a point merges the
-    # chunks' distinct rows and weighs each row of its whole draw once, with
-    # its count over all chunks, in blocks of at most a chunk's rows
+    # chunks' distinct rows, with their counts over all chunks, and weighs
+    # each row of its whole draw once, in slices of at most a chunk's rows
     spec = _eight_chunk_b(monkeypatch)
-    real_count, real_weigh = replica.count_rows, replica._weigh_rows
-    counted, weighed = [], []
+    size = min(replica._ROW_BLOCK, replica._chunk_size(spec))
+    real_count, real_values, real_merge = replica.count_rows, replica._row_values, replica._merge_rows
+    counted, sliced, merged = [], [], []
 
     def count_rows_spy(cluster, rows):
         counted.append(rows.copy())
         return real_count(cluster, rows)
 
-    def weigh_spy(p, K, cluster, rows, count):
-        weighed.append(dict(zip(map(tuple, rows.tolist()), count.tolist())))
-        return real_weigh(p, K, cluster, rows, count)
+    def values_spy(p, K, cluster, rows):
+        sliced.append(len(rows))
+        return real_values(p, K, cluster, rows)
+
+    def merge_spy(chunks, m):
+        rows, count = real_merge(chunks, m)
+        merged.append(dict(zip(map(tuple, rows.tolist()), count.tolist())))
+        return rows, count
 
     monkeypatch.setattr(replica, "count_rows", count_rows_spy)
-    monkeypatch.setattr(replica, "_weigh_rows", weigh_spy)
+    monkeypatch.setattr(replica, "_row_values", values_spy)
+    monkeypatch.setattr(replica, "_merge_rows", merge_spy)
     for p, q in ((0.1, 0.0), (0.08, 0.2), (0.05, 0.3)):
-        counted.clear()
-        weighed.clear()
+        for seen in (counted, sliced, merged):
+            seen.clear()
         gap_batch("uncorrelated", [p], [q], spec, MONTE_CARLO, mc_samples=30_000, seed=5, workers=workers)
         drawn = _whole_draw("uncorrelated", p, q, spec, 30_000, seed=5)
         rows = Counter(map(tuple, np.concatenate(counted).tolist()))
         assert set(rows) == set(drawn) and set(rows.values()) == {1}
-        assert all(len(block) <= 4096 for block in counted)
-        merged = {}
-        for block in weighed:
-            assert not merged.keys() & block.keys()
-            merged.update(block)
-        assert merged == dict(drawn)
+        assert sum(sliced) == len(drawn) and all(n <= size for n in sliced)
+        assert merged == [dict(drawn)]
         if q > 0.0:
-            # past one block of distinct rows, so block sums are combined too
-            assert len(drawn) > 4096 and len(counted) >= 2
+            # past one slice of distinct rows, so a point joins several
+            assert len(drawn) > size and len(sliced) >= 2
 
 
 def test_merged_draws_are_worker_independent(monkeypatch):
@@ -595,6 +613,29 @@ def test_merged_draws_are_worker_independent(monkeypatch):
             assert np.array_equal(got, expected)
 
 
+def test_one_point_slices_are_pooled_and_worker_independent(monkeypatch):
+    # a single sampled point past one slice of distinct rows hands its
+    # slices to the pool, and its values keep their bits at any worker count
+    spec = _eight_chunk_b(monkeypatch)
+    real_run = replica._run_chunks
+    weighed = []
+
+    def recorded(fn, items, workers):
+        if fn is replica._row_values:
+            weighed.append((len(items), workers))
+        return real_run(fn, items, workers)
+
+    monkeypatch.setattr(replica, "_run_chunks", recorded)
+    runs = []
+    for workers in (1, 2, 4):
+        runs.append(gap_batch("uncorrelated", [0.05], [0.3], spec, MONTE_CARLO,
+                              mc_samples=30_000, seed=5, workers=workers))
+    assert weighed[1][0] > 1 and weighed[1][1] == 2
+    for run in runs[1:]:
+        for got, expected in zip(run, runs[0]):
+            assert np.array_equal(got, expected)
+
+
 @pytest.mark.parametrize(
     "kind, spec",
     [("uncorrelated", builtin_cluster("B")), ("depolarizing", builtin_cluster("E")),
@@ -604,28 +645,23 @@ def test_merged_draws_are_worker_independent(monkeypatch):
 def test_clean_and_error_slots_come_from_configuration_zero(kind, spec):
     # every slot sits in cell 0 in configuration 0, where a clean slot has
     # energy 1 (one layer) or 3 (two), every error state -1 and a lost slot
-    # 0, so E_0 and n_0 give each row's clean and error slots; the score
-    # sums must have the bits of the slots counted one by one
+    # 0, so E_0 and n_0 give each row's clean and error slots; each row's
+    # score must have the bits of the slots counted one by one
     rng = np.random.default_rng(spec.slot_count)
     m = replica.support_size(spec.layers)
     rows = rng.integers(0, m, size=(400, spec.slot_count)).astype(np.int8)
     assert np.any(rows == m - 1)
     clean = np.count_nonzero(rows == 0, axis=1)
     errors = np.count_nonzero(rows < m - 1, axis=1) - clean
-    zero = []
-    for _ in replica._configuration_zero(count_rows(spec, rows), zero):
-        pass
-    energy, kept = zero
-    assert np.array_equal(energy, ({1: 1, 2: 3}[spec.layers] * clean - errors).astype(np.float64))
-    assert np.array_equal(kept, (clean + errors).astype(np.float64))
-    count = rng.integers(1, 6, size=len(rows))
+    energy, kept = next(count_rows(spec, rows))[:2, 0]
+    assert np.array_equal(energy, {1: 1, 2: 3}[spec.layers] * clean - errors)
+    assert np.array_equal(kept, clean + errors)
     p = 0.1
     K = model.coupling(kind, p)
     logp, logd, _, _ = (a[0] for a in log_factor_batch(spec, count_rows(spec, rows), [K]))
-    score = count * replica._score(p, clean, errors)
-    _, _, _, score_delta, score_sum = replica._weigh_rows(p, K, spec, rows, count)
-    assert score_delta == float((score * (logp - logd)).sum())
-    assert score_sum == float(score.sum())
+    delta, score = replica._row_values(p, K, spec, rows)
+    assert np.array_equal(delta, logp - logd)
+    assert np.array_equal(score, replica._score(p, clean, errors))
 
 
 def test_monte_carlo_shares_randomness_across_p():
@@ -1508,9 +1544,9 @@ def test_sampled_slope_matches_the_exact_slope(name):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sampled_values_are_the_same_alone_and_in_a_batch(monkeypatch, workers):
-    # the slope's block sums combine in block order, as the gap's do, so
-    # each of a sampled point's three values keeps its bits alone, beside
-    # other points and over any number of workers
+    # the slope's sums run over a point's own rows in their order, as the
+    # gap's do, so each of a sampled point's three values keeps its bits
+    # alone, beside other points and over any number of workers
     spec, points = _eight_chunk_case(monkeypatch)
     options = {"mc_samples": 30_000, "seed": 9}
     batched = np.array(gap_batch(
