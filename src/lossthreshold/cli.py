@@ -273,9 +273,9 @@ def _check_parallel_determinism() -> tuple[bool, str]:
         replica.gap(channel, star, replica.MONTE_CARLO, mc_samples=100_000, seed=7, workers=w)
         for w in (1, 2)
     ]
-    # exact rounds (A, E) run on the calling thread; only B's sampled
-    # chunks, and the blocks of its merged rows, are spread over the
-    # workers. 100 000 samples are two B chunks, so each point merges the
+    # every round's reads run on the calling thread; only B's sampled
+    # chunks, and the merges and counts of its tables, are spread over the
+    # workers. 100 000 samples are two B chunks, so each table merges the
     # distinct rows of both.
     identical = len(set(outputs)) == 1
     for kind, name, options in (

@@ -8,58 +8,65 @@ factors. The quantity evaluated here is
 with the expectation over independent per-slot disorder. Its root in p, at
 fixed loss rate q, is the optimal error threshold.
 
-Exact evaluation covers every joint disorder assignment (3^S single-layer,
-5^S two-layer, including zero-probability states so the term count is
-parameter-independent), but never visits them one by one. What an assignment
-contributes depends only on how many slots sit in each (disorder state,
-parity cell) for every internal-spin configuration, so assignments whose
-per-configuration histograms agree up to a permutation of configurations
-form one class, and every assignment of a class has the same primal and
-dual sums. Classes whose counts (`duality.count_rows`) give the same
-multisets of configuration energies and of signed dual terms have the
-same sums too, and share one column. The class table of a cluster is
-compiled once and cached, with all of an evaluation's work that does not
-depend on the point: the kernel's counts of one representative assignment
-per column, and the column and distinct state-count vector of each
-(column, vector) pair of classes. A point then takes the kernel's values
-step (`duality.log_factor_batch`) on those counts and weighs each column
-by its pairs' multiplicities and disorder probabilities, whose products it
-forms once per count vector. Monte Carlo sampling covers clusters whose
-exact work exceeds TERM_BUDGET. A counter-based generator makes the
-uniforms of every chunk of samples reproducible and identical across p,
-which keeps the estimated gap continuous during root finding, so one call
-draws each chunk once, in groups of `worker_count` chunks, for all its
-points. Sampled rows repeat often, within a chunk and across chunks, so a
-chunk only decodes its rows into distinct ones, and a point merges the
-distinct rows of all its chunks, counts and weighs each row of its whole
-draw once, in kernel slices, and takes its moments in one pass over all
-of them: near the root of B at 100 000 samples, 1.2 % (q = 0) to 21 %
-(q = 0.3) of the drawn rows.
+Every point reads a table (`ClassTable`) of columns, each a row of disorder
+states whose kernel counts (`duality.count_rows`) are compiled with the
+table, and of (column, state-count vector, multiplicity) pairs. A point
+takes the kernel's values step (`duality.log_factor_batch`) on those counts
+and weighs each column by its pairs' multiplicities and disorder
+probabilities, whose products it forms once per count vector. There are two
+kinds of table, and one evaluation path, `_exact_gaps`, reads both.
 
-`gap_batch` evaluates many (p, q) points on one cluster in one call, as a
-root finder's round does: it takes the channel kind and sequences of p and
-q, and returns arrays of Delta, of its standard error and of its slope in
-p, which exact points get from the same column sums and sampled points
-from the same rows, as a score-function (likelihood-ratio) estimate. It
-checks the round's points once (`model.check_points`) and builds their
-couplings and disorder probabilities as arrays, with no object per point:
-each K from the scalar `model.coupling`, the probabilities element-wise
-from `model.disorder_probs`, so a point has the same bits in any round.
-`gap` is its one-point case, from a `ChannelSpec` to a `GapEvaluation`,
-for either policy. Exact points share array operations in slices on the
-calling thread, sampled points share the draws of each chunk and a pool of
-decoded chunks and weighed slices, and no point's value depends on its
-neighbours in the call.
+A cluster's class table covers every joint disorder assignment (3^S
+single-layer, 5^S two-layer, including zero-probability states so the term
+count is parameter-independent), but never visits them one by one. What an
+assignment contributes depends only on how many slots sit in each (disorder
+state, parity cell) for every internal-spin configuration, so assignments
+whose per-configuration histograms agree up to a permutation of
+configurations form one class, and every assignment of a class has the same
+primal and dual sums. Classes whose counts give the same multisets of
+configuration energies and of signed dual terms have the same sums too, and
+share one column. The class table is compiled once and cached; its
+multiplicities are whole numbers, so its Delta is exact.
+
+A drawn table covers clusters whose exact work exceeds TERM_BUDGET: its
+columns are the distinct rows of a Monte Carlo draw of N samples at one
+point p0, each with multiplicity count / (N P_p0(row)). Read at any p, a
+row weighs count/N times its likelihood ratio P_p/P_p0, so Delta is the
+importance-weighted mean of the draw, a fixed function of p: the
+sample-average approximation (Shapiro, Dentcheva & Ruszczynski 2009, ch. 5).
+Read at p0 it is the plain sample mean. A counter-based generator makes the
+uniforms of every chunk of samples reproducible and identical across
+points, so one call draws each chunk once, in groups of `worker_count`
+chunks, for all its tables. Sampled rows repeat often, within a chunk and
+across chunks, so a chunk only decodes its rows into distinct ones, and a
+table merges the distinct rows of all its chunks and counts each once: near
+the root of B at 100 000 samples, 1.2 % (q = 0) to 21 % (q = 0.3) of the
+drawn rows. A table keeps those counts only up to _CHUNK_TARGET (row,
+configuration) pairs, so that its memory does not grow with the
+2^internal configurations; past that each read counts its rows again.
+
+`point_tables` gives the table each point of a round reads: the class table
+on the exact policy, a table drawn at the point itself on the Monte Carlo
+one. `table_gaps` evaluates points on given tables and returns arrays of
+Delta, of its standard error and of its slope in p; the solver reads one
+table per q through it. Both check the round's points once
+(`model.check_points`) and build their couplings and disorder probabilities
+as arrays, with no object per point: each K from the scalar
+`model.coupling`, the probabilities element-wise from
+`model.disorder_probs`, so a point has the same bits in any round.
+`gap_batch` is the two in one call, and `gap` its one-point case, from a
+`ChannelSpec` to a `GapEvaluation`. Draws are spread over a pool of
+threads, reads run on the calling thread, and no point's value depends on
+its neighbours in the call.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -67,8 +74,8 @@ import numpy as np
 from . import model
 from .cluster import CONFIG_BLOCK, ClusterSpec, NonFinite, ShapeMismatch, slot_cells
 from .duality import (
+    ROUNDING_LIMIT,
     UnsignedDual,
-    _cell_energies,
     _require_positive_dual,
     _row_signs,
     count_block,
@@ -86,33 +93,36 @@ TERM_BUDGET = 10**8
 # primal and dual sums coincide has Delta = 0 at every p, and its computed
 # value scatters around zero in the last bits.
 GAP_FLOOR = 1e-12
-# an exact gap whose dual sums may round it by more than this share of
+# a class table's gap whose dual sums may round it by more than this share of
 # GAP_FLOOR is refused; on the registered clusters the bound stays below
-# 5.7e-14, 4.4 times under the 2.5e-13 this allows
+# 5.7e-14, 4.4 times under the 2.5e-13 this allows. A drawn table's rows are
+# refused one by one instead, past `duality.ROUNDING_LIMIT`: a weighted bound
+# of config_count * eps alone passes 2.5e-13 past 10 internal spins
 ROUNDING_SHARE = 0.25
 DEFAULT_MC_SAMPLES = 100_000
 MIN_MC_SAMPLES = 1000
 
-# an exact slice holds at most this many (points x columns x configurations)
-# elements: 24 points of a round on E (340 columns x 4 configurations) share
-# one kernel call
+# a values step holds at most this many (points x columns x configurations)
+# elements, one column at least: 24 points of a round on E (340 columns x 4
+# configurations) share one kernel call, and a drawn B table of 20 600 rows
+# takes ten calls of 2 048 columns
 EXACT_SLICE = 2 * CONFIG_BLOCK
 
 # Monte Carlo samples are drawn in fixed-size chunks. The partition depends
 # only on the cluster and the sample count, never on the worker count, and so
-# do a point's merged distinct rows and their order, so parallel runs are
-# bit-identical: a point's moments are sums over its rows in that order. The
+# do a table's merged distinct rows and their order, so parallel runs are
+# bit-identical: a point's sums run over the table's rows in that order. The
 # draws themselves depend on the partition (a chunk's stream starts at its
 # first sample times the slot count). A chunk holds _CHUNK_TARGET (row,
-# configuration) pairs of one count table (`count_block`), and a kernel slice
-# of distinct rows no more.
+# configuration) pairs of one count table (`count_block`), and a counts-step
+# slice of distinct rows no more. A drawn table keeps the counts of at most
+# _CHUNK_TARGET pairs (3 MB as int8); past that, as on a 16-spin ring's 65 536
+# configurations, every read counts its rows again, slice by slice.
 _CHUNK_TARGET = 1 << 20
 _CHUNK_MAX = 1 << 16
-# `_distinct_rows` packs rows, and `_row_values` runs the kernel on them, at
-# most this many at a time: the packing's float copy stays small (2.7 MB at
-# 41 slots) however many rows a point merges, and on B the kernel's values
-# step cost twice as much per row at 16 384 rows and more as at 8 192 or
-# fewer (2-vCPU VM, numpy 2.4.6, one BLAS thread)
+# `_distinct_rows` packs rows, and `_compiled_counts` counts them, at most this
+# many at a time: the packing's float copy stays small (2.7 MB at 41 slots)
+# however many rows a table merges, and so do the counts step's float32 blocks
 _ROW_BLOCK = 1 << 13
 
 
@@ -193,8 +203,8 @@ def _chunk_bounds(total: int, cluster: ClusterSpec) -> list[tuple[int, int]]:
 def _run_chunks(fn, items, workers: int) -> list:
     """[fn(*item) for item in items], over up to `workers` threads.
 
-    It draws and decodes Monte Carlo chunks, merges their rows and weighs
-    the (point, slice) items of the merged rows.
+    It draws and decodes Monte Carlo chunks, merges their rows and builds
+    the tables of the merged rows.
     """
     if workers <= 1 or len(items) <= 1:
         return [fn(*item) for item in items]
@@ -256,16 +266,31 @@ class ClassTable:
     E) before adding them up per column. A vector's clean and error counts,
     the slots in the support's first state and in the states between it
     and the lost one, give d ln(weight)/dp = errors/p - clean/(1-p).
+
+    A drawn table (`_drawn_table`) has the same fields: one column, and one
+    pair, per distinct row of a Monte Carlo draw at a point p0, and `draws`,
+    how often the draw holds each row. Its counts are None past
+    _CHUNK_TARGET (row, configuration) pairs.
     """
 
     representative: np.ndarray  # (columns, slots) int8 state indices of one assignment per column
-    counts: np.ndarray  # (3, configurations, columns) int8 (int16 past 32 slots) counts of representative
+    counts: np.ndarray | None  # (3, configurations, columns) int8 (int16 past 32 slots) counts of representative
     count_vectors: np.ndarray  # (vectors, states) intp distinct slot counts per disorder state
     clean: np.ndarray  # (vectors,) float64 slots of each vector in the clean state
     errors: np.ndarray  # (vectors,) float64 slots of each vector in a state neither clean nor lost
     column_index: np.ndarray  # (pairs,) intp column of each pair, ascending
     count_index: np.ndarray  # (pairs,) intp row of count_vectors holding each pair's slot counts
-    multiplicity: np.ndarray  # (pairs,) int64 assignments of each pair
+    # (pairs,) assignments of each pair, int64; on a drawn table float64
+    # count / (N P_p0(row)), so that its weight at p is the row's importance
+    # weight count/N * P_p(row)/P_p0(row)
+    multiplicity: np.ndarray
+    # (columns,) int64 draws of each row of a drawn table; empty on a class table
+    draws: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+
+    def __post_init__(self):
+        for array in vars(self).values():
+            if array is not None:
+                array.flags.writeable = False
 
 
 def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -376,6 +401,29 @@ def _class_fold(cluster: ClusterSpec) -> tuple[np.ndarray, np.ndarray]:
     return multiplicity, representative
 
 
+def _compiled_counts(cluster: ClusterSpec, rows: np.ndarray) -> np.ndarray:
+    """The (3, configurations, rows) counts of `count_rows`, in slices of rows, each cast to the table's small dtype as it comes."""
+    # energies lie in [-S, 3S], and the kernel subtracts each row's largest
+    dtype = np.min_scalar_type(-4 * cluster.slot_count)
+    size = min(_ROW_BLOCK, _chunk_size(cluster))
+    return np.concatenate([
+        np.concatenate([block.astype(dtype) for block in count_rows(cluster, rows[lo : lo + size])], axis=1)
+        for lo in range(0, len(rows), size)
+    ], axis=2)
+
+
+def _count_vectors(rows: np.ndarray, m: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """The `ClassTable` count vectors, clean and error counts of the rows' slot counts per disorder state, and each row's vector."""
+    state_counts = np.stack([np.count_nonzero(rows == state, axis=1) for state in range(m)], axis=1)
+    # one integer per vector, the first state's count most significant: ascending keys order the
+    # vectors as `_unique_rows` would, byte by byte, while every count stays below 256
+    place = (rows.shape[1] + 1) ** np.arange(m - 1, -1, -1)
+    _, first, vector = np.unique(state_counts @ place, return_index=True, return_inverse=True)
+    vectors = state_counts[first]
+    clean, errors = vectors[:, 0].astype(np.float64), vectors[:, 1:-1].sum(axis=1).astype(np.float64)
+    return (vectors.astype(np.intp), clean, errors), vector.astype(np.intp)
+
+
 @lru_cache(maxsize=16)
 def class_table(cluster: ClusterSpec) -> ClassTable:
     """Compile the class table of a cluster: its classes (`_class_fold`) merged into columns.
@@ -386,31 +434,24 @@ def class_table(cluster: ClusterSpec) -> ClassTable:
     """
     multiplicity, representative = _class_fold(cluster)
     S = cluster.slot_count
-    # energies lie in [-S, 3S], and the kernel subtracts each row's largest
-    dtype = np.min_scalar_type(-4 * S)
-    counts = np.concatenate([block.astype(dtype) for block in count_rows(cluster, representative)], axis=1)
+    counts = _compiled_counts(cluster, representative)
     energy, cell0, sign = counts
     # a configuration's dual code: its cell-0 count, moved past S where its
     # dual sign is -1, and -1 where its term is 0
-    dual = np.where(sign == 0, -1, cell0 + (sign < 0) * (S + 1)).astype(dtype)
+    dual = np.where(sign == 0, -1, cell0 + (sign < 0) * (S + 1)).astype(counts.dtype)
     _, first, column = _unique_rows(np.concatenate([np.sort(energy, axis=0), np.sort(dual, axis=0)]).T)
-    m, n = support_size(cluster.layers), len(multiplicity)
-    state_counts = np.bincount((np.arange(n)[:, None] * m + representative).ravel(), minlength=n * m)
-    count_vectors, _, vector = _unique_rows(state_counts.reshape(n, m))
-    pairs, pair = np.unique(column * len(count_vectors) + vector, return_inverse=True)
-    table = ClassTable(
+    vectors, vector = _count_vectors(representative, support_size(cluster.layers))
+    pairs, pair = np.unique(column * len(vectors[0]) + vector, return_inverse=True)
+    column_index, count_index = (a.astype(np.intp) for a in np.divmod(pairs, len(vectors[0])))
+    multiplicity = np.bincount(pair, weights=multiplicity).astype(np.int64)
+    return ClassTable(
         representative[first],
         np.ascontiguousarray(counts[:, :, first]),
-        count_vectors.astype(np.intp),
-        count_vectors[:, 0].astype(np.float64),
-        count_vectors[:, 1:-1].sum(axis=1).astype(np.float64),
-        (pairs // len(count_vectors)).astype(np.intp),
-        (pairs % len(count_vectors)).astype(np.intp),
-        np.bincount(pair, weights=multiplicity).astype(np.int64),
+        *vectors,
+        column_index,
+        count_index,
+        multiplicity,
     )
-    for array in vars(table).values():
-        array.flags.writeable = False
-    return table
 
 
 def _score(p, clean, errors):
@@ -418,37 +459,72 @@ def _score(p, clean, errors):
     return errors / p - clean / (1.0 - p)
 
 
-def _exact_gaps(p: np.ndarray, K: np.ndarray, probs: np.ndarray, cluster: ClusterSpec, table: ClassTable):
-    """Delta and dDelta/dp at each point of a slice, from its p, couplings and (points, states) probabilities.
+def _vector_weights(probs: np.ndarray, count_vectors: np.ndarray, slots: int) -> np.ndarray:
+    """(points, vectors) probability of one assignment with each vector's slot counts, at (points, states) probabilities.
 
-    Every assignment of a column has the column's primal and dual sums, so
-    the table's compiled counts of the column representatives go through
-    the kernel's values step, `log_factor_batch`, and each column counts
-    its weight W times: the sum over its pairs of multiplicity *
-    probability, with the probabilities multiplied out once per distinct
-    state-count vector. A column of positive weight whose dual sum is not
-    positive raises NonPositiveDual. Each column's rounding bound, weighed
-    the same way, bounds the rounding of Delta; past ROUNDING_SHARE *
-    GAP_FLOOR the point raises UnsignedDual, naming the representative of
-    the column that weighs most in it. A point's bits do not depend on
-    which other points share its slice: its weights add up in pair order.
-    Only columns of positive weight enter a point's `fsum`, which rounds
-    the exact sum once, so leaving out the zero terms keeps its bits.
+    It takes p**k for every state and slot count k once, so that each
+    weight is a product of table entries rather than of fresh powers; a
+    state of probability 0 that a vector does not hold enters as 0**0 = 1.
+    """
+    points = len(probs)
+    powers = (probs[:, :, None] ** np.arange(slots + 1)).reshape(points, -1)
+    entries = np.arange(probs.shape[1])[:, None] * (slots + 1) + count_vectors.T
+    return np.prod(powers.take(entries, axis=1), axis=1)
+
+
+def _exact_gaps(p: np.ndarray, K: np.ndarray, probs: np.ndarray, cluster: ClusterSpec, table: ClassTable):
+    """Delta, its standard error and dDelta/dp at each point of a slice, from its p, couplings and (points, states) probabilities.
+
+    Every assignment, or draw, of a column has the column's primal and dual
+    sums, so the table's compiled counts go through the kernel's values
+    step, `log_factor_batch`, in slices of at most EXACT_SLICE elements (a
+    drawn table that keeps no counts runs its rows through both steps, in
+    slices of min(_ROW_BLOCK, `_chunk_size`) rows; it holds more than
+    EXACT_SLICE elements, so `_table_points` reads it one point at a time),
+    and each column counts its weight W times: the sum over its pairs of
+    multiplicity * probability, with the probabilities multiplied out once
+    per distinct state-count vector. A column of positive weight whose dual
+    sum is not positive raises NonPositiveDual. On a class table, each
+    column's rounding bound, weighed the same way, bounds the rounding of
+    Delta; past ROUNDING_SHARE * GAP_FLOOR the point raises UnsignedDual,
+    naming the representative of the column that weighs most in it. On a
+    drawn table, each row of positive weight is checked on its own, as a
+    lone row is (`_require_positive_dual`): UnsignedDual past
+    ROUNDING_LIMIT. A point's bits do not depend on which other points share
+    its slice: its weights add up in pair order, and each row's values do
+    not depend on the rows beside it. A class table's Delta is one `fsum`
+    over the columns of positive weight, which rounds the exact sum once, so
+    leaving out the zero terms keeps its bits; a drawn table's is a numpy
+    sum per point, whose rounding lies far below its standard error.
 
     On the Nishimori line the gauge identity E[d ln x_0/dK] = E[d ln x_0*/dK]
     (Nishimori 1981) makes dDelta/dK vanish at fixed probabilities, so the
     slope is sum_columns dW/dp * (ln x_0 - ln x_0*), with dW/dp weighing
     each vector by the `ClassTable` factor errors/p - clean/(1-p). It is a
     plain sum per point, in column order, over a row that is zero where W
-    is. Returns the list of Delta and the array of slopes.
+    is. On a drawn table it is the score-function (likelihood-ratio)
+    estimate of the slope (Glynn 1990): the sum of W d(delta)/dK dK/dp that
+    it leaves out is 0 in expectation, not on the draw, so it misses the
+    derivative of the table's own Delta by sampling noise.
+
+    A class table's Delta is exact, and its standard error 0. A drawn
+    table's W is count/N times each row's likelihood ratio w = P_p/P_p0,
+    and its standard error that of the importance-weighted mean,
+    sigma^2 = sum count (w delta - Delta)^2 / (N (N - 1)), the sample one at
+    p0. Returns the Delta of each point (a list on a class table) and the
+    arrays of standard errors and slopes.
     """
-    logp, logd, sign, rounding = log_factor_batch(cluster, (table.counts,), K)
-    # p**k for every state and slot count k, so each weight is a product of
-    # table entries rather than of fresh powers
-    points, columns = logp.shape
-    powers = (probs[:, :, None] ** np.arange(cluster.slot_count + 1)).reshape(points, -1)
-    entries = np.arange(probs.shape[1])[:, None] * (cluster.slot_count + 1) + table.count_vectors.T
-    pair_weight = table.multiplicity * np.prod(powers.take(entries, axis=1), axis=1).take(table.count_index, axis=1)
+    points, columns = len(K), len(table.representative)
+    if table.counts is None:
+        width = min(_ROW_BLOCK, _chunk_size(cluster))
+        counts = (count_rows(cluster, table.representative[lo : lo + width]) for lo in range(0, columns, width))
+    else:
+        width = max(1, EXACT_SLICE // (points * cluster.config_count))
+        counts = ((table.counts[:, :, lo : lo + width],) for lo in range(0, columns, width))
+    blocks = [log_factor_batch(cluster, block, K) for block in counts]
+    logp, logd, sign, rounding = (np.concatenate(a, axis=1) for a in zip(*blocks))
+    vector_weight = _vector_weights(probs, table.count_vectors, cluster.slot_count)
+    pair_weight = table.multiplicity * vector_weight.take(table.count_index, axis=1)
     pair_slope = pair_weight * _score(p[:, None], table.clean, table.errors).take(table.count_index, axis=1)
     # each point's bins are its own, so bincount adds each column's pairs in order
     bins = (np.arange(points)[:, None] * columns + table.column_index).ravel()
@@ -456,23 +532,33 @@ def _exact_gaps(p: np.ndarray, K: np.ndarray, probs: np.ndarray, cluster: Cluste
     # columns of zero probability (q = 0, or p on the support boundary) never
     # enter the average, whatever the sign or rounding of their dual sum
     positive = W > 0.0
+    rounding = np.where(positive, rounding, 0.0)
     bad = (sign <= 0) & positive
-    if bad.any():
-        i = int(np.argmax(bad.any(axis=1)))
-        _require_positive_dual(cluster, bad[i], table.representative, K[i])
-    error = W * np.where(positive, rounding, 0.0)
-    bound = error.sum(axis=1)
-    limit = ROUNDING_SHARE * GAP_FLOOR
-    if np.any(bound > limit):
-        i = int(np.argmax(bound > limit))
-        signs = _row_signs(cluster.layers, table.representative[np.argmax(error[i])])
-        raise UnsignedDual(
-            f"dual sums of cluster {cluster.name!r} may round the gap by {bound[i]:.3g} at "
-            f"K={K[i]}, past {limit:.3g}; the largest share is the column of signs {signs}"
-        )
+    drawn = len(table.draws) > 0
+    flagged = bad | (rounding > ROUNDING_LIMIT) if drawn else bad
+    if flagged.any():
+        i = int(np.argmax(flagged.any(axis=1)))
+        _require_positive_dual(cluster, bad[i], table.representative, K[i], rounding[i] if drawn else None)
+    if not drawn:
+        error = W * rounding
+        bound = error.sum(axis=1)
+        limit = ROUNDING_SHARE * GAP_FLOOR
+        if np.any(bound > limit):
+            i = int(np.argmax(bound > limit))
+            signs = _row_signs(cluster.layers, table.representative[np.argmax(error[i])])
+            raise UnsignedDual(
+                f"dual sums of cluster {cluster.name!r} may round the gap by {bound[i]:.3g} at "
+                f"K={K[i]}, past {limit:.3g}; the largest share is the column of signs {signs}"
+            )
     delta = logp - np.where(sign > 0, logd, logp)
     terms = W * delta
-    return [math.fsum(v[w].tolist()) for v, w in zip(terms, positive)], (dW * delta).sum(axis=1)
+    slope = (dW * delta).sum(axis=1)
+    if not drawn:
+        return [math.fsum(v[w].tolist()) for v, w in zip(terms, positive)], np.zeros(points), slope
+    mean = terms.sum(axis=1)
+    samples = int(table.draws.sum())
+    spread = W * (samples / table.draws) * delta - mean[:, None]
+    return mean, np.sqrt((table.draws * spread**2).sum(axis=1) / (samples * (samples - 1.0))), slope
 
 
 def check_seed(seed: int) -> int:
@@ -484,7 +570,7 @@ def check_seed(seed: int) -> int:
 
 
 def _chunk_uniforms(seed: int, cluster: ClusterSpec, lo: int, hi: int) -> np.ndarray:
-    """The (hi - lo, S) uniforms of chunk [lo, hi) of a sampled gap.
+    """The (hi - lo, S) uniforms of chunk [lo, hi) of a draw.
 
     They come from the Philox stream keyed by seed, advanced by lo*S counter
     steps, so they depend on the chunk partition only, never on p, q or the
@@ -500,10 +586,11 @@ def _sampled_rows(probs: np.ndarray):
     """The function that decodes one chunk's uniforms at one point into its distinct rows and their counts.
 
     The uniforms are those of `_chunk_uniforms`, drawn once per chunk and
-    call of `gap_batch` and shared by all the call's points. A row's state
-    is the number of cumulative probabilities at or below its uniform,
-    summed as int8 from the comparisons' bytes; `_distinct_rows` gives the
-    chunk's distinct rows, in key order, and how often each was drawn.
+    call of `point_tables` and shared by all the call's points. A row's
+    state is the number of cumulative probabilities at or below its
+    uniform, summed as int8 from the comparisons' bytes; `_distinct_rows`
+    gives the chunk's distinct rows, in key order, and how often each was
+    drawn.
     """
     cum = np.cumsum(probs)
     cum[-1] = 1.0
@@ -526,49 +613,27 @@ def _merge_rows(chunks: list, m: int) -> tuple[np.ndarray, np.ndarray]:
     return _distinct_rows(np.concatenate(rows), m, np.concatenate(count))
 
 
-def _row_values(p: float, K: float, cluster: ClusterSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Delta and score, d ln P(row)/dp (`_score`), of each row of a slice of a sampled point's distinct rows.
+def _drawn_table(cluster: ClusterSpec, probs: np.ndarray, rows: np.ndarray, count: np.ndarray) -> ClassTable:
+    """The table of a draw at one point of (states,) probabilities: one column per distinct row, in key order.
 
-    The rows go through the kernel, both steps (a row's values do not
-    depend on the rows beside it), and every one is checked for a positive
-    dual sum larger than its rounding (NonPositiveDual and UnsignedDual),
-    so every sampled one is. A row's clean and error slots, as `ClassTable`
-    counts them, come from its counts in configuration 0, the first of the
-    first `count_rows` block, where every slot sits in cell 0: there a
-    clean slot has energy e, every error state -1 and a lost slot 0, and n
-    counts the slots that are not lost, so clean = (E_0 + n_0) / (e + 1)
-    and errors = n_0 - clean.
+    A row's multiplicity is count / (N P_p0(row)), with P_p0 the product of
+    `_vector_weights` that a read at p0 multiplies it by, so that its weight
+    there is count/N within a few ulp and a row's state of probability 0
+    drops out. The counts step runs once per table, and its counts are kept
+    up to _CHUNK_TARGET (row, configuration) pairs; past that the table
+    keeps none, and each read counts its rows again (`_exact_gaps`).
     """
-    blocks = count_rows(cluster, rows)
-    first = next(blocks)
-    energy, kept = first[:2, 0].astype(np.float64)
-    logp, logd, sign, rounding = (a[0] for a in log_factor_batch(cluster, itertools.chain([first], blocks), [K]))
-    _require_positive_dual(cluster, sign <= 0, rows, K, rounding)
-    clean = (energy + kept) / (_cell_energies(model.LAYER_SUPPORT[cluster.layers][0])[0] + 1)
-    return logp - logd, _score(p, clean, kept - clean)
-
-
-def _sampled_gap(cluster: ClusterSpec, count: np.ndarray, delta, score) -> tuple[float, float, float]:
-    """Mean, standard error and slope of a sampled gap from its slices' `_row_values`, joined in order.
-
-    `count` holds how often each of the point's merged distinct rows was
-    drawn, in their key order, which the slices follow. Each moment is one
-    sum over the whole point: the mean of Delta, the variance about it
-    (two passes), and the slope, the score-function estimate of dDelta/dp
-    (Glynn 1990; the gauge identity of `_exact_gaps` leaves only the
-    probabilities' derivative): (sum(count * score * Delta) - mean *
-    sum(count * score)) / samples, the mean score, whose expectation is 0,
-    serving as a control variate. The rows and their order are fixed by the
-    point's draw, so no value depends on the worker count or on the other
-    points of the call.
-    """
-    delta, score = np.concatenate(delta), count * np.concatenate(score)
-    samples = int(count.sum())
-    mean = float((count * delta).sum()) / samples
-    if not math.isfinite(mean):
-        raise NonFinite(f"sampled gap on cluster {cluster.name!r} is not finite")
-    std_error = math.sqrt(float((count * (delta - mean) ** 2).sum()) / (samples - 1) / samples)
-    return mean, std_error, (float((score * delta).sum()) - mean * float(score.sum())) / samples
+    vectors, vector = _count_vectors(rows, len(probs))
+    p0 = _vector_weights(probs[None], vectors[0], cluster.slot_count)[0][vector]
+    return ClassTable(
+        rows,
+        _compiled_counts(cluster, rows) if len(rows) * cluster.config_count <= _CHUNK_TARGET else None,
+        *vectors,
+        np.arange(len(rows), dtype=np.intp),
+        vector,
+        count / (int(count.sum()) * p0),
+        count.astype(np.int64),
+    )
 
 
 def _sample_count(mc_samples: int | None) -> int:
@@ -579,6 +644,107 @@ def _sample_count(mc_samples: int | None) -> int:
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
     return samples
+
+
+def point_tables(
+    kind: str,
+    p,
+    q,
+    cluster: ClusterSpec,
+    policy: str = EXACT,
+    *,
+    mc_samples: int | None = None,
+    seed: int = 0,
+    workers: int | None = None,
+) -> list[ClassTable]:
+    """The table each point (p[i], q[i]) of a channel kind reads: the class table, or one drawn at the point.
+
+    policy "exact" gives the cluster's `class_table` for every point, and
+    raises TooManyTerms, before compiling anything, when `exact_work`
+    exceeds TERM_BUDGET. "monte-carlo" draws `mc_samples` rows per point
+    from the Philox stream of `seed`, over `worker_count(workers)` threads.
+    The draws share their `_chunk_bounds` chunks: the chunks are taken in
+    groups of that many, each group's uniforms are drawn once, and every
+    (point, chunk) item of the group turns the shared draw into the chunk's
+    distinct rows and their counts (`_sampled_rows`); the draws are freed
+    before the next group's. So a call draws each chunk once, whatever its
+    number of points, and holds at most `worker_count(workers)` draws at a
+    time. Each point then merges its chunks' distinct rows into those of
+    its whole draw, in key order with summed counts (`_merge_rows`), and
+    becomes a `_drawn_table`, one pool item per table. The points are
+    checked first (`model.check_points`), then the policy's arguments: a
+    `workers` below 1, and a sampled `mc_samples` or `seed` that is not an
+    integer, are refused. A table does not depend on the worker count or on
+    the other points of the call.
+    """
+    if workers is not None:
+        worker_count(workers)
+    check_policy(policy)
+    _, probs = _round_points(kind, p, q)
+    _check_layers(kind, cluster)
+    if policy == EXACT:
+        work = exact_work(cluster)
+        if work > TERM_BUDGET:
+            raise TooManyTerms(
+                f"exact enumeration needs {work} terms (assignments x internal configurations), "
+                f"past the budget of {TERM_BUDGET}; sample the gap instead: the monte-carlo "
+                f"policy, or --mc-samples on the command line"
+            )
+        return [class_table(cluster)] * len(probs)
+    samples = _sample_count(mc_samples)
+    seed = check_seed(seed)
+    if not len(probs):
+        return []
+    nworkers = worker_count(workers)
+    bounds = _chunk_bounds(samples, cluster)
+    decoders = [_sampled_rows(row) for row in probs]
+    drawn = [[] for _ in decoders]
+    for start in range(0, len(bounds), nworkers):
+        group = bounds[start : start + nworkers]
+        draws = _run_chunks(_chunk_uniforms, [(seed, cluster, lo, hi) for lo, hi in group], nworkers)
+        sets = _run_chunks(lambda fn, u: fn(u), [(fn, u) for fn in decoders for u in draws], nworkers)
+        # freed before the next group is drawn: at most nworkers draws at a time
+        del draws
+        for i, point in enumerate(drawn):
+            point.extend(sets[i * len(group) : (i + 1) * len(group)])
+    merged = _run_chunks(_merge_rows, [(chunks, probs.shape[1]) for chunks in drawn], nworkers)
+    del drawn
+    return _run_chunks(_drawn_table, [(cluster, row, *rows) for row, rows in zip(probs, merged)], nworkers)
+
+
+def _table_points(p: np.ndarray, K: np.ndarray, probs: np.ndarray, cluster: ClusterSpec, table: ClassTable) -> np.ndarray:
+    """(3, points) Delta, standard error and slope of the points of one table, `_exact_gaps` in slices of whole columns."""
+    step = max(1, EXACT_SLICE // (len(table.representative) * cluster.config_count))
+    parts = [
+        _exact_gaps(p[lo : lo + step], K[lo : lo + step], probs[lo : lo + step], cluster, table)
+        for lo in range(0, len(K), step)
+    ]
+    return np.array([np.concatenate(values) for values in zip(*parts)], dtype=np.float64)
+
+
+def table_gaps(
+    kind: str, p, q, cluster: ClusterSpec, tables: list[ClassTable]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Delta(p, q), its standard error and its slope dDelta/dp at every point (p[i], q[i]), read from tables[i].
+
+    Returns three float arrays in the order of the points (see
+    `_exact_gaps`); the standard error is 0.0 on class-table points. The
+    points are checked once, by `model.check_points` (see `_round_points`),
+    and no object is built per point. Each run of consecutive points that
+    read one table is read on the calling thread in one `_table_points`
+    call. Raises NonFinite for a Delta that is not finite. Each point's
+    values are bit-identical to reading it alone.
+    """
+    K, probs = _round_points(kind, p, q)
+    p = np.asarray(p, dtype=np.float64)
+    _check_layers(kind, cluster)
+    cuts = [i for i in range(len(tables)) if not i or tables[i] is not tables[i - 1]] + [len(tables)]
+    values = [_table_points(p[lo:hi], K[lo:hi], probs[lo:hi], cluster, tables[lo]) for lo, hi in zip(cuts, cuts[1:])]
+    delta, std_error, slope = np.concatenate([np.zeros((3, 0)), *values], axis=1)
+    if not np.isfinite(delta).all():
+        i = int(np.argmin(np.isfinite(delta)))
+        raise NonFinite(f"gap on cluster {cluster.name!r} is not finite at p={p[i]}, q={q[i]}")
+    return delta, std_error, slope
 
 
 def gap_batch(
@@ -594,93 +760,16 @@ def gap_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Delta(p, q), its standard error and its slope dDelta/dp at every point (p[i], q[i]) of a channel kind.
 
-    Returns three float arrays in the order of the points; the standard
-    error is 0.0 on exact points. The slope is the exact one on exact points
-    (see `_exact_gaps`), and the score-function estimate from the same
-    samples on sampled ones (see `_sampled_gap`). The points are checked
-    once, by `model.check_points` (see `_round_points`), and no object is
-    built per point.
-
-    policy "exact" sums every assignment through the cluster's class table
-    and raises TooManyTerms, before compiling anything, when `exact_work`
-    exceeds TERM_BUDGET; "monte-carlo" samples. Exact points are cut into
-    slices of at most EXACT_SLICE (points x columns x configurations)
-    elements, one point at least, which run one after another on the
-    calling thread. Sampled points share their `_chunk_bounds` chunks, and
-    their work has two phases, each over `worker_count(workers)` threads.
-    Decode: the chunks are taken in groups of that many, each group's
-    uniforms are drawn once, and every (point, chunk) item of the group
-    turns the shared draw into the chunk's distinct rows and their counts
-    (`_sampled_rows`); the draws are freed before the next group's. So a
-    call draws each chunk once, whatever its number of points, and holds at
-    most `worker_count(workers)` draws at a time. Weigh: each point merges
-    its chunks' distinct rows into those of its whole draw, in key order
-    with summed counts (`_merge_rows`), and cuts them into slices of
-    min(_ROW_BLOCK, `_chunk_size`) rows; every (point, slice) item goes
-    through the kernel and the checks once (`_row_values`), and a point
-    joins its slices in order and takes its moments in one pass over them
-    (`_sampled_gap`). An explicit `workers` below 1 is refused on
-    either path, and so is a sampled `mc_samples` or `seed` that is not an
-    integer. Each point's values are bit-identical to evaluating it alone,
-    with any worker count.
+    Each point reads its `point_tables` table through `table_gaps`: the
+    class table, exactly, or a table drawn at the point itself, whose
+    weights are then 1 up to rounding, so its Delta is the sample mean and
+    its slope the score-function estimate from the same rows. Returns three
+    float arrays in the order of the points; the standard error is 0.0 on
+    exact points. Each point's values are bit-identical to evaluating it
+    alone, with any worker count.
     """
-    if workers is not None:
-        worker_count(workers)
-    check_policy(policy)
-    K, probs = _round_points(kind, p, q)
-    p = np.asarray(p, dtype=np.float64)
-    _check_layers(kind, cluster)
-    if policy == MONTE_CARLO:
-        samples = _sample_count(mc_samples)
-        seed = check_seed(seed)
-        if not len(K):
-            return np.zeros(0), np.zeros(0), np.zeros(0)
-        bounds = _chunk_bounds(samples, cluster)
-        decoders = [_sampled_rows(row) for row in probs]
-        nworkers = worker_count(workers)
-        drawn = [[] for _ in decoders]
-        for start in range(0, len(bounds), nworkers):
-            group = bounds[start : start + nworkers]
-            draws = _run_chunks(_chunk_uniforms, [(seed, cluster, lo, hi) for lo, hi in group], nworkers)
-            sets = _run_chunks(lambda fn, u: fn(u), [(fn, u) for fn in decoders for u in draws], nworkers)
-            # freed before the next group is drawn: at most nworkers draws at a time
-            del draws
-            for i, point in enumerate(drawn):
-                point.extend(sets[i * len(group) : (i + 1) * len(group)])
-        merged = _run_chunks(_merge_rows, [(chunks, probs.shape[1]) for chunks in drawn], nworkers)
-        del drawn
-        size = min(_ROW_BLOCK, _chunk_size(cluster))
-        starts = [range(0, len(rows), size) for rows, _ in merged]
-        items = [
-            (x, k, cluster, rows[lo : lo + size])
-            for x, k, (rows, _), los in zip(p.tolist(), K.tolist(), merged, starts)
-            for lo in los
-        ]
-        values = iter(_run_chunks(_row_values, items, nworkers))
-        return tuple(np.array([
-            _sampled_gap(cluster, count, *zip(*itertools.islice(values, len(los))))
-            for (_, count), los in zip(merged, starts)
-        ]).T)
-    work = exact_work(cluster)
-    if work > TERM_BUDGET:
-        raise TooManyTerms(
-            f"exact enumeration needs {work} terms (assignments x internal configurations), "
-            f"past the budget of {TERM_BUDGET}; sample the gap instead: the monte-carlo "
-            f"policy, or --mc-samples on the command line"
-        )
-    table = class_table(cluster)
-    step = max(1, EXACT_SLICE // (len(table.representative) * cluster.config_count))
-    values, slopes = [], []
-    for lo in range(0, len(K), step):
-        value, slope = _exact_gaps(p[lo : lo + step], K[lo : lo + step], probs[lo : lo + step], cluster, table)
-        values += value
-        slopes += slope.tolist()
-    delta = np.array(values, dtype=np.float64)
-    finite = np.isfinite(delta)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise NonFinite(f"gap on cluster {cluster.name!r} is not finite at p={p[i]}, q={q[i]}")
-    return delta, np.zeros_like(delta), np.array(slopes, dtype=np.float64)
+    tables = point_tables(kind, p, q, cluster, policy, mc_samples=mc_samples, seed=seed, workers=workers)
+    return table_gaps(kind, p, q, cluster, tables)
 
 
 def gap(
@@ -697,7 +786,7 @@ def gap(
     `terms` is the sample count of a sampled gap, and the number of joint
     disorder assignments (3^S or 5^S) of an exact one. A sampled gap needs
     at least MIN_MC_SAMPLES samples and a seed in [0, 2**128); see
-    `_sampled_rows` for its draws.
+    `point_tables` for its draws.
     """
     delta, std_error, _ = gap_batch(
         channel.kind, [channel.p], [channel.q], cluster, policy,

@@ -321,6 +321,20 @@ def test_threshold_above_half_loss_is_no_threshold(capsys):
     assert ",no-threshold," in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cluster, channel", [("A", "uncorrelated"), ("B", "uncorrelated"), ("D", "depolarizing")])
+def test_sampled_threshold_at_half_loss_finds_no_sign_change(capsys, cluster, channel):
+    # exact searches find no sign change at q = 1/2; a sampled one reported
+    # p_c = 1e-6 on A and D (2.45e-4 on B), where a 0.5 sigma draw decided
+    # the sign of Delta(1e-6). A bracket end is signed only past twice its
+    # standard error.
+    code = cli.main(
+        ["threshold", "--channel", channel, "--cluster", cluster, "--loss", "0.5",
+         "--mc-samples", "20000", "--seed", "0", "--format", "csv"]
+    )
+    assert code == cli.EXIT_NO_THRESHOLD
+    assert ",no-sign-change," in capsys.readouterr().out
+
+
 def test_threshold_monte_carlo_flag(capsys):
     code = cli.main(
         [

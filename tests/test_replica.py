@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
 import re
 import threading
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -301,22 +303,24 @@ def _wide_cluster(layers: int, slot_count: int) -> ClusterSpec:
     ids=lambda s: s.name,
 )
 def test_monte_carlo_matches_per_sample_sum(monkeypatch, spec):
-    # the sampled gap sums each distinct row of a chunk once, weighted by its
-    # count, and finds states by comparison; three chunks of this draw must
-    # give the per-sample mean and standard error at both bracket ends and
-    # near p_c. Where the mean cancels to near zero (near p_c on a wide
-    # cluster) or the rows differ by little more than their own rounding (at
-    # the upper end), agreement is asked to within what one ulp of rounding
-    # in every row's delta would move the mean and the standard error.
+    # the sampled gap reads a table drawn at its own p, whose columns are the
+    # distinct rows of its three chunks, each weighted by its count times a
+    # likelihood ratio of 1 up to rounding, and finds states by comparison;
+    # it must give the per-sample mean and standard error at both bracket
+    # ends and near p_c. Where the mean cancels to near zero (near p_c on a
+    # wide cluster) or the rows differ by little more than their own
+    # rounding (at the upper end), agreement is asked to within what one ulp
+    # of rounding in every row's delta would move the mean and the standard
+    # error.
     monkeypatch.setattr(replica, "_CHUNK_MAX", 8192)
-    real_values = replica._row_values
+    real_count = replica.count_rows
     sliced = []
 
-    def values_spy(*args):
+    def count_spy(*args):
         sliced.append(1)
-        return real_values(*args)
+        return real_count(*args)
 
-    monkeypatch.setattr(replica, "_row_values", values_spy)
+    monkeypatch.setattr(replica, "count_rows", count_spy)
     kind = "uncorrelated" if spec.layers == 1 else "depolarizing"
     upper = (0.5 if spec.layers == 1 else 0.75) - BRACKET_MARGIN
     samples = 20_000
@@ -333,8 +337,9 @@ def test_monte_carlo_matches_per_sample_sum(monkeypatch, spec):
             ulp = np.finfo(float).eps * rms
             assert got.delta == pytest.approx(mean, rel=1e-12, abs=ulp)
             assert got.std_error == pytest.approx(std_error, rel=1e-12, abs=ulp / math.sqrt(samples))
-    # a cluster with more possible rows than one slice holds has points whose
-    # distinct rows span several slices, joined before any moment is taken
+    # a cluster with more possible rows than one slice holds has tables whose
+    # distinct rows span several slices of the counts step, joined before
+    # any point reads them
     size = min(replica._ROW_BLOCK, replica._chunk_size(spec))
     assert (max(slices) > 1) == (replica.support_size(spec.layers) ** spec.slot_count > size)
 
@@ -369,6 +374,58 @@ def test_monte_carlo_chunks_hold_one_count_table_of_rows():
         ulp = np.finfo(float).eps * rms
         assert got.delta == pytest.approx(mean, rel=1e-12, abs=ulp)
         assert got.std_error == pytest.approx(std_error, rel=1e-12, abs=ulp / math.sqrt(samples))
+
+
+def test_drawn_tables_past_one_chunk_of_pairs_count_their_rows_at_each_read(monkeypatch):
+    # a drawn table keeps its counts up to _CHUNK_TARGET (row, configuration)
+    # pairs; a 12-spin ring's 1 000 samples hold more, so its table keeps
+    # none, and each read of a point runs its rows through count_rows in
+    # slices of min(_ROW_BLOCK, _chunk_size) = 576 rows. Each point has the
+    # bits it has alone. A B table within the bound reads the same bits with
+    # its counts dropped.
+    spec = _ring_cluster(12)
+    kind, p, q = "uncorrelated", [0.07, 0.08, 0.09], [0.1] * 3
+    (table,) = replica.point_tables(kind, [0.08], [0.1], spec, MONTE_CARLO, mc_samples=MIN_MC_SAMPLES, seed=3)
+    assert table.counts is None and len(table.representative) * spec.config_count > replica._CHUNK_TARGET
+    real_count = replica.count_rows
+    sliced = []
+
+    def count_spy(cluster, rows):
+        sliced.append(len(rows))
+        return real_count(cluster, rows)
+
+    monkeypatch.setattr(replica, "count_rows", count_spy)
+    together = replica.table_gaps(kind, p, q, spec, [table] * 3)
+    rows = len(table.representative)
+    assert sliced == ([576] * (rows // 576) + [rows % 576]) * 3
+    for i in range(3):
+        alone = replica.table_gaps(kind, p[i : i + 1], q[:1], spec, [table])
+        assert all(np.array_equal(a, b[i : i + 1]) for a, b in zip(alone, together))
+    spec = builtin_cluster("B")
+    (table,) = replica.point_tables(kind, [0.08], [0.1], spec, MONTE_CARLO, mc_samples=20_000, seed=3)
+    assert table.counts is not None
+    bare = dataclasses.replace(table, counts=None)
+    for a, b in zip(replica.table_gaps(kind, p, q, spec, [table] * 3), replica.table_gaps(kind, p, q, spec, [bare] * 3)):
+        assert np.array_equal(a, b)
+
+
+def test_sampled_gap_memory_does_not_grow_with_configurations():
+    # keeping the counts of a 12-spin ring's table of 8 685 distinct rows
+    # (10 000 samples) would take 3 x 4 096 bytes a row, 102 MiB; counted at
+    # each read, a chunk of rows at a time, the gap's numpy and Python
+    # allocations peak near 45 MiB
+    spec = _ring_cluster(12)
+    channel = ChannelSpec("uncorrelated", 0.1, 0.3)
+    (table,) = replica.point_tables("uncorrelated", [0.1], [0.3], spec, MONTE_CARLO, mc_samples=10_000, seed=1)
+    assert 3 * spec.config_count * len(table.representative) > 100 * 2**20
+    del table
+    tracemalloc.start()
+    try:
+        gap(channel, spec, MONTE_CARLO, mc_samples=10_000, seed=1, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 @pytest.mark.parametrize("m, S", [(3, 5), (3, 39), (3, 80), (5, 27), (5, 30)])
@@ -561,21 +618,18 @@ def _eight_chunk_b(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_each_distinct_row_of_a_whole_draw_is_weighed_once(monkeypatch, workers):
-    # the chunks of a draw only decode their rows; a point merges the
-    # chunks' distinct rows, with their counts over all chunks, and weighs
-    # each row of its whole draw once, in slices of at most a chunk's rows
+    # the chunks of a draw only decode their rows; a table merges the
+    # chunks' distinct rows, with their counts over all chunks, and counts
+    # each row of its whole draw once, in slices of at most a chunk's rows.
+    # Reading the table at other points counts no row again.
     spec = _eight_chunk_b(monkeypatch)
     size = min(replica._ROW_BLOCK, replica._chunk_size(spec))
-    real_count, real_values, real_merge = replica.count_rows, replica._row_values, replica._merge_rows
-    counted, sliced, merged = [], [], []
+    real_count, real_merge = replica.count_rows, replica._merge_rows
+    counted, merged = [], []
 
     def count_rows_spy(cluster, rows):
         counted.append(rows.copy())
         return real_count(cluster, rows)
-
-    def values_spy(p, K, cluster, rows):
-        sliced.append(len(rows))
-        return real_values(p, K, cluster, rows)
 
     def merge_spy(chunks, m):
         rows, count = real_merge(chunks, m)
@@ -583,20 +637,25 @@ def test_each_distinct_row_of_a_whole_draw_is_weighed_once(monkeypatch, workers)
         return rows, count
 
     monkeypatch.setattr(replica, "count_rows", count_rows_spy)
-    monkeypatch.setattr(replica, "_row_values", values_spy)
     monkeypatch.setattr(replica, "_merge_rows", merge_spy)
     for p, q in ((0.1, 0.0), (0.08, 0.2), (0.05, 0.3)):
-        for seen in (counted, sliced, merged):
+        for seen in (counted, merged):
             seen.clear()
-        gap_batch("uncorrelated", [p], [q], spec, MONTE_CARLO, mc_samples=30_000, seed=5, workers=workers)
+        (table,) = replica.point_tables(
+            "uncorrelated", [p], [q], spec, MONTE_CARLO, mc_samples=30_000, seed=5, workers=workers
+        )
         drawn = _whole_draw("uncorrelated", p, q, spec, 30_000, seed=5)
         rows = Counter(map(tuple, np.concatenate(counted).tolist()))
         assert set(rows) == set(drawn) and set(rows.values()) == {1}
-        assert sum(sliced) == len(drawn) and all(n <= size for n in sliced)
+        assert all(len(block) <= size for block in counted)
         assert merged == [dict(drawn)]
+        assert dict(zip(map(tuple, table.representative.tolist()), table.draws.tolist())) == dict(drawn)
         if q > 0.0:
-            # past one slice of distinct rows, so a point joins several
-            assert len(drawn) > size and len(sliced) >= 2
+            # past one slice of distinct rows, so a table joins several
+            assert len(drawn) > size and len(counted) >= 2
+        slices = len(counted)
+        replica.table_gaps("uncorrelated", [p, 0.9 * p, 1.1 * p], [q] * 3, spec, [table] * 3)
+        assert len(counted) == slices
 
 
 def test_merged_draws_are_worker_independent(monkeypatch):
@@ -614,23 +673,25 @@ def test_merged_draws_are_worker_independent(monkeypatch):
 
 
 def test_one_point_slices_are_pooled_and_worker_independent(monkeypatch):
-    # a single sampled point past one slice of distinct rows hands its
-    # slices to the pool, and its values keep their bits at any worker count
+    # a single sampled point draws and decodes its eight chunks over the
+    # pool, `workers` chunks at a time, and its values keep their bits at
+    # any worker count
     spec = _eight_chunk_b(monkeypatch)
     real_run = replica._run_chunks
-    weighed = []
+    pooled = []
 
     def recorded(fn, items, workers):
-        if fn is replica._row_values:
-            weighed.append((len(items), workers))
+        if fn is replica._chunk_uniforms:
+            pooled.append((len(items), workers))
         return real_run(fn, items, workers)
 
     monkeypatch.setattr(replica, "_run_chunks", recorded)
     runs = []
     for workers in (1, 2, 4):
+        pooled.clear()
         runs.append(gap_batch("uncorrelated", [0.05], [0.3], spec, MONTE_CARLO,
                               mc_samples=30_000, seed=5, workers=workers))
-    assert weighed[1][0] > 1 and weighed[1][1] == 2
+        assert pooled == [(workers, workers)] * (8 // workers)
     for run in runs[1:]:
         for got, expected in zip(run, runs[0]):
             assert np.array_equal(got, expected)
@@ -645,11 +706,12 @@ def test_one_point_slices_are_pooled_and_worker_independent(monkeypatch):
 def test_clean_and_error_slots_come_from_configuration_zero(kind, spec):
     # every slot sits in cell 0 in configuration 0, where a clean slot has
     # energy 1 (one layer) or 3 (two), every error state -1 and a lost slot
-    # 0, so E_0 and n_0 give each row's clean and error slots; each row's
-    # score must have the bits of the slots counted one by one
+    # 0, so E_0 and n_0 count each row's clean and error slots; a drawn
+    # table's clean and error counts, taken with count_nonzero, must be
+    # those, and its scores must have the bits of the slots counted one by one
     rng = np.random.default_rng(spec.slot_count)
     m = replica.support_size(spec.layers)
-    rows = rng.integers(0, m, size=(400, spec.slot_count)).astype(np.int8)
+    rows, count = replica._distinct_rows(rng.integers(0, m, size=(400, spec.slot_count)).astype(np.int8), m)
     assert np.any(rows == m - 1)
     clean = np.count_nonzero(rows == 0, axis=1)
     errors = np.count_nonzero(rows < m - 1, axis=1) - clean
@@ -657,10 +719,11 @@ def test_clean_and_error_slots_come_from_configuration_zero(kind, spec):
     assert np.array_equal(energy, {1: 1, 2: 3}[spec.layers] * clean - errors)
     assert np.array_equal(kept, clean + errors)
     p = 0.1
-    K = model.coupling(kind, p)
-    logp, logd, _, _ = (a[0] for a in log_factor_batch(spec, count_rows(spec, rows), [K]))
-    delta, score = replica._row_values(p, K, spec, rows)
-    assert np.array_equal(delta, logp - logd)
+    _, probs = replica._round_points(kind, [p], [0.2])
+    table = replica._drawn_table(spec, probs[0], rows, count)
+    assert np.array_equal(table.clean[table.count_index], clean)
+    assert np.array_equal(table.errors[table.count_index], errors)
+    score = replica._score(p, table.clean, table.errors)[table.count_index]
     assert np.array_equal(score, replica._score(p, clean, errors))
 
 

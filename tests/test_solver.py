@@ -167,7 +167,7 @@ def test_sweep_checks_every_q_before_any_search(monkeypatch, qs):
     def fail(*args, **kwargs):
         raise AssertionError("a gap was evaluated")
 
-    monkeypatch.setattr(replica, "gap_batch", fail)
+    monkeypatch.setattr(replica, "table_gaps", fail)
     monkeypatch.setattr(solver, "_closed_form_root", fail)
     with pytest.raises(ValueError, match=r"\[0, 0.5\)"):
         sweep("uncorrelated", "A", qs)
@@ -188,15 +188,15 @@ def test_monte_carlo_solve():
 
 
 def _count_gap_calls(monkeypatch) -> list[float]:
-    """p of every point the solver evaluates; its rounds all go through gap_batch."""
-    real_batch = replica.gap_batch
+    """p of every point the solver evaluates; its rounds all go through table_gaps."""
+    real_batch = replica.table_gaps
     calls = []
 
     def counted(kind, p, *args, **kwargs):
         calls.extend(p)
         return real_batch(kind, p, *args, **kwargs)
 
-    monkeypatch.setattr(replica, "gap_batch", counted)
+    monkeypatch.setattr(replica, "table_gaps", counted)
     return calls
 
 
@@ -233,6 +233,9 @@ def test_gap_evaluations_per_threshold(monkeypatch, name):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_monte_carlo_gap_evaluations_per_threshold(monkeypatch, seed):
+    # a sampled search is an exact search on the table drawn at its seed:
+    # the seed, one Newton step and the certificate (p - tol/2, p, p + tol/2),
+    # whose middle point is p_c
     calls = _count_gap_calls(monkeypatch)
     for q in (0.0, 0.2, 0.4):
         calls.clear()
@@ -241,28 +244,86 @@ def test_monte_carlo_gap_evaluations_per_threshold(monkeypatch, seed):
         )
         assert result.ok
         assert len(calls) <= 6, f"seed {seed} at q={q}: {len(calls)} gap evaluations"
-        assert result.evaluations == len(calls) == result.iterations + 2
-        # the seed, one Newton step to the certificate, its two ends
-        assert len(calls) == 3, f"seed {seed} at q={q}: {len(calls)} gap evaluations"
-        assert result.bracket == (calls[1], calls[2])
-        assert result.p_c in calls[1:]
+        assert result.evaluations == len(calls) == result.iterations + 3
+        assert len(calls) == 5, f"seed {seed} at q={q}: {len(calls)} gap evaluations"
+        assert result.p_c == calls[-2]
+        assert result.bracket in ((calls[-3], calls[-2]), (calls[-2], calls[-1]))
+        # the residual is p_c's own |Delta| on the table drawn at the seed
+        spec = builtin_cluster("B")
+        table = replica.point_tables(
+            "uncorrelated", [calls[0]], [q], spec, "monte-carlo", mc_samples=100_000, seed=seed
+        )
+        assert result.residual == abs(replica.table_gaps("uncorrelated", [result.p_c], [q], spec, table)[0][0])
 
 
-def test_monte_carlo_sweep_takes_two_rounds(monkeypatch):
-    # every search spends its seed in the first round and its certificate in
-    # the second, all in lockstep
-    real_batch = replica.gap_batch
+def test_monte_carlo_sweep_takes_three_rounds(monkeypatch):
+    # every search spends its seed in the first round, one Newton step in the
+    # second and its certificate in the third, all in lockstep, as an exact
+    # search on B does
+    real_batch = replica.table_gaps
     rounds = []
 
     def counted(kind, p, *args, **kwargs):
         rounds.append(len(p))
         return real_batch(kind, p, *args, **kwargs)
 
-    monkeypatch.setattr(replica, "gap_batch", counted)
+    monkeypatch.setattr(replica, "table_gaps", counted)
     qs = (0.0, 0.1, 0.2, 0.3, 0.4)
     rows = sweep("uncorrelated", "B", qs, policy="monte-carlo", mc_samples=100_000, seed=1)
-    assert all(row.ok and row.evaluations == 3 for row in rows)
-    assert rounds == [len(qs), 2 * len(qs)]
+    assert all(row.ok and row.evaluations == row.iterations + 3 == 5 for row in rows)
+    assert rounds == [len(qs), len(qs), 3 * len(qs)]
+
+
+CALIBRATION_Q = (0.0, 0.1, 0.2, 0.3, 0.4)
+
+
+def _ess_fraction(kind: str, spec: ClusterSpec, table: replica.ClassTable, p: float, q: float) -> float:
+    """Kong's effective sample size over N of a drawn table read at (p, q): (sum c w)^2 / (N sum c w^2), w = P_p/P_p0."""
+    _, probs = replica._round_points(kind, [p], [q])
+    vector_weight = replica._vector_weights(probs, table.count_vectors, spec.slot_count)[0]
+    samples = table.draws.sum()
+    ratio = table.multiplicity * vector_weight[table.count_index] * samples / table.draws
+    return float((table.draws * ratio).sum() ** 2 / (table.draws * ratio**2).sum() / samples)
+
+
+@pytest.mark.parametrize("name", ["B", "E"])
+def test_sampled_thresholds_are_calibrated(monkeypatch, name):
+    # a sampled p_c is the root of the table drawn at its seed: over 30
+    # seeds, the RMS of its pull (p_c - exact) / std_error lies in 0.8-1.2
+    # at 20 000 samples, and every table keeps an effective sample size of
+    # at least 0.98 N at the p_c it returns (Kong 1992), so the reweighting
+    # from the seed costs next to nothing
+    kind, spec = CHANNEL_OF[name], builtin_cluster(name)
+    exact = [row.p_c for row in sweep(kind, spec, CALIBRATION_Q, tol=1e-10)]
+    real_tables = replica.point_tables
+    drawn = []
+
+    def recorded(*args, **kwargs):
+        drawn.append(real_tables(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(replica, "point_tables", recorded)
+    pulls, ess = [], []
+    for seed in range(30):
+        rows = sweep(kind, spec, CALIBRATION_Q, policy="monte-carlo", mc_samples=20_000, seed=seed)
+        for row, reference, table in zip(rows, exact, drawn[-1]):
+            assert row.ok
+            pulls.append((row.p_c - reference) / row.std_error)
+            ess.append(_ess_fraction(kind, spec, table, row.p_c, row.q))
+    rms = math.sqrt(math.fsum(x * x for x in pulls) / len(pulls))
+    assert 0.8 <= rms <= 1.2, f"{name}: RMS pull {rms:.3f}"
+    assert min(ess) >= 0.98, f"{name}: effective sample size {min(ess):.4f} N"
+
+
+def test_sampled_searches_on_b_never_bisect(monkeypatch):
+    # at 1 000 samples a table's slope misses its own derivative by about
+    # 1.4 % (median), so certificates fail often; Newton goes on from them
+    # and no search of 30 seeds falls back to the full bracket
+    calls = _count_gap_calls(monkeypatch)
+    for seed in range(30):
+        rows = sweep("uncorrelated", "B", CALIBRATION_Q, policy="monte-carlo", mc_samples=1000, seed=seed)
+        assert all(row.ok and row.evaluations <= 11 for row in rows)
+    assert solver.BRACKET_LO not in calls
 
 
 def _top_seed(kind: str, q: float) -> float:
@@ -310,13 +371,13 @@ def test_unusable_slope_falls_back_to_full_bracket(monkeypatch, slope):
     # back to bisection of the full bracket, and the evaluation it spent counts
     kind, spec = "depolarizing", builtin_cluster("D")
     reference = [solve_threshold(kind, spec, q, tol=1e-10) for q in REFERENCE_Q]
-    real_batch = replica.gap_batch
+    real_batch = replica.table_gaps
 
     def unusable(*args, **kwargs):
         delta, std_error, _ = real_batch(*args, **kwargs)
         return delta, std_error, np.full_like(delta, slope)
 
-    monkeypatch.setattr(replica, "gap_batch", unusable)
+    monkeypatch.setattr(replica, "table_gaps", unusable)
     calls = _count_gap_calls(monkeypatch)
     for q, expected in zip(REFERENCE_Q, reference):
         calls.clear()
@@ -329,57 +390,98 @@ def test_unusable_slope_falls_back_to_full_bracket(monkeypatch, slope):
         assert result.bracket[1] - result.bracket[0] <= 1e-7
 
 
-def test_failed_certificate_falls_back_to_full_bracket(monkeypatch):
+def test_failed_certificate_continues_newton(monkeypatch):
     # twice the true slope halves every Newton step, so the steps shrink
     # while the error stays about as large as them: the predicted error
-    # passes tol/8 long before the iterate is within tol/2, its certificate
-    # does not straddle zero, and the search falls back to the full bracket
+    # passes tol/8 long before the iterate is within tol/2, and its
+    # certificate does not straddle zero. Newton goes on from the
+    # certificate's middle point, each step half the last, and certifies a
+    # p_c within tol without the full bracket
     kind, spec = "depolarizing", builtin_cluster("D")
     reference = [solve_threshold(kind, spec, q, tol=1e-10) for q in REFERENCE_Q]
-    real_batch = replica.gap_batch
+    real_batch = replica.table_gaps
 
     def doubled(*args, **kwargs):
         delta, std_error, slope = real_batch(*args, **kwargs)
         return delta, std_error, 2.0 * slope
 
-    monkeypatch.setattr(replica, "gap_batch", doubled)
+    monkeypatch.setattr(replica, "table_gaps", doubled)
     calls = _count_gap_calls(monkeypatch)
     for q, expected in zip(REFERENCE_Q, reference):
         calls.clear()
         result = solve_threshold(kind, spec, q)
         assert result.ok
         assert abs(result.p_c - expected.p_c) <= 1e-7
-        start = calls.index(solver.BRACKET_LO)
-        assert start > 3 and calls[start + 1] == solver._upper_bracket(kind)
-        assert result.evaluations == len(calls)
+        assert solver.BRACKET_LO not in calls
+        assert result.p_c == calls[-2]
+        # each failed certificate spends three evaluations in one round
+        assert result.evaluations == len(calls) > result.iterations + 3
+
+
+@pytest.mark.parametrize("name", ["A", "D"])
+def test_one_failed_certificate_continues_newton_within_tol(monkeypatch, name):
+    # the first certificate of every search is made to fail, its outer
+    # points both read as positive; Newton goes on from its middle point,
+    # and the next certificate gives a p_c within tol of the unforced one
+    kind, spec = CHANNEL_OF[name], builtin_cluster(name)
+    unforced = [solve_threshold(kind, spec, q) for q in REFERENCE_Q]
+    real_batch = replica.table_gaps
+    failed = []
+
+    def first_certificate_fails(kind, p, *args, **kwargs):
+        delta, std_error, slope = real_batch(kind, p, *args, **kwargs)
+        if len(p) == 3 and not failed:
+            failed.append(p[1])
+            delta = np.array([1.0, delta[1], 1.0])
+        return delta, std_error, slope
+
+    monkeypatch.setattr(replica, "table_gaps", first_certificate_fails)
+    calls = _count_gap_calls(monkeypatch)
+    for q, expected in zip(REFERENCE_Q, unforced):
+        calls.clear()
+        failed.clear()
+        result = solve_threshold(kind, spec, q)
+        assert result.ok and failed
+        assert abs(result.p_c - expected.p_c) <= 1e-7
+        assert solver.BRACKET_LO not in calls
+        assert result.evaluations == len(calls) == result.iterations + 3 + 2
+        assert result.bracket[0] <= result.p_c <= result.bracket[1]
 
 
 @pytest.mark.parametrize("scale", [math.nan, -1.0, 0.5], ids=["nan", "positive", "halved"])
 def test_unusable_sampled_slope_falls_back_to_full_bracket(monkeypatch, scale):
     # a NaN or positive sampled slope stops Newton after the seed; half the
-    # slope doubles the step, which overshoots the sampled root by about
-    # the seed's distance from it, past the certificate's half-width at
-    # these q, so its ends do not straddle zero. Bisection of the full bracket
-    # then stops at max(tol, 2 sigma_p), and every point counts.
+    # slope doubles the step, so the iterates step back and forth about the
+    # root, and Newton gives up at the seed's second step, which is not
+    # under half the first. Bisection of the full bracket then reads a table
+    # drawn at the bracket's middle, which signs both ends even at q = 0.4,
+    # where the seed's table (p = 0.025) cannot sign the top end past twice
+    # its standard error; it stops at tol, and every point counts. Its
+    # std_error takes the secant of the final bracket, finite where the
+    # table's slope is not, and its p_c agrees with the unforced search's.
     kind, spec = "uncorrelated", builtin_cluster("B")
-    real_batch = replica.gap_batch
+    options = {"policy": "monte-carlo", "mc_samples": 100_000, "seed": 3}
+    unforced = [solve_threshold(kind, spec, q, **options) for q in (0.0, 0.1, 0.4)]
+    real_batch = replica.table_gaps
 
     def scaled(*args, **kwargs):
         delta, std_error, slope = real_batch(*args, **kwargs)
         return delta, std_error, scale * slope
 
-    monkeypatch.setattr(replica, "gap_batch", scaled)
+    monkeypatch.setattr(replica, "table_gaps", scaled)
     calls = _count_gap_calls(monkeypatch)
-    for q in (0.0, 0.1, 0.4):
+    for q, expected in zip((0.0, 0.1, 0.4), unforced):
         calls.clear()
-        result = solve_threshold(kind, spec, q, policy="monte-carlo", mc_samples=100_000, seed=3)
+        result = solve_threshold(kind, spec, q, **options)
         assert result.ok
         start = calls.index(solver.BRACKET_LO)
         assert start == (3 if scale == 0.5 else 1)
         assert calls[start + 1] == solver._upper_bracket(kind)
         assert result.evaluations == len(calls) == start + 2 + result.iterations
         assert result.bracket[0] <= result.p_c <= result.bracket[1]
-        assert result.bracket[1] - result.bracket[0] <= max(1e-7, 2.0 * result.std_error)
+        assert result.bracket[1] - result.bracket[0] <= 1e-7
+        assert 0.0 < result.std_error < math.inf
+        assert abs(result.p_c - expected.p_c) <= 3.0 * math.hypot(result.std_error, expected.std_error)
 
 
 def _bisection_steps(kind: str, tol: float) -> int:
@@ -550,13 +652,13 @@ def test_lockstep_fallback_for_one_q_leaves_the_others(monkeypatch):
 
 def test_lockstep_no_sign_change_at_one_q_leaves_the_others(monkeypatch):
     expected = sweep("depolarizing", "D", REFERENCE_Q)
-    real_batch = replica.gap_batch
+    real_batch = replica.table_gaps
 
     def positive_at_03(kind, p, q, *args, **kwargs):
         delta, std_error, slope = real_batch(kind, p, q, *args, **kwargs)
         return np.where(np.asarray(q) == 0.3, 1.0, delta), std_error, slope
 
-    monkeypatch.setattr(replica, "gap_batch", positive_at_03)
+    monkeypatch.setattr(replica, "table_gaps", positive_at_03)
     rows = sweep("depolarizing", "D", REFERENCE_Q)
     with pytest.raises(NoSignChange):
         solve_threshold("depolarizing", "D", 0.3)
@@ -574,14 +676,14 @@ GRID_91 = [round(0.005 * i, 10) for i in range(91)]
 def test_lockstep_rounds_on_the_91_q_grid(monkeypatch, name):
     # Newton from the closed-form root: two steps and a certificate where the
     # seed is off by up to 8.5e-4, one step where it is the one unit's root
-    real_batch = replica.gap_batch
+    real_batch = replica.table_gaps
     rounds = []
 
     def counted(*args, **kwargs):
         rounds.append(len(args[1]))
         return real_batch(*args, **kwargs)
 
-    monkeypatch.setattr(replica, "gap_batch", counted)
+    monkeypatch.setattr(replica, "table_gaps", counted)
     kind = CHANNEL_OF[name]
     rows = sweep(kind, name, GRID_91, tol=1e-7)
     assert len(rounds) == (2 if name in ("single", "C") else 3)
