@@ -125,7 +125,7 @@ def coupling(kind: str, p: float) -> float:
     """K on the Nishimori line for an error rate p that `check_points` accepts.
 
     Uncorrelated: K = ln((1-p)/p) / 2; depolarizing: K = ln(3(1-p)/p) / 4.
-    `replica.gap_batch` takes each point's K from this one scalar
+    `replica._round_points` takes each point's K from this one scalar
     expression, so a round's couplings have the bits of single calls.
     """
     if kind == UNCORRELATED:

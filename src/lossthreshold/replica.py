@@ -36,14 +36,17 @@ importance-weighted mean of the draw, a fixed function of p: the
 sample-average approximation (Shapiro, Dentcheva & Ruszczynski 2009, ch. 5).
 Read at p0 it is the plain sample mean. A counter-based generator makes the
 uniforms of every chunk of samples reproducible and identical across
-points, so one call draws each chunk once, in groups of `worker_count`
-chunks, for all its tables. Sampled rows repeat often, within a chunk and
-across chunks, so a chunk only decodes its rows into distinct ones, and a
-table merges the distinct rows of all its chunks and counts each once: near
-the root of B at 100 000 samples, 1.2 % (q = 0) to 21 % (q = 0.3) of the
-drawn rows. A table keeps those counts only up to _CHUNK_TARGET (row,
-configuration) pairs, so that its memory does not grow with the
-2^internal configurations; past that each read counts its rows again.
+points, so one call draws each chunk once for all its tables. A call makes
+two passes over a pool of `worker_count` threads: one item per chunk draws
+its uniforms and decodes them at every point, and one item per table
+merges that table's chunks and builds it. Sampled rows repeat often,
+within a chunk and across chunks, so a chunk only decodes its rows into
+distinct ones, and a table merges the distinct rows of all its chunks and
+counts each once: near the root of B at 100 000 samples, 1.2 % (q = 0) to
+21 % (q = 0.3) of the drawn rows. A table keeps those counts only up to
+_CHUNK_TARGET (row, configuration) pairs, so that its memory does not grow
+with the 2^internal configurations; past that each read counts its rows
+again.
 
 `point_tables` gives the table each point of a round reads: the class table
 on the exact policy, a table drawn at the point itself on the Monte Carlo
@@ -203,8 +206,11 @@ def _chunk_bounds(total: int, cluster: ClusterSpec) -> list[tuple[int, int]]:
 def _run_chunks(fn, items, workers: int) -> list:
     """[fn(*item) for item in items], over up to `workers` threads.
 
-    It draws and decodes Monte Carlo chunks, merges their rows and builds
-    the tables of the merged rows.
+    `point_tables` makes two passes through it: one item per Monte Carlo
+    chunk, which draws the chunk's uniforms and decodes them at every
+    point, then one item per point, which merges the point's chunks and
+    builds its table. At most `workers` items run at a time, so the chunk
+    pass holds at most that many draws.
     """
     if workers <= 1 or len(items) <= 1:
         return [fn(*item) for item in items]
@@ -582,30 +588,25 @@ def _chunk_uniforms(seed: int, cluster: ClusterSpec, lo: int, hi: int) -> np.nda
     return np.random.Generator(bitgen).random((hi - lo, S))
 
 
-def _sampled_rows(probs: np.ndarray):
-    """The function that decodes one chunk's uniforms at one point into its distinct rows and their counts.
+def _sampled_rows(u: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One chunk's uniforms decoded at one point of (states,) probabilities: its distinct rows and their counts.
 
     The uniforms are those of `_chunk_uniforms`, drawn once per chunk and
-    call of `point_tables` and shared by all the call's points. A row's
-    state is the number of cumulative probabilities at or below its
-    uniform, summed as int8 from the comparisons' bytes; `_distinct_rows`
-    gives the chunk's distinct rows, in key order, and how often each was
-    drawn.
+    call of `point_tables` by the chunk's item, which decodes them at every
+    point of the call and frees them when it returns. A row's state is the
+    number of cumulative probabilities at or below its uniform, summed as
+    int8 from the comparisons' bytes; `_distinct_rows` gives the chunk's
+    distinct rows, in key order, and how often each was drawn.
     """
     cum = np.cumsum(probs)
-    cum[-1] = 1.0
-
-    def decode(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # u < 1 = cum[-1], so the last cumulative probability never counts
-        states = (u >= cum[0]).view(np.int8)
-        for c in cum[1:-1]:
-            states += (u >= c).view(np.int8)
-        return _distinct_rows(states, len(cum))
-
-    return decode
+    # u < 1, and the last cumulative probability is 1 up to rounding, so it is never compared
+    states = (u >= cum[0]).view(np.int8)
+    for c in cum[1:-1]:
+        states += (u >= c).view(np.int8)
+    return _distinct_rows(states, len(cum))
 
 
-def _merge_rows(chunks: list, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _merge_rows(chunks: tuple, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a point's whole draw, in key order, and their counts, from its chunks' (rows, count)."""
     if len(chunks) == 1:
         return chunks[0]
@@ -662,23 +663,23 @@ def point_tables(
     policy "exact" gives the cluster's `class_table` for every point, and
     raises TooManyTerms, before compiling anything, when `exact_work`
     exceeds TERM_BUDGET. "monte-carlo" draws `mc_samples` rows per point
-    from the Philox stream of `seed`, over `worker_count(workers)` threads.
-    The draws share their `_chunk_bounds` chunks: the chunks are taken in
-    groups of that many, each group's uniforms are drawn once, and every
-    (point, chunk) item of the group turns the shared draw into the chunk's
-    distinct rows and their counts (`_sampled_rows`); the draws are freed
-    before the next group's. So a call draws each chunk once, whatever its
-    number of points, and holds at most `worker_count(workers)` draws at a
-    time. Each point then merges its chunks' distinct rows into those of
-    its whole draw, in key order with summed counts (`_merge_rows`), and
-    becomes a `_drawn_table`, one pool item per table. The points are
-    checked first (`model.check_points`), then the policy's arguments: a
-    `workers` below 1, and a sampled `mc_samples` or `seed` that is not an
-    integer, are refused. A table does not depend on the worker count or on
-    the other points of the call.
+    from the Philox stream of `seed`, in two passes over
+    `worker_count(workers)` threads (`_run_chunks`). The chunk pass has one
+    item per `_chunk_bounds` chunk: it draws the chunk's uniforms once and
+    turns them, at every point, into the chunk's distinct rows and their
+    counts (`_sampled_rows`). The uniforms are freed when the item returns,
+    so a call draws each chunk once, whatever its number of points, and
+    holds at most `worker_count(workers)` draws at a time. The table pass
+    has one item per point: it merges the point's chunks into the distinct
+    rows of its whole draw, in key order with summed counts (`_merge_rows`),
+    and builds its `_drawn_table`. A `workers` that is not an integer of at
+    least 1 is refused first, on either policy, then the policy, the points
+    (`model.check_points`) and a sampled `mc_samples` or `seed` that is not
+    an integer; THRESHOLD_WORKERS is read only where points are drawn. A
+    table does not depend on the worker count or on the other points of the
+    call.
     """
-    if workers is not None:
-        worker_count(workers)
+    nworkers = workers if workers is None else worker_count(workers)
     check_policy(policy)
     _, probs = _round_points(kind, p, q)
     _check_layers(kind, cluster)
@@ -695,21 +696,17 @@ def point_tables(
     seed = check_seed(seed)
     if not len(probs):
         return []
-    nworkers = worker_count(workers)
-    bounds = _chunk_bounds(samples, cluster)
-    decoders = [_sampled_rows(row) for row in probs]
-    drawn = [[] for _ in decoders]
-    for start in range(0, len(bounds), nworkers):
-        group = bounds[start : start + nworkers]
-        draws = _run_chunks(_chunk_uniforms, [(seed, cluster, lo, hi) for lo, hi in group], nworkers)
-        sets = _run_chunks(lambda fn, u: fn(u), [(fn, u) for fn in decoders for u in draws], nworkers)
-        # freed before the next group is drawn: at most nworkers draws at a time
-        del draws
-        for i, point in enumerate(drawn):
-            point.extend(sets[i * len(group) : (i + 1) * len(group)])
-    merged = _run_chunks(_merge_rows, [(chunks, probs.shape[1]) for chunks in drawn], nworkers)
-    del drawn
-    return _run_chunks(_drawn_table, [(cluster, row, *rows) for row, rows in zip(probs, merged)], nworkers)
+    nworkers = nworkers or worker_count()
+
+    def decode(lo, hi):
+        u = _chunk_uniforms(seed, cluster, lo, hi)
+        return [_sampled_rows(u, row) for row in probs]
+
+    def table(row, chunks):
+        return _drawn_table(cluster, row, *_merge_rows(chunks, len(row)))
+
+    chunks = _run_chunks(decode, _chunk_bounds(samples, cluster), nworkers)
+    return _run_chunks(table, list(zip(probs, zip(*chunks))), nworkers)
 
 
 def _table_points(p: np.ndarray, K: np.ndarray, probs: np.ndarray, cluster: ClusterSpec, table: ClassTable) -> np.ndarray:
@@ -732,13 +729,26 @@ def table_gaps(
     points are checked once, by `model.check_points` (see `_round_points`),
     and no object is built per point. Each run of consecutive points that
     read one table is read on the calling thread in one `_table_points`
-    call. Raises NonFinite for a Delta that is not finite. Each point's
-    values are bit-identical to reading it alone.
+    call. Raises ValueError unless there is one table per point,
+    ShapeMismatch for a table whose rows do not have the cluster's slots or
+    whose kept counts do not have its configurations, and NonFinite for a
+    Delta that is not finite. Each point's values are bit-identical to
+    reading it alone.
     """
     K, probs = _round_points(kind, p, q)
     p = np.asarray(p, dtype=np.float64)
     _check_layers(kind, cluster)
+    if len(tables) != len(p):
+        raise ValueError(f"need one table per point, got {len(tables)} tables for {len(p)} points")
     cuts = [i for i in range(len(tables)) if not i or tables[i] is not tables[i - 1]] + [len(tables)]
+    for table in (tables[lo] for lo in cuts[:-1]):
+        slots = table.representative.shape[1]
+        configurations = cluster.config_count if table.counts is None else table.counts.shape[1]
+        if (slots, configurations) != (cluster.slot_count, cluster.config_count):
+            raise ShapeMismatch(
+                f"a table of {slots} slots and {configurations} configurations cannot be read on cluster "
+                f"{cluster.name!r} of {cluster.slot_count} slots and {cluster.config_count} configurations"
+            )
     values = [_table_points(p[lo:hi], K[lo:hi], probs[lo:hi], cluster, tables[lo]) for lo, hi in zip(cuts, cuts[1:])]
     delta, std_error, slope = np.concatenate([np.zeros((3, 0)), *values], axis=1)
     if not np.isfinite(delta).all():

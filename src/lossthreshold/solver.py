@@ -27,16 +27,18 @@ that takes at most 33 halvings. The bisection reads a table drawn at the
 full bracket's middle: the seed's table may weigh an end far from the seed
 on too few rows to sign it.
 
-Each search is a generator that asks for a table, or for the gap at the
-points it needs next. A sweep advances its searches in lockstep: each round
-draws the tables its searches ask for in one `replica.point_tables` call,
-the first round every q's, and reads every unfinished search's next points
-in one `replica.table_gaps` call on the round's p, q and table lists.
-Searches are sent back plain (Delta, standard error, slope) floats, so no
-per-point channel or result object passes between solver and replica. A
-point's gap does not depend on the points that share its round, so each q's
-search, and its row, is the same as alone; `solve_threshold` is the sweep of
-one q.
+Each search is a generator whose every request is (table point, points):
+the p at which the table it reads is drawn, its seed while it takes Newton
+steps and the full bracket's middle while it bisects, and the points it
+needs next. A sweep advances its searches in lockstep: each round draws the
+tables of the searches whose table point changed in one
+`replica.point_tables` call, the first round every q's, and reads every
+unfinished search's next points in one `replica.table_gaps` call on the
+round's p, q and table lists. Searches are sent back plain (Delta,
+standard error, slope) floats, so no per-point channel or result object
+passes between solver and replica. A point's gap does not depend on the
+points that share its round, so each q's search, and its row, is the same
+as alone; `solve_threshold` is the sweep of one q.
 """
 
 from __future__ import annotations
@@ -59,10 +61,6 @@ STATUS_NO_SIGN_CHANGE = "no-sign-change"
 
 class NoSignChange(RuntimeError):
     """The gap has one sign over the whole bracket; no threshold to find."""
-
-
-class _Table(float):
-    """A search's request for a table drawn at this p, from which it reads its next points."""
 
 
 @dataclass(frozen=True)
@@ -142,9 +140,10 @@ def solve_threshold(
     Raises NoSignChange when the gap fails to change sign over the full
     bracket (an end within replica.GAP_FLOOR, or within twice its standard
     error, of zero has no sign), which signals the q >= 1/2 regime of a
-    larger cluster or a broken geometry. Raises ValueError for a tol that is not finite or is below MIN_TOL, for a
-    `workers` that is not an integer of at least 1, and for a Monte Carlo
-    seed that is not an integer in [0, 2**128).
+    larger cluster or a broken geometry. Raises ValueError for a tol that
+    is not finite or is below MIN_TOL, for a `workers` that is not an
+    integer of at least 1, and for a Monte Carlo seed that is not an
+    integer in [0, 2**128).
     """
     model.check_rate("loss rate q", q)
     spec = _resolve_cluster(cluster)
@@ -157,21 +156,22 @@ def solve_threshold(
 def _thresholds(kind, spec, qs, tol, policy, mc_samples, seed, workers) -> list:
     """A ThresholdResult or a NoSignChange for every q, all searched in lockstep.
 
-    A search yields the tuple of p values it needs next and is sent back a
-    list of their (delta, std_error, slope) triples, or yields a `_Table`
-    point, the p at which to draw the table it reads from then on, and is
-    sent back None (`replica.point_tables`: the class table on the exact
-    policy). Each round draws the tables its searches ask for in one call,
-    so a sweep draws all its first tables in one call, takes those searches'
-    next requests, and gathers the points of every unfinished search, in q
-    order, into one `replica.table_gaps` call, whose values do not depend on
-    which points share the call or on the worker count; so each outcome
-    depends on its own q alone.
+    A search yields (table point, points), the p at which the table it
+    reads is drawn and the tuple of p values it needs next, and is sent
+    back a list of their (delta, std_error, slope) triples. Each round
+    draws, in one `replica.point_tables` call (the class table on the exact
+    policy), the tables of the searches whose table point is not that of
+    their last table, so a sweep draws all its first tables in one call.
+    That first call also checks the policy and its arguments where no
+    search runs. The round then gathers the points of every unfinished
+    search, in q order, into one `replica.table_gaps` call, whose values do
+    not depend on which points share the call or on the worker count; so
+    each outcome depends on its own q alone.
     """
     model.check_kind(kind)
     _check_tol(tol)
     nworkers = replica.worker_count(workers)
-    outcomes, searches, tables = {}, {}, {}
+    outcomes, searches, at, tables = {}, {}, {}, {}
     for i, q in enumerate(qs):
         # One-unit clusters reduce to the closed form, whose root degenerates
         # to p = 0 exactly when q reaches 1/2 (binary entropy target <= 0).
@@ -193,27 +193,25 @@ def _thresholds(kind, spec, qs, tol, policy, mc_samples, seed, workers) -> list:
                 outcomes[i] = exc
         return requests
 
-    def draw(ps, round_qs):
-        return replica.point_tables(
-            kind, ps, round_qs, spec, policy, mc_samples=mc_samples, seed=seed, workers=nworkers
-        )
-
-    draw([], [])  # checks the policy and its arguments, even where no search runs
-    replies = dict.fromkeys(searches)
+    requests = advance(dict.fromkeys(searches))
     while True:
-        requests = advance(replies)
-        while redraws := {i: p for i, p in requests.items() if isinstance(p, _Table)}:
-            tables.update(zip(redraws, draw(list(redraws.values()), [qs[i] for i in redraws])))
-            rest = {i: request for i, request in requests.items() if i not in redraws}
-            requests = dict(sorted({**rest, **advance(dict.fromkeys(redraws))}.items()))
+        redraw = {i: point for i, (point, _) in requests.items() if at.get(i) != point}
+        # the first call also checks the policy and its arguments, even where no search runs
+        if redraw or not at:
+            at.update(redraw)
+            drawn = replica.point_tables(
+                kind, list(redraw.values()), [qs[i] for i in redraw], spec, policy,
+                mc_samples=mc_samples, seed=seed, workers=nworkers,
+            )
+            tables.update(zip(redraw, drawn))
         if not requests:
             return [outcomes[i] for i in range(len(qs))]
-        ps = [p for request in requests.values() for p in request]
-        round_qs = [qs[i] for i, request in requests.items() for _ in request]
-        round_tables = [tables[i] for i, request in requests.items() for _ in request]
+        ps = [p for _, points in requests.values() for p in points]
+        round_qs = [qs[i] for i, (_, points) in requests.items() for _ in points]
+        round_tables = [tables[i] for i, (_, points) in requests.items() for _ in points]
         delta, std_error, slope = replica.table_gaps(kind, ps, round_qs, spec, round_tables)
         values = zip(delta.tolist(), std_error.tolist(), slope.tolist())
-        replies = {i: [next(values) for _ in request] for i, request in requests.items()}
+        requests = advance({i: [next(values) for _ in points] for i, (_, points) in requests.items()})
 
 
 def _result(kind, name, q, method, bracket, end, iterations, evaluations):
@@ -226,31 +224,30 @@ def _result(kind, name, q, method, bracket, end, iterations, evaluations):
 def _search(kind, name, q, method, tol, root):
     """The threshold search at one q from the closed-form root `root`, as a generator.
 
-    It asks for a table at the root and takes Newton steps on it from
-    there (`_newton`), and returns their result if they certify one.
-    Otherwise, or with no root, it asks for a table at the middle of the
-    full bracket, on which a table drawn at the seed may weigh an end too
-    far from it on too few rows to sign it, and for the bracket's ends, then
-    bisects: each step asks for the midpoint, (p,), and keeps the half
-    whose ends straddle zero, until the bracket is no wider than tol. The
-    result is the end of smaller |Delta| (the lower on a tie), with every
-    requested point counted in `evaluations`; its std_error takes the slope
-    of the final bracket's secant, as the table's slope may be the one
-    Newton gave up on. Raises NoSignChange when the full bracket's ends do
-    not straddle zero: an end is signed only past GAP_FLOOR and past twice
-    its standard error, so a sampled end that one draw could flip decides
-    nothing.
+    It takes Newton steps from the root on the table drawn there
+    (`_newton`), and returns their result if they certify one. Otherwise,
+    or with no root, it asks for the full bracket's ends (a, b) on a table
+    drawn at its middle, (middle, (a, b)), as a table drawn at the seed may
+    weigh an end too far from it on too few rows to sign it, then bisects
+    on that table: each step asks for the midpoint, (middle, (p,)), and
+    keeps the half whose ends straddle zero, until the bracket is no wider
+    than tol. The result is the end of smaller |Delta| (the lower on a
+    tie), with every requested point counted in `evaluations`; its
+    std_error takes the slope of the final bracket's secant, as the table's
+    slope may be the one Newton gave up on. Raises NoSignChange when the
+    full bracket's ends do not straddle zero: an end is signed only past
+    GAP_FLOOR and past twice its standard error, so a sampled end that one
+    draw could flip decides nothing.
     """
     a, b = BRACKET_LO, _upper_bracket(kind)
     spent = 0
     if root is not None:
-        yield _Table(root)
         outcome = yield from _newton(kind, name, q, method, tol, root, b)
         if isinstance(outcome, ThresholdResult):
             return outcome
         spent = outcome
-    yield _Table(0.5 * (a + b))
-    (fa, sigma_a, _), (fb, sigma_b, _) = yield (a, b)
+    middle = 0.5 * (a + b)
+    (fa, sigma_a, _), (fb, sigma_b, _) = yield middle, (a, b)
     spent += 2
     if not (fa > max(replica.GAP_FLOOR, 2.0 * sigma_a) and fb < -max(replica.GAP_FLOOR, 2.0 * sigma_b)):
         raise NoSignChange(
@@ -261,7 +258,7 @@ def _search(kind, name, q, method, tol, root):
     iterations = 0
     while ends[1][0] - ends[0][0] > tol:
         mid = 0.5 * (ends[0][0] + ends[1][0])
-        ((f, sigma, _),) = yield (mid,)
+        ((f, sigma, _),) = yield middle, (mid,)
         iterations += 1
         # the midpoint replaces the end of its own sign
         ends[f <= 0.0] = (mid, f, sigma)
@@ -271,16 +268,17 @@ def _search(kind, name, q, method, tol, root):
     return _result(kind, name, q, method, (lo, hi), (*best, secant), iterations, spent + iterations)
 
 
-def _newton(kind, name, q, method, tol, p, upper):
-    """Safeguarded Newton steps on the gap from the seed p, as a generator.
+def _newton(kind, name, q, method, tol, seed, upper):
+    """Safeguarded Newton steps on the gap from the seed, as a generator.
 
-    Each round asks for one iterate, (p,), and is sent back [(Delta,
-    standard error, slope)]; p moves by -Delta/slope. The error of the next
-    iterate is predicted as |f''/(2 f')| step^2, with f'' the difference
-    quotient of the last two slopes; before a second slope, f''/f' is the
-    closed form's at p, whose f'' = (1-q)/(p(1-p)) on one and two layers.
-    Once the predicted error is below tol/8, the next round is the
-    certificate (p - tol/2, p, p + tol/2), clipped to the full bracket. If
+    Each round asks for one iterate p on the table drawn at the seed,
+    (seed, (p,)), and is sent back [(Delta, standard error, slope)]; p
+    moves by -Delta/slope. The error of the next iterate is predicted as
+    |f''/(2 f')| step^2, with f'' the difference quotient of the last two
+    slopes; before a second slope, f''/f' is the closed form's at p, whose
+    f'' = (1-q)/(p(1-p)) on one and two layers. Once the predicted error is
+    below tol/8, the next round is the certificate, (seed, (p - tol/2, p,
+    p + tol/2)), clipped to the full bracket. If
     its outer points straddle zero beyond GAP_FLOOR, the search returns p,
     its own |Delta| as residual and the half of the certificate that holds
     the sign change as bracket (see `_result`). Otherwise Newton goes on
@@ -291,11 +289,11 @@ def _newton(kind, name, q, method, tol, p, upper):
     not move, a step is not under half the step before the last, an iterate
     leaves (BRACKET_LO, upper) or the rounds reach MAX_ITERATIONS.
     """
-    spent, prior, certify, half = 0, None, False, 0.5 * tol
+    p, spent, prior, certify, half = seed, 0, None, False, 0.5 * tol
     older = last = math.inf
     for rounds in range(MAX_ITERATIONS):
         points = (max(BRACKET_LO, p - half), p, min(upper, p + half)) if certify else (p,)
-        reply = yield points
+        reply = yield seed, points
         spent += len(points)
         f, sigma, slope = reply[len(points) // 2]
         if certify and reply[0][0] > replica.GAP_FLOOR and reply[2][0] < -replica.GAP_FLOOR:

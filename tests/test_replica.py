@@ -201,6 +201,31 @@ def test_gap_layer_mismatch():
         gap(ChannelSpec("depolarizing", 0.1, 0.0), builtin_cluster("A"))
 
 
+def test_table_gaps_needs_one_table_per_point():
+    # three points on two tables returned two values
+    spec = builtin_cluster("A")
+    with pytest.raises(ValueError, match="one table per point"):
+        replica.table_gaps("uncorrelated", [0.1, 0.2, 0.3], [0.1] * 3, spec, [class_table(spec)] * 2)
+
+
+def _two_spin_path() -> ClusterSpec:
+    """Four slots, as on A, but two internal spins: four configurations where A has two."""
+    vertices = (Vertex("i0", "internal"), Vertex("i1", "internal"), Vertex("b0", "boundary"), Vertex("b1", "boundary"))
+    edges = (("b0", "i0"), ("i0", "i1"), ("i1", "b1"), ("b0", "i1"))
+    return ClusterSpec("path2", 1, vertices, tuple(Slot(e) for e in edges))
+
+
+@pytest.mark.parametrize("cluster_of", [lambda: builtin_cluster("B"), _two_spin_path], ids=["slots", "configurations"])
+def test_table_gaps_refuses_a_table_of_another_cluster(cluster_of):
+    # A's class table read on B gave Delta -2.817 at (0.1, 0.1), where A's
+    # own is -0.0447 and B's -0.1046; a table whose rows have the cluster's
+    # slots but whose kept counts have other configurations is refused too
+    table, spec = class_table(builtin_cluster("A")), cluster_of()
+    with pytest.raises(ShapeMismatch, match="configurations"):
+        replica.table_gaps("uncorrelated", [0.1], [0.1], spec, [table])
+    assert replica.table_gaps("uncorrelated", [0.1], [0.1], spec, [class_table(spec)])[0].shape == (1,)
+
+
 def test_gap_policy_validation():
     with pytest.raises(ValueError):
         gap(ChannelSpec("uncorrelated", 0.1, 0.0), builtin_cluster("single"), "guess")
@@ -673,25 +698,26 @@ def test_merged_draws_are_worker_independent(monkeypatch):
 
 
 def test_one_point_slices_are_pooled_and_worker_independent(monkeypatch):
-    # a single sampled point draws and decodes its eight chunks over the
-    # pool, `workers` chunks at a time, and its values keep their bits at
-    # any worker count
+    # a single sampled point draws and decodes its eight chunks in one pass
+    # over the pool, one item per chunk, then builds its table in a pass of
+    # one item; its values keep their bits at any worker count
     spec = _eight_chunk_b(monkeypatch)
     real_run = replica._run_chunks
-    pooled = []
+    passes = []
 
     def recorded(fn, items, workers):
-        if fn is replica._chunk_uniforms:
-            pooled.append((len(items), workers))
+        passes.append((list(items), workers))
         return real_run(fn, items, workers)
 
     monkeypatch.setattr(replica, "_run_chunks", recorded)
     runs = []
     for workers in (1, 2, 4):
-        pooled.clear()
+        passes.clear()
         runs.append(gap_batch("uncorrelated", [0.05], [0.3], spec, MONTE_CARLO,
                               mc_samples=30_000, seed=5, workers=workers))
-        assert pooled == [(workers, workers)] * (8 // workers)
+        (chunks, chunk_workers), (tables, table_workers) = passes
+        assert chunks == replica._chunk_bounds(30_000, spec) and chunk_workers == workers
+        assert len(tables) == 1 and table_workers == workers
     for run in runs[1:]:
         for got, expected in zip(run, runs[0]):
             assert np.array_equal(got, expected)

@@ -274,6 +274,39 @@ def test_monte_carlo_sweep_takes_three_rounds(monkeypatch):
     assert rounds == [len(qs), len(qs), 3 * len(qs)]
 
 
+def test_searches_ask_for_tables_by_point(monkeypatch):
+    # a sampled sweep draws every q's table at its closed-form root in one
+    # point_tables call; a search that gives up on Newton asks for one more
+    # table, at the full bracket's middle; a sweep in which no search runs
+    # still has its seed checked
+    real_tables = replica.point_tables
+    drawn = []
+
+    def recorded(kind, p, *args, **kwargs):
+        drawn.append(list(p))
+        return real_tables(kind, p, *args, **kwargs)
+
+    monkeypatch.setattr(replica, "point_tables", recorded)
+    kind, options = "uncorrelated", {"policy": "monte-carlo", "mc_samples": 100_000, "seed": 3}
+    qs = (0.0, 0.1, 0.2, 0.3, 0.4)
+    assert all(row.ok for row in sweep(kind, "B", qs, **options))
+    assert drawn == [[solver._closed_form_root(kind, q) for q in qs]]
+    real_batch = replica.table_gaps
+
+    def unusable(*args, **kwargs):
+        delta, std_error, slope = real_batch(*args, **kwargs)
+        return delta, std_error, math.nan * slope
+
+    monkeypatch.setattr(replica, "table_gaps", unusable)
+    drawn.clear()
+    assert solve_threshold(kind, "B", 0.4, **options).ok
+    assert drawn == [[solver._closed_form_root(kind, 0.4)], [0.5 * (solver.BRACKET_LO + solver._upper_bracket(kind))]]
+    drawn.clear()
+    with pytest.raises(ValueError, match="seed"):
+        sweep(kind, "B", [], policy="monte-carlo", seed=-1)
+    assert drawn == [[]]
+
+
 CALIBRATION_Q = (0.0, 0.1, 0.2, 0.3, 0.4)
 
 
