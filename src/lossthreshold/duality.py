@@ -17,16 +17,22 @@ Both sums come from one kernel in two steps. A slot's primal weight is
 exp(K e), with e an integer energy (`_cell_energies`), and its dual one of
 three magnitudes a, b and c, with a sign free of K. The counts step,
 `count_rows`, sums per (configuration, row of disorder states) the energy,
-the slots in cell 0 that are not lost, and the dual sign: integers, free
-of K, compiled once per cluster by `replica.class_table`. It reads each
-slot's parity cell in each configuration from `cluster.slot_cells`. The
+the slots in cell 0 that are not lost, and the dual sign, reading each
+slot's parity cell in each configuration from `cluster.slot_cells`.
+`count_levels` turns those integers, free of K, into each row's level
+histograms (`Levels`): how many configurations sit at each primal level
+top - E, and the signed and the absolute number of dual terms at each
+dual level n_0 - n, a density of states that does not grow with the
+configurations. `replica.class_table` compiles them once per cluster. The
 values step, `log_factor_batch`, turns them into ln x_0 and ln x_0* at an
-array of couplings. `cluster.cluster_partition` keeps a direct-energy primal sum as
-a reference, and `replica.gap_closed_form_single` a closed-form gap.
+array of couplings, with one exp per (coupling, level).
+`cluster.cluster_partition` keeps a direct-energy primal sum as a
+reference, and `replica.gap_closed_form_single` a closed-form gap.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -210,32 +216,110 @@ def count_rows(cluster: ClusterSpec, idx: np.ndarray):
     return blocks()
 
 
-def _configuration_sum(terms: np.ndarray, carry: np.ndarray | None = None) -> np.ndarray:
-    """carry, then (points, configurations, rows) terms, summed over configurations in configuration order."""
-    if carry is not None:
-        terms = np.concatenate([carry[:, None], terms], axis=1)
-    # numpy adds many rows configuration by configuration, but one row pairwise
-    return np.add.accumulate(terms, axis=1)[:, -1] if terms.shape[2] == 1 else terms.sum(axis=1)
+@dataclass(frozen=True)
+class Levels:
+    """The level histograms of rows of disorder states, all the values step reads of their counts.
+
+    A row's sums depend on its configurations only through how many sit at
+    each level (Ferrenberg & Swendsen 1988): with top its largest energy and
+    n_0 its n in configuration 0, `H[i]` configurations at primal level
+    r[i] = top - E_c, and at dual level k[j] = n_0 - n_c `A[j]` nonzero dual
+    terms, of signs adding up to `D[j]`. The levels are those that occur in
+    some row, ascending, so 0 comes first on both.
+    """
+
+    top: np.ndarray  # (rows,) largest energy
+    n0: np.ndarray  # (rows,) slots in cell 0 of configuration 0 that are not lost
+    r: np.ndarray  # (levels,) intp primal levels
+    H: np.ndarray  # (levels, rows) configurations at each primal level
+    k: np.ndarray  # (dual levels,) intp dual levels
+    D: np.ndarray  # (dual levels, rows) summed signs of the dual terms at each level
+    A: np.ndarray  # (dual levels, rows) nonzero dual terms at each level
+
+    def take(self, columns) -> Levels:
+        """The histograms of the rows `columns`, on the same levels."""
+        return Levels(self.top[columns], self.n0[columns], self.r, self.H[:, columns], self.k,
+                      self.D[:, columns], self.A[:, columns])
 
 
-def log_factor_batch(cluster: ClusterSpec, blocks, K) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _slice_levels(cluster: ClusterSpec, idx: np.ndarray) -> tuple[np.ndarray, ...]:
+    """top, n_0 and the (4S + 1 or 2S + 1, rows) H and (S + 1, rows) D and A, on every level from 0, of a slice of rows.
+
+    Each `count_rows` block adds its configurations at each primal level r
+    = top - E, one level at a time, and its dual terms at each code 3k + 1
+    - sign, k = n_0 - n: the positive terms of level k at 3k, the negative
+    ones at 3k + 2 and the zero ones at 3k + 1. A cluster of several blocks
+    finds each row's top in a pass of its own first.
+    """
+    S, width = cluster.slot_count, len(idx)
+    # energies lie in [-S, S] on one layer and [-S, 3S] on two, so levels up to 4S
+    span = S * (1 + max(_cell_energies(LAYER_SUPPORT[cluster.layers][0]))) + 1
+    # a signed type that holds every level and code, and top in [-S, 3S]
+    small = np.min_scalar_type(-max(span, 3 * S + 3))
+    # a signed type that holds +-config_count
+    count = np.min_scalar_type(-1 - cluster.config_count)
+    top = n0 = None
+    if cluster.config_count > count_block(cluster):
+        top = np.max([energy.max(axis=0) for energy, _, _ in count_rows(cluster, idx)], axis=0)
+    H, codes = np.zeros((span, width), count), np.zeros((3 * (S + 1), width), count)
+    for energy, cell0, sign in count_rows(cluster, idx):
+        if n0 is None:
+            n0 = cell0[0].copy()
+            top = energy.max(axis=0) if top is None else top
+        for histogram, level in ((H, top - energy), (codes, (3 * n0 + 1) - 3 * cell0 - sign)):
+            level = level.astype(small)
+            for value in range(int(level.max()) + 1):
+                at = level == value
+                if at.any():
+                    histogram[value] += at.sum(axis=0, dtype=count)
+    positive, negative = codes[0::3], codes[2::3]
+    return top.astype(small), n0.astype(small), H, positive - negative, positive + negative
+
+
+def count_levels(cluster: ClusterSpec, idx: np.ndarray, step: int | None = None) -> Levels:
+    """The `Levels` of rows of disorder state indices, counted `step` rows at a time (all at once by default).
+
+    Each slice of rows goes through `count_rows` (`_slice_levels`) and
+    keeps, as small integers, its configurations at each primal level and
+    its terms at each dual level. So memory holds one configuration block
+    and one slice's counts, and a row keeps at most 4S + 1 + 2(S + 1)
+    numbers whatever its 2^internal configurations. The levels that occur
+    in no row are left out. A row's histograms are whole numbers, so they
+    do not depend on the slicing or on the rows beside it.
+    """
+    step = step or len(idx)
+    slices = (_slice_levels(cluster, idx[lo : lo + step]) for lo in range(0, len(idx), step))
+    top, n0, H, D, A = (np.concatenate(part, axis=-1) for part in zip(*slices))
+    r, k = np.flatnonzero(H.any(axis=1)), np.flatnonzero(A.any(axis=1))
+    return Levels(top, n0, r, H[r], k, D[k], A[k])
+
+
+def _contract(weight: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(points, rows) sum over levels of weight (points, levels) times counts (levels, rows), level by level in order."""
+    total = np.zeros((len(weight), counts.shape[1]))
+    term = np.empty_like(total)
+    for w, c in zip(weight.T, counts):
+        np.multiply(w[:, None], c, out=term)
+        total += term
+    return total
+
+
+def log_factor_batch(cluster: ClusterSpec, levels: Levels, K) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The values step: (ln x_0, ln |x_0*|, sign of x_0*, rounding bound of x_0*) per point and row.
 
-    `blocks` holds the (3, configurations, rows) energy, n and sign of
-    `count_rows`, or of a table compiled from it, in configuration order;
-    K is a 1-D array of couplings at least 0, one per point (anything else
-    raises ValueError). Each output is (points, rows). With top a row's
-    largest energy, n_0 = S - ℓ its n in configuration 0 (every slot in
-    cell 0) and `_dual_magnitudes` a, b, c:
+    `levels` holds the level histograms of `count_levels`, or of a table
+    compiled from it; K is a 1-D array of couplings at least 0, one per point
+    (anything else raises ValueError). Each output is (points, rows). With
+    `_dual_magnitudes` a, b, c and ℓ = S - n_0 a row's lost slots:
 
-        ln x_0  = K top + ln sum_c exp(K (E_c - top)),
-        ln x_0* = n_0 ln a + ℓ ln c + ln sum_c sign_c exp((n_c - n_0)(ln a - ln b)).
+        ln x_0  = K top + ln sum_r H_r exp(-K r),
+        ln x_0* = n_0 ln a + ℓ ln c + ln sum_k D_k exp(-k (ln a - ln b)).
 
-    Each sum carries from block to block, and the primal is rescaled where a
-    block raises top. Configuration 0, first, has the largest dual term, 1,
-    so the dual needs no max. Both sums run in configuration order, so a
-    row and a point have the same bits whatever shares the call. The
-    rounding bound, configurations * eps * sum |terms| / |sum terms|,
+    Each sum takes one exp per (point, level) and adds its levels in
+    ascending order, one (points, rows) product at a time, so a row and a
+    point have the same bits whatever shares the call. Level 0 holds the
+    largest terms of both: exp(0) = 1. The rounding bound,
+    configurations * eps * sum_k A_k exp(-k (ln a - ln b)) / |x_0* sum|,
     bounds the relative error of x_0*; where it nears 1, rounding decides
     the sign.
     """
@@ -246,30 +330,18 @@ def log_factor_batch(cluster: ClusterSpec, blocks, K) -> tuple[np.ndarray, np.nd
     with np.errstate(divide="ignore"):
         log_a, log_b, log_c = np.log(a), np.log(b), math.log(c)
     # b is 0 at K = 0 (and where e^{3K} - e^{-K} rounds to 0); the cap keeps
-    # the terms of n_c = n_0 at exp(0) = 1 and sends every other one to 0
+    # the terms of level 0 at exp(0) = 1 and sends every other one to 0,
+    # with k gap finite up to k = S (max / S times S overflows at S = 3)
     S = cluster.slot_count
-    gap = np.minimum(log_a - log_b, np.finfo(np.float64).max / S)
-    top = n0 = primal = total = magnitude = None
-    for energy, cell0, sign in blocks:
-        if top is None:
-            top, n0 = energy.max(axis=0), cell0[0]
-        else:
-            lift = np.maximum(top, energy.max(axis=0))
-            primal *= np.exp(K[:, None] * (top - lift))
-            top = lift
-        terms = (energy - top) * K[:, None, None]
-        np.exp(terms, out=terms)
-        primal = _configuration_sum(terms, primal)
-        terms = (cell0 - n0) * gap[:, None, None]
-        np.exp(terms, out=terms)
-        terms *= sign
-        total = _configuration_sum(terms, total)
-        magnitude = _configuration_sum(np.abs(terms, out=terms), magnitude)
-    logp = K[:, None] * top + np.log(primal)
+    gap = np.minimum(log_a - log_b, np.finfo(np.float64).max / (S + 1))
+    primal = _contract(np.exp(np.multiply.outer(-K, levels.r)), levels.H)
+    dual = np.exp(np.multiply.outer(-gap, levels.k))
+    total, magnitude = _contract(dual, levels.D), _contract(dual, levels.A)
+    logp = K[:, None] * levels.top + np.log(primal)
     size = np.abs(total)
     with np.errstate(divide="ignore"):
         # n_0 ln a + ℓ ln c = n_0 (ln a - ln c) + S ln c
-        logd = n0 * (log_a - log_c)[:, None] + (S * log_c + np.log(size))
+        logd = levels.n0 * (log_a - log_c)[:, None] + (S * log_c + np.log(size))
         rounding = cluster.config_count * EPS * magnitude / size
     return logp, logd, np.sign(total).astype(np.int64), rounding
 
@@ -298,8 +370,9 @@ def _require_positive_dual(cluster: ClusterSpec, bad: np.ndarray, states: np.nda
 def dual_cluster_partition(cluster: ClusterSpec, disorder: DisorderAssignment, K: float) -> float:
     """ln x_0* of the cluster: same spin sum as the primal factor, dual slot weights.
 
-    The assignment goes through both steps of the kernel as one row of
-    indices into the support of its layer count (`model.LAYER_SUPPORT`).
+    The assignment goes through the kernel as one row of indices into the
+    support of its layer count (`model.LAYER_SUPPORT`): its counts, their
+    level histograms (`count_levels`) and the values step.
     K must be finite (NonFinite) and at least 0 (ValueError). Raises
     NonPositiveDual when the signed sum is not strictly positive, and its
     subclass UnsignedDual when the sum cancels so far that rounding decides
@@ -316,7 +389,7 @@ def dual_cluster_partition(cluster: ClusterSpec, disorder: DisorderAssignment, K
     if not math.isfinite(K):
         raise NonFinite(f"dual cluster partition of {cluster.name!r} is not finite (K={K})")
     states = np.array([[LAYER_SUPPORT[cluster.layers].index(d) for d in disorder]])
-    _, logmag, sign, rounding = log_factor_batch(cluster, count_rows(cluster, states), [K])
+    _, logmag, sign, rounding = log_factor_batch(cluster, count_levels(cluster, states), [K])
     _require_positive_dual(cluster, sign[0] <= 0, states, K, rounding[0])
     return float(logmag[0, 0])
 

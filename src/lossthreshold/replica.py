@@ -9,12 +9,13 @@ with the expectation over independent per-slot disorder. Its root in p, at
 fixed loss rate q, is the optimal error threshold.
 
 Every point reads a table (`ClassTable`) of columns, each a row of disorder
-states whose kernel counts (`duality.count_rows`) are compiled with the
-table, and of (column, state-count vector, multiplicity) pairs. A point
-takes the kernel's values step (`duality.log_factor_batch`) on those counts
-and weighs each column by its pairs' multiplicities and disorder
-probabilities, whose products it forms once per count vector. There are two
-kinds of table, and one evaluation path, `_exact_gaps`, reads both.
+states whose level histograms (`duality.count_levels`) are compiled with
+the table, and of (column, state-count vector, multiplicity) pairs. A point
+takes the kernel's values step (`duality.log_factor_batch`) on those
+histograms and weighs each column by its pairs' multiplicities and
+disorder probabilities, whose products it forms once per count vector.
+There are two kinds of table, and one evaluation path, `_exact_gaps`,
+reads both.
 
 A cluster's class table covers every joint disorder assignment (3^S
 single-layer, 5^S two-layer, including zero-probability states so the term
@@ -23,9 +24,9 @@ assignment contributes depends only on how many slots sit in each (disorder
 state, parity cell) for every internal-spin configuration, so assignments
 whose per-configuration histograms agree up to a permutation of
 configurations form one class, and every assignment of a class has the same
-primal and dual sums. Classes whose counts give the same multisets of
-configuration energies and of signed dual terms have the same sums too, and
-share one column. The class table is compiled once and cached; its
+primal and dual sums. Classes whose counts give the same level
+histograms, the multisets of configuration energies and of signed dual
+terms, have the same sums too, and share one column. The class table is compiled once and cached; its
 multiplicities are whole numbers, so its Delta is exact.
 
 A drawn table covers clusters whose exact work exceeds TERM_BUDGET: its
@@ -43,10 +44,9 @@ merges that table's chunks and builds it. Sampled rows repeat often,
 within a chunk and across chunks, so a chunk only decodes its rows into
 distinct ones, and a table merges the distinct rows of all its chunks and
 counts each once: near the root of B at 100 000 samples, 1.2 % (q = 0) to
-21 % (q = 0.3) of the drawn rows. A table keeps those counts only up to
-_CHUNK_TARGET (row, configuration) pairs, so that its memory does not grow
-with the 2^internal configurations; past that each read counts its rows
-again.
+21 % (q = 0.3) of the drawn rows. A table keeps only the level histograms
+of those counts, so that its memory does not grow with the 2^internal
+configurations, and no read counts a row again.
 
 `point_tables` gives the table each point of a round reads: the class table
 on the exact policy, a table drawn at the point itself on the Monte Carlo
@@ -78,11 +78,12 @@ from . import model
 from .cluster import CONFIG_BLOCK, ClusterSpec, NonFinite, ShapeMismatch, slot_cells
 from .duality import (
     ROUNDING_LIMIT,
+    Levels,
     UnsignedDual,
     _require_positive_dual,
     _row_signs,
     count_block,
-    count_rows,
+    count_levels,
     log_factor_batch,
 )
 
@@ -105,11 +106,11 @@ ROUNDING_SHARE = 0.25
 DEFAULT_MC_SAMPLES = 100_000
 MIN_MC_SAMPLES = 1000
 
-# a values step holds at most this many (points x columns x configurations)
-# elements, one column at least: 24 points of a round on E (340 columns x 4
-# configurations) share one kernel call, and a drawn B table of 20 600 rows
-# takes ten calls of 2 048 columns
-EXACT_SLICE = 2 * CONFIG_BLOCK
+# a read holds (points x pairs) arrays of at most this many elements, one
+# point at least: 21 points of an exact B sweep (6 096 pairs) share one
+# `_exact_gaps` call, and the 3 certificate points of a drawn B table of up
+# to 43 690 rows
+READ_SLICE = 1 << 17
 
 # Monte Carlo samples are drawn in fixed-size chunks. The partition depends
 # only on the cluster and the sample count, never on the worker count, and so
@@ -118,12 +119,10 @@ EXACT_SLICE = 2 * CONFIG_BLOCK
 # draws themselves depend on the partition (a chunk's stream starts at its
 # first sample times the slot count). A chunk holds _CHUNK_TARGET (row,
 # configuration) pairs of one count table (`count_block`), and a counts-step
-# slice of distinct rows no more. A drawn table keeps the counts of at most
-# _CHUNK_TARGET pairs (3 MB as int8); past that, as on a 16-spin ring's 65 536
-# configurations, every read counts its rows again, slice by slice.
+# slice of distinct rows no more.
 _CHUNK_TARGET = 1 << 20
 _CHUNK_MAX = 1 << 16
-# `_distinct_rows` packs rows, and `_compiled_counts` counts them, at most this
+# `_distinct_rows` packs rows, and `count_levels` counts them, at most this
 # many at a time: the packing's float copy stays small (2.7 MB at 41 slots)
 # however many rows a table merges, and so do the counts step's float32 blocks
 _ROW_BLOCK = 1 << 13
@@ -260,12 +259,13 @@ class ClassTable:
     A class's sums depend only on its `duality.count_rows` counts: on the
     multiset of its configurations' energies, and on the multiset of their
     (dual sign, cell-0 count) pairs, leaving out dual sign 0, whose term is
-    0. Classes that share both multisets have the same sums up to the order
-    of their configurations, so they share one column (E: 3 150 classes in
-    340 columns, B: 13 881 in 1 561). A column keeps one representative
-    class's counts, which the kernel's values step takes as they are, and
-    its signs, which errors name. Its classes may differ in probability, so
-    the table lists (column, state-count vector, multiplicity) pairs, the
+    0. Those multisets are its level histograms (`duality.Levels`). Classes
+    that share them have the same sums, so they share one column (E: 3 150
+    classes in 340 columns, B: 13 881 in 1 561). A column keeps its levels,
+    which the kernel's values step reads as they are, and the states of one
+    representative class, whose signs errors name. Its classes may differ
+    in probability, so the table lists (column, state-count vector,
+    multiplicity) pairs, the
     assignments of the column with each distinct count of slots per
     disorder state: `count_vectors[count_index]` holds each pair's counts,
     and a point computes only the weights of the distinct vectors (330 on
@@ -275,12 +275,13 @@ class ClassTable:
 
     A drawn table (`_drawn_table`) has the same fields: one column, and one
     pair, per distinct row of a Monte Carlo draw at a point p0, and `draws`,
-    how often the draw holds each row. Its counts are None past
-    _CHUNK_TARGET (row, configuration) pairs.
+    how often the draw holds each row. Either kind records the cluster it
+    was compiled for, and is read on that cluster only.
     """
 
+    cluster: ClusterSpec
     representative: np.ndarray  # (columns, slots) int8 state indices of one assignment per column
-    counts: np.ndarray | None  # (3, configurations, columns) int8 (int16 past 32 slots) counts of representative
+    levels: Levels  # the level histograms of each column
     count_vectors: np.ndarray  # (vectors, states) intp distinct slot counts per disorder state
     clean: np.ndarray  # (vectors,) float64 slots of each vector in the clean state
     errors: np.ndarray  # (vectors,) float64 slots of each vector in a state neither clean nor lost
@@ -294,8 +295,8 @@ class ClassTable:
     draws: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     def __post_init__(self):
-        for array in vars(self).values():
-            if array is not None:
+        for array in (*vars(self).values(), *vars(self.levels).values()):
+            if isinstance(array, np.ndarray):
                 array.flags.writeable = False
 
 
@@ -407,20 +408,19 @@ def _class_fold(cluster: ClusterSpec) -> tuple[np.ndarray, np.ndarray]:
     return multiplicity, representative
 
 
-def _compiled_counts(cluster: ClusterSpec, rows: np.ndarray) -> np.ndarray:
-    """The (3, configurations, rows) counts of `count_rows`, in slices of rows, each cast to the table's small dtype as it comes."""
-    # energies lie in [-S, 3S], and the kernel subtracts each row's largest
-    dtype = np.min_scalar_type(-4 * cluster.slot_count)
-    size = min(_ROW_BLOCK, _chunk_size(cluster))
-    return np.concatenate([
-        np.concatenate([block.astype(dtype) for block in count_rows(cluster, rows[lo : lo + size])], axis=1)
-        for lo in range(0, len(rows), size)
-    ], axis=2)
+def _compiled_levels(cluster: ClusterSpec, rows: np.ndarray) -> Levels:
+    """The `count_levels` of a table's rows, counted min(_ROW_BLOCK, `_chunk_size`) rows at a time."""
+    return count_levels(cluster, rows, min(_ROW_BLOCK, _chunk_size(cluster)))
 
 
 def _count_vectors(rows: np.ndarray, m: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
     """The `ClassTable` count vectors, clean and error counts of the rows' slot counts per disorder state, and each row's vector."""
-    state_counts = np.stack([np.count_nonzero(rows == state, axis=1) for state in range(m)], axis=1)
+    # one compare-and-add per slot, over all rows and states at once
+    states = np.arange(m, dtype=rows.dtype)[:, None]
+    tally = np.zeros((m, len(rows)), dtype=np.min_scalar_type(rows.shape[1]))
+    for column in np.ascontiguousarray(rows.T):
+        tally += column == states
+    state_counts = tally.T
     # one integer per vector, the first state's count most significant: ascending keys order the
     # vectors as `_unique_rows` would, byte by byte, while every count stays below 256
     place = (rows.shape[1] + 1) ** np.arange(m - 1, -1, -1)
@@ -434,25 +434,21 @@ def _count_vectors(rows: np.ndarray, m: int) -> tuple[tuple[np.ndarray, np.ndarr
 def class_table(cluster: ClusterSpec) -> ClassTable:
     """Compile the class table of a cluster: its classes (`_class_fold`) merged into columns.
 
-    A column is keyed by the sorted energies and the sorted dual codes of a
-    class's configurations, the multisets of `ClassTable`; the first class
-    of a column represents it.
+    A column is keyed by a class's level histograms, the multisets of
+    `ClassTable`; the first class of a column represents it.
     """
     multiplicity, representative = _class_fold(cluster)
-    S = cluster.slot_count
-    counts = _compiled_counts(cluster, representative)
-    energy, cell0, sign = counts
-    # a configuration's dual code: its cell-0 count, moved past S where its
-    # dual sign is -1, and -1 where its term is 0
-    dual = np.where(sign == 0, -1, cell0 + (sign < 0) * (S + 1)).astype(counts.dtype)
-    _, first, column = _unique_rows(np.concatenate([np.sort(energy, axis=0), np.sort(dual, axis=0)]).T)
+    levels = _compiled_levels(cluster, representative)
+    key = np.concatenate([levels.top[:, None], levels.n0[:, None], levels.H.T, levels.D.T, levels.A.T], axis=1)
+    _, first, column = _unique_rows(key.astype(np.int64))
     vectors, vector = _count_vectors(representative, support_size(cluster.layers))
     pairs, pair = np.unique(column * len(vectors[0]) + vector, return_inverse=True)
     column_index, count_index = (a.astype(np.intp) for a in np.divmod(pairs, len(vectors[0])))
     multiplicity = np.bincount(pair, weights=multiplicity).astype(np.int64)
     return ClassTable(
+        cluster,
         representative[first],
-        np.ascontiguousarray(counts[:, :, first]),
+        levels.take(first),
         *vectors,
         column_index,
         count_index,
@@ -479,15 +475,13 @@ def _vector_weights(probs: np.ndarray, count_vectors: np.ndarray, slots: int) ->
 
 
 def _exact_gaps(p: np.ndarray, K: np.ndarray, probs: np.ndarray, cluster: ClusterSpec, table: ClassTable):
-    """Delta, its standard error and dDelta/dp at each point of a slice, from its p, couplings and (points, states) probabilities.
+    """Delta, its standard error and dDelta/dp at each point read off one table, from its p, couplings and (points, states) probabilities.
 
     Every assignment, or draw, of a column has the column's primal and dual
-    sums, so the table's compiled counts go through the kernel's values
-    step, `log_factor_batch`, in slices of at most EXACT_SLICE elements (a
-    drawn table that keeps no counts runs its rows through both steps, in
-    slices of min(_ROW_BLOCK, `_chunk_size`) rows; it holds more than
-    EXACT_SLICE elements, so `_table_points` reads it one point at a time),
-    and each column counts its weight W times: the sum over its pairs of
+    sums, so the table's level histograms go through the kernel's values
+    step, `log_factor_batch`, once for all the points and columns, whose
+    temporaries are (points, levels) and (points, columns) arrays, and each
+    column counts its weight W times: the sum over its pairs of
     multiplicity * probability, with the probabilities multiplied out once
     per distinct state-count vector. A column of positive weight whose dual
     sum is not positive raises NonPositiveDual. On a class table, each
@@ -497,7 +491,7 @@ def _exact_gaps(p: np.ndarray, K: np.ndarray, probs: np.ndarray, cluster: Cluste
     drawn table, each row of positive weight is checked on its own, as a
     lone row is (`_require_positive_dual`): UnsignedDual past
     ROUNDING_LIMIT. A point's bits do not depend on which other points share
-    its slice: its weights add up in pair order, and each row's values do
+    its call: its weights add up in pair order, and each row's values do
     not depend on the rows beside it. A class table's Delta is one `fsum`
     over the columns of positive weight, which rounds the exact sum once, so
     leaving out the zero terms keeps its bits; a drawn table's is a numpy
@@ -521,14 +515,7 @@ def _exact_gaps(p: np.ndarray, K: np.ndarray, probs: np.ndarray, cluster: Cluste
     arrays of standard errors and slopes.
     """
     points, columns = len(K), len(table.representative)
-    if table.counts is None:
-        width = min(_ROW_BLOCK, _chunk_size(cluster))
-        counts = (count_rows(cluster, table.representative[lo : lo + width]) for lo in range(0, columns, width))
-    else:
-        width = max(1, EXACT_SLICE // (points * cluster.config_count))
-        counts = ((table.counts[:, :, lo : lo + width],) for lo in range(0, columns, width))
-    blocks = [log_factor_batch(cluster, block, K) for block in counts]
-    logp, logd, sign, rounding = (np.concatenate(a, axis=1) for a in zip(*blocks))
+    logp, logd, sign, rounding = log_factor_batch(cluster, table.levels, K)
     vector_weight = _vector_weights(probs, table.count_vectors, cluster.slot_count)
     pair_weight = table.multiplicity * vector_weight.take(table.count_index, axis=1)
     pair_slope = pair_weight * _score(p[:, None], table.clean, table.errors).take(table.count_index, axis=1)
@@ -620,15 +607,16 @@ def _drawn_table(cluster: ClusterSpec, probs: np.ndarray, rows: np.ndarray, coun
     A row's multiplicity is count / (N P_p0(row)), with P_p0 the product of
     `_vector_weights` that a read at p0 multiplies it by, so that its weight
     there is count/N within a few ulp and a row's state of probability 0
-    drops out. The counts step runs once per table, and its counts are kept
-    up to _CHUNK_TARGET (row, configuration) pairs; past that the table
-    keeps none, and each read counts its rows again (`_exact_gaps`).
+    drops out. The counts step runs once per table, which keeps only the
+    level histograms of its rows, whose size does not grow with the
+    2^internal configurations.
     """
     vectors, vector = _count_vectors(rows, len(probs))
     p0 = _vector_weights(probs[None], vectors[0], cluster.slot_count)[0][vector]
     return ClassTable(
+        cluster,
         rows,
-        _compiled_counts(cluster, rows) if len(rows) * cluster.config_count <= _CHUNK_TARGET else None,
+        _compiled_levels(cluster, rows),
         *vectors,
         np.arange(len(rows), dtype=np.intp),
         vector,
@@ -709,16 +697,6 @@ def point_tables(
     return _run_chunks(table, list(zip(probs, zip(*chunks))), nworkers)
 
 
-def _table_points(p: np.ndarray, K: np.ndarray, probs: np.ndarray, cluster: ClusterSpec, table: ClassTable) -> np.ndarray:
-    """(3, points) Delta, standard error and slope of the points of one table, `_exact_gaps` in slices of whole columns."""
-    step = max(1, EXACT_SLICE // (len(table.representative) * cluster.config_count))
-    parts = [
-        _exact_gaps(p[lo : lo + step], K[lo : lo + step], probs[lo : lo + step], cluster, table)
-        for lo in range(0, len(K), step)
-    ]
-    return np.array([np.concatenate(values) for values in zip(*parts)], dtype=np.float64)
-
-
 def table_gaps(
     kind: str, p, q, cluster: ClusterSpec, tables: list[ClassTable]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -728,12 +706,11 @@ def table_gaps(
     `_exact_gaps`); the standard error is 0.0 on class-table points. The
     points are checked once, by `model.check_points` (see `_round_points`),
     and no object is built per point. Each run of consecutive points that
-    read one table is read on the calling thread in one `_table_points`
-    call. Raises ValueError unless there is one table per point,
-    ShapeMismatch for a table whose rows do not have the cluster's slots or
-    whose kept counts do not have its configurations, and NonFinite for a
-    Delta that is not finite. Each point's values are bit-identical to
-    reading it alone.
+    read one table is read on the calling thread, in `_exact_gaps` calls of
+    at most READ_SLICE // pairs points. Raises ValueError unless there is
+    one table per point, ShapeMismatch for a table compiled for another
+    cluster, and NonFinite for a Delta that is not finite. Each point's
+    values are bit-identical to reading it alone.
     """
     K, probs = _round_points(kind, p, q)
     p = np.asarray(p, dtype=np.float64)
@@ -741,15 +718,19 @@ def table_gaps(
     if len(tables) != len(p):
         raise ValueError(f"need one table per point, got {len(tables)} tables for {len(p)} points")
     cuts = [i for i in range(len(tables)) if not i or tables[i] is not tables[i - 1]] + [len(tables)]
-    for table in (tables[lo] for lo in cuts[:-1]):
-        slots = table.representative.shape[1]
-        configurations = cluster.config_count if table.counts is None else table.counts.shape[1]
-        if (slots, configurations) != (cluster.slot_count, cluster.config_count):
+    for own in (tables[lo].cluster for lo in cuts[:-1]):
+        if own != cluster:
             raise ShapeMismatch(
-                f"a table of {slots} slots and {configurations} configurations cannot be read on cluster "
-                f"{cluster.name!r} of {cluster.slot_count} slots and {cluster.config_count} configurations"
+                f"a table of cluster {own.name!r} ({own.slot_count} slots, {own.config_count} configurations) "
+                f"cannot be read on cluster {cluster.name!r} ({cluster.slot_count} slots, "
+                f"{cluster.config_count} configurations) of another geometry"
             )
-    values = [_table_points(p[lo:hi], K[lo:hi], probs[lo:hi], cluster, tables[lo]) for lo, hi in zip(cuts, cuts[1:])]
+    values = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        step = max(1, READ_SLICE // len(tables[lo].multiplicity))
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            values.append(np.array(_exact_gaps(p[a:b], K[a:b], probs[a:b], cluster, tables[lo]), dtype=np.float64))
     delta, std_error, slope = np.concatenate([np.zeros((3, 0)), *values], axis=1)
     if not np.isfinite(delta).all():
         i = int(np.argmin(np.isfinite(delta)))

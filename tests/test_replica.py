@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import math
@@ -31,6 +30,7 @@ from lossthreshold.cluster import (
 from lossthreshold.duality import (
     NonPositiveDual,
     UnsignedDual,
+    count_levels,
     count_rows,
     dual_cluster_partition,
     dual_edge_factor,
@@ -69,7 +69,7 @@ def _row_kernel(spec: ClusterSpec, support, idx: np.ndarray, K) -> tuple[np.ndar
     so `support` must be that one.
     """
     assert support == model.LAYER_SUPPORT[spec.layers]
-    return log_factor_batch(spec, count_rows(spec, idx), K)
+    return log_factor_batch(spec, count_levels(spec, idx), K)
 
 
 def _one_point(spec: ClusterSpec, support, idx: np.ndarray, K: float) -> tuple[np.ndarray, ...]:
@@ -215,15 +215,32 @@ def _two_spin_path() -> ClusterSpec:
     return ClusterSpec("path2", 1, vertices, tuple(Slot(e) for e in edges))
 
 
-@pytest.mark.parametrize("cluster_of", [lambda: builtin_cluster("B"), _two_spin_path], ids=["slots", "configurations"])
+def _one_spin_tail() -> ClusterSpec:
+    """Four slots and one internal spin, as on A, but one slot ties two boundary spins instead of the centre."""
+    vertices = (Vertex("c", "internal"),) + tuple(Vertex(f"b{k}", "boundary") for k in range(1, 5))
+    edges = (("c", "b1"), ("c", "b2"), ("c", "b3"), ("b1", "b4"))
+    return ClusterSpec("tail", 1, vertices, tuple(Slot(e) for e in edges))
+
+
+@pytest.mark.parametrize(
+    "cluster_of", [lambda: builtin_cluster("B"), _two_spin_path, _one_spin_tail],
+    ids=["slots", "configurations", "geometry"],
+)
 def test_table_gaps_refuses_a_table_of_another_cluster(cluster_of):
     # A's class table read on B gave Delta -2.817 at (0.1, 0.1), where A's
     # own is -0.0447 and B's -0.1046; a table whose rows have the cluster's
-    # slots but whose kept counts have other configurations is refused too
+    # slots but not its configurations is refused too, and so is one whose
+    # slots and configurations both match: read on the tail cluster, A's
+    # table gave A's -0.0447 where the tail's own is -0.0391
     table, spec = class_table(builtin_cluster("A")), cluster_of()
+    assert table.cluster == builtin_cluster("A")
     with pytest.raises(ShapeMismatch, match="configurations"):
         replica.table_gaps("uncorrelated", [0.1], [0.1], spec, [table])
-    assert replica.table_gaps("uncorrelated", [0.1], [0.1], spec, [class_table(spec)])[0].shape == (1,)
+    own = replica.table_gaps("uncorrelated", [0.1], [0.1], spec, [class_table(spec)])[0]
+    assert own.shape == (1,)
+    if spec.name == "tail":
+        assert (spec.slot_count, spec.config_count) == (4, 2)
+        assert own[0] == pytest.approx(-0.0391, abs=5e-5)
 
 
 def test_gap_policy_validation():
@@ -338,14 +355,14 @@ def test_monte_carlo_matches_per_sample_sum(monkeypatch, spec):
     # of rounding in every row's delta would move the mean and the standard
     # error.
     monkeypatch.setattr(replica, "_CHUNK_MAX", 8192)
-    real_count = replica.count_rows
+    real_count = duality.count_rows
     sliced = []
 
     def count_spy(*args):
         sliced.append(1)
         return real_count(*args)
 
-    monkeypatch.setattr(replica, "count_rows", count_spy)
+    monkeypatch.setattr(duality, "count_rows", count_spy)
     kind = "uncorrelated" if spec.layers == 1 else "depolarizing"
     upper = (0.5 if spec.layers == 1 else 0.75) - BRACKET_MARGIN
     samples = 20_000
@@ -401,44 +418,55 @@ def test_monte_carlo_chunks_hold_one_count_table_of_rows():
         assert got.std_error == pytest.approx(std_error, rel=1e-12, abs=ulp / math.sqrt(samples))
 
 
-def test_drawn_tables_past_one_chunk_of_pairs_count_their_rows_at_each_read(monkeypatch):
-    # a drawn table keeps its counts up to _CHUNK_TARGET (row, configuration)
-    # pairs; a 12-spin ring's 1 000 samples hold more, so its table keeps
-    # none, and each read of a point runs its rows through count_rows in
-    # slices of min(_ROW_BLOCK, _chunk_size) = 576 rows. Each point has the
-    # bits it has alone. A B table within the bound reads the same bits with
-    # its counts dropped.
+def _same_levels(a: duality.Levels, b: duality.Levels) -> bool:
+    """Whether two level histograms hold the same arrays, dtypes included."""
+    return all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(vars(a).values(), vars(b).values()))
+
+
+def test_drawn_tables_past_one_chunk_of_pairs_keep_only_their_levels(monkeypatch):
+    # a 12-spin ring's 1 000 samples hold more (row, configuration) pairs
+    # than _CHUNK_TARGET; its table keeps each row's level histograms, at
+    # most 2S + 1 primal and S + 1 dual levels whatever its 4 096
+    # configurations, counted in slices of min(_ROW_BLOCK, _chunk_size) =
+    # 576 rows with the levels of all rows at once, and a read counts no row
+    # again. Its configurations come in several blocks, so each slice goes
+    # through count_rows twice, for its rows' top and then for their levels.
+    # Each point has the bits it has alone. So does a B table's.
     spec = _ring_cluster(12)
     kind, p, q = "uncorrelated", [0.07, 0.08, 0.09], [0.1] * 3
-    (table,) = replica.point_tables(kind, [0.08], [0.1], spec, MONTE_CARLO, mc_samples=MIN_MC_SAMPLES, seed=3)
-    assert table.counts is None and len(table.representative) * spec.config_count > replica._CHUNK_TARGET
-    real_count = replica.count_rows
+    real_count = duality.count_rows
     sliced = []
 
     def count_spy(cluster, rows):
         sliced.append(len(rows))
         return real_count(cluster, rows)
 
-    monkeypatch.setattr(replica, "count_rows", count_spy)
-    together = replica.table_gaps(kind, p, q, spec, [table] * 3)
-    rows = len(table.representative)
-    assert sliced == ([576] * (rows // 576) + [rows % 576]) * 3
-    for i in range(3):
-        alone = replica.table_gaps(kind, p[i : i + 1], q[:1], spec, [table])
-        assert all(np.array_equal(a, b[i : i + 1]) for a, b in zip(alone, together))
-    spec = builtin_cluster("B")
-    (table,) = replica.point_tables(kind, [0.08], [0.1], spec, MONTE_CARLO, mc_samples=20_000, seed=3)
-    assert table.counts is not None
-    bare = dataclasses.replace(table, counts=None)
-    for a, b in zip(replica.table_gaps(kind, p, q, spec, [table] * 3), replica.table_gaps(kind, p, q, spec, [bare] * 3)):
-        assert np.array_equal(a, b)
+    monkeypatch.setattr(duality, "count_rows", count_spy)
+    (table,) = replica.point_tables(kind, [0.08], [0.1], spec, MONTE_CARLO, mc_samples=MIN_MC_SAMPLES, seed=3)
+    rows, levels = len(table.representative), table.levels
+    assert rows * spec.config_count > replica._CHUNK_TARGET
+    assert spec.config_count > duality.count_block(spec)
+    assert sliced == [size for size in [576] * (rows // 576) + [rows % 576] for _ in range(2)]
+    assert levels.H.shape == (len(levels.r), rows) and len(levels.r) <= 2 * spec.slot_count + 1
+    assert levels.D.shape == levels.A.shape == (len(levels.k), rows) and len(levels.k) <= spec.slot_count + 1
+    monkeypatch.setattr(duality, "count_rows", real_count)
+    assert _same_levels(levels, duality.count_levels(spec, table.representative))
+    for spec, samples in ((spec, MIN_MC_SAMPLES), (builtin_cluster("B"), 20_000)):
+        (table,) = replica.point_tables(kind, [0.08], [0.1], spec, MONTE_CARLO, mc_samples=samples, seed=3)
+        monkeypatch.setattr(duality, "count_rows", None)
+        together = replica.table_gaps(kind, p, q, spec, [table] * 3)
+        for i in range(3):
+            alone = replica.table_gaps(kind, p[i : i + 1], q[:1], spec, [table])
+            assert all(np.array_equal(a, b[i : i + 1]) for a, b in zip(alone, together))
+        monkeypatch.setattr(duality, "count_rows", real_count)
 
 
 def test_sampled_gap_memory_does_not_grow_with_configurations():
     # keeping the counts of a 12-spin ring's table of 8 685 distinct rows
-    # (10 000 samples) would take 3 x 4 096 bytes a row, 102 MiB; counted at
-    # each read, a chunk of rows at a time, the gap's numpy and Python
-    # allocations peak near 45 MiB
+    # (10 000 samples) would take 3 x 4 096 bytes a row, 102 MiB; its level
+    # histograms, counted a chunk of rows at a time, take 84 bytes a row (15
+    # primal and 13 dual levels), and the gap's numpy and Python allocations
+    # peak near 37 MiB
     spec = _ring_cluster(12)
     channel = ChannelSpec("uncorrelated", 0.1, 0.3)
     (table,) = replica.point_tables("uncorrelated", [0.1], [0.3], spec, MONTE_CARLO, mc_samples=10_000, seed=1)
@@ -597,8 +625,8 @@ def _eight_chunk_case(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_one_draw_per_chunk_per_call(monkeypatch, workers):
     # the uniforms of a chunk do not depend on the point, so a call draws
-    # each of its 8 chunks once for all 3 points; at 3 workers the last
-    # group of chunks is partial
+    # each of its 8 chunks once for all 3 points, in one pass of one item
+    # per chunk, whatever the worker count
     spec, points = _eight_chunk_case(monkeypatch)
     alone = [gap(point, spec, MONTE_CARLO, mc_samples=30_000, seed=9, workers=1)
              for point in points]
@@ -613,8 +641,9 @@ def test_one_draw_per_chunk_per_call(monkeypatch, workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_shared_draws_stay_within_the_worker_count(monkeypatch, workers):
-    # shared draws are taken in groups of `workers` chunks, and a group's
-    # are freed before the next group is drawn
+    # the chunk pass draws each chunk's uniforms in its own item and frees
+    # them when the item returns, so no more draws are alive at once than
+    # items run, one per worker
     spec, points = _eight_chunk_case(monkeypatch)
     seen = _count_draws(monkeypatch)
     _batch("depolarizing", points, spec, MONTE_CARLO, mc_samples=30_000, seed=9, workers=workers)
@@ -649,7 +678,7 @@ def test_each_distinct_row_of_a_whole_draw_is_weighed_once(monkeypatch, workers)
     # Reading the table at other points counts no row again.
     spec = _eight_chunk_b(monkeypatch)
     size = min(replica._ROW_BLOCK, replica._chunk_size(spec))
-    real_count, real_merge = replica.count_rows, replica._merge_rows
+    real_count, real_merge = duality.count_rows, replica._merge_rows
     counted, merged = [], []
 
     def count_rows_spy(cluster, rows):
@@ -661,7 +690,7 @@ def test_each_distinct_row_of_a_whole_draw_is_weighed_once(monkeypatch, workers)
         merged.append(dict(zip(map(tuple, rows.tolist()), count.tolist())))
         return rows, count
 
-    monkeypatch.setattr(replica, "count_rows", count_rows_spy)
+    monkeypatch.setattr(duality, "count_rows", count_rows_spy)
     monkeypatch.setattr(replica, "_merge_rows", merge_spy)
     for p, q in ((0.1, 0.0), (0.08, 0.2), (0.05, 0.3)):
         for seen in (counted, merged):
@@ -1273,26 +1302,29 @@ def test_class_table_matches_brute_force_grouping(spec):
 
 @pytest.mark.parametrize("name", builtin_names())
 def test_table_carries_the_representatives_encoding_and_count_index(name):
-    # the compiled counts are the int8 cast of a fresh count_rows of the
-    # column representatives, cannot be written, and give the values step
-    # the same bits; the pairs ascend by (column, count vector), each pair
+    # the compiled levels are the int8 histograms of a fresh count_levels of
+    # the column representatives, on the levels that occur in the table, and
+    # record the cluster; they cannot be written, and give the values step
+    # the same bits. The pairs ascend by (column, count vector), each pair
     # once, every column has one, and one of a column's count vectors is its
     # representative's
     spec = builtin_cluster(name)
     kind = _channel_kind(spec)
     support = model.SUPPORT[kind]
     table = class_table(spec)
-    assert support == model.LAYER_SUPPORT[spec.layers]
-    fresh = np.concatenate(list(count_rows(spec, table.representative)), axis=1)
-    assert table.counts.dtype == np.int8
-    assert table.counts.shape == fresh.shape == (3, spec.config_count, len(table.representative))
-    assert np.array_equal(table.counts, fresh)
-    for array in vars(table).values():
-        assert not array.flags.writeable
+    assert support == model.LAYER_SUPPORT[spec.layers] and table.cluster is spec
+    fresh = duality.count_levels(spec, table.representative)
+    assert _same_levels(table.levels, fresh)
+    columns, levels = len(table.representative), table.levels
+    assert levels.H.dtype == levels.D.dtype == levels.A.dtype == levels.top.dtype == np.int8
+    assert levels.H.shape == (len(levels.r), columns) and levels.D.shape == (len(levels.k), columns)
+    assert np.all(levels.H.any(axis=1)) and np.all(levels.A.any(axis=1))
+    arrays = [a for a in (*vars(table).values(), *vars(levels).values()) if isinstance(a, np.ndarray)]
+    assert len(arrays) == 15 and not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
-        table.counts[0, 0, 0] = 1
+        levels.H[0, 0] = 1
     K = [model.coupling(kind, p) for p in (BRACKET_LO, 0.05, 0.2)]
-    for a, b in zip(log_factor_batch(spec, (table.counts,), K), log_factor_batch(spec, (fresh,), K)):
+    for a, b in zip(log_factor_batch(spec, table.levels, K), log_factor_batch(spec, fresh, K)):
         assert np.array_equal(a, b)
     assert table.count_vectors.dtype == table.count_index.dtype == table.column_index.dtype == np.intp
     assert len(np.unique(table.count_vectors, axis=0)) == len(table.count_vectors)
@@ -1327,10 +1359,128 @@ def test_compiled_counts_match_a_brute_force_recount(spec):
     slot_sign = np.sign([dual_edge_factor(edge_factor(d, 0.5)) for d in support])
     sign = slot_sign[rep[:, None, :], cell[None]].prod(axis=2)
     cell0 = ((cell[None] == 0) & ~lost).sum(axis=2)
-    for compiled, recount in zip(table.counts, (energy.sum(axis=2), cell0, sign)):
-        assert np.array_equal(compiled, recount.T)
-    # configuration 0 (every spin +1) puts every slot in cell 0
-    assert np.array_equal(table.counts[1, 0], spec.slot_count - lost.sum(axis=(1, 2)))
+    levels = table.levels
+    for u, (e, n, s) in enumerate(zip(energy.sum(axis=2).tolist(), cell0.tolist(), sign.tolist())):
+        # configuration 0 (every spin +1) puts every slot in cell 0
+        top, n0 = max(e), n[0]
+        assert (levels.top[u], levels.n0[u]) == (top, n0) == (top, spec.slot_count - lost[u].sum())
+        assert _level_key(levels, u) == _sum_key(np.array([e, n, s]))
+
+
+# from b = 0 to p = 1e-6 on the uncorrelated Nishimori line
+_LEVEL_COUPLINGS = [0.0, 0.2, 0.7, 1.5, 6.9]
+
+
+def _fsum_reference(spec: ClusterSpec, rows: np.ndarray, K: float) -> list[tuple]:
+    """(ln x_0, ln |x_0*| or None where the sum is 0, sign of x_0*) of each row at K, one `math.fsum` over configurations.
+
+    With a, b and c a clean slot's dual in cells 0 and 1 and a lost slot's
+    in cell 0, configuration c's dual term is sign_c a^n_c b^(n_0 - n_c)
+    c^ℓ: summed relative to a^n_0 c^ℓ, as exp(-(n_0 - n_c)(ln a - ln b)),
+    and as 1 where n_c = n_0 (b is 0 at K = 0).
+    """
+    support = model.LAYER_SUPPORT[spec.layers]
+    a, b = (float(x) for x in dual_edge_factor(edge_factor(support[0], K))[:2])
+    c = float(dual_edge_factor(edge_factor(next(d for d in support if d.diluted), K))[0])
+    gap = math.log(a) - math.log(b) if b > 0.0 else math.inf
+    counts = np.concatenate(list(count_rows(spec, rows)), axis=1).transpose(2, 0, 1).tolist()
+    out = []
+    for row, (energy, cell0, sign) in zip(rows.tolist(), counts):
+        top, n0, lost = max(energy), cell0[0], sum(support[s].diluted for s in row)
+        logp = K * top + math.log(math.fsum(math.exp(K * (e - top)) for e in energy))
+        total = math.fsum(t * (1.0 if n == n0 else math.exp(-(n0 - n) * gap)) for n, t in zip(cell0, sign) if t)
+        logd = n0 * math.log(a) + lost * math.log(c) + math.log(abs(total)) if total else None
+        out.append((logp, logd, (total > 0) - (total < 0)))
+    return out
+
+
+@pytest.mark.parametrize("spec", _COMPILED_CASES, ids=lambda s: s.name)
+def test_level_values_match_an_fsum_over_configurations(spec):
+    # the values step reads the level histograms alone, one exp per (point,
+    # level); the same sums taken term by term over each configuration's
+    # counts, with one fsum, agree with it to 1e-14 relative and in sign on
+    # every column of the class table, lost slots included. Where the signed
+    # dual sum cancels, ln |x_0*| may move by its rounding bound as well
+    # (B at K = 6.9: 5e-8 relative, under a bound of 1.7e-3)
+    rows = class_table(spec).representative
+    assert any(model.LAYER_SUPPORT[spec.layers][s].diluted for s in rows.ravel().tolist())
+    logp, logd, sign, rounding = log_factor_batch(spec, count_levels(spec, rows), _LEVEL_COUPLINGS)
+    for i, K in enumerate(_LEVEL_COUPLINGS):
+        for u, (primal, dual, s) in enumerate(_fsum_reference(spec, rows, K)):
+            assert sign[i, u] == s, (K, u)
+            assert abs(logp[i, u] - primal) <= 1e-14 * abs(primal), (K, u)
+            if dual is not None:
+                assert abs(logd[i, u] - dual) <= 1e-14 * abs(dual) + 1.02 * rounding[i, u], (K, u)
+
+
+@pytest.mark.parametrize("spec", _COMPILED_CASES, ids=lambda s: s.name)
+def test_level_histograms_hold_every_configuration_once(spec):
+    # a column's primal levels hold its configurations, level 0 its top one
+    # at least; at each dual level the signed count is at most the nonzero
+    # one and of its parity, and the nonzero ones add up to at most the
+    # configurations
+    levels = class_table(spec).levels
+    H, D, A = (a.astype(np.int64) for a in (levels.H, levels.D, levels.A))
+    assert np.array_equal(H.sum(axis=0), np.full(H.shape[1], spec.config_count))
+    assert levels.r[0] == 0 and np.all(H[0] > 0)
+    assert np.all(np.abs(D) <= A) and np.all((A - D) % 2 == 0)
+    assert np.all(A.sum(axis=0) <= spec.config_count)
+
+
+def test_two_layer_levels_reach_four_times_the_slots():
+    # on two layers a clean slot has energy 3 in cell 0 and -1 elsewhere, so
+    # a row of clean slots has a configuration at primal level 4S: 128 at 32
+    # slots, past int8. Every configuration still sits on one level, and
+    # the values agree with the fsum over configurations
+    spec = _wide_cluster(2, 32)
+    rows = np.random.default_rng(3).integers(0, replica.support_size(2), size=(6, 32), dtype=np.int8)
+    rows[0] = 0
+    levels = count_levels(spec, rows)
+    assert levels.r[-1] == 4 * 32 and levels.H[-1, 0] > 0
+    assert np.array_equal(levels.H.astype(np.int64).sum(axis=0), np.full(len(rows), spec.config_count))
+    logp, logd, sign, _ = log_factor_batch(spec, levels, _LEVEL_COUPLINGS)
+    for i, K in enumerate(_LEVEL_COUPLINGS):
+        for u, (primal, dual, s) in enumerate(_fsum_reference(spec, rows, K)):
+            assert sign[i, u] == s and abs(logp[i, u] - primal) <= 1e-14 * abs(primal), (K, u)
+            if dual is not None:
+                assert abs(logd[i, u] - dual) <= 1e-14 * abs(dual), (K, u)
+
+
+@pytest.mark.parametrize("spec", _COMPILED_CASES, ids=lambda s: s.name)
+def test_level_values_do_not_depend_on_their_neighbours(spec):
+    # a point's values are element-wise in the point, and a column's sums
+    # run over the levels in ascending order, a level it lacks adding 0; so
+    # each point has the bits it has alone, and each column the bits it has
+    # in a slice of the columns, on the table's levels or on the fewer
+    # levels of the slice counted again
+    table = class_table(spec)
+    K = np.array(_LEVEL_COUPLINGS)
+    together = log_factor_batch(spec, table.levels, K)
+    for i in range(len(K)):
+        alone = log_factor_batch(spec, table.levels, K[i : i + 1])
+        assert all(np.array_equal(a[0], b[i]) for a, b in zip(alone, together))
+    columns = np.arange(len(table.representative))[1::3]
+    for levels in (table.levels.take(columns), count_levels(spec, table.representative[columns])):
+        sliced = log_factor_batch(spec, levels, K)
+        assert all(np.array_equal(a, b[:, columns]) for a, b in zip(sliced, together))
+
+
+@pytest.mark.parametrize(
+    "spec", [builtin_cluster("B"), builtin_cluster("E"), _wide_cluster(1, 40)], ids=lambda s: s.name
+)
+def test_count_vectors_match_count_nonzero(spec):
+    # the slot counts per disorder state, one compare-and-add per slot, are
+    # count_nonzero's, on class-table rows and on drawn rows of 40 slots
+    m = replica.support_size(spec.layers)
+    rows = np.random.default_rng(7).integers(0, m, size=(5000, spec.slot_count), dtype=np.int8)
+    if spec.name in ("B", "E"):
+        rows = np.concatenate([class_table(spec).representative, rows])
+    (vectors, clean, errors), vector = replica._count_vectors(rows, m)
+    counts = np.stack([np.count_nonzero(rows == state, axis=1) for state in range(m)], axis=1)
+    assert vectors.dtype == vector.dtype == np.intp
+    assert np.array_equal(vectors[vector], counts)
+    assert np.array_equal(vectors, np.unique(counts, axis=0))
+    assert np.array_equal(clean, vectors[:, 0]) and np.array_equal(errors, vectors[:, 1:-1].sum(axis=1))
 
 
 def _column_weights(table: replica.ClassTable, probs: np.ndarray) -> np.ndarray:
@@ -1356,21 +1506,31 @@ def _sum_key(counts: np.ndarray) -> tuple:
     return top, n0, tuple(sorted(Counter(top - e for e in energy).items())), tuple(sorted(Counter(dual).items()))
 
 
+def _level_key(levels: duality.Levels, u: int) -> tuple:
+    """`_sum_key` of column u, read from its level histograms: D and A give the terms of each sign."""
+    H, D, A = (a[:, u].tolist() for a in (levels.H, levels.D, levels.A))
+    dual = {(1, k): (a + d) // 2 for k, d, a in zip(levels.k.tolist(), D, A)}
+    dual.update({(-1, k): (a - d) // 2 for k, d, a in zip(levels.k.tolist(), D, A)})
+    return (
+        int(levels.top[u]),
+        int(levels.n0[u]),
+        tuple((r, h) for r, h in zip(levels.r.tolist(), H) if h),
+        tuple(sorted((key, count) for key, count in dual.items() if count)),
+    )
+
+
 @pytest.mark.parametrize("spec", _COMPILED_CASES, ids=lambda s: s.name)
 def test_columns_merge_classes_without_loss(spec):
     # the table's columns are the classes of the fold grouped by `_sum_key`,
     # one column per key, and the pairs hold the classes' multiplicities per
-    # (column, state-count vector). Each class, through its own counts, has
-    # its column's dual sign and, to 1e-13 relative, its ln x_0: only the
-    # order of the configuration sums may differ. A signed dual sum that
-    # cancels (B and random2-1 at BRACKET_LO) moves with that order by up to
-    # its rounding bound r, so ln |x_0*| and r agree to 1e-13 relative plus
-    # the bounds of both sums; elsewhere r is about 1e-15
+    # (column, state-count vector). Each class, through its own levels, has
+    # its column's values to the bit: the level histograms are the multisets
+    # that key a column, and the values step reads nothing else
     m = replica.support_size(spec.layers)
     table = class_table(spec)
     multiplicities, representatives = replica._class_fold(spec)
     counts = np.concatenate(list(count_rows(spec, representatives)), axis=1)
-    column_of = {_sum_key(table.counts[:, :, u]): u for u in range(len(table.representative))}
+    column_of = {_level_key(table.levels, u): u for u in range(len(table.representative))}
     assert len(column_of) == len(table.representative)
     column = np.array([column_of[_sum_key(counts[:, :, k])] for k in range(len(multiplicities))])
     pairs = Counter()
@@ -1383,15 +1543,11 @@ def test_columns_merge_classes_without_loss(spec):
     kind = _channel_kind(spec)
     upper = (0.5 if spec.layers == 1 else 0.75) - BRACKET_MARGIN
     K = [model.coupling(kind, p) for p in (BRACKET_LO, 0.05, upper)]
-    logp, logd, sign, rounding = log_factor_batch(spec, (counts,), K)
-    merged = [a[:, column] for a in log_factor_batch(spec, (table.counts,), K)]
-    assert np.array_equal(sign, merged[2])
-    assert np.all(np.abs(logp - merged[0]) <= 1e-13 * np.abs(merged[0]))
-    # |ln(1 + e)| <= 1.02 |e| for |e| <= ROUNDING_LIMIT = 1e-2
-    assert rounding.max() <= duality.ROUNDING_LIMIT
-    order = 1.02 * (rounding + merged[3])
-    assert np.all(np.abs(logd - merged[1]) <= 1e-13 * np.abs(merged[1]) + order)
-    assert np.all(np.abs(rounding - merged[3]) <= (1e-13 + order) * merged[3])
+    classes = log_factor_batch(spec, duality.count_levels(spec, representatives), K)
+    merged = [a[:, column] for a in log_factor_batch(spec, table.levels, K)]
+    assert classes[3].max() <= duality.ROUNDING_LIMIT
+    for own, shared in zip(classes, merged):
+        assert np.array_equal(own, shared)
 
 
 @pytest.mark.parametrize(
@@ -1416,7 +1572,7 @@ def test_zero_weight_classes_leave_the_exact_sum_without_moving_its_bits(name):
     table = class_table(spec)
     for p in (BRACKET_LO, 0.02, 0.1):
         K, probs = replica._round_points(kind, [p], [0.0])
-        logp, logd, sign, _ = log_factor_batch(spec, (table.counts,), K)
+        logp, logd, sign, _ = log_factor_batch(spec, table.levels, K)
         assert np.all(sign > 0)
         weight = _column_weights(table, probs[0])
         assert 0 < np.count_nonzero(weight) < len(weight)
@@ -1472,7 +1628,7 @@ def test_nishimori_energy_identity_holds_for_both_sums(spec):
         keep = weight > 0.0
         weight = weight[keep]
         logp, logd, sign, rounding = log_factor_batch(
-            spec, (table.counts,), K[0] + h * np.array([-4.0, -2.0, -1.0, 1.0, 2.0, 4.0])
+            spec, table.levels, K[0] + h * np.array([-4.0, -2.0, -1.0, 1.0, 2.0, 4.0])
         )
         assert np.all(sign[:, keep] > 0)
         for name, values, bounds in (("primal", logp, np.zeros_like(logp)), ("dual", logd, rounding)):
@@ -1503,7 +1659,7 @@ def test_exact_gap_refuses_dual_rounding_past_its_share_of_the_gap_floor(monkeyp
     signs = json.loads(match.group(2))
     table = class_table(spec)
     K, probs = replica._round_points(channel.kind, [channel.p], [channel.q])
-    rounding = log_factor_batch(spec, (table.counts,), K)[3][0]
+    rounding = log_factor_batch(spec, table.levels, K)[3][0]
     heaviest = table.representative[np.argmax(_column_weights(table, probs[0]) * rounding)]
     assert signs == [model.SUPPORT[channel.kind][s].sign for s in heaviest]
     assert isinstance(info.value, NonPositiveDual)
@@ -1520,7 +1676,7 @@ def test_two_layer_rounding_refusal_names_sign_pairs(monkeypatch):
     pairs = json.loads(re.search(r"column of signs (\[.*\])$", str(info.value)).group(1))
     table = class_table(spec)
     K, probs = replica._round_points(channel.kind, [channel.p], [channel.q])
-    rounding = log_factor_batch(spec, (table.counts,), K)[3][0]
+    rounding = log_factor_batch(spec, table.levels, K)[3][0]
     heaviest = table.representative[np.argmax(_column_weights(table, probs[0]) * rounding)]
     support = model.SUPPORT[channel.kind]
     assert pairs == [[support[s].sign, support[s].dual_sign] for s in heaviest]
@@ -1588,9 +1744,9 @@ def _mixed_points(kind: str, count: int, seed: int) -> list[ChannelSpec]:
 @pytest.mark.parametrize("name", list(CHANNEL_OF))
 def test_batched_points_equal_points_alone(name):
     # a point's bits must not depend on the points that share its call or
-    # its slice; the last batch crosses the EXACT_SLICE slice budget
+    # its slice; the last batch crosses the READ_SLICE slice budget
     spec = builtin_cluster(name)
-    step = max(1, replica.EXACT_SLICE // (len(class_table(spec).representative) * spec.config_count))
+    step = max(1, replica.READ_SLICE // len(class_table(spec).multiplicity))
     for size in (1, 2, 7, step + 2):
         points = _mixed_points(CHANNEL_OF[name], size, seed=size)
         batched = _batch(CHANNEL_OF[name], points, spec, workers=2)
