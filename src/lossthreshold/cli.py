@@ -48,6 +48,12 @@ def _record(result: solver.ThresholdResult, with_reference: bool) -> OutputRecor
     )
 
 
+def _aligned(rows: list) -> str:
+    """Rows of cells as lines of left-aligned columns two spaces apart, with no trailing blanks."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows)
+
+
 def render_table(records: list[OutputRecord]) -> str:
     """Aligned text table; p_c shown to 5 decimals, rounded half to even."""
     rows = [list(CSV_HEADER)]
@@ -63,9 +69,7 @@ def render_table(records: list[OutputRecord]) -> str:
                 "" if r.reference_p_c0 is None else f"{r.reference_p_c0:.5f}",
             ]
         )
-    widths = [max(len(row[i]) for row in rows) for i in range(len(CSV_HEADER))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
-    return "\n".join(lines)
+    return _aligned(rows)
 
 
 def render_csv(records: list[OutputRecord]) -> str:
@@ -155,13 +159,13 @@ def _q_grid(q_from: float, q_to: float, q_step: float) -> list[float]:
         raise ValueError(f"--q-step must be at least {10.0**-Q_DIGITS:g}, got {q_step}")
     if q_to < q_from:
         raise ValueError("--q-to must not be below --q-from")
-    count = int(math.floor((q_to - q_from) / q_step + 1e-9)) + 1
-    if count > MAX_Q_VALUES:
+    # the quotient may overflow to inf, which no int holds
+    steps = (q_to - q_from) / q_step + 1e-9
+    if steps >= MAX_Q_VALUES:
         raise ValueError(
-            f"--q-step {q_step} gives {count} values from {q_from} to {q_to}, "
-            f"more than {MAX_Q_VALUES}"
+            f"--q-step {q_step} gives more than {MAX_Q_VALUES} values from {q_from} to {q_to}"
         )
-    return [round(q_from + i * q_step, Q_DIGITS) for i in range(count)]
+    return [round(q_from + i * q_step, Q_DIGITS) for i in range(int(steps) + 1)]
 
 
 def cmd_sweep(args) -> int:
@@ -187,9 +191,7 @@ def cmd_clusters(args) -> int:
                     clusters.calibration_status(name),
                 )
             )
-        widths = [max(len(row[i]) for row in rows) for i in range(5)]
-        for row in rows:
-            print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        print(_aligned(rows))
         return EXIT_OK
     spec = clusters.builtin_cluster(args.name)
     print(json.dumps(clusters.cluster_to_dict(spec), indent=2))

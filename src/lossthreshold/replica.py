@@ -8,14 +8,15 @@ factors. The quantity evaluated here is
 with the expectation over independent per-slot disorder. Its root in p, at
 fixed loss rate q, is the optimal error threshold.
 
-Every point reads a table (`ClassTable`) of columns, each a row of disorder
-states whose level histograms (`duality.count_levels`) are compiled with
-the table, and of (column, state-count vector, multiplicity) pairs. A point
-takes the kernel's values step (`duality.log_factor_batch`) on those
-histograms and weighs each column by its pairs' multiplicities and
-disorder probabilities, whose products it forms once per count vector.
-There are two kinds of table, and one evaluation path, `_exact_gaps`,
-reads both.
+Every point reads a table (`ClassTable`) of columns, each the rows of
+disorder states that share level histograms (`duality.count_levels`),
+compiled with the table, and of (column, state-count vector,
+multiplicity) pairs. A point takes the kernel's values step
+(`duality.log_factor_batch`) on those histograms and weighs each column by
+its pairs' multiplicities and disorder probabilities, whose products it
+forms once per count vector. There are two kinds of table, one builder,
+`_compile`, for both, and one evaluation path, `_exact_gaps`, that reads
+both.
 
 A cluster's class table covers every joint disorder assignment (3^S
 single-layer, 5^S two-layer, including zero-probability states so the term
@@ -26,27 +27,31 @@ whose per-configuration histograms agree up to a permutation of
 configurations form one class, and every assignment of a class has the same
 primal and dual sums. Classes whose counts give the same level
 histograms, the multisets of configuration energies and of signed dual
-terms, have the same sums too, and share one column. The class table is compiled once and cached; its
-multiplicities are whole numbers, so its Delta is exact.
+terms, have the same sums too, and share one column. The class table is
+compiled once and cached; its multiplicities are whole numbers, so its
+Delta is exact.
 
-A drawn table covers clusters whose exact work exceeds TERM_BUDGET: its
-columns are the distinct rows of a Monte Carlo draw of N samples at one
-point p0, each with multiplicity count / (N P_p0(row)). Read at any p, a
-row weighs count/N times its likelihood ratio P_p/P_p0, so Delta is the
-importance-weighted mean of the draw, a fixed function of p: the
-sample-average approximation (Shapiro, Dentcheva & Ruszczynski 2009, ch. 5).
-Read at p0 it is the plain sample mean. A counter-based generator makes the
-uniforms of every chunk of samples reproducible and identical across
-points, so one call draws each chunk once for all its tables. A call makes
-two passes over a pool of `worker_count` threads: one item per chunk draws
-its uniforms and decodes them at every point, and one item per table
-merges that table's chunks and builds it. Sampled rows repeat often,
+A drawn table covers clusters whose exact work exceeds TERM_BUDGET. Its
+rows are the distinct rows of a Monte Carlo draw of N samples at one point
+p0, merged into columns as the classes are, and a pair's multiplicity is
+draws / (N P_p0(vector)), draws being the counts of the pair's rows. Read
+at any p, a row weighs count/N times its likelihood ratio P_p/P_p0, so
+Delta is the importance-weighted mean of the draw, a fixed function of p:
+the sample-average approximation (Shapiro, Dentcheva & Ruszczynski 2009,
+ch. 5). Read at p0 it is the plain sample mean. A counter-based generator
+makes the uniforms of every chunk of samples reproducible and identical
+across points, so one call draws each chunk once for all its tables. A
+call makes two passes over a pool of `worker_count` threads: one item per
+chunk draws its uniforms and decodes them at every point, and one item per
+table merges that table's chunks and builds it. Sampled rows repeat often,
 within a chunk and across chunks, so a chunk only decodes its rows into
 distinct ones, and a table merges the distinct rows of all its chunks and
 counts each once: near the root of B at 100 000 samples, 1.2 % (q = 0) to
 21 % (q = 0.3) of the drawn rows. A table keeps only the level histograms
-of those counts, so that its memory does not grow with the 2^internal
-configurations, and no read counts a row again.
+of its columns, fewer still (B at 100 000 samples, seed 3, at the closed
+form's roots: 1 301 / 19 140 / 15 659 distinct rows in 48 / 1 276 / 813
+columns at q = 0 / 0.2 / 0.4), so that its memory does not grow with the
+2^internal configurations, and no read counts a row again.
 
 `point_tables` gives the table each point of a round reads: the class table
 on the exact policy, a table drawn at the point itself on the Monte Carlo
@@ -69,7 +74,7 @@ import math
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -99,27 +104,27 @@ TERM_BUDGET = 10**8
 GAP_FLOOR = 1e-12
 # a class table's gap whose dual sums may round it by more than this share of
 # GAP_FLOOR is refused; on the registered clusters the bound stays below
-# 5.7e-14, 4.4 times under the 2.5e-13 this allows. A drawn table's rows are
-# refused one by one instead, past `duality.ROUNDING_LIMIT`: a weighted bound
-# of config_count * eps alone passes 2.5e-13 past 10 internal spins
+# 5.7e-14, 4.4 times under the 2.5e-13 this allows. A drawn table's columns
+# are refused one by one instead, past `duality.ROUNDING_LIMIT`: a weighted
+# bound of config_count * eps alone passes 2.5e-13 past 10 internal spins
 ROUNDING_SHARE = 0.25
 DEFAULT_MC_SAMPLES = 100_000
 MIN_MC_SAMPLES = 1000
 
 # a read holds (points x pairs) arrays of at most this many elements, one
 # point at least: 21 points of an exact B sweep (6 096 pairs) share one
-# `_exact_gaps` call, and the 3 certificate points of a drawn B table of up
-# to 43 690 rows
+# `_exact_gaps` call, and the 3 certificate points of a drawn B table (2 839
+# pairs at q = 0.2 and 1 000 000 samples, seed 5)
 READ_SLICE = 1 << 17
 
 # Monte Carlo samples are drawn in fixed-size chunks. The partition depends
 # only on the cluster and the sample count, never on the worker count, and so
-# do a table's merged distinct rows and their order, so parallel runs are
-# bit-identical: a point's sums run over the table's rows in that order. The
-# draws themselves depend on the partition (a chunk's stream starts at its
-# first sample times the slot count). A chunk holds _CHUNK_TARGET (row,
-# configuration) pairs of one count table (`count_block`), and a counts-step
-# slice of distinct rows no more.
+# do a table's merged distinct rows, its columns and their order, so parallel
+# runs are bit-identical: a point's sums run over the table's columns in that
+# order. The draws themselves depend on the partition (a chunk's stream
+# starts at its first sample times the slot count). A chunk holds
+# _CHUNK_TARGET (row, configuration) pairs of one count table
+# (`count_block`), and a counts-step slice of distinct rows no more.
 _CHUNK_TARGET = 1 << 20
 _CHUNK_MAX = 1 << 16
 # `_distinct_rows` packs rows, and `count_levels` counts them, at most this
@@ -273,10 +278,12 @@ class ClassTable:
     the slots in the support's first state and in the states between it
     and the lost one, give d ln(weight)/dp = errors/p - clean/(1-p).
 
-    A drawn table (`_drawn_table`) has the same fields: one column, and one
-    pair, per distinct row of a Monte Carlo draw at a point p0, and `draws`,
-    how often the draw holds each row. Either kind records the cluster it
-    was compiled for, and is read on that cluster only.
+    A drawn table (`_drawn_table`) is built the same way from the distinct
+    rows of a Monte Carlo draw at a point p0 (B at q = 0.2, 100 000
+    samples: 19 140 rows in 1 276 columns and 1 833 pairs), and keeps
+    `draws`, how often the draw holds the rows of each pair. Either kind
+    records the cluster it was compiled for, and is read on that cluster
+    only.
     """
 
     cluster: ClusterSpec
@@ -288,10 +295,10 @@ class ClassTable:
     column_index: np.ndarray  # (pairs,) intp column of each pair, ascending
     count_index: np.ndarray  # (pairs,) intp row of count_vectors holding each pair's slot counts
     # (pairs,) assignments of each pair, int64; on a drawn table float64
-    # count / (N P_p0(row)), so that its weight at p is the row's importance
-    # weight count/N * P_p(row)/P_p0(row)
+    # draws / (N P_p0(vector)), so that its weight at p is its rows'
+    # importance weight draws/N * P_p(vector)/P_p0(vector)
     multiplicity: np.ndarray
-    # (columns,) int64 draws of each row of a drawn table; empty on a class table
+    # (pairs,) int64 draws of each pair of a drawn table; empty on a class table
     draws: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     def __post_init__(self):
@@ -430,30 +437,30 @@ def _count_vectors(rows: np.ndarray, m: int) -> tuple[tuple[np.ndarray, np.ndarr
     return (vectors.astype(np.intp), clean, errors), vector.astype(np.intp)
 
 
-@lru_cache(maxsize=16)
-def class_table(cluster: ClusterSpec) -> ClassTable:
-    """Compile the class table of a cluster: its classes (`_class_fold`) merged into columns.
+def _compile(cluster: ClusterSpec, rows: np.ndarray, weight: np.ndarray) -> ClassTable:
+    """The table of rows of disorder states of whole-number weights: the rows merged into columns.
 
-    A column is keyed by a class's level histograms, the multisets of
-    `ClassTable`; the first class of a column represents it.
+    A column is keyed by a row's level histograms, the multisets of
+    `ClassTable`, compared as one block of bytes, so columns ascend in the
+    bytes of their keys; the first row of a column represents it. A pair's
+    multiplicity is the summed weight of the column's rows with its
+    state-count vector.
     """
-    multiplicity, representative = _class_fold(cluster)
-    levels = _compiled_levels(cluster, representative)
+    levels = _compiled_levels(cluster, rows)
     key = np.concatenate([levels.top[:, None], levels.n0[:, None], levels.H.T, levels.D.T, levels.A.T], axis=1)
-    _, first, column = _unique_rows(key.astype(np.int64))
-    vectors, vector = _count_vectors(representative, support_size(cluster.layers))
+    _, first, column = _unique_rows(key)
+    vectors, vector = _count_vectors(rows, support_size(cluster.layers))
     pairs, pair = np.unique(column * len(vectors[0]) + vector, return_inverse=True)
     column_index, count_index = (a.astype(np.intp) for a in np.divmod(pairs, len(vectors[0])))
-    multiplicity = np.bincount(pair, weights=multiplicity).astype(np.int64)
-    return ClassTable(
-        cluster,
-        representative[first],
-        levels.take(first),
-        *vectors,
-        column_index,
-        count_index,
-        multiplicity,
-    )
+    multiplicity = np.bincount(pair, weights=weight).astype(np.int64)
+    return ClassTable(cluster, rows[first], levels.take(first), *vectors, column_index, count_index, multiplicity)
+
+
+@lru_cache(maxsize=16)
+def class_table(cluster: ClusterSpec) -> ClassTable:
+    """Compile the class table of a cluster: its classes (`_class_fold`) and their multiplicities, merged into columns."""
+    multiplicity, representative = _class_fold(cluster)
+    return _compile(cluster, representative, multiplicity)
 
 
 def _score(p, clean, errors):
@@ -488,11 +495,11 @@ def _exact_gaps(p: np.ndarray, K: np.ndarray, probs: np.ndarray, cluster: Cluste
     column's rounding bound, weighed the same way, bounds the rounding of
     Delta; past ROUNDING_SHARE * GAP_FLOOR the point raises UnsignedDual,
     naming the representative of the column that weighs most in it. On a
-    drawn table, each row of positive weight is checked on its own, as a
+    drawn table, each column of positive weight is checked on its own, as a
     lone row is (`_require_positive_dual`): UnsignedDual past
     ROUNDING_LIMIT. A point's bits do not depend on which other points share
-    its call: its weights add up in pair order, and each row's values do
-    not depend on the rows beside it. A class table's Delta is one `fsum`
+    its call: its weights add up in pair order, and each column's values do
+    not depend on the columns beside it. A class table's Delta is one `fsum`
     over the columns of positive weight, which rounds the exact sum once, so
     leaving out the zero terms keeps its bits; a drawn table's is a numpy
     sum per point, whose rounding lies far below its standard error.
@@ -508,10 +515,12 @@ def _exact_gaps(p: np.ndarray, K: np.ndarray, probs: np.ndarray, cluster: Cluste
     derivative of the table's own Delta by sampling noise.
 
     A class table's Delta is exact, and its standard error 0. A drawn
-    table's W is count/N times each row's likelihood ratio w = P_p/P_p0,
+    table's W is draws/N times each pair's likelihood ratio w = P_p/P_p0,
     and its standard error that of the importance-weighted mean,
-    sigma^2 = sum count (w delta - Delta)^2 / (N (N - 1)), the sample one at
-    p0. Returns the Delta of each point (a list on a class table) and the
+    sigma^2 = sum draws (w delta - Delta)^2 / (N (N - 1)) over the pairs,
+    the sample one at p0: every row of a pair has the pair's column, so
+    its delta, and the pair's count vector, so its w, and the sum over the
+    pairs is the sum over the rows. Returns the Delta of each point (a list on a class table) and the
     arrays of standard errors and slopes.
     """
     points, columns = len(K), len(table.representative)
@@ -550,7 +559,7 @@ def _exact_gaps(p: np.ndarray, K: np.ndarray, probs: np.ndarray, cluster: Cluste
         return [math.fsum(v[w].tolist()) for v, w in zip(terms, positive)], np.zeros(points), slope
     mean = terms.sum(axis=1)
     samples = int(table.draws.sum())
-    spread = W * (samples / table.draws) * delta - mean[:, None]
+    spread = pair_weight * (samples / table.draws) * delta.take(table.column_index, axis=1) - mean[:, None]
     return mean, np.sqrt((table.draws * spread**2).sum(axis=1) / (samples * (samples - 1.0))), slope
 
 
@@ -602,27 +611,18 @@ def _merge_rows(chunks: tuple, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _drawn_table(cluster: ClusterSpec, probs: np.ndarray, rows: np.ndarray, count: np.ndarray) -> ClassTable:
-    """The table of a draw at one point of (states,) probabilities: one column per distinct row, in key order.
+    """The table of a draw at one point of (states,) probabilities: its distinct rows and their counts, merged into columns.
 
-    A row's multiplicity is count / (N P_p0(row)), with P_p0 the product of
+    A pair's `draws` are the summed counts of its rows, and its
+    multiplicity draws / (N P_p0(vector)), with P_p0 the product of
     `_vector_weights` that a read at p0 multiplies it by, so that its weight
-    there is count/N within a few ulp and a row's state of probability 0
-    drops out. The counts step runs once per table, which keeps only the
-    level histograms of its rows, whose size does not grow with the
-    2^internal configurations.
+    there is draws/N within a few ulp and a state of probability 0 drops
+    out. The counts step runs once per table, on its distinct rows.
     """
-    vectors, vector = _count_vectors(rows, len(probs))
-    p0 = _vector_weights(probs[None], vectors[0], cluster.slot_count)[0][vector]
-    return ClassTable(
-        cluster,
-        rows,
-        _compiled_levels(cluster, rows),
-        *vectors,
-        np.arange(len(rows), dtype=np.intp),
-        vector,
-        count / (int(count.sum()) * p0),
-        count.astype(np.int64),
-    )
+    table = _compile(cluster, rows, count)
+    draws = table.multiplicity
+    p0 = _vector_weights(probs[None], table.count_vectors, cluster.slot_count)[0]
+    return replace(table, multiplicity=draws / (int(draws.sum()) * p0[table.count_index]), draws=draws)
 
 
 def _sample_count(mc_samples: int | None) -> int:

@@ -289,9 +289,17 @@ def test_q_grid_refuses_too_many_values_before_building_them():
         cli._q_grid(0.0, 1.0, 1e-5)
     with pytest.raises(ValueError, match="--q-step"):
         cli._q_grid(0.0, 0.45, 1e-10)
+    # a span over the step past the largest float is refused, not overflowed
+    for args in ((0.0, 1e300, 1e-10), (-1e308, 1e308, 1.0)):
+        with pytest.raises(ValueError, match="--q-step"):
+            cli._q_grid(*args)
 
 
-@pytest.mark.parametrize("flags", [["--q-step", "nan"], ["--q-from", "nan"], ["--q-step", "1e-11"]])
+@pytest.mark.parametrize(
+    "flags",
+    [["--q-step", "nan"], ["--q-from", "nan"], ["--q-step", "1e-11"],
+     ["--q-step", "1", "--q-from=-1e308", "--q-to", "1e308"]],
+)
 def test_bad_q_grid_flag_is_usage_error(capsys, flags):
     code = cli.main(["sweep", "--channel", "uncorrelated", "--cluster", "single", *flags])
     captured = capsys.readouterr()

@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from lossthreshold import cluster, duality, model, replica
+from lossthreshold import cluster, duality, model, replica, solver
 from lossthreshold.cluster import (
     ClusterSpec,
     NonFinite,
@@ -345,15 +345,15 @@ def _wide_cluster(layers: int, slot_count: int) -> ClusterSpec:
     ids=lambda s: s.name,
 )
 def test_monte_carlo_matches_per_sample_sum(monkeypatch, spec):
-    # the sampled gap reads a table drawn at its own p, whose columns are the
-    # distinct rows of its three chunks, each weighted by its count times a
-    # likelihood ratio of 1 up to rounding, and finds states by comparison;
-    # it must give the per-sample mean and standard error at both bracket
-    # ends and near p_c. Where the mean cancels to near zero (near p_c on a
-    # wide cluster) or the rows differ by little more than their own
-    # rounding (at the upper end), agreement is asked to within what one ulp
-    # of rounding in every row's delta would move the mean and the standard
-    # error.
+    # the sampled gap reads a table drawn at its own p, whose columns merge
+    # the distinct rows of its three chunks by level histograms, each row
+    # weighted by its count times a likelihood ratio of 1 up to rounding,
+    # and finds states by comparison; it must give the per-sample mean and
+    # standard error at both bracket ends and near p_c. Where the mean
+    # cancels to near zero (near p_c on a wide cluster) or the rows differ
+    # by little more than their own rounding (at the upper end), agreement
+    # is asked to within what one ulp of rounding in every row's delta would
+    # move the mean and the standard error.
     monkeypatch.setattr(replica, "_CHUNK_MAX", 8192)
     real_count = duality.count_rows
     sliced = []
@@ -425,13 +425,14 @@ def _same_levels(a: duality.Levels, b: duality.Levels) -> bool:
 
 def test_drawn_tables_past_one_chunk_of_pairs_keep_only_their_levels(monkeypatch):
     # a 12-spin ring's 1 000 samples hold more (row, configuration) pairs
-    # than _CHUNK_TARGET; its table keeps each row's level histograms, at
-    # most 2S + 1 primal and S + 1 dual levels whatever its 4 096
-    # configurations, counted in slices of min(_ROW_BLOCK, _chunk_size) =
-    # 576 rows with the levels of all rows at once, and a read counts no row
-    # again. Its configurations come in several blocks, so each slice goes
-    # through count_rows twice, for its rows' top and then for their levels.
-    # Each point has the bits it has alone. So does a B table's.
+    # than _CHUNK_TARGET; its table counts each distinct row's level
+    # histograms, at most 2S + 1 primal and S + 1 dual levels whatever its
+    # 4 096 configurations, in slices of min(_ROW_BLOCK, _chunk_size) = 576
+    # rows, and keeps those of its columns, fewer than its rows, with the
+    # levels of all rows at once; a read counts no row again. Its
+    # configurations come in several blocks, so each slice goes through
+    # count_rows twice, for its rows' top and then for their levels. Each
+    # point has the bits it has alone. So does a B table's.
     spec = _ring_cluster(12)
     kind, p, q = "uncorrelated", [0.07, 0.08, 0.09], [0.1] * 3
     real_count = duality.count_rows
@@ -443,12 +444,14 @@ def test_drawn_tables_past_one_chunk_of_pairs_keep_only_their_levels(monkeypatch
 
     monkeypatch.setattr(duality, "count_rows", count_spy)
     (table,) = replica.point_tables(kind, [0.08], [0.1], spec, MONTE_CARLO, mc_samples=MIN_MC_SAMPLES, seed=3)
-    rows, levels = len(table.representative), table.levels
+    rows = len(_whole_draw(kind, 0.08, 0.1, spec, MIN_MC_SAMPLES, seed=3))
+    columns, levels = len(table.representative), table.levels
     assert rows * spec.config_count > replica._CHUNK_TARGET
     assert spec.config_count > duality.count_block(spec)
     assert sliced == [size for size in [576] * (rows // 576) + [rows % 576] for _ in range(2)]
-    assert levels.H.shape == (len(levels.r), rows) and len(levels.r) <= 2 * spec.slot_count + 1
-    assert levels.D.shape == levels.A.shape == (len(levels.k), rows) and len(levels.k) <= spec.slot_count + 1
+    assert columns < rows and table.draws.sum() == MIN_MC_SAMPLES
+    assert levels.H.shape == (len(levels.r), columns) and len(levels.r) <= 2 * spec.slot_count + 1
+    assert levels.D.shape == levels.A.shape == (len(levels.k), columns) and len(levels.k) <= spec.slot_count + 1
     monkeypatch.setattr(duality, "count_rows", real_count)
     assert _same_levels(levels, duality.count_levels(spec, table.representative))
     for spec, samples in ((spec, MIN_MC_SAMPLES), (builtin_cluster("B"), 20_000)):
@@ -462,16 +465,15 @@ def test_drawn_tables_past_one_chunk_of_pairs_keep_only_their_levels(monkeypatch
 
 
 def test_sampled_gap_memory_does_not_grow_with_configurations():
-    # keeping the counts of a 12-spin ring's table of 8 685 distinct rows
-    # (10 000 samples) would take 3 x 4 096 bytes a row, 102 MiB; its level
+    # keeping the counts of the 8 685 distinct rows of a 12-spin ring's draw
+    # (10 000 samples) would take 3 x 4 096 bytes a row, 102 MiB; their level
     # histograms, counted a chunk of rows at a time, take 84 bytes a row (15
     # primal and 13 dual levels), and the gap's numpy and Python allocations
     # peak near 37 MiB
     spec = _ring_cluster(12)
     channel = ChannelSpec("uncorrelated", 0.1, 0.3)
-    (table,) = replica.point_tables("uncorrelated", [0.1], [0.3], spec, MONTE_CARLO, mc_samples=10_000, seed=1)
-    assert 3 * spec.config_count * len(table.representative) > 100 * 2**20
-    del table
+    rows = len(_whole_draw("uncorrelated", 0.1, 0.3, spec, 10_000, seed=1))
+    assert 3 * spec.config_count * rows > 100 * 2**20
     tracemalloc.start()
     try:
         gap(channel, spec, MONTE_CARLO, mc_samples=10_000, seed=1, workers=1)
@@ -670,12 +672,35 @@ def _eight_chunk_b(monkeypatch):
     return spec
 
 
+def _drawn_pairs(spec: ClusterSpec, drawn: Counter) -> tuple[Counter, dict]:
+    """The draws of each (level key, state counts) of a whole draw, and each level key's rows, from each row's own levels."""
+    rows = np.array(list(drawn), dtype=np.int8)
+    levels = duality.count_levels(spec, rows)
+    pairs, rows_of = Counter(), {}
+    for u, (row, counts) in enumerate(zip(rows, _state_counts(rows, replica.support_size(spec.layers)))):
+        key = _level_key(levels, u)
+        pairs[key, tuple(counts.tolist())] += drawn[tuple(row.tolist())]
+        rows_of.setdefault(key, set()).add(tuple(row.tolist()))
+    return pairs, rows_of
+
+
+def _table_pairs(table: replica.ClassTable) -> dict:
+    """The draws of each (level key, state counts) pair of a drawn table."""
+    return {
+        (_level_key(table.levels, u), tuple(table.count_vectors[v].tolist())): draws
+        for u, v, draws in zip(table.column_index.tolist(), table.count_index.tolist(), table.draws.tolist())
+    }
+
+
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_each_distinct_row_of_a_whole_draw_is_weighed_once(monkeypatch, workers):
     # the chunks of a draw only decode their rows; a table merges the
     # chunks' distinct rows, with their counts over all chunks, and counts
     # each row of its whole draw once, in slices of at most a chunk's rows.
-    # Reading the table at other points counts no row again.
+    # Rows of equal level histograms share a column, represented by one of
+    # them, and a pair's draws are the counts of its column's rows of one
+    # state-count vector. Reading the table at other points counts no row
+    # again.
     spec = _eight_chunk_b(monkeypatch)
     size = min(replica._ROW_BLOCK, replica._chunk_size(spec))
     real_count, real_merge = duality.count_rows, replica._merge_rows
@@ -703,13 +728,55 @@ def test_each_distinct_row_of_a_whole_draw_is_weighed_once(monkeypatch, workers)
         assert set(rows) == set(drawn) and set(rows.values()) == {1}
         assert all(len(block) <= size for block in counted)
         assert merged == [dict(drawn)]
-        assert dict(zip(map(tuple, table.representative.tolist()), table.draws.tolist())) == dict(drawn)
         if q > 0.0:
             # past one slice of distinct rows, so a table joins several
             assert len(drawn) > size and len(counted) >= 2
         slices = len(counted)
         replica.table_gaps("uncorrelated", [p, 0.9 * p, 1.1 * p], [q] * 3, spec, [table] * 3)
         assert len(counted) == slices
+        pairs, rows_of = _drawn_pairs(spec, drawn)
+        assert _table_pairs(table) == pairs and table.draws.sum() == 30_000
+        keys = [_level_key(table.levels, u) for u in range(len(table.representative))]
+        assert sorted(keys) == sorted(rows_of) and len(keys) < len(drawn)
+        assert all(tuple(row) in rows_of[key] for row, key in zip(table.representative.tolist(), keys))
+
+
+def test_drawn_rows_merge_into_columns_of_equal_levels():
+    # a drawn B table (100 000 samples at its q's closed-form root) keeps a
+    # column per level histograms, not per distinct row: every row of a
+    # column has its levels, and the pairs' draws add up to N. Every row of a
+    # pair has its column's delta and its vector's likelihood ratio, so the
+    # table reads, at p0 and 10 % to either side, the Delta, standard error
+    # and slope of the importance-weighted mean over the distinct rows, each
+    # read through its own levels and summed with fsum
+    kind, q, samples, spec = "uncorrelated", 0.2, 100_000, builtin_cluster("B")
+    p0 = solver._closed_form_root(kind, q)
+    (table,) = replica.point_tables(kind, [p0], [q], spec, MONTE_CARLO, mc_samples=samples, seed=3)
+    drawn = _whole_draw(kind, p0, q, spec, samples, seed=3)
+    rows = np.array(list(drawn), dtype=np.int8)
+    count = np.array(list(drawn.values()))
+    assert len(table.representative) < len(rows) and table.draws.sum() == samples
+    pairs, rows_of = _drawn_pairs(spec, drawn)
+    assert _table_pairs(table) == pairs
+    assert len(rows_of) == len(table.representative)
+    p = [p0, 0.9 * p0, 1.1 * p0]
+    K, probs = replica._round_points(kind, p, [q] * 3)
+    logp, logd, sign, _ = log_factor_batch(spec, count_levels(spec, rows), K)
+    assert np.all(sign > 0)
+    m = replica.support_size(spec.layers)
+    clean = np.count_nonzero(rows == 0, axis=1)
+    errors = np.count_nonzero(rows < m - 1, axis=1) - clean
+    got = replica.table_gaps(kind, p, [q] * 3, spec, [table] * 3)
+    for i in range(3):
+        ratio = np.prod(probs[i][rows] / probs[0][rows], axis=1)
+        delta = logp[i] - logd[i]
+        terms = (count * ratio * delta).tolist()
+        mean = math.fsum(terms) / samples
+        spread = math.fsum((c * (w * d - mean) ** 2 for c, w, d in zip(count.tolist(), ratio.tolist(), delta.tolist())))
+        slope = math.fsum(t * s for t, s in zip(terms, replica._score(p[i], clean, errors).tolist())) / samples
+        expected = (mean, math.sqrt(spread / (samples * (samples - 1.0))), slope)
+        for value, reference in zip((a[i] for a in got), expected):
+            assert value == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
 def test_merged_draws_are_worker_independent(monkeypatch):
@@ -762,8 +829,9 @@ def test_clean_and_error_slots_come_from_configuration_zero(kind, spec):
     # every slot sits in cell 0 in configuration 0, where a clean slot has
     # energy 1 (one layer) or 3 (two), every error state -1 and a lost slot
     # 0, so E_0 and n_0 count each row's clean and error slots; a drawn
-    # table's clean and error counts, taken with count_nonzero, must be
-    # those, and its scores must have the bits of the slots counted one by one
+    # table's clean and error counts, of the count vector that holds each
+    # row's slots per state (count_nonzero), must be those, and its scores
+    # must have the bits of the slots counted one by one
     rng = np.random.default_rng(spec.slot_count)
     m = replica.support_size(spec.layers)
     rows, count = replica._distinct_rows(rng.integers(0, m, size=(400, spec.slot_count)).astype(np.int8), m)
@@ -776,9 +844,12 @@ def test_clean_and_error_slots_come_from_configuration_zero(kind, spec):
     p = 0.1
     _, probs = replica._round_points(kind, [p], [0.2])
     table = replica._drawn_table(spec, probs[0], rows, count)
-    assert np.array_equal(table.clean[table.count_index], clean)
-    assert np.array_equal(table.errors[table.count_index], errors)
-    score = replica._score(p, table.clean, table.errors)[table.count_index]
+    vector_of = {tuple(v): i for i, v in enumerate(table.count_vectors.tolist())}
+    vector = [vector_of[tuple(v)] for v in _state_counts(rows, m).tolist()]
+    assert sorted(set(vector)) == np.unique(table.count_index).tolist() == list(range(len(vector_of)))
+    assert np.array_equal(table.clean[vector], clean)
+    assert np.array_equal(table.errors[vector], errors)
+    score = replica._score(p, table.clean, table.errors)[vector]
     assert np.array_equal(score, replica._score(p, clean, errors))
 
 
